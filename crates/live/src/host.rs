@@ -312,9 +312,10 @@ impl<S: LiveScheme> NodeHost<S> {
         &self.core.detector
     }
 
-    /// Read access to this host's tree view.
-    pub fn tree(&self) -> &SearchTree {
-        &self.core.world.tree
+    /// Read access to this host's protocol state: its tree view, cache,
+    /// authority clock and hop ledger (tests, diagnostics).
+    pub fn world(&self) -> &World {
+        &self.core.world
     }
 
     /// Announces this host and arms its periodic drivers. Call once, at

@@ -9,6 +9,7 @@
 use dup_core::DupScheme;
 use dup_live::{oracle_check, LiveConfig, LoopbackCluster};
 use dup_overlay::NodeId;
+use dup_proto::MsgClass;
 use dup_sim::SimDuration;
 
 /// The smoke topology: a root chain with a mid-tree fan-out at node 2
@@ -135,4 +136,62 @@ fn sub_threshold_link_outage_causes_no_expiry_and_recovers() {
         "the cut never dropped frames"
     );
     oracle_check(&snaps).expect("post-outage cluster fails the oracle");
+}
+
+/// One line per live host: everything the refactors of the host's
+/// dispatch loop must leave untouched — how many queries it issued, what
+/// it charged per message class, its own subscriber list, and the index
+/// versions it holds.
+fn render_cluster(cluster: &LoopbackCluster<DupScheme>) -> String {
+    let mut out = String::new();
+    for snap in cluster.snapshots() {
+        let host = cluster.host(snap.node).expect("snapshotted host is live");
+        let ledger = host.world().metrics.ledger();
+        let hops: Vec<String> = MsgClass::ALL
+            .iter()
+            .map(|&c| format!("{c:?}:{}", ledger.hops(c)))
+            .collect();
+        let s_list: Vec<u32> = snap.s_list.iter().map(|n| n.0).collect();
+        out.push_str(&format!(
+            "N{} inc={} queries={} hops=[{}] s_list={:?} cache={:?} authority={}\n",
+            snap.node.0,
+            snap.incarnation,
+            snap.queries_issued,
+            hops.join(" "),
+            s_list,
+            snap.cache_version,
+            snap.authority_version,
+        ));
+    }
+    out
+}
+
+/// Live golden: a fixed script on virtual time — boot the 8-node smoke
+/// tree, kill N2 at 3 s, restart it at 5 s, run one convergence bound —
+/// must reproduce the committed per-host state byte for byte. The
+/// loopback cluster is deterministic, so any diff is a behaviour change
+/// in the host, the scheme or the reliability layer and must be
+/// deliberate. Re-record with:
+///
+/// ```text
+/// DUP_RECORD_GOLDEN=1 cargo test -p dup-live --test loopback golden
+/// ```
+#[test]
+fn golden_kill_restart_script_is_pinned() {
+    let mut cluster = smoke_cluster();
+    cluster.run_for(secs(3.0));
+    cluster.kill(NodeId(2));
+    cluster.run_for(secs(2.0));
+    cluster.restart(NodeId(2));
+    cluster.run_for(LiveConfig::smoke(smoke_parents()).convergence_bound());
+    let actual = render_cluster(&cluster);
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/loopback_kill_restart.txt"
+    );
+    if std::env::var_os("DUP_RECORD_GOLDEN").is_some() {
+        std::fs::write(path, &actual).expect("golden file is writable");
+    }
+    let golden = std::fs::read_to_string(path).expect("golden file is committed");
+    assert_eq!(actual, golden, "live golden drifted; actual:\n{actual}");
 }
