@@ -176,8 +176,8 @@ mod negative_tests {
     #[test]
     fn detects_duplicate_entries() {
         let mut b = subscribed_bench();
-        b.scheme.test_inject_entry(N3, N6); // N6 already present
-        let errs = audit_quiescent(&b.scheme, &b.world.tree).unwrap_err();
+        b.node.scheme.test_inject_entry(N3, N6); // N6 already present
+        let errs = audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap_err();
         assert!(has(&errs, |e| matches!(
             e,
             AuditError::DuplicateEntry { .. }
@@ -188,8 +188,8 @@ mod negative_tests {
     fn detects_out_of_subtree_entries() {
         let mut b = subscribed_bench();
         // N4 is not in N6's subtree.
-        b.scheme.test_inject_entry(N6, N4);
-        let errs = audit_quiescent(&b.scheme, &b.world.tree).unwrap_err();
+        b.node.scheme.test_inject_entry(N6, N4);
+        let errs = audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap_err();
         assert!(has(&errs, |e| matches!(
             e,
             AuditError::EntryNotDescendant { .. }
@@ -200,9 +200,9 @@ mod negative_tests {
     fn detects_dead_entries() {
         let mut b = subscribed_bench();
         let n8 = NodeId(7);
-        b.world.tree.remove_splice(n8);
-        b.scheme.test_inject_entry(N6, n8);
-        let errs = audit_quiescent(&b.scheme, &b.world.tree).unwrap_err();
+        b.node.world.tree.remove_splice(n8);
+        b.node.scheme.test_inject_entry(N6, n8);
+        let errs = audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap_err();
         assert!(has(&errs, |e| matches!(e, AuditError::DeadEntry { .. })));
     }
 
@@ -211,8 +211,8 @@ mod negative_tests {
         let mut b = subscribed_bench();
         // N3 already holds N6 (via the N5 branch); inject N5 on the same
         // branch.
-        b.scheme.test_inject_entry(N3, NodeId(4));
-        let errs = audit_quiescent(&b.scheme, &b.world.tree).unwrap_err();
+        b.node.scheme.test_inject_entry(N3, NodeId(4));
+        let errs = audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap_err();
         assert!(has(&errs, |e| matches!(
             e,
             AuditError::BranchConflict { .. }
@@ -224,8 +224,8 @@ mod negative_tests {
         let mut b = subscribed_bench();
         // Inject an entry at N3 for N4's branch although N4 never
         // subscribed: a stale upstream record (e.g. a lost unsubscribe).
-        b.scheme.test_inject_entry(N3, N4);
-        let errs = audit_quiescent(&b.scheme, &b.world.tree).unwrap_err();
+        b.node.scheme.test_inject_entry(N3, N4);
+        let errs = audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap_err();
         assert!(
             has(&errs, |e| matches!(
                 e,
@@ -241,8 +241,8 @@ mod negative_tests {
         // A node marks itself subscribed without ever telling upstream
         // (e.g. every one of its subscribe messages was lost).
         let n7 = NodeId(6);
-        b.scheme.test_inject_entry(n7, n7);
-        let errs = audit_quiescent(&b.scheme, &b.world.tree).unwrap_err();
+        b.node.scheme.test_inject_entry(n7, n7);
+        let errs = audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap_err();
         assert!(
             has(&errs, |e| matches!(
                 e,

@@ -848,14 +848,14 @@ mod tests {
         b.make_interested(N6);
         b.drain();
         // N6 subscribed itself; N5, N3, N2, N1 hold N6 on the virtual path.
-        assert_eq!(b.scheme.s_list(N6), &[N6]);
-        assert_eq!(b.scheme.s_list(N5), &[N6]);
-        assert_eq!(b.scheme.s_list(N3), &[N6]);
-        assert_eq!(b.scheme.s_list(N2), &[N6]);
-        assert_eq!(b.scheme.s_list(N1), &[N6]);
+        assert_eq!(b.node.scheme.s_list(N6), &[N6]);
+        assert_eq!(b.node.scheme.s_list(N5), &[N6]);
+        assert_eq!(b.node.scheme.s_list(N3), &[N6]);
+        assert_eq!(b.node.scheme.s_list(N2), &[N6]);
+        assert_eq!(b.node.scheme.s_list(N1), &[N6]);
         // The DUP tree contains only N1 and N6: a push is one direct hop.
-        assert_eq!(b.scheme.push_set(&b.world.tree), vec![N6]);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        assert_eq!(b.node.scheme.push_set(&b.node.world.tree), vec![N6]);
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
         // Subscribe traveled N6→N5→N3→N2→N1: four control hops.
         assert_eq!(b.control_hops(), 4);
     }
@@ -870,11 +870,11 @@ mod tests {
         assert_eq!(b.push_hops() - before, 1, "direct push N1→N6 is one hop");
         // N6 received the new version; intermediate nodes did not.
         assert_eq!(
-            b.world.cache.raw(N6).map(|r| r.version),
+            b.node.world.cache.raw(N6).map(|r| r.version),
             Some(record.version)
         );
-        assert_eq!(b.world.cache.raw(N5), None);
-        assert_eq!(b.world.cache.raw(N2), None);
+        assert_eq!(b.node.world.cache.raw(N5), None);
+        assert_eq!(b.node.world.cache.raw(N2), None);
     }
 
     #[test]
@@ -885,20 +885,20 @@ mod tests {
         b.make_interested(N4);
         b.drain();
         // N3 caught the converging subscriptions: it joins the DUP tree.
-        let mut l3 = b.scheme.s_list(N3).to_vec();
+        let mut l3 = b.node.scheme.s_list(N3).to_vec();
         l3.sort();
         assert_eq!(l3, vec![N4, N6]);
         // Upstream, N3 replaced N6 via substitute.
-        assert_eq!(b.scheme.s_list(N2), &[N3]);
-        assert_eq!(b.scheme.s_list(N1), &[N3]);
+        assert_eq!(b.node.scheme.s_list(N2), &[N3]);
+        assert_eq!(b.node.scheme.s_list(N1), &[N3]);
         // Push fan-out: root → N3 → {N4, N6}: three hops total.
         let before = b.push_hops();
         b.refresh();
         assert_eq!(b.push_hops() - before, 3);
-        let mut reached = b.scheme.push_set(&b.world.tree);
+        let mut reached = b.node.scheme.push_set(&b.node.world.tree);
         reached.sort();
         assert_eq!(reached, vec![N3, N4, N6]);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -912,13 +912,13 @@ mod tests {
         b.drain();
         // N6's virtual path is cleared; N3 fell out of the DUP tree and
         // upstream nodes now list N4 directly (Figure 2(c)).
-        assert_eq!(b.scheme.s_list(N6), &[] as &[NodeId]);
-        assert_eq!(b.scheme.s_list(N5), &[] as &[NodeId]);
-        assert_eq!(b.scheme.s_list(N3), &[N4]);
-        assert_eq!(b.scheme.s_list(N2), &[N4]);
-        assert_eq!(b.scheme.s_list(N1), &[N4]);
-        assert_eq!(b.scheme.push_set(&b.world.tree), vec![N4]);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        assert_eq!(b.node.scheme.s_list(N6), &[] as &[NodeId]);
+        assert_eq!(b.node.scheme.s_list(N5), &[] as &[NodeId]);
+        assert_eq!(b.node.scheme.s_list(N3), &[N4]);
+        assert_eq!(b.node.scheme.s_list(N2), &[N4]);
+        assert_eq!(b.node.scheme.s_list(N1), &[N4]);
+        assert_eq!(b.node.scheme.push_set(&b.node.world.tree), vec![N4]);
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
         // Push is again a single direct hop N1→N4.
         let before = b.push_hops();
         b.refresh();
@@ -933,17 +933,17 @@ mod tests {
         b.drain();
         b.make_interested(N7);
         b.drain();
-        let mut l6 = b.scheme.s_list(N6).to_vec();
+        let mut l6 = b.node.scheme.s_list(N6).to_vec();
         l6.sort();
         assert_eq!(l6, vec![N6, N7]);
         // Upstream unchanged: N6 still represents the whole branch.
-        assert_eq!(b.scheme.s_list(N5), &[N6]);
-        assert_eq!(b.scheme.s_list(N1), &[N6]);
+        assert_eq!(b.node.scheme.s_list(N5), &[N6]);
+        assert_eq!(b.node.scheme.s_list(N1), &[N6]);
         // Pushes: N1→N6→N7.
-        let mut reached = b.scheme.push_set(&b.world.tree);
+        let mut reached = b.node.scheme.push_set(&b.node.world.tree);
         reached.sort();
         assert_eq!(reached, vec![N6, N7]);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -955,12 +955,12 @@ mod tests {
         b.drain();
         b.make_interested(N5);
         b.drain();
-        let mut l5 = b.scheme.s_list(N5).to_vec();
+        let mut l5 = b.node.scheme.s_list(N5).to_vec();
         l5.sort();
         assert_eq!(l5, vec![N5, N6]);
-        assert_eq!(b.scheme.s_list(N3), &[N5]);
-        assert_eq!(b.scheme.s_list(N1), &[N5]);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        assert_eq!(b.node.scheme.s_list(N3), &[N5]);
+        assert_eq!(b.node.scheme.s_list(N1), &[N5]);
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -968,13 +968,13 @@ mod tests {
         let mut b = bench();
         b.make_interested(N1);
         b.drain();
-        assert_eq!(b.scheme.s_list(N1), &[N1]);
+        assert_eq!(b.node.scheme.s_list(N1), &[N1]);
         assert_eq!(b.control_hops(), 0);
         // The root never pushes to itself.
         let before = b.push_hops();
         b.refresh();
         assert_eq!(b.push_hops(), before);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -984,8 +984,8 @@ mod tests {
             b.make_interested(n);
             b.drain();
         }
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
-        let mut reached = b.scheme.push_set(&b.world.tree);
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
+        let mut reached = b.node.scheme.push_set(&b.node.world.tree);
         reached.sort();
         // N6 is both a subscriber and the relay for N8's branch.
         assert_eq!(reached, vec![N3, N4, N6, N8]);
@@ -1005,9 +1005,9 @@ mod tests {
         b.drain();
         b.make_interested(N6);
         b.drain();
-        assert_eq!(b.scheme.s_list(N1), &[N6]);
-        assert_eq!(b.scheme.s_list(N6), &[N6]);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        assert_eq!(b.node.scheme.s_list(N1), &[N6]);
+        assert_eq!(b.node.scheme.s_list(N6), &[N6]);
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -1019,7 +1019,7 @@ mod tests {
         assert_eq!(record.version, Version(2));
         let now = b.engine.now();
         assert_eq!(
-            b.world.cache.valid_at(N6, now).map(|r| r.version),
+            b.node.world.cache.valid_at(N6, now).map(|r| r.version),
             Some(Version(2))
         );
     }
@@ -1036,10 +1036,10 @@ mod tests {
         b.drain();
         let n3p = b.join_between(N3, N5);
         b.drain();
-        assert_eq!(b.scheme.s_list(n3p), &[N6]);
-        assert_eq!(b.scheme.s_list(N3), &[N6]);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
-        assert_eq!(b.scheme.push_set(&b.world.tree), vec![N6]);
+        assert_eq!(b.node.scheme.s_list(n3p), &[N6]);
+        assert_eq!(b.node.scheme.s_list(N3), &[N6]);
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
+        assert_eq!(b.node.scheme.push_set(&b.node.world.tree), vec![N6]);
     }
 
     #[test]
@@ -1053,10 +1053,10 @@ mod tests {
         let fresh = b.join_between(N6, N8);
         let leaf = b.join_leaf(N7);
         b.drain();
-        assert_eq!(b.scheme.s_list(fresh), &[] as &[NodeId]);
-        assert_eq!(b.scheme.s_list(leaf), &[] as &[NodeId]);
+        assert_eq!(b.node.scheme.s_list(fresh), &[] as &[NodeId]);
+        assert_eq!(b.node.scheme.s_list(leaf), &[] as &[NodeId]);
         assert_eq!(b.control_hops(), hops_before);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -1069,9 +1069,13 @@ mod tests {
         b.remove(N6, true);
         b.drain();
         for n in [N5, N3, N2, N1] {
-            assert_eq!(b.scheme.s_list(n), &[] as &[NodeId], "stale entry at {n}");
+            assert_eq!(
+                b.node.scheme.s_list(n),
+                &[] as &[NodeId],
+                "stale entry at {n}"
+            );
         }
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -1082,10 +1086,10 @@ mod tests {
         b.remove(N5, true);
         b.drain();
         // N6 re-parents under N3; the virtual path shortens but survives.
-        assert_eq!(b.scheme.s_list(N3), &[N6]);
-        assert_eq!(b.scheme.s_list(N1), &[N6]);
-        assert_eq!(b.scheme.push_set(&b.world.tree), vec![N6]);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        assert_eq!(b.node.scheme.s_list(N3), &[N6]);
+        assert_eq!(b.node.scheme.s_list(N1), &[N6]);
+        assert_eq!(b.node.scheme.push_set(&b.node.world.tree), vec![N6]);
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -1098,14 +1102,14 @@ mod tests {
         // N3 is the fan-out node; its parent N2 takes over on leave.
         b.remove(N3, true);
         b.drain();
-        let mut l2 = b.scheme.s_list(N2).to_vec();
+        let mut l2 = b.node.scheme.s_list(N2).to_vec();
         l2.sort();
         assert_eq!(l2, vec![N4, N6]);
-        assert_eq!(b.scheme.s_list(N1), &[N2]);
-        let mut reached = b.scheme.push_set(&b.world.tree);
+        assert_eq!(b.node.scheme.s_list(N1), &[N2]);
+        let mut reached = b.node.scheme.push_set(&b.node.world.tree);
         reached.sort();
         assert_eq!(reached, vec![N2, N4, N6]);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -1118,9 +1122,13 @@ mod tests {
         b.remove(N6, false);
         b.drain();
         for n in [N5, N3, N2, N1] {
-            assert_eq!(b.scheme.s_list(n), &[] as &[NodeId], "stale entry at {n}");
+            assert_eq!(
+                b.node.scheme.s_list(n),
+                &[] as &[NodeId],
+                "stale entry at {n}"
+            );
         }
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -1131,10 +1139,10 @@ mod tests {
         b.drain();
         b.remove(N5, false);
         b.drain();
-        assert_eq!(b.scheme.s_list(N3), &[N6]);
-        assert_eq!(b.scheme.s_list(N1), &[N6]);
-        assert_eq!(b.scheme.push_set(&b.world.tree), vec![N6]);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        assert_eq!(b.node.scheme.s_list(N3), &[N6]);
+        assert_eq!(b.node.scheme.s_list(N1), &[N6]);
+        assert_eq!(b.node.scheme.push_set(&b.node.world.tree), vec![N6]);
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -1148,13 +1156,13 @@ mod tests {
         b.drain();
         b.remove(N3, false);
         b.drain();
-        let mut l2 = b.scheme.s_list(N2).to_vec();
+        let mut l2 = b.node.scheme.s_list(N2).to_vec();
         l2.sort();
         assert_eq!(l2, vec![N4, N6]);
-        let mut reached = b.scheme.push_set(&b.world.tree);
+        let mut reached = b.node.scheme.push_set(&b.node.world.tree);
         reached.sort();
         assert_eq!(reached, vec![N2, N4, N6]);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -1169,12 +1177,12 @@ mod tests {
         let change = b.remove(N1, false);
         assert!(change.root_changed);
         b.drain();
-        let new_root = b.world.tree.root();
-        assert_eq!(b.scheme.s_list(new_root), &[N3]);
-        let mut reached = b.scheme.push_set(&b.world.tree);
+        let new_root = b.node.world.tree.root();
+        assert_eq!(b.node.scheme.s_list(new_root), &[N3]);
+        let mut reached = b.node.scheme.push_set(&b.node.world.tree);
         reached.sort();
         assert_eq!(reached, vec![N3, N4, N6]);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
         let before = b.push_hops();
         b.refresh();
         assert_eq!(b.push_hops() - before, 3);
@@ -1191,14 +1199,14 @@ mod tests {
         b.drain();
         // An orphaned entry injected mid-epoch (as a lost unsubscribe or
         // substitute would leave behind) is never renewed...
-        b.scheme.test_inject_entry(N3, N4);
+        b.node.scheme.test_inject_entry(N3, N4);
         b.with_ctx(|s, ctx| s.on_lease_tick(ctx));
         b.drain();
         // ...so the next boundary expires exactly that entry.
-        assert_eq!(b.scheme.s_list(N3), &[N6]);
-        assert_eq!(b.scheme.repair_stats().lease_expirations, 1);
-        assert_eq!(b.scheme.repair_stats().lease_rounds, 2);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        assert_eq!(b.node.scheme.s_list(N3), &[N6]);
+        assert_eq!(b.node.scheme.repair_stats().lease_expirations, 1);
+        assert_eq!(b.node.scheme.repair_stats().lease_rounds, 2);
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -1209,18 +1217,18 @@ mod tests {
             b.drain();
         }
         let lists_before: Vec<Vec<NodeId>> = (0..8)
-            .map(|i| b.scheme.s_list(NodeId(i)).to_vec())
+            .map(|i| b.node.scheme.s_list(NodeId(i)).to_vec())
             .collect();
         for _ in 0..3 {
             b.with_ctx(|s, ctx| s.on_lease_tick(ctx));
             b.drain();
         }
         let lists_after: Vec<Vec<NodeId>> = (0..8)
-            .map(|i| b.scheme.s_list(NodeId(i)).to_vec())
+            .map(|i| b.node.scheme.s_list(NodeId(i)).to_vec())
             .collect();
         assert_eq!(lists_before, lists_after, "ticks must be idempotent");
-        assert_eq!(b.scheme.repair_stats().lease_expirations, 0);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        assert_eq!(b.node.scheme.repair_stats().lease_expirations, 0);
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -1239,13 +1247,13 @@ mod tests {
         // The boundary's local sweep spares the edge that carried the
         // push (its lease was renewed by the delivery) while expiring the
         // idle intermediate virtual-path entries.
-        assert_eq!(b.scheme.s_list(N1), &[N6]);
-        assert_eq!(b.scheme.s_list(N5), &[] as &[NodeId]);
-        assert!(b.scheme.repair_stats().lease_expirations > 0);
+        assert_eq!(b.node.scheme.s_list(N1), &[N6]);
+        assert_eq!(b.node.scheme.s_list(N5), &[] as &[NodeId]);
+        assert!(b.node.scheme.repair_stats().lease_expirations > 0);
         // Draining the expiry cascade then collapses the rest coherently
         // (nothing re-asserted, so the whole path unwinds).
         b.drain();
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -1258,20 +1266,29 @@ mod tests {
         b.drain(); // N4 subscribed but has no cached copy yet
                    // Wholesale loss of the root's subscriber state orphans both
                    // branches: the next publish reaches nobody.
-        b.scheme.test_clear_list(N1);
+        b.node.scheme.test_clear_list(N1);
         let record = b.refresh();
-        assert_eq!(b.world.cache.raw(N6).map(|r| r.version), Some(Version(2)));
+        assert_eq!(
+            b.node.world.cache.raw(N6).map(|r| r.version),
+            Some(Version(2))
+        );
         b.with_ctx(|s, ctx| s.on_lease_tick(ctx));
         b.drain();
         // N6 held a stale copy (orphan repair); N4 held none (fallback).
-        assert_eq!(b.scheme.repair_stats().orphan_repairs, 1);
-        assert_eq!(b.scheme.repair_stats().lease_fallbacks, 1);
+        assert_eq!(b.node.scheme.repair_stats().orphan_repairs, 1);
+        assert_eq!(b.node.scheme.repair_stats().lease_fallbacks, 1);
         // The re-assertion rebuilt the tree: the next publish reaches both.
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
         let next = b.refresh();
         assert!(next.version > record.version);
-        assert_eq!(b.world.cache.raw(N6).map(|r| r.version), Some(next.version));
-        assert_eq!(b.world.cache.raw(N4).map(|r| r.version), Some(next.version));
+        assert_eq!(
+            b.node.world.cache.raw(N6).map(|r| r.version),
+            Some(next.version)
+        );
+        assert_eq!(
+            b.node.world.cache.raw(N4).map(|r| r.version),
+            Some(next.version)
+        );
     }
 
     #[test]
@@ -1283,7 +1300,7 @@ mod tests {
         b.remove(N7, false);
         b.drain();
         assert_eq!(b.control_hops(), hops);
-        audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 }
 
@@ -1307,13 +1324,13 @@ mod dead_entry_regressions {
         // N6 fails; the unsubscribe cascade is NOT drained yet, so N3 and
         // N5 still hold the dead N6.
         b.remove(N6, false);
-        assert!(b.scheme.s_list(N3).contains(&N6));
+        assert!(b.node.scheme.s_list(N3).contains(&N6));
         let joined = b.join_between(N3, N5);
         b.drain();
         // The newcomer inherited nothing from the dead entry, and the
         // cascade cleaned everything up.
-        assert!(!b.scheme.s_list(joined).contains(&N6));
-        crate::audit::audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        assert!(!b.node.scheme.s_list(joined).contains(&N6));
+        crate::audit::audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     /// Same hazard through the subscribe path: a live subscription arriving
@@ -1329,9 +1346,9 @@ mod dead_entry_regressions {
         let n7 = NodeId(6);
         b.make_interested(n7);
         b.drain();
-        assert!(b.scheme.is_subscribed(n7));
-        let reach = b.scheme.push_set(&b.world.tree);
+        assert!(b.node.scheme.is_subscribed(n7));
+        let reach = b.node.scheme.push_set(&b.node.world.tree);
         assert!(reach.contains(&n7));
-        crate::audit::audit_quiescent(&b.scheme, &b.world.tree).unwrap();
+        crate::audit::audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 }

@@ -40,8 +40,8 @@
 //! let n6 = NodeId(5);
 //! bench.make_interested(n6);
 //! bench.drain();
-//! assert_eq!(bench.scheme.s_list(NodeId(0)), &[n6]); // root lists N6 directly
-//! audit_quiescent(&bench.scheme, &bench.world.tree).unwrap();
+//! assert_eq!(bench.node.scheme.s_list(NodeId(0)), &[n6]); // root lists N6 directly
+//! audit_quiescent(&bench.node.scheme, &bench.node.world.tree).unwrap();
 //!
 //! let before = bench.push_hops();
 //! bench.refresh();

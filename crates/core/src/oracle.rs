@@ -279,10 +279,10 @@ mod tests {
             b.make_interested(n);
             b.drain();
         }
-        check_tree_invariants(&b.scheme, &b.world.tree).unwrap();
+        check_tree_invariants(&b.node.scheme, &b.node.world.tree).unwrap();
         b.drop_interest(N6);
         b.drain();
-        check_tree_invariants(&b.scheme, &b.world.tree).unwrap();
+        check_tree_invariants(&b.node.scheme, &b.node.world.tree).unwrap();
     }
 
     #[test]
@@ -292,8 +292,8 @@ mod tests {
         b.drain();
         // Simulate a lost unsubscribe: N6 clears itself locally but the
         // upstream path never hears about it.
-        b.scheme.test_clear_list(N6);
-        let report = check_tree_invariants(&b.scheme, &b.world.tree).unwrap_err();
+        b.node.scheme.test_clear_list(N6);
+        let report = check_tree_invariants(&b.node.scheme, &b.node.world.tree).unwrap_err();
         assert!(
             report
                 .oracle_mismatches
@@ -313,12 +313,12 @@ mod tests {
         b.make_interested(N4);
         b.drain();
         // Lose N4's unsubscribe entirely: upstream still fans out at N3.
-        b.scheme.test_clear_list(N4);
-        assert!(check_tree_invariants(&b.scheme, &b.world.tree).is_err());
+        b.node.scheme.test_clear_list(N4);
+        assert!(check_tree_invariants(&b.node.scheme, &b.node.world.tree).is_err());
         // One keep-alive round: every live subscriber re-asserts, then the
         // unrenewed leases expire.
-        b.scheme.begin_lease_epoch();
-        let live: Vec<NodeId> = b.world.tree.live_nodes().collect();
+        b.node.scheme.begin_lease_epoch();
+        let live: Vec<NodeId> = b.node.world.tree.live_nodes().collect();
         for n in live {
             b.with_ctx(|s, ctx| s.reassert(ctx, n));
         }
@@ -326,7 +326,7 @@ mod tests {
         b.with_ctx(|s, ctx| s.end_lease_epoch(ctx));
         b.drain();
         // The stale N4 lease expired; N6's path survives intact.
-        check_tree_invariants(&b.scheme, &b.world.tree).unwrap();
-        assert_eq!(b.scheme.s_list(N1), &[N6]);
+        check_tree_invariants(&b.node.scheme, &b.node.world.tree).unwrap();
+        assert_eq!(b.node.scheme.s_list(N1), &[N6]);
     }
 }

@@ -7,22 +7,17 @@
 //! protocol API.
 
 use dup_overlay::{NodeId, SearchTree};
-use dup_proto::scheme::{AppliedChurn, Ctx, Ev, FaultState, FifoClocks, Msg, Scheme, World};
-use dup_proto::{
-    AuthorityClock, CacheStore, IndexRecord, InterestTracker, Metrics, ProbeSink, ReliableState,
-    TraceCtx,
-};
-use dup_sim::{Engine, SenderStreams, SimDuration, SimTime};
-use dup_workload::HopLatency;
+use dup_proto::scheme::{AppliedChurn, Ctx, Ev, Scheme, World};
+use dup_proto::{IndexRecord, InterestTracker, NodeCore, ProbeSink};
+use dup_sim::{Engine, SenderStreams};
 
 /// A self-contained harness around one scheme instance.
 pub struct TestBench<S: Scheme> {
-    /// Shared protocol state.
-    pub world: World,
+    /// Shared protocol state, the scheme under test, and the handlers
+    /// every driver shares.
+    pub node: NodeCore<S>,
     /// The event engine carrying in-flight messages.
     pub engine: Engine<Ev<S::Msg>>,
-    /// The scheme under test.
-    pub scheme: S,
 }
 
 impl<S: Scheme> TestBench<S> {
@@ -36,37 +31,21 @@ impl<S: Scheme> TestBench<S> {
     /// traffic — e.g. a [`dup_proto::CaptureProbe`] for step-by-step trace
     /// assertions (see the `figure2_walkthrough` example).
     pub fn with_probe(tree: SearchTree, scheme: S, threshold_c: u32, probe: ProbeSink) -> Self {
-        let ttl = SimDuration::from_mins(60);
-        let mut metrics = Metrics::new(100);
-        metrics.start_recording();
-        let world = World {
-            cache: CacheStore::new(tree.capacity()),
-            authority: AuthorityClock::new(SimTime::ZERO, ttl, SimDuration::from_mins(1)),
-            interest: InterestTracker::new(ttl, threshold_c, tree.capacity()),
-            metrics,
-            hop_latency: HopLatency::paper_default(),
-            latency_rng: SenderStreams::new(0xBE7C, "testkit-latency"),
-            fifo: FifoClocks::with_capacity(tree.capacity()),
-            probe,
-            faults: FaultState::disabled(),
-            reliable: ReliableState::disabled(),
-            trace: TraceCtx::new(),
-            tree,
-        };
+        let mut world = World::new(tree);
+        world.interest =
+            InterestTracker::new(world.authority.ttl(), threshold_c, world.tree.capacity());
+        world.metrics.start_recording();
+        world.latency_rng = SenderStreams::new(0xBE7C, "testkit-latency");
+        world.probe = probe;
         TestBench {
-            world,
+            node: NodeCore::new(world, scheme),
             engine: Engine::new(),
-            scheme,
         }
     }
 
     /// Runs a scheme hook with a properly wired context.
     pub fn with_ctx<R>(&mut self, f: impl FnOnce(&mut S, &mut Ctx<'_, S::Msg>) -> R) -> R {
-        let mut ctx = Ctx {
-            world: &mut self.world,
-            engine: &mut self.engine,
-        };
-        f(&mut self.scheme, &mut ctx)
+        self.node.with_ctx(&mut self.engine, f)
     }
 
     /// Makes `node` satisfy the interest policy (threshold + 1 observations
@@ -75,12 +54,11 @@ impl<S: Scheme> TestBench<S> {
     /// message accounting aligned with Figure 3's explicit flows.
     pub fn make_interested(&mut self, node: NodeId) {
         let now = self.engine.now();
-        for _ in 0..=self.world.interest.threshold() {
-            self.world.interest.observe(node, now);
+        let world = &mut self.node.world;
+        for _ in 0..=world.interest.threshold() {
+            world.interest.observe(node, now);
         }
-        if self.world.probe.enabled() {
-            self.world.trace.begin_maintenance();
-        }
+        world.begin_maintenance();
         let mut riders = Vec::new();
         self.with_ctx(|s, ctx| s.on_query_step(ctx, node, None, &mut riders, false));
     }
@@ -88,163 +66,78 @@ impl<S: Scheme> TestBench<S> {
     /// Clears `node`'s interest window and fires the lapse hook, as the
     /// interest-decay check would after a quiet TTL.
     pub fn drop_interest(&mut self, node: NodeId) {
-        self.world.interest.clear(node);
-        if self.world.probe.enabled() {
-            self.world.trace.begin_maintenance();
-        }
+        self.node.world.interest.clear(node);
+        self.node.world.begin_maintenance();
         self.with_ctx(|s, ctx| s.on_interest_lost(ctx, node));
     }
 
     /// Publishes the next index version at its scheduled instant and lets
     /// the scheme push it.
     pub fn refresh(&mut self) -> IndexRecord {
-        let due = self
-            .world
-            .authority
-            .next_refresh_at()
-            .max(self.engine.now());
-        self.engine.schedule(due, Ev::Refresh);
+        let due = self.node.world.authority.next_refresh_at();
+        self.engine
+            .schedule(due.max(self.engine.now()), Ev::Refresh);
         self.drain();
-        self.world.authority.current()
+        self.node.world.authority.current()
     }
 
     /// Delivers every in-flight message (and any cascades) to quiescence.
     pub fn drain(&mut self) {
-        let world = &mut self.world;
-        let scheme = &mut self.scheme;
+        let node = &mut self.node;
         self.engine.run(|eng, ev| match ev {
             Ev::Deliver {
                 from,
                 to,
                 class,
                 cause,
-                msg: Msg::Scheme(m),
-            } => {
-                world.trace.note_delivered();
-                if world.tree.is_alive(to) {
-                    world.trace.enter(cause);
-                    let now = eng.now();
-                    world
-                        .probe
-                        .emit(now, || dup_proto::ProbeEvent::MsgDelivered {
-                            from,
-                            to,
-                            class,
-                            span: cause.span,
-                        });
-                    let mut ctx = Ctx { world, engine: eng };
-                    scheme.on_scheme_msg(&mut ctx, from, to, m);
-                }
-            }
+                msg,
+            } => node.deliver(eng, from, to, class, cause, msg),
             Ev::Refresh => {
-                let record = world.authority.refresh(eng.now());
-                if world.probe.enabled() {
-                    // Mirrors the runner: under trace sampling, unsampled
-                    // versions publish no root span and no event.
-                    let span = world.trace.begin_update(record.version.0);
-                    if span.is_traced() {
-                        let origin = world.tree.root();
-                        let version = record.version.0;
-                        world
-                            .probe
-                            .emit(eng.now(), || dup_proto::ProbeEvent::UpdatePublished {
-                                node: origin,
-                                version,
-                            });
-                    }
-                }
-                let mut ctx = Ctx { world, engine: eng };
-                scheme.on_refresh(&mut ctx, record);
+                node.publish(eng);
             }
             other => panic!("testkit bench saw unexpected event {other:?}"),
         });
     }
 
+    /// Fires the scheme's repair hook for an applied topology change.
+    fn on_churn(&mut self, change: &AppliedChurn) {
+        self.node.world.begin_maintenance();
+        self.with_ctx(|s, ctx| s.on_churn(ctx, change));
+    }
+
+    /// Fires the repair hook for a join and names the node that joined.
+    fn on_join(&mut self, change: AppliedChurn) -> NodeId {
+        self.on_churn(&change);
+        change.joined.expect("a join names the joined node")
+    }
+
     /// Applies a graceful leave (`graceful = true`) or silent failure of
-    /// `node`, mirroring the runner's churn application, and fires the
-    /// scheme's repair hook. Messages are left in flight; call
-    /// [`TestBench::drain`] to settle.
+    /// `node`, exactly as the runner's churn does, and fires the scheme's
+    /// repair hook. Messages are left in flight; call [`TestBench::drain`]
+    /// to settle.
     pub fn remove(&mut self, node: NodeId, graceful: bool) -> AppliedChurn {
-        let root_changed = node == self.world.tree.root();
-        let (replacement, adopted_children) = if root_changed {
-            let children = self.world.tree.children(node).to_vec();
-            let fresh = self.world.tree.replace_with_fresh(node);
-            self.world.cache.ensure_slot(fresh);
-            self.world.interest.ensure_slot(fresh);
-            (fresh, children)
-        } else {
-            let children = self.world.tree.children(node).to_vec();
-            let parent = self.world.tree.remove_splice(node);
-            (parent, children)
-        };
-        self.world.cache.evict(node);
-        self.world.interest.clear(node);
-        let change = AppliedChurn {
-            removed: Some(node),
-            graceful,
-            replacement: Some(replacement),
-            adopted_children,
-            joined: if root_changed {
-                Some(replacement)
-            } else {
-                None
-            },
-            join_below: None,
-            root_changed,
-        };
-        if self.world.probe.enabled() {
-            self.world.trace.begin_maintenance();
-        }
-        self.with_ctx(|s, ctx| s.on_churn(ctx, &change));
+        let change = self.node.world.remove_node(node, graceful);
+        self.on_churn(&change);
         change
     }
 
     /// Splices a fresh node into the edge `parent → child` and fires the
     /// scheme's hook. Returns the new node.
     pub fn join_between(&mut self, parent: NodeId, child: NodeId) -> NodeId {
-        let joined = self.world.tree.insert_between(parent, child);
-        self.world.cache.ensure_slot(joined);
-        self.world.interest.ensure_slot(joined);
-        let change = AppliedChurn {
-            removed: None,
-            graceful: true,
-            replacement: None,
-            adopted_children: Vec::new(),
-            joined: Some(joined),
-            join_below: Some(child),
-            root_changed: false,
-        };
-        if self.world.probe.enabled() {
-            self.world.trace.begin_maintenance();
-        }
-        self.with_ctx(|s, ctx| s.on_churn(ctx, &change));
-        joined
+        let change = self.node.world.join_between(parent, child);
+        self.on_join(change)
     }
 
     /// Attaches a fresh leaf under `parent` and fires the scheme's hook.
     pub fn join_leaf(&mut self, parent: NodeId) -> NodeId {
-        let joined = self.world.tree.add_leaf(parent);
-        self.world.cache.ensure_slot(joined);
-        self.world.interest.ensure_slot(joined);
-        let change = AppliedChurn {
-            removed: None,
-            graceful: true,
-            replacement: None,
-            adopted_children: Vec::new(),
-            joined: Some(joined),
-            join_below: None,
-            root_changed: false,
-        };
-        if self.world.probe.enabled() {
-            self.world.trace.begin_maintenance();
-        }
-        self.with_ctx(|s, ctx| s.on_churn(ctx, &change));
-        joined
+        let change = self.node.world.join_leaf(parent);
+        self.on_join(change)
     }
 
     /// Total control-message hops charged so far.
     pub fn control_hops(&self) -> u64 {
-        self.world
+        self.node
+            .world
             .metrics
             .ledger()
             .hops(dup_proto::MsgClass::Control)
@@ -252,7 +145,8 @@ impl<S: Scheme> TestBench<S> {
 
     /// Total push hops charged so far.
     pub fn push_hops(&self) -> u64 {
-        self.world.metrics.ledger().hops(dup_proto::MsgClass::Push)
+        let ledger = self.node.world.metrics.ledger();
+        ledger.hops(dup_proto::MsgClass::Push)
     }
 }
 

@@ -68,32 +68,32 @@ fn pick_live_non_root(tree: &SearchTree, raw: usize) -> Option<NodeId> {
 fn apply_op(bench: &mut TestBench<DupScheme>, op: &Op) {
     match *op {
         Op::Subscribe(raw) => {
-            let node = pick_live(&bench.world.tree, raw);
+            let node = pick_live(&bench.node.world.tree, raw);
             bench.make_interested(node);
         }
         Op::Unsubscribe(raw) => {
-            let node = pick_live(&bench.world.tree, raw);
+            let node = pick_live(&bench.node.world.tree, raw);
             bench.drop_interest(node);
         }
         Op::JoinLeaf(raw) => {
-            let parent = pick_live(&bench.world.tree, raw);
+            let parent = pick_live(&bench.node.world.tree, raw);
             bench.join_leaf(parent);
         }
         Op::JoinBetween(raw) => {
-            if let Some(child) = pick_live_non_root(&bench.world.tree, raw) {
-                let parent = bench.world.tree.parent(child).expect("non-root");
+            if let Some(child) = pick_live_non_root(&bench.node.world.tree, raw) {
+                let parent = bench.node.world.tree.parent(child).expect("non-root");
                 bench.join_between(parent, child);
             }
         }
         Op::Leave(raw) => {
-            if bench.world.tree.len() > 2 {
-                let node = pick_live(&bench.world.tree, raw);
+            if bench.node.world.tree.len() > 2 {
+                let node = pick_live(&bench.node.world.tree, raw);
                 bench.remove(node, true);
             }
         }
         Op::Fail(raw) => {
-            if bench.world.tree.len() > 2 {
-                let node = pick_live(&bench.world.tree, raw);
+            if bench.node.world.tree.len() > 2 {
+                let node = pick_live(&bench.node.world.tree, raw);
                 bench.remove(node, false);
             }
         }
@@ -117,7 +117,7 @@ proptest! {
         for op in &ops {
             apply_op(&mut bench, op);
             bench.drain();
-            let audit = audit_quiescent(&bench.scheme, &bench.world.tree);
+            let audit = audit_quiescent(&bench.node.scheme, &bench.node.world.tree);
             prop_assert!(audit.is_ok(), "op {:?} broke invariants: {:?}", op, audit.unwrap_err());
         }
     }
@@ -137,13 +137,13 @@ proptest! {
             bench.drain();
         }
         let record = bench.refresh();
-        let reach = bench.scheme.push_reach(&bench.world.tree).expect("DUP pushes");
-        for node in bench.world.tree.live_nodes() {
-            let got = bench.world.cache.raw(node).map(|r| r.version) == Some(record.version);
-            if node == bench.world.tree.root() {
+        let reach = bench.node.scheme.push_reach(&bench.node.world.tree).expect("DUP pushes");
+        for node in bench.node.world.tree.live_nodes() {
+            let got = bench.node.world.cache.raw(node).map(|r| r.version) == Some(record.version);
+            if node == bench.node.world.tree.root() {
                 continue;
             }
-            if bench.scheme.is_subscribed(node) {
+            if bench.node.scheme.is_subscribed(node) {
                 prop_assert!(got, "subscriber {node} missed the push");
             }
             prop_assert_eq!(
@@ -171,22 +171,22 @@ proptest! {
         bench.drain();
         // One keep-alive round: every subscribed node re-asserts itself.
         let subscribed: Vec<NodeId> = bench
-            .world
+            .node.world
             .tree
             .live_nodes()
-            .filter(|&n| bench.scheme.is_subscribed(n))
+            .filter(|&n| bench.node.scheme.is_subscribed(n))
             .collect();
         for node in subscribed.iter().copied() {
             bench.with_ctx(|s, ctx| s.reassert(ctx, node));
         }
         bench.drain();
-        let reach = bench.scheme.push_set(&bench.world.tree);
+        let reach = bench.node.scheme.push_set(&bench.node.world.tree);
         for node in subscribed {
-            if node == bench.world.tree.root() {
+            if node == bench.node.world.tree.root() {
                 continue;
             }
             prop_assert!(
-                bench.world.tree.is_alive(node) && reach.contains(&node),
+                bench.node.world.tree.is_alive(node) && reach.contains(&node),
                 "subscriber {} unreachable after keep-alive round", node
             );
         }
@@ -203,24 +203,24 @@ proptest! {
         let tree = build_tree(nodes, 4, seed);
         let mut bench = TestBench::new(tree, DupScheme::new(), 2);
         for &raw in &subs {
-            let node = pick_live(&bench.world.tree, raw);
+            let node = pick_live(&bench.node.world.tree, raw);
             bench.make_interested(node);
             bench.drain();
         }
         let subscribed: Vec<NodeId> = bench
-            .world
+            .node.world
             .tree
             .live_nodes()
-            .filter(|&n| bench.scheme.is_subscribed(n))
+            .filter(|&n| bench.node.scheme.is_subscribed(n))
             .collect();
         for node in subscribed {
             bench.drop_interest(node);
             bench.drain();
         }
-        for node in bench.world.tree.live_nodes() {
+        for node in bench.node.world.tree.live_nodes() {
             prop_assert!(
-                bench.scheme.s_list(node).is_empty(),
-                "leaked entries at {}: {:?}", node, bench.scheme.s_list(node)
+                bench.node.scheme.s_list(node).is_empty(),
+                "leaked entries at {}: {:?}", node, bench.node.scheme.s_list(node)
             );
         }
     }

@@ -38,12 +38,13 @@ fn pick_live(tree: &SearchTree, raw: usize) -> NodeId {
 /// faulted run.
 fn heal(bench: &mut TestBench<DupScheme>, rounds: usize) {
     for _ in 0..rounds {
-        bench.scheme.begin_lease_epoch();
+        bench.node.scheme.begin_lease_epoch();
         let subscribed: Vec<NodeId> = bench
+            .node
             .world
             .tree
             .live_nodes()
-            .filter(|&n| bench.scheme.is_subscribed(n))
+            .filter(|&n| bench.node.scheme.is_subscribed(n))
             .collect();
         for node in subscribed {
             bench.with_ctx(|s, ctx| s.reassert(ctx, node));
@@ -76,22 +77,22 @@ fn race_op() -> impl Strategy<Value = RaceOp> {
 fn apply(bench: &mut TestBench<DupScheme>, op: &RaceOp) {
     match *op {
         RaceOp::Subscribe(raw) => {
-            let node = pick_live(&bench.world.tree, raw);
+            let node = pick_live(&bench.node.world.tree, raw);
             bench.make_interested(node);
         }
         RaceOp::Unsubscribe(raw) => {
-            let node = pick_live(&bench.world.tree, raw);
+            let node = pick_live(&bench.node.world.tree, raw);
             bench.drop_interest(node);
         }
         RaceOp::GracefulLeave(raw) => {
-            if bench.world.tree.len() > 2 {
-                let node = pick_live(&bench.world.tree, raw);
+            if bench.node.world.tree.len() > 2 {
+                let node = pick_live(&bench.node.world.tree, raw);
                 bench.remove(node, true);
             }
         }
         RaceOp::Fail(raw) => {
-            if bench.world.tree.len() > 2 {
-                let node = pick_live(&bench.world.tree, raw);
+            if bench.node.world.tree.len() > 2 {
+                let node = pick_live(&bench.node.world.tree, raw);
                 bench.remove(node, false);
             }
         }
@@ -115,26 +116,26 @@ proptest! {
         let mut bench = TestBench::new(tree, DupScheme::new(), 2);
         // Seed some established state so later ops race real cascades.
         for raw in [7usize, 13, 29] {
-            bench.make_interested(pick_live(&bench.world.tree, raw));
+            bench.make_interested(pick_live(&bench.node.world.tree, raw));
         }
         for op in &ops {
             apply(&mut bench, op); // deliberately NOT drained: cascades race
         }
         bench.drain();
         let subscribed_before: Vec<NodeId> = bench
-            .world
+            .node.world
             .tree
             .live_nodes()
-            .filter(|&n| bench.scheme.is_subscribed(n))
+            .filter(|&n| bench.node.scheme.is_subscribed(n))
             .collect();
         heal(&mut bench, 3);
         for &node in &subscribed_before {
             prop_assert!(
-                bench.scheme.is_subscribed(node),
+                bench.node.scheme.is_subscribed(node),
                 "healing cancelled live subscriber {}", node
             );
         }
-        let verdict = check_tree_invariants(&bench.scheme, &bench.world.tree);
+        let verdict = check_tree_invariants(&bench.node.scheme, &bench.node.world.tree);
         prop_assert!(
             verdict.is_ok(),
             "races left unhealable state after ops {:?}:\n{}",
@@ -166,7 +167,7 @@ proptest! {
         let mut racers: Vec<Racer> = vec![
             Box::new(move |b| if drop_first { b.drop_interest(N6) } else { b.make_interested(N6) }),
             Box::new(|b| b.drop_interest(N4)),
-            Box::new(move |b| { b.make_interested(pick_live(&b.world.tree, extra_sub)); }),
+            Box::new(move |b| { b.make_interested(pick_live(&b.node.world.tree, extra_sub)); }),
         ];
         // Apply in the permutation selected by `order`.
         let first = order % 3;
@@ -178,7 +179,7 @@ proptest! {
         }
         bench.drain();
         heal(&mut bench, 3);
-        let verdict = check_tree_invariants(&bench.scheme, &bench.world.tree);
+        let verdict = check_tree_invariants(&bench.node.scheme, &bench.node.world.tree);
         prop_assert!(
             verdict.is_ok(),
             "same-key race (order {}, drop_first {}) broke invariants:\n{}",

@@ -3,13 +3,9 @@
 //! publishing, instead of the query-workload runner.
 
 use dup_overlay::{NodeId, SearchTree};
-use dup_proto::scheme::{Ctx, Ev, FaultState, FifoClocks, Msg, Scheme, World};
-use dup_proto::{
-    AuthorityClock, CacheStore, IndexRecord, InterestTracker, Metrics, MsgClass, ProbeEvent,
-    ProbeSink, Registry, ReliableState, TraceCtx,
-};
-use dup_sim::{Engine, SenderStreams, SimDuration, SimTime};
-use dup_workload::HopLatency;
+use dup_proto::scheme::{Ctx, Ev, Msg, Scheme, World};
+use dup_proto::{IndexRecord, InterestTracker, MsgClass, NodeCore, ProbeSink, Registry};
+use dup_sim::{Engine, SenderStreams, SimTime};
 
 /// Hosts one scheme instance over one topic's search tree.
 ///
@@ -19,50 +15,35 @@ use dup_workload::HopLatency;
 /// lapse path (event (D)). Publishing mints a new version at the authority
 /// and lets the scheme propagate it.
 pub struct TopicHost<S: Scheme> {
-    /// Shared protocol state for this topic.
-    pub world: World,
+    /// This topic's protocol state, its dissemination scheme, and the
+    /// handlers every driver shares.
+    pub node: NodeCore<S>,
     engine: Engine<Ev<S::Msg>>,
-    /// The dissemination scheme.
-    pub scheme: S,
 }
 
 impl<S: Scheme> TopicHost<S> {
     /// Creates a host over `tree`, with the paper's hop-latency model and a
     /// per-topic RNG stream derived from `seed` and the topic `label`.
     pub fn new(tree: SearchTree, scheme: S, seed: u64, label: &str) -> Self {
-        let ttl = SimDuration::from_mins(60);
-        let mut metrics = Metrics::new(1024);
-        metrics.start_recording();
-        let world = World {
-            cache: CacheStore::new(tree.capacity()),
-            authority: AuthorityClock::new(SimTime::ZERO, ttl, SimDuration::from_mins(1)),
-            interest: InterestTracker::new(ttl, 0, tree.capacity()),
-            metrics,
-            hop_latency: HopLatency::paper_default(),
-            latency_rng: SenderStreams::new(seed, format!("dissem-latency/{label}")),
-            fifo: FifoClocks::with_capacity(tree.capacity()),
-            probe: ProbeSink::disabled(),
-            faults: FaultState::disabled(),
-            reliable: ReliableState::disabled(),
-            trace: TraceCtx::new(),
-            tree,
-        };
+        let mut world = World::new(tree);
+        world.interest = InterestTracker::new(world.authority.ttl(), 0, world.tree.capacity());
+        world.metrics.start_recording();
+        world.latency_rng = SenderStreams::new(seed, format!("dissem-latency/{label}"));
         TopicHost {
-            world,
+            node: NodeCore::new(world, scheme),
             engine: Engine::new(),
-            scheme,
         }
     }
 
     /// Attaches `probe` to this topic's world; subsequent subscription,
     /// maintenance, and publish traffic flows into it.
     pub fn attach_probe(&mut self, probe: ProbeSink) {
-        self.world.probe = probe;
+        self.node.world.probe = probe;
     }
 
     /// Probe events emitted by this topic so far (0 with no probe).
     pub fn probe_events(&self) -> u64 {
-        self.world.probe.emitted()
+        self.node.world.probe.emitted()
     }
 
     /// Current simulated time inside this topic's event stream.
@@ -72,21 +53,15 @@ impl<S: Scheme> TopicHost<S> {
 
     /// Runs a scheme hook with a wired context.
     pub fn with_ctx<R>(&mut self, f: impl FnOnce(&mut S, &mut Ctx<'_, S::Msg>) -> R) -> R {
-        let mut ctx = Ctx {
-            world: &mut self.world,
-            engine: &mut self.engine,
-        };
-        f(&mut self.scheme, &mut ctx)
+        self.node.with_ctx(&mut self.engine, f)
     }
 
     /// Subscribes `node` to the topic (idempotent) and settles the
     /// resulting maintenance traffic.
     pub fn subscribe(&mut self, node: NodeId) {
         let now = self.engine.now();
-        self.world.interest.observe(node, now);
-        if self.world.probe.enabled() {
-            self.world.trace.begin_maintenance();
-        }
+        self.node.world.interest.observe(node, now);
+        self.node.world.begin_maintenance();
         let mut riders = Vec::new();
         self.with_ctx(|s, ctx| s.on_query_step(ctx, node, None, &mut riders, false));
         self.drain(|_, _, _| {});
@@ -94,10 +69,8 @@ impl<S: Scheme> TopicHost<S> {
 
     /// Unsubscribes `node` (idempotent) and settles.
     pub fn unsubscribe(&mut self, node: NodeId) {
-        self.world.interest.clear(node);
-        if self.world.probe.enabled() {
-            self.world.trace.begin_maintenance();
-        }
+        self.node.world.interest.clear(node);
+        self.node.world.begin_maintenance();
         self.with_ctx(|s, ctx| s.on_interest_lost(ctx, node));
         self.drain(|_, _, _| {});
     }
@@ -107,7 +80,7 @@ impl<S: Scheme> TopicHost<S> {
     /// the ring rather than inside the topic tree).
     pub fn charge(&mut self, class: MsgClass, hops: u32) {
         for _ in 0..hops {
-            self.world.metrics.charge_hop(class);
+            self.node.world.metrics.charge_hop(class);
         }
     }
 
@@ -118,27 +91,16 @@ impl<S: Scheme> TopicHost<S> {
         &mut self,
         mut inspect: impl FnMut(NodeId, &Msg<S::Msg>, SimTime),
     ) -> IndexRecord {
-        let now = self.engine.now();
-        let record = self.world.authority.publish(now);
-        let root = self.world.tree.root();
-        self.world.cache.install(root, record);
-        if self.world.probe.enabled() {
-            self.world.trace.begin_update(record.version.0);
-            let version = record.version.0;
-            self.world.probe.emit(now, || ProbeEvent::UpdatePublished {
-                node: root,
-                version,
-            });
-        }
-        self.with_ctx(|s, ctx| s.on_refresh(ctx, record));
+        let record = self.node.publish(&mut self.engine);
+        let root = self.node.world.tree.root();
+        self.node.world.cache.install(root, record);
         self.drain(&mut inspect);
         record
     }
 
     /// Delivers every in-flight message, reporting arrivals to `inspect`.
     pub fn drain(&mut self, mut inspect: impl FnMut(NodeId, &Msg<S::Msg>, SimTime)) {
-        let world = &mut self.world;
-        let scheme = &mut self.scheme;
+        let node = &mut self.node;
         self.engine.run(|eng, ev| match ev {
             Ev::Deliver {
                 from,
@@ -147,23 +109,10 @@ impl<S: Scheme> TopicHost<S> {
                 cause,
                 msg,
             } => {
-                world.trace.note_delivered();
-                if !world.tree.is_alive(to) {
-                    return;
+                if node.world.tree.is_alive(to) {
+                    inspect(to, &msg, eng.now());
                 }
-                world.trace.enter(cause);
-                let now = eng.now();
-                world.probe.emit(now, || ProbeEvent::MsgDelivered {
-                    from,
-                    to,
-                    class,
-                    span: cause.span,
-                });
-                inspect(to, &msg, eng.now());
-                if let Msg::Scheme(m) = msg {
-                    let mut ctx = Ctx { world, engine: eng };
-                    scheme.on_scheme_msg(&mut ctx, from, to, m);
-                }
+                node.deliver(eng, from, to, class, cause, msg);
             }
             other => panic!("topic host saw unexpected event {other:?}"),
         });
@@ -171,7 +120,7 @@ impl<S: Scheme> TopicHost<S> {
 
     /// Total hops charged so far for `class`.
     pub fn hops(&self, class: MsgClass) -> u64 {
-        self.world.metrics.ledger().hops(class)
+        self.node.world.metrics.ledger().hops(class)
     }
 
     /// Publishes this topic's hop ledger and probe activity into `registry`
@@ -223,13 +172,13 @@ mod tests {
         let mut h = host();
         let leaf = NodeId(14);
         h.subscribe(leaf);
-        assert!(h.scheme.is_subscribed(leaf));
+        assert!(h.node.scheme.is_subscribed(leaf));
         let mut delivered = Vec::new();
         let record = h.publish(|to, _, at| delivered.push((to, at)));
         assert_eq!(record.version, Version(2));
         assert!(delivered.iter().any(|&(to, _)| to == leaf));
         assert_eq!(
-            h.world.cache.raw(leaf).map(|r| r.version),
+            h.node.world.cache.raw(leaf).map(|r| r.version),
             Some(record.version)
         );
     }
@@ -240,7 +189,7 @@ mod tests {
         let leaf = NodeId(14);
         h.subscribe(leaf);
         h.unsubscribe(leaf);
-        assert!(!h.scheme.is_subscribed(leaf));
+        assert!(!h.node.scheme.is_subscribed(leaf));
         let mut delivered = 0;
         h.publish(|_, _, _| delivered += 1);
         assert_eq!(delivered, 0);

@@ -245,7 +245,7 @@ impl<S: DisseminationScheme> DisseminationPlatform<S> {
     /// True when the member is currently enrolled.
     pub fn is_subscribed(&self, ring_node: NodeId, key: u64) -> bool {
         let topic = self.topic(key);
-        topic.host.scheme.is_member(topic.dense(ring_node))
+        topic.host.node.scheme.is_member(topic.dense(ring_node))
     }
 
     /// Publishes one event from `publisher`: the event routes over the ring
@@ -270,7 +270,7 @@ impl<S: DisseminationScheme> DisseminationPlatform<S> {
         let mut delivered = Vec::new();
         let mut relay_copies = 0usize;
         for (dense, delay) in deliveries {
-            if topic.host.scheme.is_member(dense) {
+            if topic.host.node.scheme.is_member(dense) {
                 delivered.push((topic.ring_ids[dense.index()], delay));
             } else {
                 relay_copies += 1;
@@ -278,10 +278,11 @@ impl<S: DisseminationScheme> DisseminationPlatform<S> {
         }
         let subscribers = topic
             .host
+            .node
             .world
             .tree
             .live_nodes()
-            .filter(|&n| topic.host.scheme.is_member(n))
+            .filter(|&n| topic.host.node.scheme.is_member(n))
             .count();
         DeliveryReport {
             key: topic.key,
@@ -301,8 +302,8 @@ impl<S: DisseminationScheme> DisseminationPlatform<S> {
         let mut total = 0usize;
         let mut nonempty = 0usize;
         for topic in &self.topics {
-            for node in topic.host.world.tree.live_nodes() {
-                let entries = topic.host.scheme.state_entries(node);
+            for node in topic.host.node.world.tree.live_nodes() {
+                let entries = topic.host.node.scheme.state_entries(node);
                 max_entries = max_entries.max(entries);
                 total += entries;
                 if entries > 0 {
@@ -331,7 +332,7 @@ impl<S: DisseminationScheme> DisseminationPlatform<S> {
 
     /// The topic's search tree (for inspection and tests).
     pub fn topic_tree(&self, key: u64) -> &SearchTree {
-        &self.topic(key).host.world.tree
+        &self.topic(key).host.node.world.tree
     }
 }
 

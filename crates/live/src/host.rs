@@ -32,17 +32,15 @@
 
 use dup_overlay::{NodeId, SearchTree};
 use dup_proto::scheme::Scheme;
+use dup_proto::trace::SpanInfo;
 use dup_proto::{
-    resend_msg, send_msg, AuthorityClock, CacheStore, Clock, Ctx, Ev, EvSink, FaultState,
-    FifoClocks, InterestTracker, Metrics, Msg, MsgClass, ProbeSink, ReliabilityConfig,
-    ReliableState, RetryAction, Transport, World,
+    AuthorityClock, Clock, Ctx, Ev, EvSink, InterestTracker, Msg, MsgClass, NodeCore, ProbeSink,
+    ReliabilityConfig, ReliableState, Transport, World,
 };
 use dup_sim::{Engine, SenderStreams, SimDuration, SimTime};
-use dup_workload::HopLatency;
 
 use crate::codec::{Frame, NodeSnapshot};
 use crate::detector::{FailureDetector, Transition};
-use dup_proto::trace::{SpanInfo, TraceCtx};
 
 /// How a live host sends frames. Returns false when the link is down (the
 /// frame is dropped; the reliability layer's retransmits re-cover it once
@@ -217,8 +215,8 @@ struct HostCore<S: LiveScheme> {
     me: NodeId,
     incarnation: u64,
     cfg: LiveConfig,
-    world: World,
-    scheme: S,
+    /// World, scheme and the protocol handlers shared with every driver.
+    node: NodeCore<S>,
     detector: FailureDetector,
     /// Highest incarnation admitted per peer (tree repair is keyed on
     /// increases, so duplicate Hellos are idempotent).
@@ -232,6 +230,9 @@ struct HostCore<S: LiveScheme> {
     next_heartbeat_at: SimTime,
     next_keepalive_at: SimTime,
     queries_issued: u64,
+    /// Frames dropped because they named a node outside the cluster or
+    /// carried a bootstrap tree without this node in it.
+    rejected_frames: u64,
 }
 
 /// One live node: protocol state plus the engine serving as its timer
@@ -249,23 +250,12 @@ impl<S: LiveScheme> NodeHost<S> {
     pub fn new(me: NodeId, incarnation: u64, cfg: LiveConfig, scheme: S, now: SimTime) -> Self {
         let n = cfg.n();
         assert!(me.index() < n, "node {me} outside the {n}-node cluster");
-        let tree = SearchTree::from_parents(&cfg.parents);
-        let mut metrics = Metrics::new(64);
-        metrics.start_recording();
-        let world = World {
-            cache: CacheStore::new(n),
-            authority: AuthorityClock::new(now, cfg.index_ttl, cfg.push_lead),
-            interest: InterestTracker::new(cfg.index_ttl, cfg.interest_threshold, n),
-            metrics,
-            hop_latency: HopLatency::paper_default(),
-            latency_rng: SenderStreams::new(u64::from(me.0), "live"),
-            fifo: FifoClocks::default(),
-            probe: ProbeSink::disabled(),
-            faults: FaultState::disabled(),
-            reliable: ReliableState::from_config(cfg.reliability(), u64::from(me.0)),
-            trace: TraceCtx::new(),
-            tree,
-        };
+        let mut world = World::new(SearchTree::from_parents(&cfg.parents));
+        world.authority = AuthorityClock::new(now, cfg.index_ttl, cfg.push_lead);
+        world.interest = InterestTracker::new(cfg.index_ttl, cfg.interest_threshold, n);
+        world.metrics.start_recording();
+        world.latency_rng = SenderStreams::new(u64::from(me.0), "live");
+        world.reliable = ReliableState::from_config(cfg.reliability(), u64::from(me.0));
         let detector = FailureDetector::new(cfg.suspect_after, cfg.dead_after);
         let mut engine = Engine::new();
         // Keep one far-future sentinel queued so `run` always parks the
@@ -278,8 +268,7 @@ impl<S: LiveScheme> NodeHost<S> {
                 me,
                 incarnation,
                 cfg,
-                world,
-                scheme,
+                node: NodeCore::new(world, scheme),
                 detector,
                 admitted: vec![1; n],
                 outbox: Vec::new(),
@@ -288,6 +277,7 @@ impl<S: LiveScheme> NodeHost<S> {
                 next_heartbeat_at: now,
                 next_keepalive_at: now,
                 queries_issued: 0,
+                rejected_frames: 0,
             },
         }
     }
@@ -315,7 +305,7 @@ impl<S: LiveScheme> NodeHost<S> {
     /// Read access to this host's protocol state: its tree view, cache,
     /// authority clock and hop ledger (tests, diagnostics).
     pub fn world(&self) -> &World {
-        &self.core.world
+        &self.core.node.world
     }
 
     /// Announces this host and arms its periodic drivers. Call once, at
@@ -367,7 +357,7 @@ impl<S: LiveScheme> NodeHost<S> {
                 let reply = Frame::HelloAck {
                     node: me,
                     incarnation: self.core.incarnation,
-                    tree: self.core.world.tree.clone(),
+                    tree: self.core.node.world.tree.clone(),
                 };
                 net.send(me, node, reply);
             }
@@ -384,7 +374,7 @@ impl<S: LiveScheme> NodeHost<S> {
                         tree.is_alive(self.core.me),
                         "HelloAck tree does not contain this node"
                     );
-                    self.core.world.tree = tree;
+                    self.core.node.world.tree = tree;
                     self.core.joined = true;
                     self.arm_protocol(now);
                 }
@@ -462,11 +452,8 @@ impl<S: LiveScheme> NodeHost<S> {
                 engine,
                 outbox: &mut core.outbox,
             };
-            let mut ctx = Ctx {
-                world: &mut core.world,
-                engine: &mut sink,
-            };
-            core.scheme.on_keepalive(&mut ctx, me);
+            core.node
+                .with_ctx(&mut sink, |s, ctx| s.on_keepalive(ctx, me));
         }
         self.flush(net);
     }
@@ -493,11 +480,11 @@ impl<S: LiveScheme> NodeHost<S> {
         NodeSnapshot {
             node: me,
             incarnation: self.core.incarnation,
-            tree: self.core.world.tree.clone(),
-            s_list: self.core.scheme.own_list(me),
-            subscribed: self.core.scheme.is_self_subscribed(me),
-            cache_version: self.core.world.cache.raw(me).map(|r| r.version.0),
-            authority_version: self.core.world.authority.current().version.0,
+            tree: self.core.node.world.tree.clone(),
+            s_list: self.core.node.scheme.own_list(me),
+            subscribed: self.core.node.scheme.is_self_subscribed(me),
+            cache_version: self.core.node.world.cache.raw(me).map(|r| r.version.0),
+            authority_version: self.core.node.world.authority.current().version.0,
             queries_issued: self.core.queries_issued,
         }
     }
@@ -516,9 +503,11 @@ impl<S: LiveScheme> NodeHost<S> {
         self.engine.schedule(now + jitter, Ev::NextQuery);
         self.engine
             .schedule(now + self.core.cfg.lease_every, Ev::LeaseTick);
-        if self.core.me == self.core.world.tree.root() {
-            self.engine
-                .schedule(self.core.world.authority.next_refresh_at(), Ev::Refresh);
+        if self.core.me == self.core.node.world.tree.root() {
+            self.engine.schedule(
+                self.core.node.world.authority.next_refresh_at(),
+                Ev::Refresh,
+            );
         }
         self.core.next_keepalive_at =
             now + SimDuration::from_secs_f64(self.core.cfg.lease_every.as_secs_f64() / 2.0);
@@ -547,7 +536,7 @@ impl<S: LiveScheme> NodeHost<S> {
             return;
         }
         self.core.admitted[i] = incarnation;
-        let tree = &mut self.core.world.tree;
+        let tree = &mut self.core.node.world.tree;
         if tree.is_alive(peer) && peer != tree.root() {
             tree.remove_splice(peer);
         }
@@ -578,14 +567,17 @@ impl<S: LiveScheme> HostCore<S> {
     /// fall back to the grandparent — the substitute rule) and let the
     /// next lease epoch expire its entries and re-assert surviving paths.
     fn on_peer_dead(&mut self, peer: NodeId) {
-        let tree = &mut self.world.tree;
+        let tree = &mut self.node.world.tree;
         if peer == self.me || !tree.is_alive(peer) || peer == tree.root() {
             return;
         }
         tree.remove_splice(peer);
     }
 
-    /// Mirrors `Runner::handle` for the event classes a live host sees.
+    /// Maps the timer queue's events onto the shared node core. What is
+    /// live-specific stays here: only this host's own node queries and
+    /// receives, and a refresh publishes without closing an interest epoch
+    /// (see DESIGN §6.15).
     fn dispatch(&mut self, engine: &mut Engine<Ev<S::Msg>>, ev: Ev<S::Msg>) {
         let mut sink = HostSink {
             me: self.me,
@@ -595,104 +587,28 @@ impl<S: LiveScheme> HostCore<S> {
         let eng: &mut dyn EvSink<S::Msg> = &mut sink;
         match ev {
             Ev::NextQuery => {
-                if self.joined && self.world.tree.is_alive(self.me) {
-                    Self::begin_query(
-                        &mut self.world,
-                        &mut self.scheme,
-                        eng,
-                        self.me,
-                        &mut self.queries_issued,
-                    );
+                if self.joined && self.node.world.tree.is_alive(self.me) {
+                    self.queries_issued += 1;
+                    self.node.begin_query(eng, self.me);
                 }
                 eng.schedule_after(self.cfg.query_every, Ev::NextQuery);
             }
-            Ev::Deliver { from, to, msg, .. } => {
-                self.world.trace.note_delivered();
-                if to != self.me || !self.world.tree.is_alive(to) {
-                    return;
-                }
-                match msg {
-                    Msg::Request {
-                        origin,
-                        visited,
-                        issued_at,
-                        riders,
-                    } => Self::on_request(
-                        &mut self.world,
-                        &mut self.scheme,
-                        eng,
-                        from,
-                        to,
-                        origin,
-                        visited,
-                        issued_at,
-                        riders,
-                    ),
-                    Msg::Reply {
-                        record,
-                        remaining,
-                        issued_at,
-                    } => Self::on_reply(&mut self.world, eng, to, record, remaining, issued_at),
-                    Msg::Scheme(m) => {
-                        let mut ctx = Ctx {
-                            world: &mut self.world,
-                            engine: eng,
-                        };
-                        self.scheme.on_scheme_msg(&mut ctx, from, to, m);
-                    }
-                    Msg::Tracked { seq, inner } => {
-                        // Ack every physical arrival, then dedup through the
-                        // sliding-window anti-replay state.
-                        send_msg(
-                            &mut self.world,
-                            eng,
-                            to,
-                            from,
-                            MsgClass::Control,
-                            Msg::Ack { seq },
-                        );
-                        if self.world.reliable.on_tracked_delivery(from, seq) {
-                            let mut ctx = Ctx {
-                                world: &mut self.world,
-                                engine: eng,
-                            };
-                            self.scheme.on_scheme_msg(&mut ctx, from, to, inner);
-                        }
-                    }
-                    Msg::Ack { seq } => {
-                        if let Some(timer) = self.world.reliable.on_ack(seq) {
-                            eng.cancel(timer);
-                        }
-                    }
+            Ev::Deliver {
+                from,
+                to,
+                class,
+                cause,
+                msg,
+            } => {
+                if to == self.me {
+                    self.node.deliver(eng, from, to, class, cause, msg);
                 }
             }
             Ev::Refresh => {
-                let record = self.world.authority.refresh(eng.now());
-                {
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        engine: eng,
-                    };
-                    self.scheme.on_refresh(&mut ctx, record);
-                }
-                eng.schedule(self.world.authority.next_refresh_at(), Ev::Refresh);
+                self.node.publish(eng);
+                eng.schedule(self.node.world.authority.next_refresh_at(), Ev::Refresh);
             }
-            Ev::InterestCheck { node } => {
-                if !self.world.tree.is_alive(node) {
-                    return;
-                }
-                let outcome = self.world.interest.run_check(node, eng.now());
-                if let Some(at) = outcome.reschedule_at {
-                    eng.schedule(at, Ev::InterestCheck { node });
-                }
-                if outcome.lapsed {
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        engine: eng,
-                    };
-                    self.scheme.on_interest_lost(&mut ctx, node);
-                }
-            }
+            Ev::InterestCheck { node } => self.node.interest_check(eng, node),
             Ev::Retry {
                 from,
                 to,
@@ -701,49 +617,11 @@ impl<S: LiveScheme> HostCore<S> {
                 attempt,
                 cause,
                 msg,
-            } => {
-                if !self.world.tree.is_alive(from) {
-                    self.world.reliable.forget(seq);
-                    return;
-                }
-                match self.world.reliable.on_retry_fire(seq, attempt) {
-                    RetryAction::Settled => {}
-                    action => {
-                        if let RetryAction::ResendAndRearm(delay) = action {
-                            let timer = eng.schedule_after(
-                                SimDuration::from_secs_f64(delay),
-                                Ev::Retry {
-                                    from,
-                                    to,
-                                    class,
-                                    seq,
-                                    attempt: attempt + 1,
-                                    cause,
-                                    msg: msg.clone(),
-                                },
-                            );
-                            self.world.reliable.retimer(seq, timer);
-                        }
-                        resend_msg(
-                            &mut self.world,
-                            eng,
-                            from,
-                            to,
-                            class,
-                            cause,
-                            Msg::Tracked { seq, inner: msg },
-                        );
-                    }
-                }
-            }
+            } => self
+                .node
+                .retry(eng, from, to, class, seq, attempt, cause, msg),
             Ev::LeaseTick => {
-                {
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        engine: eng,
-                    };
-                    self.scheme.on_lease_tick(&mut ctx);
-                }
+                self.node.lease_tick(eng);
                 eng.schedule_after(self.cfg.lease_every, Ev::LeaseTick);
             }
             // The far-future clock sentinel (and events a live host does
@@ -752,170 +630,6 @@ impl<S: LiveScheme> HostCore<S> {
                 eng.schedule_after(SimDuration::from_secs_f64(1e9), Ev::EndWarmup);
             }
             Ev::Churn | Ev::CiCheck | Ev::Sample => {}
-        }
-    }
-
-    /// Interest bookkeeping + scheme hook for a query observed at `node`
-    /// (mirrors `Runner::observe_query`).
-    fn observe_query(
-        world: &mut World,
-        scheme: &mut S,
-        eng: &mut dyn EvSink<S::Msg>,
-        node: NodeId,
-        prev: Option<NodeId>,
-        riders: &mut Vec<NodeId>,
-        forwarding: bool,
-    ) {
-        let obs = world.interest.observe(node, eng.now());
-        if let Some(at) = obs.schedule_check_at {
-            eng.schedule(at, Ev::InterestCheck { node });
-        }
-        let mut ctx = Ctx { world, engine: eng };
-        scheme.on_query_step(&mut ctx, node, prev, riders, forwarding);
-    }
-
-    /// A locally generated query (mirrors `Runner::begin_query`).
-    fn begin_query(
-        world: &mut World,
-        scheme: &mut S,
-        eng: &mut dyn EvSink<S::Msg>,
-        node: NodeId,
-        queries_issued: &mut u64,
-    ) {
-        *queries_issued += 1;
-        let now = eng.now();
-        let served = world.serving_record(node, now);
-        let mut riders = Vec::new();
-        Self::observe_query(
-            world,
-            scheme,
-            eng,
-            node,
-            None,
-            &mut riders,
-            served.is_none(),
-        );
-        if let Some(record) = served {
-            let stale = record.is_stale_versus(world.authority.current().version);
-            world.metrics.record_query_served(0, stale);
-            world.metrics.record_query_completed(0.0);
-        } else {
-            let parent = world
-                .tree
-                .parent(node)
-                .expect("the authority always serves its own queries");
-            send_msg(
-                world,
-                eng,
-                node,
-                parent,
-                MsgClass::Request,
-                Msg::Request {
-                    origin: node,
-                    visited: vec![node],
-                    issued_at: now,
-                    riders,
-                },
-            );
-        }
-    }
-
-    /// A request arrives from a child (mirrors `Runner::on_request`).
-    #[allow(clippy::too_many_arguments)] // one hop's full context, used once
-    fn on_request(
-        world: &mut World,
-        scheme: &mut S,
-        eng: &mut dyn EvSink<S::Msg>,
-        from: NodeId,
-        to: NodeId,
-        origin: NodeId,
-        mut visited: Vec<NodeId>,
-        issued_at: SimTime,
-        mut riders: Vec<NodeId>,
-    ) {
-        let now = eng.now();
-        let served = world.serving_record(to, now);
-        Self::observe_query(
-            world,
-            scheme,
-            eng,
-            to,
-            Some(from),
-            &mut riders,
-            served.is_none(),
-        );
-        if let Some(record) = served {
-            let stale = record.is_stale_versus(world.authority.current().version);
-            world
-                .metrics
-                .record_query_served(visited.len() as u32, stale);
-            let target = visited.pop().expect("request visited at least the origin");
-            send_msg(
-                world,
-                eng,
-                to,
-                target,
-                MsgClass::Reply,
-                Msg::Reply {
-                    record,
-                    remaining: visited,
-                    issued_at,
-                },
-            );
-        } else {
-            let parent = world
-                .tree
-                .parent(to)
-                .expect("the authority always has a serving record");
-            visited.push(to);
-            send_msg(
-                world,
-                eng,
-                to,
-                parent,
-                MsgClass::Request,
-                Msg::Request {
-                    origin,
-                    visited,
-                    issued_at,
-                    riders,
-                },
-            );
-        }
-    }
-
-    /// A reply arrives: cache and forward toward the origin (mirrors
-    /// `Runner::on_reply`).
-    fn on_reply(
-        world: &mut World,
-        eng: &mut dyn EvSink<S::Msg>,
-        to: NodeId,
-        record: dup_proto::IndexRecord,
-        mut remaining: Vec<NodeId>,
-        issued_at: SimTime,
-    ) {
-        world.cache.install(to, record);
-        if remaining.is_empty() {
-            let elapsed = eng.now().saturating_since(issued_at);
-            world.metrics.record_query_completed(elapsed.as_secs_f64());
-            return;
-        }
-        while let Some(target) = remaining.pop() {
-            if world.tree.is_alive(target) {
-                send_msg(
-                    world,
-                    eng,
-                    to,
-                    target,
-                    MsgClass::Reply,
-                    Msg::Reply {
-                        record,
-                        remaining,
-                        issued_at,
-                    },
-                );
-                return;
-            }
         }
     }
 }

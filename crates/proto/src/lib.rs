@@ -21,7 +21,9 @@
 //! * [`reliable`] — opt-in ack/retransmit delivery for maintenance and
 //!   push traffic: backoff schedules, pending-ack tracking, duplicate
 //!   suppression (disabled by default; draws nothing when off).
-//! * [`runner`] — the discrete-event simulation runner.
+//! * [`node`] — [`NodeCore`]: the one definition of the query path, the
+//!   reply path, tracked delivery and publishing, shared by every driver.
+//! * [`runner`] — the discrete-event simulation driver over that core.
 //! * [`pcx`] / [`cup`] — the two baseline schemes.
 //!
 //! # Example
@@ -48,6 +50,7 @@ pub mod interest;
 pub mod ledger;
 pub mod load;
 pub mod metrics;
+pub mod node;
 pub mod pcx;
 pub mod probe;
 pub mod reliable;
@@ -69,6 +72,7 @@ pub use interest::{InterestPolicy, InterestTracker};
 pub use ledger::{CostLedger, MsgClass};
 pub use load::{DepthLoad, LoadProbe, LoadSkew, LoadTracker, NodeLoad};
 pub use metrics::{Metrics, RunReport};
+pub use node::NodeCore;
 pub use pcx::PcxScheme;
 pub use probe::{
     CaptureProbe, JsonlProbe, ProbeEvent, ProbeSink, SubscriberStats, TraceLine, TraceSample,
@@ -79,8 +83,8 @@ pub use runner::{
     SettledRun,
 };
 pub use scheme::{
-    resend_msg, send_msg, AppliedChurn, Clock, Ctx, Ev, EvSink, FaultState, FaultStats, FifoClocks,
-    Msg, Scheme, Transport, World,
+    AppliedChurn, Clock, Ctx, Ev, EvSink, FaultState, FaultStats, FifoClocks, Msg, Scheme,
+    Transport, World,
 };
 pub use space::{
     run_simulation_space, run_simulation_space_logged, run_simulation_space_settled, ShardMap,

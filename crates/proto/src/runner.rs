@@ -19,7 +19,6 @@ use dup_workload::{
     exp_variate, ArrivalProcess, Arrivals, HopLatency, RankPlacement, ZipfSchedule,
 };
 
-use crate::cache::CacheStore;
 use crate::config::{
     ArrivalKind, ChurnConfig, NodeRange, QueueBackendConfig, RunConfig, StopRule, TopologySource,
 };
@@ -27,11 +26,10 @@ use crate::index::AuthorityClock;
 use crate::interest::InterestTracker;
 use crate::ledger::MsgClass;
 use crate::metrics::{Metrics, RunReport};
+use crate::node::NodeCore;
 use crate::probe::{ProbeEvent, ProbeSink, TraceSample};
-use crate::reliable::{ReliableState, RetryAction};
-use crate::scheme::{
-    resend_msg, send_msg, AppliedChurn, Ctx, Ev, EvSink, FaultState, FifoClocks, Msg, Scheme, World,
-};
+use crate::reliable::ReliableState;
+use crate::scheme::{AppliedChurn, Ctx, Ev, EvSink, FaultState, Msg, Scheme, World};
 use crate::space::SpaceCtl;
 use crate::trace::TraceCtx;
 
@@ -134,40 +132,11 @@ impl std::fmt::Display for LiveSetError {
 
 impl std::error::Error for LiveSetError {}
 
-/// Recycled `Vec<NodeId>` path buffers (`visited`/`remaining`/`riders`),
-/// so steady-state query routing allocates nothing: a request's buffers
-/// return to the pool when its reply completes (or the message is lost to
-/// a departed node), keeping their capacity for the next query.
-#[derive(Debug, Default)]
-struct PathPool {
-    bufs: Vec<Vec<NodeId>>,
-}
-
-impl PathPool {
-    /// Buffers retained across queries; beyond this they are dropped. Two
-    /// buffers (visited + riders) are live per in-flight query, so this
-    /// covers hundreds of concurrent queries before the pool saturates.
-    const MAX_POOLED: usize = 1024;
-
-    #[inline]
-    fn take(&mut self) -> Vec<NodeId> {
-        self.bufs.pop().unwrap_or_default()
-    }
-
-    #[inline]
-    fn put(&mut self, mut buf: Vec<NodeId>) {
-        if self.bufs.len() < Self::MAX_POOLED {
-            buf.clear();
-            self.bufs.push(buf);
-        }
-    }
-}
-
 /// One configured simulation, ready to run.
 pub struct Runner<S: Scheme> {
     cfg: RunConfig,
-    world: World,
-    scheme: S,
+    /// World, scheme and the protocol handlers shared with every driver.
+    node: NodeCore<S>,
     arrivals: Arrivals,
     arrivals_rng: StreamRng,
     origin_rng: StreamRng,
@@ -181,7 +150,6 @@ pub struct Runner<S: Scheme> {
     horizon: SimTime,
     /// Periodic time-series samples collected so far (see [`Ev::Sample`]).
     samples: Vec<TraceSample>,
-    pool: PathPool,
     /// True during the post-horizon settle phase of [`Runner::run_settled`]:
     /// only message deliveries are processed; every periodic driver
     /// (queries, refreshes, churn, samples, interest checks) is skipped and
@@ -267,34 +235,30 @@ impl<S: Scheme> Runner<S> {
         let n = tree.len();
         let ttl = SimDuration::from_secs_f64(cfg.protocol.ttl_secs);
         let push_lead = SimDuration::from_secs_f64(cfg.protocol.push_lead_secs);
-        let world = World {
-            cache: CacheStore::new(tree.capacity()),
-            authority: AuthorityClock::new(SimTime::ZERO, ttl, push_lead),
-            interest: InterestTracker::with_policy(
-                ttl,
-                cfg.protocol.threshold_c,
-                cfg.protocol.interest_policy,
-                tree.capacity(),
-            ),
-            metrics: Metrics::new(cfg.latency_batch),
-            hop_latency: HopLatency::with_min(
-                cfg.protocol.hop_latency_mean_secs,
-                cfg.protocol.hop_latency_min_secs,
-            ),
-            latency_rng: SenderStreams::new(seed, "hop-latency"),
-            fifo: FifoClocks::with_capacity(tree.capacity()),
-            probe,
-            faults: FaultState::from_config(cfg.faults.clone(), seed),
-            reliable: ReliableState::from_config(cfg.reliability.clone(), seed),
-            // The sampling seed derives from the master seed via the usual
-            // labeled-stream scheme, so the sampled subset is reproducible
-            // per seed but decorrelated from every other stream.
-            trace: TraceCtx::with_sampling(
-                cfg.probe.trace_sampling.one_in,
-                dup_sim::stream_seed(seed, "trace-sample"),
-            ),
-            tree,
-        };
+        let mut world = World::new(tree);
+        world.authority = AuthorityClock::new(SimTime::ZERO, ttl, push_lead);
+        world.interest = InterestTracker::with_policy(
+            ttl,
+            cfg.protocol.threshold_c,
+            cfg.protocol.interest_policy,
+            world.tree.capacity(),
+        );
+        world.metrics = Metrics::new(cfg.latency_batch);
+        world.hop_latency = HopLatency::with_min(
+            cfg.protocol.hop_latency_mean_secs,
+            cfg.protocol.hop_latency_min_secs,
+        );
+        world.latency_rng = SenderStreams::new(seed, "hop-latency");
+        world.probe = probe;
+        world.faults = FaultState::from_config(cfg.faults.clone(), seed);
+        world.reliable = ReliableState::from_config(cfg.reliability.clone(), seed);
+        // The sampling seed derives from the master seed via the usual
+        // labeled-stream scheme, so the sampled subset is reproducible
+        // per seed but decorrelated from every other stream.
+        world.trace = TraceCtx::with_sampling(
+            cfg.probe.trace_sampling.one_in,
+            dup_sim::stream_seed(seed, "trace-sample"),
+        );
         let arrivals = match cfg.arrivals {
             ArrivalKind::Exponential => Arrivals::poisson(cfg.lambda),
             ArrivalKind::Pareto { alpha } => Arrivals::pareto(alpha, cfg.lambda),
@@ -320,10 +284,8 @@ impl<S: Scheme> Runner<S> {
             warmup_end,
             horizon,
             cfg,
-            world,
-            scheme,
+            node: NodeCore::new(world, scheme),
             samples: Vec::new(),
-            pool: PathPool::default(),
             settling: false,
             driver_events: 0,
             log: None,
@@ -336,7 +298,7 @@ impl<S: Scheme> Runner<S> {
     /// refresh, samples) plus queries in flight, each holding a couple of
     /// messages for a few hop latencies.
     fn build_queue(&self) -> EventQueue<Ev<S::Msg>> {
-        let nodes = self.world.tree.capacity();
+        let nodes = self.node.world.tree.capacity();
         let hop = self.cfg.protocol.hop_latency_mean_secs.max(1e-6);
         let in_flight = (self.cfg.lambda * hop * 16.0).ceil() as usize;
         match self.cfg.queue.backend {
@@ -367,12 +329,12 @@ impl<S: Scheme> Runner<S> {
 
     /// Read access to the world (tests and audits).
     pub fn world(&self) -> &World {
-        &self.world
+        &self.node.world
     }
 
     /// Read access to the scheme (tests and audits).
     pub fn scheme(&self) -> &S {
-        &self.scheme
+        &self.node.scheme
     }
 
     /// Runs to the horizon (or early CI convergence) and reports.
@@ -407,22 +369,17 @@ impl<S: Scheme> Runner<S> {
         let mut engine: Engine<Ev<S::Msg>> = Engine::with_queue(self.build_queue());
         let report = self.run_main(&mut engine);
         self.settling = true;
-        self.world.faults.disarm();
+        self.node.world.faults.disarm();
         self.settle_drain(&mut engine, "settle");
         for phase in 0..heal_phases {
-            {
-                let mut ctx = Ctx {
-                    world: &mut self.world,
-                    engine: &mut engine,
-                };
-                heal(&mut self.scheme, &mut ctx, phase);
-            }
+            self.node
+                .with_ctx(&mut engine, |s, ctx| heal(s, ctx, phase));
             self.settle_drain(&mut engine, "heal phase");
         }
         SettledRun {
             report,
-            scheme: self.scheme,
-            world: self.world,
+            scheme: self.node.scheme,
+            world: self.node.world,
         }
     }
 
@@ -452,7 +409,7 @@ impl<S: Scheme> Runner<S> {
         // with an unacked tracked message (the sender id is the sequence
         // number's high word). Traffic outside the reliability layer shows
         // up in the queued-event count alone.
-        let seqs = self.world.reliable.pending_seqs();
+        let seqs = self.node.world.reliable.pending_seqs();
         let mut unconverged: Vec<u64> = seqs.iter().map(|s| s >> 32).collect();
         unconverged.dedup();
         panic!(
@@ -472,7 +429,7 @@ impl<S: Scheme> Runner<S> {
         }
         if self.cfg.probe.profile_engine {
             engine.enable_profiler();
-            self.world.probe.enable_timing();
+            self.node.world.probe.enable_timing();
         }
         self.schedule_drivers(engine);
         let outcome = engine.run(|eng, ev| self.handle(eng, ev));
@@ -491,7 +448,7 @@ impl<S: Scheme> Runner<S> {
         if let Some(mut prof) = engine.take_profiler() {
             // Probe-emit time accumulates in the sink (it is the sink that
             // serializes, not the engine); fold it into the phase profile.
-            prof.probe_secs = self.world.probe.probe_secs();
+            prof.probe_secs = self.node.world.probe.probe_secs();
             report.engine_profile = Some(prof);
         }
         report
@@ -502,15 +459,9 @@ impl<S: Scheme> Runner<S> {
     /// replicated-driver design: each shard draws the same arrival gaps
     /// and origins, and only the origin's owner issues the query).
     pub(crate) fn schedule_drivers(&mut self, engine: &mut dyn EvSink<S::Msg>) {
-        {
-            let mut ctx = Ctx {
-                world: &mut self.world,
-                engine: &mut *engine,
-            };
-            self.scheme.init(&mut ctx);
-        }
+        self.node.with_ctx(engine, |s, ctx| s.init(ctx));
         engine.schedule(self.warmup_end, Ev::EndWarmup);
-        engine.schedule(self.world.authority.next_refresh_at(), Ev::Refresh);
+        engine.schedule(self.node.world.authority.next_refresh_at(), Ev::Refresh);
         let first_gap = self.arrivals.next_gap(&mut self.arrivals_rng);
         engine.schedule(SimTime::ZERO + first_gap, Ev::NextQuery);
         if self.cfg.churn.is_some() {
@@ -547,21 +498,22 @@ impl<S: Scheme> Runner<S> {
     ) -> RunReport {
         let measured = now.saturating_since(self.warmup_end);
         let interested = self
+            .node
             .world
             .tree
             .live_nodes()
-            .filter(|&n| self.world.interest.is_interested(n))
+            .filter(|&n| self.node.world.interest.is_interested(n))
             .count();
-        self.world.probe.flush();
-        let mut report = self.world.metrics.finish(
-            self.scheme.name(),
+        self.node.world.probe.flush();
+        let mut report = self.node.world.metrics.finish(
+            self.node.scheme.name(),
             measured.as_secs_f64(),
             events,
-            self.world.tree.len(),
+            self.node.world.tree.len(),
             interested,
         );
         report.samples = std::mem::take(&mut self.samples);
-        report.probe_events = self.world.probe.emitted();
+        report.probe_events = self.node.world.probe.emitted();
         report.peak_queue_depth = peak_pending as u64;
         report.peak_queue_depth_per_shard = vec![report.peak_queue_depth];
         report
@@ -598,7 +550,7 @@ impl<S: Scheme> Runner<S> {
     /// the space-parallel settle path drives this directly.
     pub(crate) fn begin_settling(&mut self) {
         self.settling = true;
-        self.world.faults.disarm();
+        self.node.world.faults.disarm();
     }
 
     /// The absolute run horizon (warmup + measured duration).
@@ -608,12 +560,12 @@ impl<S: Scheme> Runner<S> {
 
     /// Mutable scheme + world access for the space settle/heal path.
     pub(crate) fn parts_mut(&mut self) -> (&mut S, &mut World) {
-        (&mut self.scheme, &mut self.world)
+        (&mut self.node.scheme, &mut self.node.world)
     }
 
     /// Consumes the runner, yielding the scheme and world (space audits).
     pub(crate) fn into_parts(self) -> (S, World) {
-        (self.scheme, self.world)
+        (self.node.scheme, self.node.world)
     }
 
     pub(crate) fn handle(&mut self, eng: &mut dyn EvSink<S::Msg>, ev: Ev<S::Msg>) {
@@ -641,7 +593,7 @@ impl<S: Scheme> Runner<S> {
                     None => true,
                 };
                 if owned {
-                    self.begin_query(eng, origin);
+                    self.node.begin_query(eng, origin);
                 }
                 let gap = self.arrivals.next_gap(&mut self.arrivals_rng);
                 eng.schedule_after(gap, Ev::NextQuery);
@@ -653,7 +605,6 @@ impl<S: Scheme> Runner<S> {
                 cause,
                 msg,
             } => {
-                self.world.trace.note_delivered();
                 if let Some(log) = &mut self.log {
                     let tag = match &msg {
                         Msg::Request { origin, .. } => u64::from(origin.0),
@@ -670,153 +621,18 @@ impl<S: Scheme> Runner<S> {
                         tag,
                     });
                 }
-                if !self.world.tree.is_alive(to) {
-                    // Message addressed to a departed node is lost; reclaim
-                    // its path buffers.
-                    match msg {
-                        Msg::Request {
-                            visited, riders, ..
-                        } => {
-                            self.pool.put(visited);
-                            self.pool.put(riders);
-                        }
-                        Msg::Reply { remaining, .. } => self.pool.put(remaining),
-                        Msg::Scheme(_) | Msg::Tracked { .. } | Msg::Ack { .. } => {}
-                    }
-                    return;
-                }
-                // Sends made while handling this delivery become its causal
-                // children.
-                self.world.trace.enter(cause);
-                let now = eng.now();
-                self.world.probe.emit(now, || ProbeEvent::MsgDelivered {
-                    from,
-                    to,
-                    class,
-                    span: cause.span,
-                });
-                match msg {
-                    Msg::Request {
-                        origin,
-                        visited,
-                        issued_at,
-                        riders,
-                    } => self.on_request(eng, from, to, origin, visited, issued_at, riders),
-                    Msg::Reply {
-                        record,
-                        remaining,
-                        issued_at,
-                    } => self.on_reply(eng, to, record, remaining, issued_at),
-                    Msg::Scheme(m) => {
-                        let mut ctx = Ctx {
-                            world: &mut self.world,
-                            engine: eng,
-                        };
-                        self.scheme.on_scheme_msg(&mut ctx, from, to, m);
-                    }
-                    Msg::Tracked { seq, inner } => {
-                        // Ack every physical arrival: a duplicate's ack
-                        // re-covers a possibly lost earlier ack. Acks ride
-                        // the Control class as plain (untracked) traffic.
-                        send_msg(
-                            &mut self.world,
-                            eng,
-                            to,
-                            from,
-                            MsgClass::Control,
-                            Msg::Ack { seq },
-                        );
-                        if self.world.reliable.on_tracked_delivery(from, seq) {
-                            let mut ctx = Ctx {
-                                world: &mut self.world,
-                                engine: eng,
-                            };
-                            self.scheme.on_scheme_msg(&mut ctx, from, to, inner);
-                        } else {
-                            self.world.probe.emit(now, || ProbeEvent::DupSuppressed {
-                                from,
-                                to,
-                                seq,
-                            });
-                        }
-                    }
-                    Msg::Ack { seq } => {
-                        if let Some(timer) = self.world.reliable.on_ack(seq) {
-                            eng.cancel(timer);
-                        }
-                    }
-                }
+                self.node.deliver(eng, from, to, class, cause, msg);
             }
             Ev::Refresh => {
-                // An authority refresh closes one TTL epoch: under the epoch
-                // interest policy, quiet nodes lapse now — before the new
-                // version is pushed, so just-lapsed nodes unsubscribe first.
-                if self.world.interest.policy() == crate::interest::InterestPolicy::Epoch {
-                    if self.world.probe.enabled() {
-                        // Lapse traffic forms its own maintenance trace, not
-                        // part of the update about to publish.
-                        self.world.trace.begin_maintenance();
-                    }
-                    let lapsed = self.world.interest.roll_epoch();
-                    for node in lapsed {
-                        if !self.world.tree.is_alive(node) {
-                            continue;
-                        }
-                        let mut ctx = Ctx {
-                            world: &mut self.world,
-                            engine: eng,
-                        };
-                        self.scheme.on_interest_lost(&mut ctx, node);
-                    }
-                }
-                let record = self.world.authority.refresh(eng.now());
-                if self.world.probe.enabled() {
-                    // Root the update's propagation trace at the publish:
-                    // every push the scheme now sends joins this trace.
-                    // Under trace sampling, unsampled versions get no root
-                    // span — and no UpdatePublished event, so collectors
-                    // never see a trace they cannot follow edge-for-edge.
-                    let span = self.world.trace.begin_update(record.version.0);
-                    if span.is_traced() {
-                        let origin = self.world.tree.root();
-                        let version = record.version.0;
-                        self.world
-                            .probe
-                            .emit(eng.now(), || ProbeEvent::UpdatePublished {
-                                node: origin,
-                                version,
-                            });
-                    }
-                }
-                {
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        engine: eng,
-                    };
-                    self.scheme.on_refresh(&mut ctx, record);
-                }
-                eng.schedule(self.world.authority.next_refresh_at(), Ev::Refresh);
+                // An authority refresh closes one TTL epoch: quiet nodes
+                // lapse now, before the new version is pushed, so
+                // just-lapsed nodes unsubscribe first.
+                self.node.roll_interest_epoch(eng);
+                self.node.publish(eng);
+                eng.schedule(self.node.world.authority.next_refresh_at(), Ev::Refresh);
             }
-            Ev::InterestCheck { node } => {
-                if !self.world.tree.is_alive(node) {
-                    return;
-                }
-                let outcome = self.world.interest.run_check(node, eng.now());
-                if let Some(at) = outcome.reschedule_at {
-                    eng.schedule(at, Ev::InterestCheck { node });
-                }
-                if outcome.lapsed {
-                    if self.world.probe.enabled() {
-                        self.world.trace.begin_maintenance();
-                    }
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        engine: eng,
-                    };
-                    self.scheme.on_interest_lost(&mut ctx, node);
-                }
-            }
-            Ev::EndWarmup => self.world.metrics.start_recording(),
+            Ev::InterestCheck { node } => self.node.interest_check(eng, node),
+            Ev::EndWarmup => self.node.world.metrics.start_recording(),
             Ev::CiCheck => {
                 if let StopRule::ConvergedCi {
                     min_batches,
@@ -825,6 +641,7 @@ impl<S: Scheme> Runner<S> {
                 } = self.cfg.stop
                 {
                     if self
+                        .node
                         .world
                         .metrics
                         .latency_hops()
@@ -840,9 +657,7 @@ impl<S: Scheme> Runner<S> {
                 }
             }
             Ev::Churn => {
-                if self.world.probe.enabled() {
-                    self.world.trace.begin_maintenance();
-                }
+                self.node.world.begin_maintenance();
                 self.apply_churn(eng);
                 let gap = self.next_churn_gap(eng.now());
                 eng.schedule_after(gap, Ev::Churn);
@@ -850,7 +665,8 @@ impl<S: Scheme> Runner<S> {
             Ev::Sample => {
                 let sample = self.take_sample(eng.now(), eng.pending());
                 self.samples.push(sample);
-                self.world
+                self.node
+                    .world
                     .probe
                     .emit(eng.now(), || ProbeEvent::Sample(sample));
                 let every = SimDuration::from_secs_f64(self.cfg.probe.sample_every_secs);
@@ -864,64 +680,11 @@ impl<S: Scheme> Runner<S> {
                 attempt,
                 cause,
                 msg,
-            } => {
-                if !self.world.tree.is_alive(from) {
-                    // The sender departed; its unacked state dies with it.
-                    self.world.reliable.forget(seq);
-                    return;
-                }
-                match self.world.reliable.on_retry_fire(seq, attempt) {
-                    RetryAction::Settled => {}
-                    action => {
-                        self.world.probe.emit(eng.now(), || ProbeEvent::Retransmit {
-                            from,
-                            to,
-                            class,
-                            seq,
-                            attempt,
-                        });
-                        if let RetryAction::ResendAndRearm(delay) = action {
-                            let timer = eng.schedule_after(
-                                SimDuration::from_secs_f64(delay),
-                                Ev::Retry {
-                                    from,
-                                    to,
-                                    class,
-                                    seq,
-                                    attempt: attempt + 1,
-                                    cause,
-                                    msg: msg.clone(),
-                                },
-                            );
-                            self.world.reliable.retimer(seq, timer);
-                        }
-                        // The retransmit reuses the original causal span, so
-                        // the trace collector books it as another delivery of
-                        // the same logical message.
-                        resend_msg(
-                            &mut self.world,
-                            eng,
-                            from,
-                            to,
-                            class,
-                            cause,
-                            Msg::Tracked { seq, inner: msg },
-                        );
-                    }
-                }
-            }
+            } => self
+                .node
+                .retry(eng, from, to, class, seq, attempt, cause, msg),
             Ev::LeaseTick => {
-                if self.world.probe.enabled() {
-                    // Lease renewals and repairs form maintenance traces.
-                    self.world.trace.begin_maintenance();
-                }
-                {
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        engine: eng,
-                    };
-                    self.scheme.on_lease_tick(&mut ctx);
-                }
+                self.node.lease_tick(eng);
                 let every = SimDuration::from_secs_f64(self.cfg.reliability.lease_every_secs);
                 eng.schedule_after(every, Ev::LeaseTick);
             }
@@ -932,21 +695,22 @@ impl<S: Scheme> Runner<S> {
     /// `queue_depth` is the engine's pending event count at sample time.
     pub(crate) fn take_sample(&self, now: SimTime, queue_depth: usize) -> TraceSample {
         let interested = self
+            .node
             .world
             .tree
             .live_nodes()
-            .filter(|&n| self.world.interest.is_interested(n))
+            .filter(|&n| self.node.world.interest.is_interested(n))
             .count();
-        let stats = self.scheme.subscriber_stats(&self.world.tree);
+        let stats = self.node.scheme.subscriber_stats(&self.node.world.tree);
         TraceSample {
             at_secs: now.as_secs_f64(),
             live_nodes: self.live.len(),
             interested_nodes: interested,
-            cache_valid: self.world.cache.valid_count(now),
+            cache_valid: self.node.world.cache.valid_count(now),
             tree_size: stats.map_or(0, |s| s.tree_size),
             mean_list_len: stats.map_or(0.0, |s| s.mean_list_len),
             queue_depth,
-            in_flight_msgs: self.world.trace.in_flight(),
+            in_flight_msgs: self.node.world.trace.in_flight(),
             shard: self.space.as_ref().map_or(0, |s| s.shard as u32),
         }
     }
@@ -957,206 +721,13 @@ impl<S: Scheme> Runner<S> {
         // (space-parallel shards) sample identical origins.
         let rank = self.zipf.sample(now.as_secs_f64(), &mut self.origin_rng);
         let node = self.rank_map[rank];
-        if self.world.tree.is_alive(node) {
+        if self.node.world.tree.is_alive(node) {
             node
         } else {
             // rank_map redirections keep this unreachable in practice;
             // fall back to the authority defensively.
-            self.world.tree.root()
+            self.node.world.tree.root()
         }
-    }
-
-    /// Emits [`ProbeEvent::CacheExpire`] when `node` consulted its cache and
-    /// found only an expired copy. Expiry is lazy — there is no per-slot
-    /// timer — so the probe reports it at the moment it is *observed*, which
-    /// is also when it affects the protocol.
-    fn note_expiry_if_observed(&mut self, now: SimTime, node: NodeId, served: bool) {
-        if !served && self.world.probe.enabled() && self.world.cache.raw(node).is_some() {
-            self.world
-                .probe
-                .emit(now, || ProbeEvent::CacheExpire { node });
-        }
-    }
-
-    /// Interest bookkeeping + scheme hook for a query observed at `node`.
-    /// `riders` is the request's piggyback payload (fresh at the origin) and
-    /// `forwarding` tells the scheme whether the request continues upstream.
-    fn observe_query(
-        &mut self,
-        eng: &mut dyn EvSink<S::Msg>,
-        node: NodeId,
-        prev: Option<NodeId>,
-        riders: &mut Vec<NodeId>,
-        forwarding: bool,
-    ) {
-        let obs = self.world.interest.observe(node, eng.now());
-        if let Some(at) = obs.schedule_check_at {
-            eng.schedule(at, Ev::InterestCheck { node });
-        }
-        let mut ctx = Ctx {
-            world: &mut self.world,
-            engine: eng,
-        };
-        self.scheme
-            .on_query_step(&mut ctx, node, prev, riders, forwarding);
-    }
-
-    /// A locally generated query at `node`.
-    fn begin_query(&mut self, eng: &mut dyn EvSink<S::Msg>, node: NodeId) {
-        if self.world.probe.enabled() {
-            self.world.trace.begin_query();
-        }
-        let now = eng.now();
-        let served = self.world.serving_record(node, now);
-        self.world
-            .probe
-            .emit(now, || ProbeEvent::QueryIssued { origin: node });
-        self.note_expiry_if_observed(now, node, served.is_some());
-        let mut riders = self.pool.take();
-        self.observe_query(eng, node, None, &mut riders, served.is_none());
-        if let Some(record) = served {
-            self.pool.put(riders);
-            let stale = record.is_stale_versus(self.world.authority.current().version);
-            self.world.metrics.record_query_served(0, stale);
-            self.world.metrics.record_query_completed(0.0);
-            self.world.probe.emit(now, || ProbeEvent::QueryServed {
-                origin: node,
-                server: node,
-                hops: 0,
-                stale,
-            });
-        } else {
-            let parent = self
-                .world
-                .tree
-                .parent(node)
-                .expect("the authority always serves its own queries");
-            let mut visited = self.pool.take();
-            visited.push(node);
-            send_msg(
-                &mut self.world,
-                eng,
-                node,
-                parent,
-                MsgClass::Request,
-                Msg::Request {
-                    origin: node,
-                    visited,
-                    issued_at: now,
-                    riders,
-                },
-            );
-        }
-    }
-
-    /// A request arrives at `to` from its child `from`.
-    #[allow(clippy::too_many_arguments)] // one hop's full context, used once
-    fn on_request(
-        &mut self,
-        eng: &mut dyn EvSink<S::Msg>,
-        from: NodeId,
-        to: NodeId,
-        origin: NodeId,
-        mut visited: Vec<NodeId>,
-        issued_at: SimTime,
-        mut riders: Vec<NodeId>,
-    ) {
-        let now = eng.now();
-        let served = self.world.serving_record(to, now);
-        self.note_expiry_if_observed(now, to, served.is_some());
-        self.observe_query(eng, to, Some(from), &mut riders, served.is_none());
-        if let Some(record) = served {
-            self.pool.put(riders);
-            let stale = record.is_stale_versus(self.world.authority.current().version);
-            self.world
-                .metrics
-                .record_query_served(visited.len() as u32, stale);
-            self.world.probe.emit(now, || ProbeEvent::QueryServed {
-                origin,
-                server: to,
-                hops: visited.len() as u32,
-                stale,
-            });
-            let target = visited.pop().expect("request visited at least the origin");
-            send_msg(
-                &mut self.world,
-                eng,
-                to,
-                target,
-                MsgClass::Reply,
-                Msg::Reply {
-                    record,
-                    remaining: visited,
-                    issued_at,
-                },
-            );
-        } else {
-            let parent = self
-                .world
-                .tree
-                .parent(to)
-                .expect("the authority always has a serving record");
-            visited.push(to);
-            send_msg(
-                &mut self.world,
-                eng,
-                to,
-                parent,
-                MsgClass::Request,
-                Msg::Request {
-                    origin,
-                    visited,
-                    issued_at,
-                    riders,
-                },
-            );
-        }
-    }
-
-    /// A reply arrives at `to`: path-cache the record and forward toward the
-    /// origin, skipping nodes that departed while the reply was in flight.
-    fn on_reply(
-        &mut self,
-        eng: &mut dyn EvSink<S::Msg>,
-        to: NodeId,
-        record: crate::index::IndexRecord,
-        mut remaining: Vec<NodeId>,
-        issued_at: SimTime,
-    ) {
-        if self.world.cache.install(to, record) {
-            let now = eng.now();
-            let version = record.version.0;
-            self.world
-                .probe
-                .emit(now, || ProbeEvent::CacheInsert { node: to, version });
-        }
-        if remaining.is_empty() {
-            self.pool.put(remaining);
-            let elapsed = eng.now().saturating_since(issued_at);
-            self.world
-                .metrics
-                .record_query_completed(elapsed.as_secs_f64());
-            return;
-        }
-        while let Some(target) = remaining.pop() {
-            if self.world.tree.is_alive(target) {
-                send_msg(
-                    &mut self.world,
-                    eng,
-                    to,
-                    target,
-                    MsgClass::Reply,
-                    Msg::Reply {
-                        record,
-                        remaining,
-                        issued_at,
-                    },
-                );
-                return;
-            }
-        }
-        // Every remaining path node (including the origin) departed.
-        self.pool.put(remaining);
     }
 
     /// The gap to the next churn event. The fault layer's scripted windows
@@ -1164,7 +735,7 @@ impl<S: Scheme> Runner<S> {
     /// churn stream stays aligned with unboosted runs).
     fn next_churn_gap(&mut self, now: SimTime) -> SimDuration {
         let rate = self.cfg.churn.expect("churn event without config").rate
-            * self.world.faults.churn_rate_factor(now.as_secs_f64());
+            * self.node.world.faults.churn_rate_factor(now.as_secs_f64());
         SimDuration::from_secs_f64(exp_variate(&mut self.churn_rng, rate))
     }
 
@@ -1180,20 +751,18 @@ impl<S: Scheme> Runner<S> {
         let now = eng.now();
         if let Some(node) = change.removed {
             let graceful = change.graceful;
-            self.world
+            self.node
+                .world
                 .probe
                 .emit(now, || ProbeEvent::ChurnLeave { node, graceful });
         }
         if let Some(node) = change.joined {
-            self.world
+            self.node
+                .world
                 .probe
                 .emit(now, || ProbeEvent::ChurnJoin { node });
         }
-        let mut ctx = Ctx {
-            world: &mut self.world,
-            engine: eng,
-        };
-        self.scheme.on_churn(&mut ctx, &change);
+        self.node.with_ctx(eng, |s, ctx| s.on_churn(ctx, &change));
     }
 
     /// Chooses and applies one topology change; returns its description, or
@@ -1211,17 +780,8 @@ impl<S: Scheme> Runner<S> {
                 },
                 None => self.live.sample(&mut self.churn_rng),
             };
-            let joined = self.world.tree.add_leaf(parent);
-            self.admit(joined);
-            Ok(Some(AppliedChurn {
-                removed: None,
-                graceful: true,
-                replacement: None,
-                adopted_children: Vec::new(),
-                joined: Some(joined),
-                join_below: None,
-                root_changed: false,
-            }))
+            let change = self.node.world.join_leaf(parent);
+            Ok(Some(self.admit(change)))
         } else if draw < cfg.w_join_leaf + cfg.w_join_between {
             if self.live.len() < 2 {
                 return Ok(None);
@@ -1233,18 +793,14 @@ impl<S: Scheme> Runner<S> {
                 },
                 None => self.sample_non_root(),
             };
-            let parent = self.world.tree.parent(child).expect("non-root has parent");
-            let joined = self.world.tree.insert_between(parent, child);
-            self.admit(joined);
-            Ok(Some(AppliedChurn {
-                removed: None,
-                graceful: true,
-                replacement: None,
-                adopted_children: Vec::new(),
-                joined: Some(joined),
-                join_below: Some(child),
-                root_changed: false,
-            }))
+            let parent = self
+                .node
+                .world
+                .tree
+                .parent(child)
+                .expect("non-root has parent");
+            let change = self.node.world.join_between(parent, child);
+            Ok(Some(self.admit(change)))
         } else {
             let graceful = draw < cfg.w_join_leaf + cfg.w_join_between + cfg.w_leave;
             if self.live.len() < 2 {
@@ -1262,7 +818,7 @@ impl<S: Scheme> Runner<S> {
     }
 
     fn sample_non_root(&mut self) -> NodeId {
-        let root = self.world.tree.root();
+        let root = self.node.world.tree.root();
         loop {
             let n = self.live.sample(&mut self.churn_rng);
             if n != root {
@@ -1280,7 +836,7 @@ impl<S: Scheme> Runner<S> {
     /// configured, so unscoped runs keep their exact draw sequence.
     fn sample_scoped(&mut self, region: NodeRange, allow_root: bool) -> Option<NodeId> {
         const ATTEMPTS: usize = 64;
-        let root = self.world.tree.root();
+        let root = self.node.world.tree.root();
         for _ in 0..ATTEMPTS {
             let n = self.live.sample(&mut self.churn_rng);
             if region.contains(n) && (allow_root || n != root) {
@@ -1290,15 +846,17 @@ impl<S: Scheme> Runner<S> {
         None
     }
 
-    /// Registers a freshly joined node in every shared table.
-    fn admit(&mut self, node: NodeId) {
-        self.world.cache.ensure_slot(node);
-        self.world.interest.ensure_slot(node);
-        self.live.insert(node);
+    /// Adds the node a join (or an authority failover) brought in to the
+    /// live set.
+    fn admit(&mut self, change: AppliedChurn) -> AppliedChurn {
+        if let Some(joined) = change.joined {
+            self.live.insert(joined);
+        }
+        change
     }
 
     /// Applies a leave/failure, including authority failover, and fixes the
-    /// shared tables and the Zipf rank map. The live-set removal result is
+    /// live set and the Zipf rank map. The live-set removal result is
     /// checked *before* the tree is mutated and propagated to the caller —
     /// a double-remove (the victim already gone from the live set) must
     /// surface as an error, not corrupt the tree or panic deep inside.
@@ -1308,19 +866,8 @@ impl<S: Scheme> Runner<S> {
         graceful: bool,
     ) -> Result<AppliedChurn, LiveSetError> {
         self.live.remove(victim)?;
-        let root_changed = victim == self.world.tree.root();
-        let (replacement, adopted_children) = if root_changed {
-            let children = self.world.tree.children(victim).to_vec();
-            let fresh = self.world.tree.replace_with_fresh(victim);
-            self.admit(fresh);
-            (fresh, children)
-        } else {
-            let children = self.world.tree.children(victim).to_vec();
-            let parent = self.world.tree.remove_splice(victim);
-            (parent, children)
-        };
-        self.world.cache.evict(victim);
-        self.world.interest.clear(victim);
+        let change = self.node.world.remove_node(victim, graceful);
+        let change = self.admit(change);
         // Hand the departed node's query ranks to uniformly random survivors:
         // redirecting to the takeover parent would drift the query mass
         // toward the root under sustained churn and flatten latencies.
@@ -1329,19 +876,7 @@ impl<S: Scheme> Runner<S> {
                 self.rank_map[i] = self.live.sample(&mut self.churn_rng);
             }
         }
-        Ok(AppliedChurn {
-            removed: Some(victim),
-            graceful,
-            replacement: Some(replacement),
-            adopted_children,
-            joined: if root_changed {
-                Some(replacement)
-            } else {
-                None
-            },
-            join_below: None,
-            root_changed,
-        })
+        Ok(change)
     }
 }
 
@@ -1594,10 +1129,11 @@ mod tests {
         });
         let mut runner = Runner::new(cfg, PcxScheme::new());
         // The scripted window boosts the churn rate inside it only.
-        assert_eq!(runner.world.faults.churn_rate_factor(10.0), 4.0);
-        assert_eq!(runner.world.faults.churn_rate_factor(9000.0), 1.0);
-        let root = runner.world.tree.root();
+        assert_eq!(runner.node.world.faults.churn_rate_factor(10.0), 4.0);
+        assert_eq!(runner.node.world.faults.churn_rate_factor(9000.0), 1.0);
+        let root = runner.node.world.tree.root();
         let victim = runner
+            .node
             .world
             .tree
             .live_nodes()
@@ -1605,12 +1141,16 @@ mod tests {
             .expect("a non-root node exists");
         assert!(runner.remove_node(victim, true).is_ok());
         // The double-remove is reported before any tree mutation happens.
-        let before = runner.world.tree.len();
+        let before = runner.node.world.tree.len();
         match runner.remove_node(victim, true) {
             Err(LiveSetError::NotLive(n)) => assert_eq!(n, victim),
             other => panic!("expected NotLive, got {other:?}"),
         }
-        assert_eq!(runner.world.tree.len(), before, "tree mutated on error");
+        assert_eq!(
+            runner.node.world.tree.len(),
+            before,
+            "tree mutated on error"
+        );
         assert_eq!(runner.live.len(), 63);
     }
 

@@ -516,6 +516,100 @@ impl FifoClocks {
 }
 
 impl World {
+    /// A world over `tree` at the paper's defaults (Table I): 60-minute
+    /// TTL with a one-minute push lead, interest threshold `c = 6` under
+    /// the epoch policy, the 0.1 s hop-latency model, clocks at zero —
+    /// with metrics not yet recording and the probe, fault layer,
+    /// reliability layer and trace sampling all off. This is the only
+    /// place a `World` is assembled; every driver starts here and assigns
+    /// the fields its configuration overrides.
+    pub fn new(tree: SearchTree) -> Self {
+        let nodes = tree.capacity();
+        World {
+            cache: CacheStore::new(nodes),
+            authority: AuthorityClock::paper_default(SimTime::ZERO),
+            interest: InterestTracker::new(SimDuration::from_mins(60), 6, nodes),
+            metrics: Metrics::new(500),
+            hop_latency: HopLatency::paper_default(),
+            latency_rng: SenderStreams::new(0, "hop-latency"),
+            fifo: FifoClocks::with_capacity(nodes),
+            probe: ProbeSink::disabled(),
+            faults: FaultState::disabled(),
+            reliable: ReliableState::disabled(),
+            trace: TraceCtx::new(),
+            tree,
+        }
+    }
+
+    /// Opens a maintenance trace for a cascade about to start (subscribe,
+    /// lapse, lease or churn-repair traffic). Spans are observability:
+    /// nothing is allocated unless a probe is attached.
+    pub fn begin_maintenance(&mut self) {
+        if self.probe.enabled() {
+            self.trace.begin_maintenance();
+        }
+    }
+
+    /// Sizes the per-node tables for a freshly joined node.
+    fn admit(&mut self, node: NodeId) {
+        self.cache.ensure_slot(node);
+        self.interest.ensure_slot(node);
+    }
+
+    /// Describes a join of `joined`, below which `join_below` now hangs.
+    fn joined(joined: NodeId, join_below: Option<NodeId>) -> AppliedChurn {
+        AppliedChurn {
+            removed: None,
+            graceful: true,
+            replacement: None,
+            adopted_children: Vec::new(),
+            joined: Some(joined),
+            join_below,
+            root_changed: false,
+        }
+    }
+
+    /// Attaches a fresh leaf under `parent`.
+    pub fn join_leaf(&mut self, parent: NodeId) -> AppliedChurn {
+        let joined = self.tree.add_leaf(parent);
+        self.admit(joined);
+        World::joined(joined, None)
+    }
+
+    /// Splices a fresh node into the edge `parent → child`.
+    pub fn join_between(&mut self, parent: NodeId, child: NodeId) -> AppliedChurn {
+        let joined = self.tree.insert_between(parent, child);
+        self.admit(joined);
+        World::joined(joined, Some(child))
+    }
+
+    /// Applies a graceful leave or silent failure of `victim`: its parent
+    /// adopts its children — or, when the authority itself departs, a
+    /// fresh node takes over its role — and its cache and interest state
+    /// are dropped.
+    pub fn remove_node(&mut self, victim: NodeId, graceful: bool) -> AppliedChurn {
+        let root_changed = victim == self.tree.root();
+        let adopted_children = self.tree.children(victim).to_vec();
+        let replacement = if root_changed {
+            let fresh = self.tree.replace_with_fresh(victim);
+            self.admit(fresh);
+            fresh
+        } else {
+            self.tree.remove_splice(victim)
+        };
+        self.cache.evict(victim);
+        self.interest.clear(victim);
+        AppliedChurn {
+            removed: Some(victim),
+            graceful,
+            replacement: Some(replacement),
+            adopted_children,
+            joined: root_changed.then_some(replacement),
+            join_below: None,
+            root_changed,
+        }
+    }
+
     /// The record a node can serve right now: the authority always serves
     /// its current version; other nodes serve a valid cached copy.
     pub fn serving_record(&self, node: NodeId, now: SimTime) -> Option<IndexRecord> {
@@ -703,7 +797,7 @@ impl<M> Ctx<'_, M> {
 /// stays FIFO (as over TCP) — faults reorder traffic across channels,
 /// never within one. Drops still charge the hop: the sender paid for a
 /// send that was lost in transit.
-pub fn send_msg<M: Clone>(
+pub(crate) fn send_msg<M: Clone>(
     world: &mut World,
     engine: &mut dyn EvSink<M>,
     from: NodeId,
@@ -784,7 +878,7 @@ pub fn send_msg<M: Clone>(
 /// delivery of the same logical message, attributed to the update it
 /// repairs — and arms no new tracking (the caller manages the timer
 /// chain).
-pub fn resend_msg<M: Clone>(
+pub(crate) fn resend_msg<M: Clone>(
     world: &mut World,
     engine: &mut dyn EvSink<M>,
     from: NodeId,
@@ -987,28 +1081,13 @@ pub trait Scheme: Sized {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AuthorityClock, CacheStore, InterestTracker, Metrics};
     use dup_overlay::regular_search_tree;
-    use dup_sim::SimDuration;
 
     fn world() -> World {
-        let tree = regular_search_tree(4, 3);
-        let mut metrics = Metrics::new(10);
-        metrics.start_recording();
-        World {
-            cache: CacheStore::new(4),
-            authority: AuthorityClock::paper_default(SimTime::ZERO),
-            interest: InterestTracker::new(SimDuration::from_mins(60), 6, 4),
-            metrics,
-            hop_latency: dup_workload::HopLatency::paper_default(),
-            latency_rng: SenderStreams::new(1, "scheme-test"),
-            fifo: FifoClocks::default(),
-            probe: ProbeSink::disabled(),
-            faults: FaultState::disabled(),
-            reliable: ReliableState::disabled(),
-            trace: TraceCtx::new(),
-            tree,
-        }
+        let mut w = World::new(regular_search_tree(4, 3));
+        w.metrics.start_recording();
+        w.latency_rng = SenderStreams::new(1, "scheme-test");
+        w
     }
 
     #[test]

@@ -77,18 +77,19 @@ fn show(bench: &TestBench<DupScheme>, step: &str) {
     println!("--- {step}");
     for (i, name) in NAMES.iter().enumerate() {
         let node = NodeId(i as u32);
-        if !bench.world.tree.is_alive(node) {
+        if !bench.node.world.tree.is_alive(node) {
             continue;
         }
-        let list = bench.scheme.s_list(node);
+        let list = bench.node.scheme.s_list(node);
         if !list.is_empty() {
             let entries: Vec<String> = list.iter().map(|e| NAMES[e.index()].to_string()).collect();
             println!("  {name}: s_list = [{}]", entries.join(", "));
         }
     }
     let reach: Vec<String> = bench
+        .node
         .scheme
-        .push_set(&bench.world.tree)
+        .push_set(&bench.node.world.tree)
         .iter()
         .map(|e| NAMES[e.index()].to_string())
         .collect();
@@ -97,7 +98,7 @@ fn show(bench: &TestBench<DupScheme>, step: &str) {
         reach.join(", "),
         bench.control_hops()
     );
-    audit_quiescent(&bench.scheme, &bench.world.tree).expect("DUP invariants hold");
+    audit_quiescent(&bench.node.scheme, &bench.node.world.tree).expect("DUP invariants hold");
 }
 
 fn main() {
@@ -152,9 +153,9 @@ fn main() {
     show(&bench, "(c) N6 unsubscribes; tree collapses to N1→N4");
     show_trace(&capture, &mut cursor);
 
-    assert_eq!(bench.scheme.s_list(n1), &[n4]);
-    assert_eq!(bench.scheme.s_list(n3), &[n4]);
-    assert_eq!(capture.len() as u64, bench.world.probe.emitted());
+    assert_eq!(bench.node.scheme.s_list(n1), &[n4]);
+    assert_eq!(bench.node.scheme.s_list(n3), &[n4]);
+    assert_eq!(capture.len() as u64, bench.node.world.probe.emitted());
     println!(
         "Every intermediate state matched §III of the paper \
          ({} probe events captured).",

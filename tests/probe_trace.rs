@@ -253,5 +253,5 @@ fn figure2_trace_shows_virtual_path_then_one_hop_push() {
         .any(|e| matches!(e, ProbeEvent::CacheInsert { node, .. } if *node == n6)));
 
     // The bench's emitted counter agrees with what the capture saw.
-    assert_eq!(capture.len() as u64, bench.world.probe.emitted());
+    assert_eq!(capture.len() as u64, bench.node.world.probe.emitted());
 }

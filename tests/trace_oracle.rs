@@ -53,7 +53,7 @@ fn refresh_and_check(
     let trace = collector
         .propagation_tree(version)
         .expect("publish observed for the refreshed version");
-    let tree = &bench.world.tree;
+    let tree = &bench.node.world.tree;
 
     assert!(
         trace.is_tree(),
@@ -91,7 +91,7 @@ fn refresh_and_check(
     }
 
     // And the protocol state itself still satisfies the differential oracle.
-    let mismatches = oracle_diff(&bench.scheme, tree);
+    let mismatches = oracle_diff(&bench.node.scheme, tree);
     assert!(mismatches.is_empty(), "v{version}: {mismatches:?}");
     trace
 }
@@ -237,7 +237,7 @@ fn sampled_tracing_passes_the_oracle_for_every_sampled_update() {
         2,
         ProbeSink::attach(capture.clone()),
     );
-    bench.world.trace = TraceCtx::with_sampling(16, 0x5EED);
+    bench.node.world.trace = TraceCtx::with_sampling(16, 0x5EED);
 
     let mut subscribed: BTreeSet<NodeId> = BTreeSet::new();
     for &n in &[leaves[0], leaves[1], leaves[4], leaves[9]] {
@@ -250,17 +250,17 @@ fn sampled_tracing_passes_the_oracle_for_every_sampled_update() {
     for _ in 0..96 {
         let version = bench.refresh().version.0;
         let collector = TraceCollector::from_events(&capture.events());
-        if bench.world.trace.samples_update(version) {
+        if bench.node.world.trace.samples_update(version) {
             sampled += 1;
             let trace = collector
                 .propagation_tree(version)
                 .expect("sampled update must reconstruct a trace");
             assert!(trace.is_tree(), "v{version}: delivered edges not a tree");
             assert_eq!(trace.lost, 0, "v{version}: fault-free bench lost a push");
-            assert_eq!(trace.origin, bench.world.tree.root());
+            assert_eq!(trace.origin, bench.node.world.tree.root());
             assert_eq!(
                 trace.edge_set(),
-                oracle_push_edges(&bench.world.tree, &subscribed),
+                oracle_push_edges(&bench.node.world.tree, &subscribed),
                 "v{version}: sampled trace ≠ oracle push edges"
             );
         } else {
@@ -274,7 +274,7 @@ fn sampled_tracing_passes_the_oracle_for_every_sampled_update() {
     assert!(sampled >= 2, "too few sampled updates: {sampled}/96");
     assert!(unsampled >= 64, "sampling barely thinned: {unsampled}/96");
     // The scheme itself never noticed the sampling.
-    let mismatches = oracle_diff(&bench.scheme, &bench.world.tree);
+    let mismatches = oracle_diff(&bench.node.scheme, &bench.node.world.tree);
     assert!(mismatches.is_empty(), "{mismatches:?}");
 }
 
