@@ -3,8 +3,9 @@
 //! and raw simulation event rates per scheme. These are the ablation
 //! benches DESIGN.md calls out for the design choices (integer clock +
 //! slab-heap queue, ziggurat exponential variates, alias-table Zipf).
-//! The `scheme_sim` group is the tracked wall-clock baseline for hot-path
-//! work — compare against the committed `BENCH_scheme_sim.json`.
+//! The `scheme_sim` group is a quick look at whole-run wall clock; the
+//! numbers a change is judged by come from the repo's benchmark
+//! (`perfbench/README.md`, history in `perfbench/history.jsonl`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;

@@ -7,9 +7,6 @@
 //!               ext-churn ext-staleness ext-chord ext-placement
 //!               ext-policy ext-cup-halo
 //!               or `all` (default: all paper artifacts, no extensions)
-//!               or `bench-report`: time the simulation core per scheme ×
-//!               queue backend and write BENCH_scheme_sim.json (to --out
-//!               DIR, or the current directory)
 //!               or `fuzz`: run seeded fault-injection scenarios per scheme
 //!               and verify each against the invariant/oracle layer (see
 //!               EXPERIMENTS.md); exits nonzero when any scenario fails
@@ -70,7 +67,6 @@
 //!                    trace to <file> (then exit unless experiments are
 //!                    explicitly listed)
 //!   --trace-sample <secs>          time-series sample interval (default 600)
-//!   --bench-reps <n>    timed repetitions per bench-report cell (default 5)
 //!   --shards <n>     parallel shard count for experiment runs (ensemble
 //!                    mode: one worker thread and one event queue per
 //!                    shard; default 1 = classic single-queue)
@@ -125,7 +121,6 @@ fn main() -> ExitCode {
     let mut out_dir: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut trace_sample = 600.0;
-    let mut bench_reps = 5usize;
     let mut scenario = ScenarioArgs::default();
     let mut family: Option<ScenarioFamily> = None;
     let mut fuzz_mutate = false;
@@ -160,10 +155,6 @@ fn main() -> ExitCode {
             "--trace-sample" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(secs) if secs >= 0.0 => trace_sample = secs,
                 _ => return usage("--trace-sample needs a non-negative number"),
-            },
-            "--bench-reps" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(reps) if reps >= 1 => bench_reps = reps,
-                _ => return usage("--bench-reps needs a positive integer"),
             },
             "--fuzz-mutate" => fuzz_mutate = true,
             "--family" => match args.next().map(|s| s.parse()) {
@@ -208,19 +199,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         // A trace run stands alone unless experiments were also requested.
-        if selected.is_empty() {
-            return ExitCode::SUCCESS;
-        }
-    }
-
-    if selected.iter().any(|s| s == "bench-report") {
-        selected.retain(|s| s != "bench-report");
-        if let Err(msg) = run_bench_report(&opts, bench_reps, out_dir.as_deref()) {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-        // Like --trace, bench-report stands alone unless experiments were
-        // also requested.
         if selected.is_empty() {
             return ExitCode::SUCCESS;
         }
@@ -394,28 +372,6 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Times the simulation core per scheme × queue backend and writes
-/// `BENCH_scheme_sim.json` (to `out_dir` when given, else the current
-/// directory) plus a console table.
-fn run_bench_report(
-    opts: &HarnessOpts,
-    reps: usize,
-    out_dir: Option<&std::path::Path>,
-) -> Result<(), String> {
-    let started = std::time::Instant::now();
-    let report = dup_harness::bench_report(opts, reps);
-    print!("{}", dup_harness::render_bench_report(&report));
-    println!("(bench-report finished in {:.1?})\n", started.elapsed());
-    let dir = out_dir.unwrap_or_else(|| std::path::Path::new("."));
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let path = dir.join("BENCH_scheme_sim.json");
-    let doc = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    std::fs::write(&path, doc + "\n")
-        .map_err(|e| format!("write {} failed: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    Ok(())
 }
 
 /// Sweeps Zipf θ with full per-node load accounting, prints the skew
@@ -707,9 +663,9 @@ fn usage(err: &str) -> ExitCode {
     eprintln!(
         "usage: dup-experiments [--full|--bench-scale] [--seed N] [--jobs N] [--reps N] \
          [--shards N] [--space-shards N] [--out DIR] [--trace FILE] [--trace-sample SECS] \
-         [--bench-reps N] [--seeds N] [--replay SEED] [--scheme pcx|cup|dup] \
+         [--seeds N] [--replay SEED] [--scheme pcx|cup|dup] \
          [--family flash-crowd|partition|asym-link|infiltration] [--fuzz-mutate] \
-         [table2|fig4|table3|fig5|fig6|fig7|fig8|ext-...|all|bench-report|fuzz|chaos|\
+         [table2|fig4|table3|fig5|fig6|fig7|fig8|ext-...|all|fuzz|chaos|\
          scenarios|trace-report|load-report|space-smoke|live-smoke]..."
     );
     if err.is_empty() {

@@ -19,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod benchreport;
 pub mod chaos;
 pub mod cli;
 pub mod experiment;
@@ -39,9 +38,6 @@ pub mod table2;
 pub mod table3;
 pub mod tracereport;
 
-pub use benchreport::{
-    bench_report, render_text as render_bench_report, BenchReport, ObservabilityBench, SchemeBench,
-};
 pub use chaos::{
     chaos_config, chaos_registry, chaos_seeds, chaos_space_config, render_chaos_report,
     render_chaos_space_cell, run_chaos, run_chaos_scenario, run_chaos_space_cell, ChaosReport,

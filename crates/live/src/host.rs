@@ -302,6 +302,19 @@ impl<S: LiveScheme> NodeHost<S> {
         &self.core.detector
     }
 
+    /// Frames dropped so far because they named a node outside the
+    /// cluster or offered a bootstrap tree without this host in it.
+    pub fn rejected_frames(&self) -> u64 {
+        self.core.rejected_frames
+    }
+
+    /// Attaches `probe` to this host's world: from now on its queries,
+    /// sends, deliveries and cache installs flow into it, in the
+    /// simulator's vocabulary.
+    pub fn attach_probe(&mut self, probe: ProbeSink) {
+        self.core.node.world.probe = probe;
+    }
+
     /// Read access to this host's protocol state: its tree view, cache,
     /// authority clock and hop ledger (tests, diagnostics).
     pub fn world(&self) -> &World {
@@ -339,6 +352,11 @@ impl<S: LiveScheme> NodeHost<S> {
         frame: Frame<S::Msg>,
         net: &mut N,
     ) {
+        if !self.well_formed(&frame) {
+            // Untrusted bytes: drop, count, keep serving.
+            self.core.rejected_frames += 1;
+            return;
+        }
         match frame {
             Frame::Heartbeat { node, incarnation } => {
                 if let Some(tr) = self.core.detector.on_heartbeat(node, now, incarnation) {
@@ -370,10 +388,6 @@ impl<S: LiveScheme> NodeHost<S> {
                     self.on_transition(tr);
                 }
                 if !self.core.joined {
-                    assert!(
-                        tree.is_alive(self.core.me),
-                        "HelloAck tree does not contain this node"
-                    );
                     self.core.node.world.tree = tree;
                     self.core.joined = true;
                     self.arm_protocol(now);
@@ -400,6 +414,25 @@ impl<S: LiveScheme> NodeHost<S> {
             Frame::SnapshotReq { .. } | Frame::Snapshot(_) | Frame::Shutdown => {}
         }
         self.advance(now, net);
+    }
+
+    /// Whether every node id `frame` names lies inside the cluster and,
+    /// for a bootstrap tree this host would adopt, whether that tree is
+    /// the cluster's size and contains this host. Peer tables, the tree
+    /// and the per-sender streams are all indexed by these ids, so a
+    /// frame that fails here must not reach them.
+    fn well_formed(&self, frame: &Frame<S::Msg>) -> bool {
+        let n = self.core.cfg.n();
+        let known = |id: &NodeId| id.index() < n;
+        match frame {
+            Frame::Heartbeat { node, .. } | Frame::Hello { node, .. } => known(node),
+            Frame::HelloAck { node, tree, .. } => {
+                known(node)
+                    && (self.core.joined || (tree.capacity() == n && tree.is_alive(self.core.me)))
+            }
+            Frame::Deliver { from, to, .. } => known(from) && known(to),
+            Frame::SnapshotReq { .. } | Frame::Snapshot(_) | Frame::Shutdown => true,
+        }
     }
 
     /// Advances host time to `now`: runs the failure detector, emits due

@@ -145,6 +145,20 @@ impl<S: LiveScheme> LoopbackCluster<S> {
         self.hosts[node.index()].as_ref()
     }
 
+    /// Mutable access to the host for `node`, unless killed (attach a
+    /// probe, say).
+    pub fn host_mut(&mut self, node: NodeId) -> Option<&mut NodeHost<S>> {
+        self.hosts[node.index()].as_mut()
+    }
+
+    /// Hands `frame` straight to `to`'s host at the current instant, as if
+    /// a peer — or anyone who can reach its socket — had sent it.
+    pub fn inject(&mut self, to: NodeId, frame: Frame<S::Msg>) {
+        if let Some(host) = self.hosts[to.index()].as_mut() {
+            host.on_frame(self.now, frame, &mut self.net);
+        }
+    }
+
     /// Advances virtual time by `dur`, delivering frames and running every
     /// live host on each tick.
     pub fn run_for(&mut self, dur: SimDuration) {

@@ -6,10 +6,10 @@
 //! TCP smoke harness (`dup-experiments live-smoke`) runs the same hosts
 //! over real sockets; anything provable without wall time is proved here.
 
-use dup_core::DupScheme;
-use dup_live::{oracle_check, LiveConfig, LoopbackCluster};
-use dup_overlay::NodeId;
-use dup_proto::MsgClass;
+use dup_core::{DupMsg, DupScheme};
+use dup_live::{oracle_check, Frame, LiveConfig, LoopbackCluster};
+use dup_overlay::{NodeId, SearchTree};
+use dup_proto::{CaptureProbe, Msg, MsgClass, ProbeEvent, ProbeSink};
 use dup_sim::SimDuration;
 
 /// The smoke topology: a root chain with a mid-tree fan-out at node 2
@@ -194,4 +194,101 @@ fn golden_kill_restart_script_is_pinned() {
     }
     let golden = std::fs::read_to_string(path).expect("golden file is committed");
     assert_eq!(actual, golden, "live golden drifted; actual:\n{actual}");
+}
+
+/// Hostile frames: ids far outside the cluster (which used to size peer
+/// tables and index per-sender state) and a bootstrap tree that leaves
+/// the receiver out (which used to hit an `assert!`). Every one must be
+/// dropped and counted, and the cluster must still reach the oracle.
+#[test]
+fn hostile_frames_are_dropped_counted_and_survived() {
+    let mut cluster = smoke_cluster();
+    cluster.run_for(secs(3.0));
+    let outsider = NodeId(u32::MAX);
+    let target = NodeId(4);
+    assert!(cluster.host(target).unwrap().joined());
+    let tracked = |from, to| Frame::Deliver {
+        from,
+        to,
+        class: MsgClass::Control,
+        msg: Msg::Tracked {
+            seq: 7,
+            inner: DupMsg::Subscribe { subject: from },
+        },
+    };
+    let hostile = [
+        Frame::Heartbeat {
+            node: outsider,
+            incarnation: 9,
+        },
+        Frame::Hello {
+            node: outsider,
+            incarnation: 9,
+        },
+        Frame::HelloAck {
+            node: outsider,
+            incarnation: 9,
+            tree: SearchTree::from_parents(&smoke_parents()),
+        },
+        tracked(outsider, target),
+        tracked(NodeId(1), outsider),
+    ];
+    let sent = hostile.len() as u64;
+    for frame in hostile {
+        cluster.inject(target, frame);
+    }
+    assert_eq!(cluster.host(target).unwrap().rejected_frames(), sent);
+
+    // A restarted host is un-joined until its first HelloAck: a tree
+    // without it must be refused, not adopted (and not panic).
+    let victim = NodeId(2);
+    cluster.kill(victim);
+    cluster.run_for(secs(2.0));
+    cluster.restart(victim);
+    let mut without_victim = SearchTree::from_parents(&smoke_parents());
+    without_victim.remove_splice(victim);
+    cluster.inject(
+        victim,
+        Frame::HelloAck {
+            node: NodeId(0),
+            incarnation: 1,
+            tree: without_victim,
+        },
+    );
+    let revived = cluster.host(victim).unwrap();
+    assert_eq!(revived.rejected_frames(), 1);
+    assert!(!revived.joined(), "a tree without the host was adopted");
+
+    cluster.run_for(LiveConfig::smoke(smoke_parents()).convergence_bound());
+    let snaps = cluster.snapshots();
+    assert_eq!(snaps.len(), 8);
+    assert!(cluster.host(victim).unwrap().joined());
+    oracle_check(&snaps).expect("cluster fed hostile frames fails the oracle");
+}
+
+/// The live host speaks the simulator's probe vocabulary: the same
+/// `NodeCore` handlers run under both drivers, so a probe attached to a
+/// host sees the events a simulation would emit for that node.
+#[test]
+fn attached_probe_sees_the_simulators_events() {
+    let mut cluster = smoke_cluster();
+    let node = NodeId(5);
+    let capture = CaptureProbe::new();
+    cluster
+        .host_mut(node)
+        .unwrap()
+        .attach_probe(ProbeSink::attach(capture.clone()));
+    cluster.run_for(secs(3.0));
+    let events = capture.events();
+    let count = |pred: fn(&ProbeEvent) -> bool| events.iter().filter(|(_, e)| pred(e)).count();
+    let issued = count(|e| matches!(e, ProbeEvent::QueryIssued { .. }));
+    assert_eq!(
+        issued as u64,
+        cluster.host(node).unwrap().snapshot().queries_issued
+    );
+    assert!(issued > 0);
+    assert!(count(|e| matches!(e, ProbeEvent::QueryServed { .. })) > 0);
+    assert!(count(|e| matches!(e, ProbeEvent::MsgSent { .. })) > 0);
+    assert!(count(|e| matches!(e, ProbeEvent::MsgDelivered { .. })) > 0);
+    assert!(count(|e| matches!(e, ProbeEvent::CacheInsert { .. })) > 0);
 }

@@ -43,7 +43,7 @@ impl CacheStore {
 
     /// Grows the store so `node` has a slot (needed when churn allocates new
     /// node ids mid-run).
-    pub fn ensure_slot(&mut self, node: NodeId) {
+    pub(crate) fn ensure_slot(&mut self, node: NodeId) {
         if node.index() >= self.occupied.len() {
             self.grow(node.index() + 1);
         }
@@ -98,7 +98,7 @@ impl CacheStore {
     }
 
     /// Clears a node's slot (used when a node departs).
-    pub fn evict(&mut self, node: NodeId) {
+    pub(crate) fn evict(&mut self, node: NodeId) {
         if let Some(flag) = self.occupied.get_mut(node.index()) {
             *flag = false;
         }

@@ -100,26 +100,11 @@ impl AuthorityClock {
         self.current.expires.saturating_sub(self.push_lead)
     }
 
-    /// Publishes the next version at `now` and returns it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before the scheduled refresh instant minus slack
-    /// (defensive: refreshing early would silently change the experiment).
-    pub fn refresh(&mut self, now: SimTime) -> IndexRecord {
-        debug_assert!(
-            now >= self.next_refresh_at(),
-            "refresh fired early: now {now}, due {}",
-            self.next_refresh_at()
-        );
-        self.publish(now)
-    }
-
     /// Publishes a new version at an arbitrary instant — "the authority node
     /// needs to update the index whenever it receives update messages"
-    /// (§II-A). The TTL-aligned [`AuthorityClock::refresh`] is the
-    /// simulation's default workload; event-driven publishers (the
-    /// dissemination platform) use this directly.
+    /// (§II-A). The simulation's default workload publishes at every
+    /// [`AuthorityClock::next_refresh_at`]; event-driven publishers (the
+    /// dissemination platform) publish whenever they have an event.
     pub fn publish(&mut self, now: SimTime) -> IndexRecord {
         self.current = IndexRecord {
             version: Version(self.current.version.0 + 1),
@@ -171,7 +156,7 @@ mod tests {
         let mut prev = clock.current();
         for _ in 0..10 {
             let due = clock.next_refresh_at();
-            let next = clock.refresh(due);
+            let next = clock.publish(due);
             assert_eq!(next.version.0, prev.version.0 + 1);
             // The new version is published strictly before the old expires.
             assert!(next.created < prev.expires);

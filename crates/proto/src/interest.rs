@@ -137,7 +137,7 @@ impl InterestTracker {
     /// Epoch policy only: closes the current epoch (called at authority
     /// refresh instants) and returns the nodes whose interest lapsed because
     /// their closing count was at most `c`. Counts reset for the new epoch.
-    pub fn roll_epoch(&mut self) -> Vec<NodeId> {
+    pub(crate) fn roll_epoch(&mut self) -> Vec<NodeId> {
         debug_assert_eq!(self.policy, InterestPolicy::Epoch);
         let mut lapsed = Vec::new();
         for i in 0..self.nodes.len() {
@@ -156,7 +156,7 @@ impl InterestTracker {
     }
 
     /// Grows the table so `node` has a slot.
-    pub fn ensure_slot(&mut self, node: NodeId) {
+    pub(crate) fn ensure_slot(&mut self, node: NodeId) {
         if node.index() >= self.nodes.len() {
             self.nodes.resize(node.index() + 1);
         }
@@ -213,7 +213,7 @@ impl InterestTracker {
     }
 
     /// Runs the decay check scheduled for `node`.
-    pub fn run_check(&mut self, node: NodeId, now: SimTime) -> CheckOutcome {
+    pub(crate) fn run_check(&mut self, node: NodeId, now: SimTime) -> CheckOutcome {
         self.ensure_slot(node);
         let i = node.index();
         self.nodes.check_pending[i] = false;

@@ -65,7 +65,7 @@ impl Metrics {
 
     /// Records a query served after traveling `hops` request hops; `stale`
     /// marks a superseded version being returned.
-    pub fn record_query_served(&mut self, hops: u32, stale: bool) {
+    pub(crate) fn record_query_served(&mut self, hops: u32, stale: bool) {
         if !self.recording {
             return;
         }
@@ -82,7 +82,7 @@ impl Metrics {
 
     /// Records the wall-clock completion latency of a query (reply reached
     /// the origin; zero for local hits).
-    pub fn record_query_completed(&mut self, secs: f64) {
+    pub(crate) fn record_query_completed(&mut self, secs: f64) {
         if self.recording {
             self.latency_secs.push(secs);
         }

@@ -317,7 +317,7 @@ impl ReliableState {
 
     /// Drops the pending entry for `seq` without counting an ack (the
     /// sender departed; its timers die with it).
-    pub fn forget(&mut self, seq: u64) {
+    pub(crate) fn forget(&mut self, seq: u64) {
         self.pending.remove(&seq);
     }
 

@@ -480,7 +480,7 @@ impl FifoClocks {
     /// delivered: `at` itself when the channel is idle past it, otherwise
     /// one nanosecond after the channel's last scheduled delivery.
     #[inline]
-    pub fn reserve_slot(&mut self, from: NodeId, to: NodeId, at: SimTime) -> SimTime {
+    pub(crate) fn reserve_slot(&mut self, from: NodeId, to: NodeId, at: SimTime) -> SimTime {
         let i = from.index();
         if i >= self.chans.len() {
             self.chans.resize(i + 1, Chan::default());
@@ -612,7 +612,7 @@ impl World {
 
     /// The record a node can serve right now: the authority always serves
     /// its current version; other nodes serve a valid cached copy.
-    pub fn serving_record(&self, node: NodeId, now: SimTime) -> Option<IndexRecord> {
+    pub(crate) fn serving_record(&self, node: NodeId, now: SimTime) -> Option<IndexRecord> {
         if node == self.tree.root() {
             Some(self.authority.current())
         } else {
@@ -738,11 +738,6 @@ impl<M> Ctx<'_, M> {
         self.world.tree.root()
     }
 
-    /// The authority's current index version.
-    pub fn current_record(&self) -> IndexRecord {
-        self.world.authority.current()
-    }
-
     /// True when `node` satisfies the interest policy.
     pub fn is_interested(&self, node: NodeId) -> bool {
         self.world.interest.is_interested(node)
@@ -759,11 +754,6 @@ impl<M> Ctx<'_, M> {
             });
         }
         accepted
-    }
-
-    /// The record `node` could serve right now.
-    pub fn cached_valid(&self, node: NodeId) -> Option<IndexRecord> {
-        self.world.serving_record(node, self.engine.now())
     }
 
     /// Sends a scheme message from `from` to `to`: charges one hop of

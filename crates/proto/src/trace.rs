@@ -153,7 +153,7 @@ impl TraceCtx {
     /// published version) and makes it the current context. Under sampling,
     /// unsampled versions clear the context and return [`SpanInfo::NONE`]
     /// instead — their cascade allocates no spans at all.
-    pub fn begin_update(&mut self, version: u64) -> SpanInfo {
+    pub(crate) fn begin_update(&mut self, version: u64) -> SpanInfo {
         if !self.samples_update(version) {
             self.current = SpanInfo::NONE;
             return SpanInfo::NONE;
@@ -228,13 +228,13 @@ impl TraceCtx {
     /// Notes one scheduled delivery (called per copy under fault
     /// duplication).
     #[inline]
-    pub fn note_sent(&mut self) {
+    pub(crate) fn note_sent(&mut self) {
         self.in_flight += 1;
     }
 
     /// Notes one popped delivery (live or lost receiver alike).
     #[inline]
-    pub fn note_delivered(&mut self) {
+    pub(crate) fn note_delivered(&mut self) {
         self.in_flight = self.in_flight.saturating_sub(1);
     }
 
