@@ -279,16 +279,14 @@ fn attached_probe_sees_the_simulators_events() {
         .unwrap()
         .attach_probe(ProbeSink::attach(capture.clone()));
     cluster.run_for(secs(3.0));
-    let events = capture.events();
-    let count = |pred: fn(&ProbeEvent) -> bool| events.iter().filter(|(_, e)| pred(e)).count();
-    let issued = count(|e| matches!(e, ProbeEvent::QueryIssued { .. }));
+    let issued = capture.count(|e| matches!(e, ProbeEvent::QueryIssued { .. }));
     assert_eq!(
-        issued as u64,
+        issued,
         cluster.host(node).unwrap().snapshot().queries_issued
     );
     assert!(issued > 0);
-    assert!(count(|e| matches!(e, ProbeEvent::QueryServed { .. })) > 0);
-    assert!(count(|e| matches!(e, ProbeEvent::MsgSent { .. })) > 0);
-    assert!(count(|e| matches!(e, ProbeEvent::MsgDelivered { .. })) > 0);
-    assert!(count(|e| matches!(e, ProbeEvent::CacheInsert { .. })) > 0);
+    assert!(capture.count(|e| matches!(e, ProbeEvent::QueryServed { .. })) > 0);
+    assert!(capture.count(|e| matches!(e, ProbeEvent::MsgSent { .. })) > 0);
+    assert!(capture.count(|e| matches!(e, ProbeEvent::MsgDelivered { .. })) > 0);
+    assert!(capture.count(|e| matches!(e, ProbeEvent::CacheInsert { .. })) > 0);
 }

@@ -1,11 +1,14 @@
-//! The simulation runner: wires workload, overlay, caches, interest policy,
-//! and a [`Scheme`] together over the discrete-event engine.
+//! The simulation runner: the driver that wires workload, overlay and a
+//! [`Scheme`] together over the discrete-event engine.
 //!
-//! The runner implements everything the three schemes share — query routing
+//! Everything the three schemes share on the protocol side — query routing
 //! up the search tree, serving from the first valid cache, path caching on
-//! the reply, the authority's refresh schedule, interest-window bookkeeping,
-//! and churn application — and gives the scheme its hooks at the points
-//! where PCX, CUP, and DUP differ.
+//! the reply, tracked delivery, interest checks, publishing — lives in
+//! [`NodeCore`] and is shared with every other driver. The runner owns
+//! what is the simulator's alone: the arrival, origin and churn streams,
+//! the authority's refresh schedule and the interest epoch it closes,
+//! time-series sampling, the CI stop rule, the settle phase, the event
+//! log, and the space-parallel ownership gate.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
