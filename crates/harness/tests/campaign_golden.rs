@@ -1,0 +1,106 @@
+//! Campaign goldens (ISSUE 16): small-seed `fuzz`, `chaos` and `scenarios`
+//! artifacts recorded at the commit *before* the three campaigns were
+//! folded onto one settle-and-judge path.
+//!
+//! The campaigns are pure functions of their seeds, so any drift in a row
+//! is a behaviour change in the config generators, the fault layer, the
+//! reliability layer, DUP maintenance or the oracle. Reports are compared
+//! key by key — every key a golden row carries must be present with an
+//! equal value; rows may gain keys, and the row array may be called
+//! `scenarios` or `cases`. Prometheus text is compared on its non-comment
+//! lines. Re-record (deliberate behaviour changes only) with:
+//!
+//! ```text
+//! DUP_RECORD_GOLDEN=1 cargo test -p dup-harness --test campaign_golden
+//! ```
+
+use dup_harness::{
+    chaos_registry, run_chaos, run_fuzz, run_scenario_suite, scenario_registry, ScenarioFamily,
+    SchemeKind,
+};
+use serde_json::Value;
+
+const MASTER_SEED: u64 = 42;
+
+fn golden_path(name: &str) -> String {
+    format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Reads the committed golden, first overwriting it with `actual` when
+/// `DUP_RECORD_GOLDEN` is set.
+fn golden(name: &str, actual: &str) -> String {
+    let path = golden_path(name);
+    if std::env::var_os("DUP_RECORD_GOLDEN").is_some() {
+        std::fs::write(&path, actual).expect("golden file is writable");
+    }
+    std::fs::read_to_string(&path).expect("golden file is committed")
+}
+
+/// The row array of a campaign report document.
+fn rows(doc: &Value) -> &Vec<Value> {
+    ["scenarios", "cases"]
+        .iter()
+        .find_map(|key| doc.get(key))
+        .and_then(Value::as_array)
+        .expect("report carries a row array")
+}
+
+/// Every key of every golden row must be present, with an equal value, in
+/// the regenerated report's row at the same position.
+fn assert_rows_hold(name: &str, report: &impl serde::Serialize) {
+    let actual = serde_json::to_string_pretty(report).expect("report serializes") + "\n";
+    let golden: Value = serde_json::from_str(&golden(name, &actual)).expect("golden parses");
+    let actual: Value = serde_json::from_str(&actual).expect("report parses");
+    assert_eq!(actual["master_seed"], golden["master_seed"], "{name}");
+    let (want, got) = (rows(&golden), rows(&actual));
+    assert_eq!(want.len(), got.len(), "{name}: row count drifted");
+    for (i, (want, got)) in want.iter().zip(got).enumerate() {
+        let Value::Map(entries) = want else {
+            panic!("{name}: golden row {i} is not an object");
+        };
+        for (key, value) in entries {
+            assert_eq!(
+                got.get(key),
+                Some(value),
+                "{name}: row {i} key `{key}` drifted"
+            );
+        }
+    }
+}
+
+/// The series lines of a Prometheus exposition (HELP/TYPE comments may be
+/// reworded; the series may not move).
+fn series(text: &str) -> Vec<&str> {
+    text.lines().filter(|l| !l.starts_with('#')).collect()
+}
+
+fn assert_series_hold(name: &str, actual: &str) {
+    let golden = golden(name, actual);
+    assert_eq!(series(actual), series(&golden), "{name}: series drifted");
+}
+
+#[test]
+fn fuzz_rows_are_pinned() {
+    let report = run_fuzz(MASTER_SEED, 3, &SchemeKind::ALL, false);
+    assert_rows_hold("fuzz_report.json", &report);
+}
+
+#[test]
+fn chaos_rows_and_series_are_pinned() {
+    let report = run_chaos(MASTER_SEED, 2, &SchemeKind::ALL);
+    assert_rows_hold("chaos_report.json", &report);
+    assert_series_hold(
+        "chaos_metrics.prom",
+        &chaos_registry(&report).render_prometheus(),
+    );
+}
+
+#[test]
+fn scenario_rows_and_series_are_pinned() {
+    let report = run_scenario_suite(MASTER_SEED, 1, &ScenarioFamily::ALL, &SchemeKind::ALL);
+    assert_rows_hold("scenarios_report.json", &report);
+    assert_series_hold(
+        "scenarios_metrics.prom",
+        &scenario_registry(&report).render_prometheus(),
+    );
+}
