@@ -94,16 +94,64 @@
 //! errors out naming its uniform replacement above.
 //! ```
 
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use dup_core::run_simulation_kind;
 use dup_harness::{
-    all_experiments, experiment_by_name, HarnessOpts, Scale, ScenarioArgs, ScenarioFamily,
-    SchemeKind,
+    all_experiments, experiment_by_name, space_cell, write_artifact, Campaign, HarnessOpts,
+    Mutation, Scale, ScenarioArgs, ScenarioFamily, SchemeKind, Selection, CHAOS, FUZZ, SCENARIOS,
 };
 use dup_proto::{JsonlProbe, ProbeSink};
+
+/// Everything a subcommand reads from the command line.
+struct Cli {
+    opts: HarnessOpts,
+    out_dir: Option<PathBuf>,
+    trace_sample: f64,
+    scenario: ScenarioArgs,
+    family: Option<ScenarioFamily>,
+    fuzz_mutate: bool,
+}
+
+impl Cli {
+    /// Where the report subcommands write: `--out DIR` or the current
+    /// directory.
+    fn out_dir_or_cwd(&self) -> &Path {
+        self.out_dir.as_deref().unwrap_or(Path::new("."))
+    }
+
+    /// The scheme `trace-report` and `--trace` run (default DUP).
+    fn trace_scheme(&self) -> SchemeKind {
+        self.scenario.scheme.unwrap_or(SchemeKind::Dup)
+    }
+}
+
+/// A stand-alone subcommand: `Ok(true)` when everything it checks passed.
+type Subcommand = fn(&Cli) -> Result<bool, String>;
+
+/// The stand-alone subcommands, in the order they run when several are
+/// named. Like `--trace`, they stand alone: the paper experiments only run
+/// when some are listed too.
+const SUBCOMMANDS: [(&str, Subcommand); 7] = [
+    ("trace-report", run_trace_report),
+    ("fuzz", |cli| {
+        let mutation = match cli.fuzz_mutate {
+            true => Mutation::BrokenSubstituteMerge,
+            false => Mutation::Clean,
+        };
+        run_campaign(cli, &FUZZ, mutation)
+    }),
+    ("load-report", run_load_report),
+    ("live-smoke", |cli| {
+        dup_harness::run_live_smoke(cli.out_dir.as_deref())
+    }),
+    ("space-smoke", run_space_smoke),
+    ("scenarios", |cli| {
+        run_campaign(cli, &SCENARIOS, Mutation::Clean)
+    }),
+    ("chaos", |cli| run_campaign(cli, &CHAOS, Mutation::Clean)),
+];
 
 fn main() -> ExitCode {
     // The hidden `live-node` subcommand runs one live cluster node and
@@ -117,35 +165,37 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut opts = HarnessOpts::default();
-    let mut out_dir: Option<PathBuf> = None;
+    let mut cli = Cli {
+        opts: HarnessOpts::default(),
+        out_dir: None,
+        trace_sample: 600.0,
+        scenario: ScenarioArgs::default(),
+        family: None,
+        fuzz_mutate: false,
+    };
     let mut trace_out: Option<PathBuf> = None;
-    let mut trace_sample = 600.0;
-    let mut scenario = ScenarioArgs::default();
-    let mut family: Option<ScenarioFamily> = None;
-    let mut fuzz_mutate = false;
     let mut shards = 1usize;
     let mut space_shards = 1usize;
     let mut selected: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--full" => opts.scale = Scale::Full,
-            "--bench-scale" => opts.scale = Scale::Bench,
+            "--full" => cli.opts.scale = Scale::Full,
+            "--bench-scale" => cli.opts.scale = Scale::Bench,
             "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(seed) => opts.seed = seed,
+                Some(seed) => cli.opts.seed = seed,
                 None => return usage("--seed needs an integer"),
             },
             "--jobs" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(jobs) => opts.jobs = jobs,
+                Some(jobs) => cli.opts.jobs = jobs,
                 None => return usage("--jobs needs an integer"),
             },
             "--reps" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(reps) if reps >= 1 => opts.reps = reps,
+                Some(reps) if reps >= 1 => cli.opts.reps = reps,
                 _ => return usage("--reps needs a positive integer"),
             },
             "--out" => match args.next() {
-                Some(dir) => out_dir = Some(PathBuf::from(dir)),
+                Some(dir) => cli.out_dir = Some(PathBuf::from(dir)),
                 None => return usage("--out needs a directory"),
             },
             "--trace" => match args.next() {
@@ -153,12 +203,12 @@ fn main() -> ExitCode {
                 None => return usage("--trace needs a file path"),
             },
             "--trace-sample" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(secs) if secs >= 0.0 => trace_sample = secs,
+                Some(secs) if secs >= 0.0 => cli.trace_sample = secs,
                 _ => return usage("--trace-sample needs a non-negative number"),
             },
-            "--fuzz-mutate" => fuzz_mutate = true,
+            "--fuzz-mutate" => cli.fuzz_mutate = true,
             "--family" => match args.next().map(|s| s.parse()) {
-                Some(Ok(f)) => family = Some(f),
+                Some(Ok(f)) => cli.family = Some(f),
                 Some(Err(e)) => return usage(&e),
                 None => {
                     return usage(
@@ -177,7 +227,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => return usage(""),
             // The uniform seed-set/scheme family (and its hidden legacy
             // aliases) parses through the shared struct.
-            other if other.starts_with('-') => match scenario.try_consume(other, &mut args) {
+            other if other.starts_with('-') => match cli.scenario.try_consume(other, &mut args) {
                 Ok(true) => {}
                 Ok(false) => return usage(&format!("unknown option {other}")),
                 Err(e) => return usage(&e),
@@ -189,37 +239,27 @@ fn main() -> ExitCode {
     if shards > 1 && space_shards > 1 {
         return usage("--shards and --space-shards are mutually exclusive");
     }
-    opts.shards = shards;
-    opts.space_shards = space_shards;
+    cli.opts.shards = shards;
+    cli.opts.space_shards = space_shards;
+    let cli = cli;
 
-    let trace_scheme = scenario.scheme.unwrap_or(SchemeKind::Dup);
+    // `--trace` and every named subcommand run first, in table order; they
+    // stand alone unless experiments were also requested.
+    let mut stood_alone = false;
     if let Some(path) = &trace_out {
-        if let Err(msg) = run_trace(&opts, trace_scheme, trace_sample, path) {
+        if let Err(msg) = run_trace(&cli, path) {
             eprintln!("error: {msg}");
             return ExitCode::FAILURE;
         }
-        // A trace run stands alone unless experiments were also requested.
-        if selected.is_empty() {
-            return ExitCode::SUCCESS;
-        }
+        stood_alone = true;
     }
-
-    if selected.iter().any(|s| s == "trace-report") {
-        selected.retain(|s| s != "trace-report");
-        if let Err(msg) = run_trace_report(&opts, trace_scheme, trace_sample, out_dir.as_deref()) {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
+    for (name, run) in SUBCOMMANDS {
+        if !selected.iter().any(|s| s == name) {
+            continue;
         }
-        // Like --trace, trace-report stands alone unless experiments were
-        // also requested.
-        if selected.is_empty() {
-            return ExitCode::SUCCESS;
-        }
-    }
-
-    if selected.iter().any(|s| s == "fuzz") {
-        selected.retain(|s| s != "fuzz");
-        match run_fuzz_cmd(&opts, &scenario, fuzz_mutate, out_dir.as_deref()) {
+        selected.retain(|s| s != name);
+        stood_alone = true;
+        match run(&cli) {
             Ok(true) => {}
             Ok(false) => return ExitCode::FAILURE,
             Err(msg) => {
@@ -227,96 +267,9 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        // Like --trace, fuzz stands alone unless experiments were also
-        // requested.
-        if selected.is_empty() {
-            return ExitCode::SUCCESS;
-        }
     }
-
-    if selected.iter().any(|s| s == "load-report") {
-        selected.retain(|s| s != "load-report");
-        match run_load_report(&opts, out_dir.as_deref()) {
-            Ok(true) => {}
-            Ok(false) => return ExitCode::FAILURE,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // Like --trace, load-report stands alone unless experiments were
-        // also requested.
-        if selected.is_empty() {
-            return ExitCode::SUCCESS;
-        }
-    }
-
-    if selected.iter().any(|s| s == "live-smoke") {
-        selected.retain(|s| s != "live-smoke");
-        match dup_harness::run_live_smoke(out_dir.as_deref()) {
-            Ok(true) => {}
-            Ok(false) => return ExitCode::FAILURE,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // Like --trace, live-smoke stands alone unless experiments were
-        // also requested.
-        if selected.is_empty() {
-            return ExitCode::SUCCESS;
-        }
-    }
-
-    if selected.iter().any(|s| s == "space-smoke") {
-        selected.retain(|s| s != "space-smoke");
-        match run_space_smoke(&opts) {
-            Ok(true) => {}
-            Ok(false) => return ExitCode::FAILURE,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // Like --trace, space-smoke stands alone unless experiments were
-        // also requested.
-        if selected.is_empty() {
-            return ExitCode::SUCCESS;
-        }
-    }
-
-    if selected.iter().any(|s| s == "scenarios") {
-        selected.retain(|s| s != "scenarios");
-        match run_scenarios_cmd(&opts, &scenario, family, out_dir.as_deref()) {
-            Ok(true) => {}
-            Ok(false) => return ExitCode::FAILURE,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // Like --trace, scenarios stands alone unless experiments were
-        // also requested.
-        if selected.is_empty() {
-            return ExitCode::SUCCESS;
-        }
-    }
-
-    if selected.iter().any(|s| s == "chaos") {
-        selected.retain(|s| s != "chaos");
-        match run_chaos_cmd(&opts, &scenario, out_dir.as_deref()) {
-            Ok(true) => {}
-            Ok(false) => return ExitCode::FAILURE,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-        // Like --trace, chaos stands alone unless experiments were also
-        // requested.
-        if selected.is_empty() {
-            return ExitCode::SUCCESS;
-        }
+    if stood_alone && selected.is_empty() {
+        return ExitCode::SUCCESS;
     }
 
     let paper_set = ["table2", "fig4", "table3", "fig5", "fig6", "fig7", "fig8"];
@@ -331,13 +284,7 @@ fn main() -> ExitCode {
         selected
     };
 
-    if let Some(dir) = &out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-
+    let opts = &cli.opts;
     println!(
         "dup-experiments: scale={:?} seed={} experiments=[{}]\n",
         opts.scale,
@@ -349,129 +296,105 @@ fn main() -> ExitCode {
             return usage(&format!("unknown experiment {name}"));
         };
         let started = std::time::Instant::now();
-        let output = runner(&opts);
+        let output = runner(opts);
         println!("== {} ==", output.title);
         println!("{}", output.text);
         println!("({} finished in {:.1?})\n", output.name, started.elapsed());
-        if let Some(dir) = &out_dir {
-            let path = dir.join(format!("{}.json", output.name));
-            match std::fs::File::create(&path) {
-                Ok(mut f) => {
-                    let doc = serde_json::json!({
-                        "title": output.title,
-                        "scale": format!("{:?}", opts.scale),
-                        "seed": opts.seed,
-                        "results": output.json,
-                    });
-                    if let Err(e) = writeln!(f, "{}", serde_json::to_string_pretty(&doc).unwrap()) {
-                        eprintln!("write {} failed: {e}", path.display());
-                    }
-                }
-                Err(e) => eprintln!("create {} failed: {e}", path.display()),
+        if let Some(dir) = &cli.out_dir {
+            let doc = serde_json::json!({
+                "title": output.title,
+                "scale": format!("{:?}", opts.scale),
+                "seed": opts.seed,
+                "results": output.json,
+            });
+            let doc = serde_json::to_string_pretty(&doc).unwrap() + "\n";
+            if let Err(msg) = write_artifact(dir, &format!("{}.json", output.name), &doc) {
+                eprintln!("error: {msg}");
+                return ExitCode::FAILURE;
             }
         }
     }
     ExitCode::SUCCESS
 }
 
+/// Runs one verification campaign (or a single-seed replay) plus its
+/// space-parallel cell, prints the rendition with a replay command per
+/// failure, and writes the campaign's artifacts when `--out` is given.
+/// Returns `Ok(true)` when every case and the cell passed.
+fn run_campaign(cli: &Cli, campaign: &Campaign, mutation: Mutation) -> Result<bool, String> {
+    let selection = Selection {
+        master_seed: cli.opts.seed,
+        seeds: cli.scenario.seeds_or(campaign.default_seeds),
+        replay: cli.scenario.replay,
+        family: cli.family.map(ScenarioFamily::name),
+    };
+    let started = std::time::Instant::now();
+    let report = campaign.run(&selection, &cli.scenario.schemes(), mutation);
+    print!("{report}");
+    if mutation != Mutation::Clean {
+        println!("(--fuzz-mutate active: failures above prove the harness catches corruption)");
+    }
+    // The space-parallel cell: the campaign's fault class with the node
+    // space split across two engine shards must heal to the oracle tree
+    // AND reproduce the sequential event log bit for bit.
+    let mut cell_passed = true;
+    if let Some((config, heal_phases)) = campaign.space_cell {
+        let cell = space_cell(&config(cli.opts.seed), heal_phases);
+        print!("{} {cell}", campaign.name);
+        cell_passed = cell.passed;
+    }
+    println!(
+        "({} finished in {:.1?})\n",
+        campaign.name,
+        started.elapsed()
+    );
+    if let Some(dir) = &cli.out_dir {
+        for artifact in campaign.artifacts(&report, &selection) {
+            write_artifact(dir, &artifact.file, &artifact.contents)?;
+        }
+    }
+    Ok(report.failures().is_empty() && cell_passed)
+}
+
 /// Sweeps Zipf θ with full per-node load accounting, prints the skew
 /// table, and writes `LOAD_report.json` + `LOAD_metrics.prom`. Returns
 /// `Ok(true)` when the sketch agreed with the exact accounting at every
 /// point.
-fn run_load_report(opts: &HarnessOpts, out_dir: Option<&std::path::Path>) -> Result<bool, String> {
+fn run_load_report(cli: &Cli) -> Result<bool, String> {
     let started = std::time::Instant::now();
-    let out = dup_harness::load_report(opts);
+    let out = dup_harness::load_report(&cli.opts);
     print!("{}", dup_harness::render_load_report(&out));
     println!("(load-report finished in {:.1?})\n", started.elapsed());
-    let dir = out_dir.unwrap_or_else(|| std::path::Path::new("."));
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let path = dir.join("LOAD_report.json");
+    let dir = cli.out_dir_or_cwd();
     let doc = serde_json::to_string_pretty(&out.report).expect("load report serializes");
-    std::fs::write(&path, doc + "\n")
-        .map_err(|e| format!("write {} failed: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    let prom_path = dir.join("LOAD_metrics.prom");
-    std::fs::write(&prom_path, &out.prometheus)
-        .map_err(|e| format!("write {} failed: {e}", prom_path.display()))?;
-    println!("wrote {}", prom_path.display());
+    write_artifact(dir, "LOAD_report.json", &(doc + "\n"))?;
+    write_artifact(dir, "LOAD_metrics.prom", &out.prometheus)?;
     Ok(out.report.points.iter().all(|p| p.sketch_agrees))
 }
 
 /// Runs one fully traced simulation, prints the propagation-tree summary,
-/// and writes the Perfetto JSON and Prometheus text artifacts.
-fn run_trace_report(
-    opts: &HarnessOpts,
-    kind: SchemeKind,
-    sample_secs: f64,
-    out_dir: Option<&std::path::Path>,
-) -> Result<(), String> {
+/// and writes the Perfetto JSON (load it in ui.perfetto.dev) and
+/// Prometheus text artifacts.
+fn run_trace_report(cli: &Cli) -> Result<bool, String> {
     let started = std::time::Instant::now();
-    let tr = dup_harness::trace_report(opts, kind, sample_secs);
+    let kind = cli.trace_scheme();
+    let tr = dup_harness::trace_report(&cli.opts, kind, cli.trace_sample);
     print!("{}", dup_harness::render_trace_report(&tr));
     println!("(trace-report finished in {:.1?})\n", started.elapsed());
-    let dir = out_dir.unwrap_or_else(|| std::path::Path::new("."));
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let dir = cli.out_dir_or_cwd();
     let scheme = kind.name().to_lowercase();
-    let perfetto_path = dir.join(format!("TRACE_{scheme}_perfetto.json"));
     let doc = serde_json::to_string(&tr.perfetto).expect("perfetto doc serializes");
-    std::fs::write(&perfetto_path, doc + "\n")
-        .map_err(|e| format!("write {} failed: {e}", perfetto_path.display()))?;
-    println!(
-        "wrote {} (load it in ui.perfetto.dev)",
-        perfetto_path.display()
-    );
-    let prom_path = dir.join(format!("TRACE_{scheme}_metrics.prom"));
-    std::fs::write(&prom_path, &tr.prometheus)
-        .map_err(|e| format!("write {} failed: {e}", prom_path.display()))?;
-    println!("wrote {}", prom_path.display());
-    Ok(())
-}
-
-/// Runs a seeded fault-injection fuzz campaign (or a single-seed replay)
-/// and verifies every scenario; returns `Ok(true)` when all passed. Writes
-/// `FUZZ_report.json` when `--out` is given.
-fn run_fuzz_cmd(
-    opts: &HarnessOpts,
-    scenario: &ScenarioArgs,
-    mutate: bool,
-    out_dir: Option<&std::path::Path>,
-) -> Result<bool, String> {
-    let schemes = scenario.schemes();
-    let started = std::time::Instant::now();
-    let report = match scenario.replay {
-        // Replay one printed scenario seed exactly.
-        Some(seed) => dup_harness::FuzzReport {
-            master_seed: opts.seed,
-            scenarios: schemes
-                .iter()
-                .map(|&kind| dup_harness::run_scenario(kind, seed, mutate))
-                .collect(),
-        },
-        None => dup_harness::run_fuzz(opts.seed, scenario.seeds_or(16), &schemes, mutate),
-    };
-    print!("{}", dup_harness::render_fuzz_report(&report));
-    if mutate {
-        println!("(--fuzz-mutate active: failures above prove the harness catches corruption)");
-    }
-    println!("(fuzz finished in {:.1?})\n", started.elapsed());
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let path = dir.join("FUZZ_report.json");
-        let doc = serde_json::to_string_pretty(&report).expect("fuzz report serializes");
-        std::fs::write(&path, doc + "\n")
-            .map_err(|e| format!("write {} failed: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-    }
-    Ok(report.failures().is_empty())
+    write_artifact(dir, &format!("TRACE_{scheme}_perfetto.json"), &(doc + "\n"))?;
+    write_artifact(dir, &format!("TRACE_{scheme}_metrics.prom"), &tr.prometheus)?;
+    Ok(true)
 }
 
 /// Runs the space-parallel CI cell: one DUP simulation, 2 space shards on
 /// the timer-wheel backend, merged event log compared bit-for-bit against
 /// the sequential run. Returns `Ok(true)` on equality.
-fn run_space_smoke(opts: &HarnessOpts) -> Result<bool, String> {
+fn run_space_smoke(cli: &Cli) -> Result<bool, String> {
     let started = std::time::Instant::now();
-    let result = dup_harness::space_smoke(opts);
+    let result = dup_harness::space_smoke(&cli.opts);
     print!("{}", dup_harness::render_space_smoke(&result));
     println!("(space-smoke finished in {:.1?})\n", started.elapsed());
     Ok(result.passed)
@@ -501,142 +424,12 @@ fn run_live_node_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-/// Runs a reliable fault→heal→drain chaos campaign (or a single-seed
-/// replay) and verifies convergence; returns `Ok(true)` when every
-/// scenario re-converged. Writes `CHAOS_report.json` and
-/// `CHAOS_metrics.prom` when `--out` is given.
-fn run_chaos_cmd(
-    opts: &HarnessOpts,
-    scenario: &ScenarioArgs,
-    out_dir: Option<&std::path::Path>,
-) -> Result<bool, String> {
-    let schemes = scenario.schemes();
-    let started = std::time::Instant::now();
-    let report = match scenario.replay {
-        // Replay one printed scenario seed exactly.
-        Some(seed) => dup_harness::ChaosReport {
-            master_seed: opts.seed,
-            scenarios: schemes
-                .iter()
-                .map(|&kind| dup_harness::run_chaos_scenario(kind, seed))
-                .collect(),
-        },
-        None => dup_harness::run_chaos(opts.seed, scenario.seeds_or(16), &schemes),
-    };
-    print!("{}", dup_harness::render_chaos_report(&report));
-    // The space-parallel cell: the same fault class (drop_p = 0.2) with the
-    // node space split across two engine shards must heal to the oracle
-    // tree AND reproduce the sequential event log bit for bit.
-    let space_cell = dup_harness::run_chaos_space_cell(opts.seed);
-    print!("{}", dup_harness::render_chaos_space_cell(&space_cell));
-    println!("(chaos finished in {:.1?})\n", started.elapsed());
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let path = dir.join("CHAOS_report.json");
-        let doc = serde_json::to_string_pretty(&report).expect("chaos report serializes");
-        std::fs::write(&path, doc + "\n")
-            .map_err(|e| format!("write {} failed: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-        let prom_path = dir.join("CHAOS_metrics.prom");
-        let prom = dup_harness::chaos_registry(&report).render_prometheus();
-        std::fs::write(&prom_path, prom)
-            .map_err(|e| format!("write {} failed: {e}", prom_path.display()))?;
-        println!("wrote {}", prom_path.display());
-    }
-    Ok(report.failures().is_empty() && space_cell.passed)
-}
-
-/// Runs the adversarial scenario suite (or a single-seed replay) plus the
-/// flash-crowd space cell; returns `Ok(true)` when every case passed.
-/// Writes `SCENARIO_report.json`, `SCENARIO_metrics.prom`, and one traced
-/// Perfetto/Prometheus artifact pair per family when `--out` is given.
-fn run_scenarios_cmd(
-    opts: &HarnessOpts,
-    scenario: &ScenarioArgs,
-    family: Option<ScenarioFamily>,
-    out_dir: Option<&std::path::Path>,
-) -> Result<bool, String> {
-    let schemes = scenario.schemes();
-    let families: Vec<ScenarioFamily> = match family {
-        Some(f) => vec![f],
-        None => ScenarioFamily::ALL.to_vec(),
-    };
-    let started = std::time::Instant::now();
-    let report = match scenario.replay {
-        // Replay one printed scenario seed exactly (every selected
-        // family × scheme, clean).
-        Some(seed) => dup_harness::ScenarioSuiteReport {
-            master_seed: opts.seed,
-            cases: families
-                .iter()
-                .flat_map(|&f| {
-                    schemes.iter().map(move |&kind| {
-                        dup_harness::run_scenario_case(f, kind, seed, dup_harness::Mutation::Clean)
-                    })
-                })
-                .collect(),
-        },
-        None => {
-            dup_harness::run_scenario_suite(opts.seed, scenario.seeds_or(2), &families, &schemes)
-        }
-    };
-    print!("{}", dup_harness::render_scenario_report(&report));
-    // The space-parallel cell: the flash-crowd θ schedule partitioned
-    // across two engine shards must reproduce the sequential event log
-    // bit for bit and heal to the oracle tree.
-    let space_cell = dup_harness::run_flash_space_cell(opts.seed);
-    print!("{}", dup_harness::render_flash_space_cell(&space_cell));
-    println!("(scenarios finished in {:.1?})\n", started.elapsed());
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let path = dir.join("SCENARIO_report.json");
-        let doc = serde_json::to_string_pretty(&report).expect("scenario report serializes");
-        std::fs::write(&path, doc + "\n")
-            .map_err(|e| format!("write {} failed: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-        let prom_path = dir.join("SCENARIO_metrics.prom");
-        let prom = dup_harness::scenario_registry(&report).render_prometheus();
-        std::fs::write(&prom_path, prom)
-            .map_err(|e| format!("write {} failed: {e}", prom_path.display()))?;
-        println!("wrote {}", prom_path.display());
-        // One traced DUP run per family: the latency-decomposition
-        // artifacts the CI job uploads.
-        for &f in &families {
-            let seed = scenario
-                .replay
-                .unwrap_or_else(|| dup_harness::scenario_suite_seeds(opts.seed, f, 1)[0]);
-            let artifacts = dup_harness::scenario_trace_artifacts(f, seed);
-            let stem = f.name().replace('-', "_");
-            let perfetto_path = dir.join(format!("SCENARIO_{stem}_perfetto.json"));
-            let doc = serde_json::to_string(&artifacts.perfetto).expect("perfetto doc serializes");
-            std::fs::write(&perfetto_path, doc + "\n")
-                .map_err(|e| format!("write {} failed: {e}", perfetto_path.display()))?;
-            println!(
-                "wrote {} ({} spans; load it in ui.perfetto.dev)",
-                perfetto_path.display(),
-                artifacts.traced_spans,
-            );
-            let prom_path = dir.join(format!("SCENARIO_{stem}_metrics.prom"));
-            std::fs::write(&prom_path, &artifacts.prometheus)
-                .map_err(|e| format!("write {} failed: {e}", prom_path.display()))?;
-            println!("wrote {}", prom_path.display());
-        }
-    }
-    Ok(report.failures().is_empty() && space_cell.passed)
-}
-
 /// Runs one probed simulation at the configured scale and streams every
 /// probe event to `path` as JSON Lines.
-fn run_trace(
-    opts: &HarnessOpts,
-    kind: SchemeKind,
-    sample_secs: f64,
-    path: &PathBuf,
-) -> Result<(), String> {
+fn run_trace(cli: &Cli, path: &Path) -> Result<(), String> {
+    let (opts, kind) = (&cli.opts, cli.trace_scheme());
     let mut cfg = opts.scale.base_config(opts.seed);
-    cfg.probe.sample_every_secs = sample_secs;
+    cfg.probe.sample_every_secs = cli.trace_sample;
     let file = std::fs::File::create(path)
         .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
     let probe = JsonlProbe::new(std::io::BufWriter::new(file));

@@ -1,122 +1,114 @@
-//! `dup-experiments chaos`: fault→heal→drain convergence campaigns for the
-//! reliable maintenance layer.
+//! `dup-experiments chaos`: fault→heal→drain convergence of the reliable
+//! maintenance layer.
 //!
-//! Where `fuzz` asks "does the verification layer hold up under faults with
-//! the harness driving repair by hand?", `chaos` asks the robustness
-//! question the reliability layer exists to answer: with ack/retransmit,
-//! neighbor leases, and orphan repair **enabled**, does every scheme
-//! re-converge on its own within a bounded number of lease periods after a
-//! faulted window — drops of up to 20% on maintenance and push traffic,
-//! duplicate injection, reordering delays, and churn bursts?
-//!
-//! Each scenario derives a complete [`RunConfig`] (including an enabled
-//! [`dup_proto::ReliabilityConfig`]) from one `u64` seed and runs a
-//! fault→heal→drain cycle:
-//!
-//! * **DUP** runs via [`Runner::run_settled`]: after the faulted horizon
-//!   the fault layer is disarmed, in-flight traffic (including pending
-//!   retransmissions) drains, and [`CHAOS_HEAL_PHASES`] lease periods tick
-//!   by — each one [`DupScheme::on_lease_tick`]: expire unrenewed leases,
-//!   re-assert every live subscription, repair orphans. The harness
-//!   records the first lease period at which the settled state matches the
-//!   differential oracle ([`check_tree_invariants`]: structural audits
-//!   plus the NCA-closure DUP-tree characterization, edge for edge), and
-//!   the final state must pass outright.
-//! * **PCX/CUP** carry no tree to audit; their check is differential
-//!   determinism of the *reliable* faulted run — the same seeded scenario
-//!   run twice must produce bit-identical reports even with acks,
-//!   retransmissions, and duplicate suppression in play.
-//!
-//! Every scenario also reports the reliability layer's counters
-//! (retransmits, acks, suppressed duplicates, exhausted budgets) and DUP's
-//! repair counters (lease expirations, orphan repairs, TTL fallbacks);
-//! [`chaos_registry`] folds them — plus retransmit-count and
-//! time-to-reconvergence histograms — into a telemetry [`Registry`] for
-//! the Prometheus artifact.
+//! Where `fuzz` drives repair by hand, `chaos` asks the question the
+//! reliability layer exists to answer: with ack/retransmit, neighbor
+//! leases and orphan repair **enabled**, does DUP re-converge on its own
+//! within [`CHAOS_HEAL_PHASES`] lease periods after a faulted window —
+//! drops of up to 20% on maintenance and push traffic, duplicate
+//! injection, reordering delays, and churn bursts? What `chaos` adds to
+//! the shared campaign (`crate::campaign`): the reliable [`chaos_config`]
+//! generator, the protocol's own [`lease_tick`] as heal driver, the
+//! `dup_chaos_*` series of `CHAOS_metrics.prom`, and the space-parallel
+//! cell at the specified loss bound ([`chaos_space_config`]).
 
 use rand::Rng;
-use serde::Serialize;
 
-use dup_core::{check_tree_invariants, run_simulation_kind, DupScheme, RepairStats, SchemeKind};
-use dup_proto::{
-    run_simulation_space_settled, ChurnConfig, FaultConfig, FaultWindow, ProbeSink, ProtocolConfig,
-    Registry, ReliabilityConfig, ReliabilityStats, RunConfig, Runner, Scheme,
+use dup_proto::{FaultConfig, FaultWindow, RunConfig};
+use dup_sim::stream_rng;
+
+use crate::campaign::{
+    lease_tick, maintenance_protocol, reliability, Campaign, Case, Series, SeriesTable,
 };
-use dup_sim::{stream_rng, stream_seed};
-use dup_stats::Histogram;
+use crate::fuzz::faulted_config;
 
-/// Lease periods the heal phase grants a scenario to re-converge. Each
-/// phase is one [`DupScheme::on_lease_tick`] plus a drain to quiescence.
+/// Lease periods the heal phase grants a case to re-converge. Each phase
+/// is one `on_lease_tick` plus a drain to quiescence.
 pub const CHAOS_HEAL_PHASES: usize = 8;
 
-/// The per-scenario seeds for a chaos campaign, derived from the master
-/// seed through the named-stream splitter (stable under reordering; any
-/// single scenario replays from its seed alone).
-pub fn chaos_seeds(master: u64, n: usize) -> Vec<u64> {
-    (0..n)
-        .map(|i| stream_seed(master, &format!("chaos/{i}")))
-        .collect()
+/// The `chaos` subcommand.
+pub static CHAOS: Campaign = Campaign {
+    name: "chaos",
+    stem: "CHAOS",
+    default_seeds: 16,
+    cases: |selection| selection.seeds("chaos").into_iter().map(case).collect(),
+    series: Some(&SeriesTable {
+        outcomes: (
+            "dup_chaos_scenarios_total",
+            "Chaos scenarios run, by scheme and outcome",
+        ),
+        counters: &[
+            Series {
+                name: "dup_chaos_retransmits_total",
+                help: "Retransmissions performed by the reliability layer",
+                value: |c| c.retransmits,
+            },
+            Series {
+                name: "dup_chaos_acked_total",
+                help: "Acks that retired a pending retry timer",
+                value: |c| c.acked,
+            },
+            Series {
+                name: "dup_chaos_duplicates_suppressed_total",
+                help: "Duplicate deliveries suppressed at receivers",
+                value: |c| c.duplicates_suppressed,
+            },
+            Series {
+                name: "dup_chaos_exhausted_total",
+                help: "Tracked messages abandoned after exhausting the retry budget",
+                value: |c| c.exhausted,
+            },
+            Series {
+                name: "dup_chaos_lease_expirations_total",
+                help: "Subscriber-list entries expired for want of lease renewal",
+                value: |c| c.lease_expirations,
+            },
+            Series {
+                name: "dup_chaos_orphan_repairs_total",
+                help: "Stale-cache orphans repaired at lease boundaries",
+                value: |c| c.orphan_repairs,
+            },
+            Series {
+                name: "dup_chaos_lease_fallbacks_total",
+                help: "Subscribed nodes degraded to TTL-expiry fallback at a lease boundary",
+                value: |c| c.lease_fallbacks,
+            },
+        ],
+        retransmits: Some((
+            "dup_chaos_retransmits_per_scenario",
+            "Retransmissions per DUP chaos scenario",
+        )),
+        reconvergence: (
+            "dup_chaos_reconverge_lease_periods",
+            "Lease periods until a DUP chaos scenario matched the oracle tree",
+        ),
+    }),
+    space_cell: Some((chaos_space_config, CHAOS_HEAL_PHASES)),
+    traced: None,
+};
+
+/// The chaos case of `seed`: [`chaos_config`] healed by lease ticks.
+pub fn case(seed: u64) -> Case {
+    Case {
+        family: None,
+        seed,
+        cfg: chaos_config(seed),
+        heal_phases: CHAOS_HEAL_PHASES,
+        heal: lease_tick,
+        exercised: None,
+    }
 }
 
 /// Expands one chaos seed into a complete reliable faulted configuration.
 ///
-/// Harsher than [`crate::fuzz::scenario_config`] on the loss axis — drop
-/// probability ranges up to 0.2, the bound the reliability layer is
-/// specified against — and with the reliability layer enabled: tracked
-/// maintenance/push sends, a 4–6 deep retransmit budget over exponential
-/// backoff, and a lease period that fits several times into the TTL.
+/// The fuzz generator's shape ([`crate::fuzz::scenario_config`]), harsher
+/// on the loss axis — drop probability ranges up to 0.2, the bound the
+/// reliability layer is specified against — and with the reliability
+/// layer enabled: tracked maintenance/push sends, a 4–6 deep retransmit
+/// budget over exponential backoff, and a lease period that fits several
+/// times into the TTL.
 pub fn chaos_config(seed: u64) -> RunConfig {
-    let mut rng = stream_rng(seed, "chaos-scenario");
-    let nodes = rng.gen_range(24..=96usize);
-    let warmup = 400.0;
-    let duration = 2_000.0 + rng.gen::<f64>() * 2_000.0;
-    let horizon = warmup + duration;
-    let n_windows = rng.gen_range(1..=3usize);
-    let windows = (0..n_windows)
-        .map(|_| {
-            let start = rng.gen::<f64>() * horizon * 0.8;
-            let len = 100.0 + rng.gen::<f64>() * horizon * 0.3;
-            FaultWindow {
-                start_secs: start,
-                end_secs: start + len,
-            }
-        })
-        .collect();
-    let faults = FaultConfig {
-        drop_p: 0.08 + rng.gen::<f64>() * 0.12,
-        duplicate_p: 0.05 + rng.gen::<f64>() * 0.10,
-        delay_p: 0.05 + rng.gen::<f64>() * 0.10,
-        max_extra_delay_secs: 5.0 + rng.gen::<f64>() * 40.0,
-        churn_boost: 1.0 + rng.gen::<f64>() * 3.0,
-        windows,
-        ..FaultConfig::default()
-    };
-    let reliability = ReliabilityConfig {
-        enabled: true,
-        ack_timeout_secs: 2.0 + rng.gen::<f64>() * 3.0,
-        backoff_factor: 2.0,
-        max_backoff_secs: 60.0,
-        jitter_frac: 0.1,
-        max_retries: rng.gen_range(4..=6u32),
-        lease_every_secs: 150.0,
-    };
-    RunConfig::builder(seed)
-        .nodes(nodes)
-        .lambda(0.5 + rng.gen::<f64>() * 3.0)
-        .zipf_theta(0.4 + rng.gen::<f64>() * 0.8)
-        .protocol(ProtocolConfig {
-            ttl_secs: 600.0,
-            push_lead_secs: 30.0,
-            threshold_c: 2,
-            ..ProtocolConfig::default()
-        })
-        .warmup_secs(warmup)
-        .duration_secs(duration)
-        .churn(Some(ChurnConfig::balanced(0.01 + rng.gen::<f64>() * 0.03)))
-        .latency_batch(20)
-        .faults(faults)
-        .reliability(reliability)
-        .build()
+    faulted_config(seed, "chaos-scenario", (0.08, 0.12), Some(4..=6))
 }
 
 /// Expands one seed into the **space-parallel** chaos cell configuration:
@@ -142,25 +134,12 @@ pub fn chaos_space_config(seed: u64) -> RunConfig {
         }],
         ..FaultConfig::default()
     };
-    let reliability = ReliabilityConfig {
-        enabled: true,
-        ack_timeout_secs: 2.0 + rng.gen::<f64>() * 3.0,
-        backoff_factor: 2.0,
-        max_backoff_secs: 60.0,
-        jitter_frac: 0.1,
-        max_retries: rng.gen_range(4..=6u32),
-        lease_every_secs: 150.0,
-    };
+    let reliability = reliability(&mut rng, 4..=6);
     RunConfig::builder(seed)
         .nodes(nodes)
         .lambda(0.5 + rng.gen::<f64>() * 3.0)
         .zipf_theta(0.4 + rng.gen::<f64>() * 0.8)
-        .protocol(ProtocolConfig {
-            ttl_secs: 600.0,
-            push_lead_secs: 30.0,
-            threshold_c: 2,
-            ..ProtocolConfig::default()
-        })
+        .protocol(maintenance_protocol())
         .warmup_secs(warmup)
         .duration_secs(duration)
         .latency_batch(20)
@@ -169,475 +148,22 @@ pub fn chaos_space_config(seed: u64) -> RunConfig {
         .build()
 }
 
-/// Outcome of the space-parallel chaos cell (see [`run_chaos_space_cell`]).
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaosSpaceResult {
-    /// The scenario seed.
-    pub seed: u64,
-    /// Space-shard count of the parallel run (the reference runs 1).
-    pub space_shards: usize,
-    /// Delivery-log records compared.
-    pub log_records: usize,
-    /// True when the 2-shard faulted+healed event log equals the 1-shard
-    /// log bit for bit.
-    pub logs_identical: bool,
-    /// True when the merged cross-shard DUP state passed the NCA-closure
-    /// oracle after the heal phases.
-    pub oracle_ok: bool,
-    /// Both of the above.
-    pub passed: bool,
-    /// Human-readable report when `passed` is false.
-    pub detail: String,
-}
-
-/// The space-parallel chaos cell: one DUP scenario at the specified loss
-/// bound (`drop_p = 0.2`), run fault→heal→drain twice — sequentially and
-/// partitioned across two space shards. Passing requires (a) the two
-/// merged event logs to be bit-identical and (b) the 2-shard final state,
-/// folded owner-locally across shards, to re-converge to the oracle's
-/// NCA-closure DUP tree.
-pub fn run_chaos_space_cell(seed: u64) -> ChaosSpaceResult {
-    let base = chaos_space_config(seed);
-    let heal = |scheme: &mut DupScheme, ctx: &mut dup_proto::Ctx<'_, dup_core::DupMsg>, _phase| {
-        scheme.on_lease_tick(ctx);
-    };
-    let mut cfg1 = base.clone();
-    cfg1.space_shards = 1;
-    let (_, log1) =
-        run_simulation_space_settled(&cfg1, DupScheme::new, true, CHAOS_HEAL_PHASES, heal);
-    let mut cfg2 = base;
-    cfg2.space_shards = 2;
-    let (settled, log2) =
-        run_simulation_space_settled(&cfg2, DupScheme::new, true, CHAOS_HEAL_PHASES, heal);
-    let logs_identical = !log1.is_empty() && log1 == log2;
-    // The global DUP state is the owner-local union over shards.
-    let mut merged = DupScheme::new();
-    for (i, (scheme, _)) in settled.shards.iter().enumerate() {
-        merged.adopt_owned_lists(scheme, |n| settled.map.owner(n) == i);
-    }
-    let oracle = check_tree_invariants(&merged, &settled.shards[0].1.tree);
-    let oracle_ok = oracle.is_ok();
-    let mut detail = String::new();
-    if !logs_identical {
-        detail.push_str("2-shard faulted event log diverged from the 1-shard log\n");
-    }
-    if let Err(report) = oracle {
-        detail.push_str(&report.to_string());
-    }
-    ChaosSpaceResult {
-        seed,
-        space_shards: 2,
-        log_records: log1.len(),
-        logs_identical,
-        oracle_ok,
-        passed: logs_identical && oracle_ok,
-        detail,
-    }
-}
-
-/// Console rendition of the space-parallel chaos cell.
-pub fn render_chaos_space_cell(result: &ChaosSpaceResult) -> String {
-    let mut out = format!(
-        "chaos space cell: seed {} drop_p=0.2 space_shards={} -> {} \
-         ({} log records, logs {}, oracle {})\n",
-        result.seed,
-        result.space_shards,
-        if result.passed { "ok" } else { "FAIL" },
-        result.log_records,
-        if result.logs_identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        },
-        if result.oracle_ok {
-            "converged"
-        } else {
-            "VIOLATED"
-        },
-    );
-    if !result.detail.is_empty() {
-        out.push_str(&result.detail);
-        out.push('\n');
-    }
-    out
-}
-
-/// One verified chaos scenario outcome.
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaosScenarioResult {
-    /// The scenario seed (replays the scenario exactly).
-    pub seed: u64,
-    /// Scheme name ("PCX", "CUP", "DUP").
-    pub scheme: String,
-    /// True when the scenario re-converged (DUP) or replayed bit-identical
-    /// (PCX/CUP).
-    pub passed: bool,
-    /// Fault interventions (drops + duplicates + delays) during the run.
-    pub fault_interventions: u64,
-    /// Retransmissions the reliability layer performed.
-    pub retransmits: u64,
-    /// Acks that retired a pending retry timer.
-    pub acked: u64,
-    /// Duplicate deliveries suppressed at receivers.
-    pub duplicates_suppressed: u64,
-    /// Tracked messages abandoned after exhausting the retry budget.
-    pub exhausted: u64,
-    /// Subscriber-list entries expired for want of lease renewal (DUP).
-    pub lease_expirations: u64,
-    /// Stale-cache orphans repaired at lease boundaries (DUP).
-    pub orphan_repairs: u64,
-    /// Subscribed nodes found degraded to TTL-expiry fallback (DUP).
-    pub lease_fallbacks: u64,
-    /// Lease periods until the state first matched the oracle: 0 means the
-    /// drain alone sufficed; `None` means it never converged (a failure)
-    /// or the scheme has no tree to converge (PCX/CUP).
-    pub phases_to_reconverge: Option<usize>,
-    /// Human-readable violation report when `passed` is false.
-    pub detail: String,
-}
-
-/// Runs and verifies one chaos scenario of `kind` from `seed`.
-pub fn run_chaos_scenario(kind: SchemeKind, seed: u64) -> ChaosScenarioResult {
-    let cfg = chaos_config(seed);
-    match kind {
-        SchemeKind::Dup => {
-            let mut first_converged: Option<usize> = None;
-            let settled = Runner::with_probe(cfg, DupScheme::new(), ProbeSink::disabled())
-                .run_settled(CHAOS_HEAL_PHASES, |scheme, ctx, phase| {
-                    // Phase entry: the previous period's traffic has fully
-                    // drained — a quiescent state the oracle can judge.
-                    if first_converged.is_none()
-                        && check_tree_invariants(scheme, ctx.tree()).is_ok()
-                    {
-                        first_converged = Some(phase);
-                    }
-                    scheme.on_lease_tick(ctx);
-                });
-            let interventions = settled.world.faults.stats().total();
-            let rel = settled.world.reliable.stats();
-            let repair = settled.scheme.repair_stats();
-            let final_check = check_tree_invariants(&settled.scheme, &settled.world.tree);
-            let phases = first_converged.or(final_check.is_ok().then_some(CHAOS_HEAL_PHASES));
-            let (passed, detail) = match final_check {
-                Ok(()) => (true, String::new()),
-                Err(report) => (false, report.to_string()),
-            };
-            result(
-                seed,
-                kind,
-                passed,
-                interventions,
-                rel,
-                repair,
-                phases,
-                detail,
-            )
-        }
-        SchemeKind::Pcx | SchemeKind::Cup => {
-            let a = run_simulation_kind(&cfg, kind, ProbeSink::disabled());
-            let b = run_simulation_kind(&cfg, kind, ProbeSink::disabled());
-            let ja = serde_json::to_string(&a).expect("report serializes");
-            let jb = serde_json::to_string(&b).expect("report serializes");
-            let passed = ja == jb;
-            let detail = if passed {
-                String::new()
-            } else {
-                "reliable faulted run is not deterministic: two same-seed runs diverged".to_string()
-            };
-            result(
-                seed,
-                kind,
-                passed,
-                0,
-                ReliabilityStats::default(),
-                RepairStats::default(),
-                None,
-                detail,
-            )
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // flat assembly of one result row
-fn result(
-    seed: u64,
-    kind: SchemeKind,
-    passed: bool,
-    fault_interventions: u64,
-    rel: ReliabilityStats,
-    repair: RepairStats,
-    phases_to_reconverge: Option<usize>,
-    detail: String,
-) -> ChaosScenarioResult {
-    ChaosScenarioResult {
-        seed,
-        scheme: kind.name().to_string(),
-        passed,
-        fault_interventions,
-        retransmits: rel.retransmits,
-        acked: rel.acked,
-        duplicates_suppressed: rel.duplicates_suppressed,
-        exhausted: rel.exhausted,
-        lease_expirations: repair.lease_expirations,
-        orphan_repairs: repair.orphan_repairs,
-        lease_fallbacks: repair.lease_fallbacks,
-        phases_to_reconverge,
-        detail,
-    }
-}
-
-/// A full chaos campaign: every scenario × scheme outcome.
-#[derive(Debug, Clone, Serialize)]
-pub struct ChaosReport {
-    /// Master seed the scenario seeds were derived from.
-    pub master_seed: u64,
-    /// All scenario outcomes, in execution order.
-    pub scenarios: Vec<ChaosScenarioResult>,
-}
-
-impl ChaosReport {
-    /// The scenarios that failed verification.
-    pub fn failures(&self) -> Vec<&ChaosScenarioResult> {
-        self.scenarios.iter().filter(|s| !s.passed).collect()
-    }
-
-    /// Retransmissions-per-scenario histogram over the DUP scenarios
-    /// (bucket width 50).
-    pub fn retransmit_histogram(&self) -> Histogram {
-        let mut h = Histogram::new(50.0, 64);
-        for s in self.scenarios.iter().filter(|s| s.scheme == "DUP") {
-            h.record(s.retransmits as f64);
-        }
-        h
-    }
-
-    /// Lease-periods-to-reconvergence histogram over the DUP scenarios
-    /// that converged (bucket width 1).
-    pub fn reconvergence_histogram(&self) -> Histogram {
-        let mut h = Histogram::new(1.0, CHAOS_HEAL_PHASES + 2);
-        for s in &self.scenarios {
-            if let Some(p) = s.phases_to_reconverge {
-                h.record(p as f64);
-            }
-        }
-        h
-    }
-}
-
-/// Runs `n` seeded chaos scenarios for each of `schemes`.
-pub fn run_chaos(master_seed: u64, n: usize, schemes: &[SchemeKind]) -> ChaosReport {
-    let mut scenarios = Vec::with_capacity(n * schemes.len());
-    for seed in chaos_seeds(master_seed, n) {
-        for &kind in schemes {
-            scenarios.push(run_chaos_scenario(kind, seed));
-        }
-    }
-    ChaosReport {
-        master_seed,
-        scenarios,
-    }
-}
-
-/// Folds a campaign into a telemetry [`Registry`]: per-scheme counters of
-/// reliability and repair activity, pass/fail gauges, and the two
-/// campaign histograms — render with
-/// [`Registry::render_prometheus`] for the `CHAOS_metrics.prom` artifact.
-pub fn chaos_registry(report: &ChaosReport) -> Registry {
-    let mut reg = Registry::new();
-    reg.describe(
-        "dup_chaos_scenarios_total",
-        "Chaos scenarios run, by scheme and outcome",
-    );
-    reg.describe(
-        "dup_chaos_retransmits_total",
-        "Retransmissions performed by the reliability layer",
-    );
-    reg.describe(
-        "dup_chaos_acked_total",
-        "Acks that retired a pending retry timer",
-    );
-    reg.describe(
-        "dup_chaos_duplicates_suppressed_total",
-        "Duplicate deliveries suppressed at receivers",
-    );
-    reg.describe(
-        "dup_chaos_exhausted_total",
-        "Tracked messages abandoned after exhausting the retry budget",
-    );
-    reg.describe(
-        "dup_chaos_lease_expirations_total",
-        "Subscriber-list entries expired for want of lease renewal",
-    );
-    reg.describe(
-        "dup_chaos_orphan_repairs_total",
-        "Stale-cache orphans repaired at lease boundaries",
-    );
-    reg.describe(
-        "dup_chaos_lease_fallbacks_total",
-        "Subscribed nodes degraded to TTL-expiry fallback at a lease boundary",
-    );
-    for s in &report.scenarios {
-        let scheme = s.scheme.to_lowercase();
-        let outcome = if s.passed { "pass" } else { "fail" };
-        reg.inc_counter(
-            "dup_chaos_scenarios_total",
-            &[("scheme", scheme.as_str()), ("outcome", outcome)],
-            1,
-        );
-        let labels = [("scheme", scheme.as_str())];
-        reg.inc_counter("dup_chaos_retransmits_total", &labels, s.retransmits);
-        reg.inc_counter("dup_chaos_acked_total", &labels, s.acked);
-        reg.inc_counter(
-            "dup_chaos_duplicates_suppressed_total",
-            &labels,
-            s.duplicates_suppressed,
-        );
-        reg.inc_counter("dup_chaos_exhausted_total", &labels, s.exhausted);
-        reg.inc_counter(
-            "dup_chaos_lease_expirations_total",
-            &labels,
-            s.lease_expirations,
-        );
-        reg.inc_counter("dup_chaos_orphan_repairs_total", &labels, s.orphan_repairs);
-        reg.inc_counter(
-            "dup_chaos_lease_fallbacks_total",
-            &labels,
-            s.lease_fallbacks,
-        );
-    }
-    reg.describe(
-        "dup_chaos_retransmits_per_scenario",
-        "Retransmissions per DUP chaos scenario",
-    );
-    let rh = report.retransmit_histogram();
-    let rh_sum = rh.approx_mean() * (rh.total() - rh.overflow()) as f64;
-    reg.observe_histogram(
-        "dup_chaos_retransmits_per_scenario",
-        &[("scheme", "dup")],
-        &rh,
-        rh_sum,
-    );
-    reg.describe(
-        "dup_chaos_reconverge_lease_periods",
-        "Lease periods until a DUP chaos scenario matched the oracle tree",
-    );
-    let ch = report.reconvergence_histogram();
-    let ch_sum = ch.approx_mean() * (ch.total() - ch.overflow()) as f64;
-    reg.observe_histogram(
-        "dup_chaos_reconverge_lease_periods",
-        &[("scheme", "dup")],
-        &ch,
-        ch_sum,
-    );
-    reg
-}
-
-/// Console rendition of a campaign: per-scenario rows, the histogram
-/// summaries, and a replay command per failure.
-pub fn render_chaos_report(report: &ChaosReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let failures = report.failures();
-    let _ = writeln!(
-        out,
-        "chaos: {} scenario runs from master seed {} — {} passed, {} failed",
-        report.scenarios.len(),
-        report.master_seed,
-        report.scenarios.len() - failures.len(),
-        failures.len(),
-    );
-    for s in &report.scenarios {
-        let status = if s.passed { "ok" } else { "FAIL" };
-        if s.scheme == "DUP" {
-            let phases = match s.phases_to_reconverge {
-                Some(p) => format!("{p} lease period(s)"),
-                None => "never".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "  seed {:>20}  {:<4} {}  ({} faults, {} retransmits, {} dup-suppressed, \
-                 {} orphan repairs, {} fallbacks, reconverged after {})",
-                s.seed,
-                s.scheme,
-                status,
-                s.fault_interventions,
-                s.retransmits,
-                s.duplicates_suppressed,
-                s.orphan_repairs,
-                s.lease_fallbacks,
-                phases,
-            );
-        } else {
-            // PCX/CUP scenarios are verified by replay determinism; their
-            // per-run counters live inside the runs and are not reported.
-            let _ = writeln!(
-                out,
-                "  seed {:>20}  {:<4} {}  (reliable faulted replay determinism)",
-                s.seed, s.scheme, status,
-            );
-        }
-    }
-    let rh = report.retransmit_histogram();
-    if rh.total() > 0 {
-        let _ = writeln!(
-            out,
-            "retransmits/scenario: mean {:.1}, p50 {}, p95 {}",
-            rh.approx_mean(),
-            rh.p50().map_or("-".into(), |v| format!("{v:.0}")),
-            rh.p95().map_or("-".into(), |v| format!("{v:.0}")),
-        );
-    }
-    let ch = report.reconvergence_histogram();
-    if ch.total() > 0 {
-        let _ = writeln!(
-            out,
-            "lease periods to reconverge: mean {:.2}, p50 {}, p95 {}",
-            ch.approx_mean(),
-            ch.p50().map_or("-".into(), |v| format!("{v:.0}")),
-            ch.p95().map_or("-".into(), |v| format!("{v:.0}")),
-        );
-    }
-    for f in &failures {
-        let _ = writeln!(
-            out,
-            "\nFAILURE seed {} ({}):\n{}replay with:\n  dup-experiments chaos --replay {} --scheme {}",
-            f.seed,
-            f.scheme,
-            f.detail,
-            f.seed,
-            f.scheme.to_lowercase(),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chaos_seeds_are_stable_and_distinct() {
-        let a = chaos_seeds(42, 4);
-        let b = chaos_seeds(42, 4);
-        assert_eq!(a, b);
-        let mut uniq = a.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), a.len());
-        // Chaos campaigns must not share seeds with fuzz campaigns.
-        assert_ne!(a, crate::fuzz::scenario_seeds(42, 4));
-    }
+    use crate::campaign::{space_cell, Mutation, Selection};
+    use dup_core::SchemeKind;
 
     #[test]
     fn space_cell_heals_and_matches_sequential_log() {
-        let result = run_chaos_space_cell(0xC4A05);
+        let result = space_cell(&chaos_space_config(0xC4A05), CHAOS_HEAL_PHASES);
         assert!(result.log_records > 0, "cell produced no deliveries");
         assert!(result.passed, "space chaos cell failed:\n{}", result.detail);
     }
 
     #[test]
     fn chaos_configs_validate_with_reliability_enabled() {
-        for seed in chaos_seeds(7, 8) {
+        for seed in Selection::derived(7, 8).seeds("chaos") {
             let cfg = chaos_config(seed);
             cfg.validate();
             assert!(cfg.faults.is_enabled());
@@ -648,72 +174,20 @@ mod tests {
     }
 
     #[test]
-    fn one_dup_scenario_reconverges_and_replays_identically() {
-        let seed = chaos_seeds(42, 1)[0];
-        let first = run_chaos_scenario(SchemeKind::Dup, seed);
-        assert!(first.passed, "chaos scenario failed:\n{}", first.detail);
-        assert!(
-            first.fault_interventions > 0,
-            "scenario injected no faults at all"
-        );
+    fn one_dup_case_reconverges_and_replays_identically() {
+        let case = &(CHAOS.cases)(&Selection::derived(42, 1))[0];
+        let first = case.run(SchemeKind::Dup, Mutation::Clean);
+        assert!(first.passed, "chaos case failed:\n{}", first.detail);
+        assert!(first.fault_interventions > 0, "case injected no faults");
         assert!(
             first.phases_to_reconverge.is_some(),
-            "converged scenario reported no reconvergence phase"
+            "converged case reported no reconvergence phase"
         );
-        let second = run_chaos_scenario(SchemeKind::Dup, seed);
+        let second = case.run(SchemeKind::Dup, Mutation::Clean);
         assert_eq!(
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&second).unwrap(),
-            "same-seed chaos scenario did not replay identically"
+            "same-seed chaos case did not replay identically"
         );
-    }
-
-    #[test]
-    fn registry_renders_campaign_counters_and_histograms() {
-        let report = ChaosReport {
-            master_seed: 1,
-            scenarios: vec![
-                ChaosScenarioResult {
-                    seed: 10,
-                    scheme: "DUP".into(),
-                    passed: true,
-                    fault_interventions: 5,
-                    retransmits: 12,
-                    acked: 40,
-                    duplicates_suppressed: 3,
-                    exhausted: 1,
-                    lease_expirations: 2,
-                    orphan_repairs: 1,
-                    lease_fallbacks: 1,
-                    phases_to_reconverge: Some(2),
-                    detail: String::new(),
-                },
-                ChaosScenarioResult {
-                    seed: 11,
-                    scheme: "CUP".into(),
-                    passed: false,
-                    fault_interventions: 0,
-                    retransmits: 0,
-                    acked: 0,
-                    duplicates_suppressed: 0,
-                    exhausted: 0,
-                    lease_expirations: 0,
-                    orphan_repairs: 0,
-                    lease_fallbacks: 0,
-                    phases_to_reconverge: None,
-                    detail: "diverged".into(),
-                },
-            ],
-        };
-        let text = chaos_registry(&report).render_prometheus();
-        assert!(text.contains("dup_chaos_scenarios_total{outcome=\"pass\",scheme=\"dup\"} 1"));
-        assert!(text.contains("dup_chaos_scenarios_total{outcome=\"fail\",scheme=\"cup\"} 1"));
-        assert!(text.contains("dup_chaos_retransmits_total{scheme=\"dup\"} 12"));
-        assert!(text.contains("dup_chaos_reconverge_lease_periods_bucket"));
-        assert!(text.contains("dup_chaos_retransmits_per_scenario_bucket"));
-        let rendered = render_chaos_report(&report);
-        assert!(rendered.contains("1 passed, 1 failed"));
-        assert!(rendered.contains("--replay 11 --scheme cup"));
-        assert!(rendered.contains("lease periods to reconverge"));
     }
 }

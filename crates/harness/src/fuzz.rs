@@ -1,47 +1,52 @@
-//! `dup-experiments fuzz`: seeded fault-injection scenarios with a
-//! verification layer on top.
+//! `dup-experiments fuzz`: seeded fault-injection cases with the harness
+//! driving repair by hand.
 //!
-//! Each scenario derives a full [`RunConfig`] — topology size, workload,
+//! Each case derives a full [`RunConfig`] — topology size, workload,
 //! churn, and a [`FaultConfig`] with drop/duplicate/delay probabilities and
-//! scripted churn-boost windows — from one `u64` seed, runs it, and then
-//! verifies the outcome:
-//!
-//! * **DUP** runs via [`Runner::run_settled`]: after the horizon the fault
-//!   layer is disarmed, in-flight traffic drains, and three keep-alive
-//!   *lease epochs* repair soft state (every subscriber re-asserts; entries
-//!   nobody renewed expire). The settled state must then satisfy the full
-//!   verification layer — the structural audits of `dup_core::audit` *and*
-//!   the brute-force differential oracle of `dup_core::oracle`.
-//! * **PCX/CUP** carry no tree state to audit; their check is differential
-//!   determinism — the same seeded scenario run twice must produce
-//!   bit-identical reports even under faults.
-//!
-//! Every failure is reported with the scenario seed and a ready-to-paste
-//! replay command; scenarios are derived from the seed alone, so a replay
-//! reproduces the failure exactly.
+//! scripted churn-boost windows — from one `u64` seed, with the
+//! reliability layer **off**. What `fuzz` adds to the shared campaign
+//! (`crate::campaign`): after the horizon, [`dup_heal`] runs three
+//! keep-alive *lease epochs* by hand (every subscriber re-asserts; entries
+//! nobody renewed expire), and the settled state must then satisfy the
+//! structural audits of `dup_core::audit` *and* the brute-force
+//! differential oracle of `dup_core::oracle`.
+
+use std::ops::RangeInclusive;
 
 use rand::Rng;
-use serde::Serialize;
 
-use dup_core::{check_tree_invariants, run_simulation_kind, DupMsg, DupScheme, SchemeKind};
+use dup_core::{DupMsg, DupScheme};
 use dup_overlay::NodeId;
-use dup_proto::scheme::Ctx;
-use dup_proto::{
-    ChurnConfig, FaultConfig, FaultWindow, ProbeSink, ProtocolConfig, RunConfig, Runner,
-};
-use dup_sim::{stream_rng, stream_seed};
+use dup_proto::{ChurnConfig, Ctx, FaultConfig, FaultWindow, ReliabilityConfig, RunConfig};
+use dup_sim::stream_rng;
 
-/// How many lease-epoch phases [`run_scenario`] gives DUP after the faulted
+use crate::campaign::{maintenance_protocol, reliability, Campaign, Case};
+
+/// How many lease-epoch phases a fuzz case gives DUP after the faulted
 /// window: three full begin/reassert → expire rounds.
 pub const HEAL_PHASES: usize = 6;
 
-/// The per-scenario seeds for a fuzz campaign: `n` seeds derived from the
-/// master seed through the named-stream splitter, so campaigns are stable
-/// under reordering and any single scenario can be replayed from its seed.
-pub fn scenario_seeds(master: u64, n: usize) -> Vec<u64> {
-    (0..n)
-        .map(|i| stream_seed(master, &format!("fuzz/{i}")))
-        .collect()
+/// The `fuzz` subcommand: no metrics artifact, no space cell.
+pub static FUZZ: Campaign = Campaign {
+    name: "fuzz",
+    stem: "FUZZ",
+    default_seeds: 16,
+    cases: |selection| selection.seeds("fuzz").into_iter().map(case).collect(),
+    series: None,
+    space_cell: None,
+    traced: None,
+};
+
+/// The fuzz case of `seed`: [`scenario_config`] healed by [`dup_heal`].
+pub fn case(seed: u64) -> Case {
+    Case {
+        family: None,
+        seed,
+        cfg: scenario_config(seed),
+        heal_phases: HEAL_PHASES,
+        heal: dup_heal,
+        exercised: None,
+    }
 }
 
 /// Expands one scenario seed into a complete faulted run configuration.
@@ -52,7 +57,20 @@ pub fn scenario_seeds(master: u64, n: usize) -> Vec<u64> {
 /// and substitute cascades fire constantly and the fault layer has protocol
 /// traffic to corrupt.
 pub fn scenario_config(seed: u64) -> RunConfig {
-    let mut rng = stream_rng(seed, "fuzz-scenario");
+    faulted_config(seed, "fuzz-scenario", (0.02, 0.10), None)
+}
+
+/// The generator under [`scenario_config`] and [`crate::chaos::chaos_config`]:
+/// knobs drawn from `stream_rng(seed, stream)`, drop probability uniform on
+/// `drop_p.0 + [0, drop_p.1)`, and the reliability layer enabled with a
+/// retry budget drawn from `retries` when one is given.
+pub(crate) fn faulted_config(
+    seed: u64,
+    stream: &str,
+    drop_p: (f64, f64),
+    retries: Option<RangeInclusive<u32>>,
+) -> RunConfig {
+    let mut rng = stream_rng(seed, stream);
     let nodes = rng.gen_range(24..=96usize);
     let warmup = 400.0;
     let duration = 2_000.0 + rng.gen::<f64>() * 2_000.0;
@@ -69,7 +87,7 @@ pub fn scenario_config(seed: u64) -> RunConfig {
         })
         .collect();
     let faults = FaultConfig {
-        drop_p: 0.02 + rng.gen::<f64>() * 0.10,
+        drop_p: drop_p.0 + rng.gen::<f64>() * drop_p.1,
         duplicate_p: 0.05 + rng.gen::<f64>() * 0.10,
         delay_p: 0.05 + rng.gen::<f64>() * 0.10,
         max_extra_delay_secs: 5.0 + rng.gen::<f64>() * 40.0,
@@ -77,25 +95,22 @@ pub fn scenario_config(seed: u64) -> RunConfig {
         windows,
         ..FaultConfig::default()
     };
+    let reliability = retries.map_or_else(ReliabilityConfig::default, |r| reliability(&mut rng, r));
     RunConfig::builder(seed)
         .nodes(nodes)
         .lambda(0.5 + rng.gen::<f64>() * 3.0)
         .zipf_theta(0.4 + rng.gen::<f64>() * 0.8)
-        .protocol(ProtocolConfig {
-            ttl_secs: 600.0,
-            push_lead_secs: 30.0,
-            threshold_c: 2,
-            ..ProtocolConfig::default()
-        })
+        .protocol(maintenance_protocol())
         .warmup_secs(warmup)
         .duration_secs(duration)
         .churn(Some(ChurnConfig::balanced(0.01 + rng.gen::<f64>() * 0.03)))
         .latency_batch(20)
         .faults(faults)
+        .reliability(reliability)
         .build()
 }
 
-/// The keep-alive heal driven by [`Runner::run_settled`] for DUP: even
+/// The keep-alive heal `run_settled` drives for DUP: even
 /// phases open a lease epoch and have every live subscriber re-assert its
 /// virtual path; odd phases expire every lease the cascades did not renew.
 pub fn dup_heal(scheme: &mut DupScheme, ctx: &mut Ctx<'_, DupMsg>, phase: usize) {
@@ -114,181 +129,34 @@ pub fn dup_heal(scheme: &mut DupScheme, ctx: &mut Ctx<'_, DupMsg>, phase: usize)
     }
 }
 
-/// One verified scenario outcome.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScenarioResult {
-    /// The scenario seed (replays the scenario exactly).
-    pub seed: u64,
-    /// Scheme name ("PCX", "CUP", "DUP").
-    pub scheme: String,
-    /// True when every check passed.
-    pub passed: bool,
-    /// Number of fault interventions (drops + duplicates + delays).
-    pub fault_interventions: u64,
-    /// Human-readable violation report when `passed` is false.
-    pub detail: String,
-}
-
-/// Runs and verifies one scenario of `kind` from `seed`.
-///
-/// `mutate` flips [`DupScheme::set_break_substitute_merge`] — the
-/// deliberately broken maintenance rule used to prove the verification
-/// layer catches real corruption. It only affects DUP.
-pub fn run_scenario(kind: SchemeKind, seed: u64, mutate: bool) -> ScenarioResult {
-    let cfg = scenario_config(seed);
-    match kind {
-        SchemeKind::Dup => {
-            let mut scheme = DupScheme::new();
-            scheme.set_break_substitute_merge(mutate);
-            let settled = Runner::with_probe(cfg, scheme, ProbeSink::disabled())
-                .run_settled(HEAL_PHASES, dup_heal);
-            let interventions = settled.world.faults.stats().total();
-            match check_tree_invariants(&settled.scheme, &settled.world.tree) {
-                Ok(()) => ScenarioResult {
-                    seed,
-                    scheme: kind.name().to_string(),
-                    passed: true,
-                    fault_interventions: interventions,
-                    detail: String::new(),
-                },
-                Err(report) => ScenarioResult {
-                    seed,
-                    scheme: kind.name().to_string(),
-                    passed: false,
-                    fault_interventions: interventions,
-                    detail: report.to_string(),
-                },
-            }
-        }
-        SchemeKind::Pcx | SchemeKind::Cup => {
-            // No propagation tree to audit: the verification here is
-            // differential determinism of the faulted run itself.
-            let a = run_simulation_kind(&cfg, kind, ProbeSink::disabled());
-            let b = run_simulation_kind(&cfg, kind, ProbeSink::disabled());
-            let ja = serde_json::to_string(&a).expect("report serializes");
-            let jb = serde_json::to_string(&b).expect("report serializes");
-            let passed = ja == jb;
-            ScenarioResult {
-                seed,
-                scheme: kind.name().to_string(),
-                passed,
-                fault_interventions: 0,
-                detail: if passed {
-                    String::new()
-                } else {
-                    "faulted run is not deterministic: two same-seed runs diverged".to_string()
-                },
-            }
-        }
-    }
-}
-
-/// A full fuzz campaign: every scenario × scheme outcome.
-#[derive(Debug, Clone, Serialize)]
-pub struct FuzzReport {
-    /// Master seed the scenario seeds were derived from.
-    pub master_seed: u64,
-    /// All scenario outcomes, in execution order.
-    pub scenarios: Vec<ScenarioResult>,
-}
-
-impl FuzzReport {
-    /// The scenarios that failed verification.
-    pub fn failures(&self) -> Vec<&ScenarioResult> {
-        self.scenarios.iter().filter(|s| !s.passed).collect()
-    }
-}
-
-/// Runs `n` seeded scenarios for each of `schemes`.
-pub fn run_fuzz(master_seed: u64, n: usize, schemes: &[SchemeKind], mutate: bool) -> FuzzReport {
-    let mut scenarios = Vec::with_capacity(n * schemes.len());
-    for seed in scenario_seeds(master_seed, n) {
-        for &kind in schemes {
-            scenarios.push(run_scenario(kind, seed, mutate));
-        }
-    }
-    FuzzReport {
-        master_seed,
-        scenarios,
-    }
-}
-
-/// Console rendition of a campaign, with a replay command per failure.
-pub fn render_fuzz_report(report: &FuzzReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let failures = report.failures();
-    let _ = writeln!(
-        out,
-        "fuzz: {} scenario runs from master seed {} — {} passed, {} failed",
-        report.scenarios.len(),
-        report.master_seed,
-        report.scenarios.len() - failures.len(),
-        failures.len(),
-    );
-    for s in &report.scenarios {
-        let _ = writeln!(
-            out,
-            "  seed {:>20}  {:<4} {}  ({} fault interventions)",
-            s.seed,
-            s.scheme,
-            if s.passed { "ok" } else { "FAIL" },
-            s.fault_interventions,
-        );
-    }
-    for f in &failures {
-        let _ = writeln!(
-            out,
-            "\nFAILURE seed {} ({}):\n{}replay with:\n  dup-experiments fuzz --replay {} --scheme {}",
-            f.seed,
-            f.scheme,
-            f.detail,
-            f.seed,
-            f.scheme.to_lowercase(),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scenario_seeds_are_stable_and_distinct() {
-        let a = scenario_seeds(42, 4);
-        let b = scenario_seeds(42, 4);
-        assert_eq!(a, b);
-        let mut uniq = a.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), a.len());
-    }
+    use crate::campaign::{Mutation, Selection};
+    use dup_core::SchemeKind;
 
     #[test]
     fn scenario_configs_validate_and_enable_faults() {
-        for seed in scenario_seeds(7, 8) {
+        for seed in Selection::derived(7, 8).seeds("fuzz") {
             let cfg = scenario_config(seed);
             cfg.validate();
             assert!(cfg.faults.is_enabled());
             assert!(!cfg.faults.windows.is_empty());
+            assert!(!cfg.reliability.is_enabled());
         }
     }
 
     #[test]
-    fn one_dup_scenario_passes_and_replays_identically() {
-        let seed = scenario_seeds(42, 1)[0];
-        let first = run_scenario(SchemeKind::Dup, seed, false);
-        assert!(first.passed, "clean scenario failed:\n{}", first.detail);
-        assert!(
-            first.fault_interventions > 0,
-            "scenario injected no faults at all"
-        );
-        let second = run_scenario(SchemeKind::Dup, seed, false);
+    fn one_dup_case_passes_and_replays_identically() {
+        let case = &(FUZZ.cases)(&Selection::derived(42, 1))[0];
+        let first = case.run(SchemeKind::Dup, Mutation::Clean);
+        assert!(first.passed, "clean case failed:\n{}", first.detail);
+        assert!(first.fault_interventions > 0, "case injected no faults");
+        let second = case.run(SchemeKind::Dup, Mutation::Clean);
         assert_eq!(
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&second).unwrap(),
-            "same-seed scenario did not replay identically"
+            "same-seed case did not replay identically"
         );
     }
 }

@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod chaos;
 pub mod cli;
 pub mod experiment;
@@ -38,32 +39,24 @@ pub mod table2;
 pub mod table3;
 pub mod tracereport;
 
-pub use chaos::{
-    chaos_config, chaos_registry, chaos_seeds, chaos_space_config, render_chaos_report,
-    render_chaos_space_cell, run_chaos, run_chaos_scenario, run_chaos_space_cell, ChaosReport,
-    ChaosScenarioResult, ChaosSpaceResult, CHAOS_HEAL_PHASES,
+pub use campaign::{
+    logs_identical, space_cell, space_run, Artifact, Campaign, CampaignReport, Case, CaseResult,
+    Mutation, Selection, SpaceCellResult,
 };
+pub use chaos::CHAOS;
 pub use cli::ScenarioArgs;
 pub use experiment::{
     all_experiments, experiment_by_name, run_parallel, run_triple, run_triple_replicated,
     ExperimentOutput, HarnessOpts, Scale, SchemeKind, Triple,
 };
-pub use fuzz::{
-    render_fuzz_report, run_fuzz, run_scenario, scenario_config, scenario_seeds, FuzzReport,
-    ScenarioResult,
-};
+pub use fuzz::FUZZ;
 pub use livesmoke::{
     live_node_main, live_registry, run_live_smoke, smoke_parents, LiveSmokeReport, SMOKE_VICTIM,
 };
 pub use loadreport::{
     load_report, render_load_report, LoadPoint, LoadReport, LoadReportOutput, THETA_SWEEP,
 };
-pub use report::TextTable;
-pub use scenarios::{
-    flash_space_config, render_flash_space_cell, render_scenario_report, run_flash_space_cell,
-    run_scenario_case, run_scenario_suite, scenario_registry, scenario_suite_config,
-    scenario_suite_seeds, scenario_trace_artifacts, Mutation, ScenarioCaseResult, ScenarioFamily,
-    ScenarioSpaceResult, ScenarioSuiteReport, ScenarioTraceArtifacts,
-};
+pub use report::{write_artifact, TextTable};
+pub use scenarios::{ScenarioFamily, SCENARIOS};
 pub use spacesmoke::{render_space_smoke, space_smoke, SpaceSmokeResult};
 pub use tracereport::{render_trace_report, trace_report, ProgressProbe, TraceReport};

@@ -23,6 +23,8 @@ use dup_live::{oracle_check, read_frame, write_frame, Frame, LiveConfig, NodeSna
 use dup_overlay::NodeId;
 use dup_proto::Registry;
 
+use crate::report::write_artifact;
+
 /// The smoke topology: a root chain with a mid-tree fan-out at node 2, so
 /// killing it actually reparents branches (children 3 and 4 fall to 1).
 pub fn smoke_parents() -> Vec<Option<NodeId>> {
@@ -373,21 +375,11 @@ pub fn run_live_smoke(out_dir: Option<&Path>) -> Result<bool, String> {
         .sum();
 
     if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         let json = serde_json::to_string_pretty(&report)
             .map_err(|e| format!("report serialization: {e}"))?;
-        let json_path = dir.join("LIVE_report.json");
-        std::fs::write(&json_path, json)
-            .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
-        let prom_path = dir.join("LIVE_metrics.prom");
-        std::fs::write(&prom_path, live_registry(&report).render_prometheus())
-            .map_err(|e| format!("cannot write {}: {e}", prom_path.display()))?;
-        println!(
-            "live-smoke: wrote {} and {}",
-            json_path.display(),
-            prom_path.display()
-        );
+        write_artifact(dir, "LIVE_report.json", &json)?;
+        let prom = live_registry(&report).render_prometheus();
+        write_artifact(dir, "LIVE_metrics.prom", &prom)?;
     }
     println!(
         "live-smoke: PASS (boot {:.2} s, splice {:.2} s, rejoin {:.2} s <= bound {:.1} s)",

@@ -1,6 +1,18 @@
-//! Plain-text table rendering for experiment output.
+//! Plain-text table rendering for experiment output, and the one place
+//! that writes an artifact file.
 
 use std::fmt::Write as _;
+use std::path::Path;
+
+/// Writes `contents` to `dir/file` (creating `dir` first) and says so on
+/// stdout; the error names the path that failed.
+pub fn write_artifact(dir: &Path, file: &str, contents: &str) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let path = dir.join(file);
+    std::fs::write(&path, contents).map_err(|e| format!("write {} failed: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
 
 /// A simple fixed-column text table, rendered in the style of the paper's
 /// tables (header row, aligned columns).

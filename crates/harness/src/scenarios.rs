@@ -28,27 +28,30 @@
 //!   own peer-swapping: scoped churn continuously replaces infiltrated
 //!   peers and lease ticks expire whatever state they corrupted.
 //!
-//! Every family runs fault→heal→drain via [`Runner::run_settled`] and must
-//! pass [`check_tree_invariants`] — structural audits plus the brute-force
-//! NCA-closure oracle — within the family's reconvergence bound. PCX/CUP
-//! run each scenario under replay determinism, as in `chaos`. The suite is
-//! proven non-vacuous by mutation: re-running a family with
-//! [`DupScheme::set_break_substitute_merge`] or
-//! [`DupScheme::set_break_lease_expiry`] must make it fail (see
-//! `crates/harness/tests/scenario_suite.rs`).
+//! What `scenarios` adds to the shared campaign (`crate::campaign`): the
+//! per-family [`scenario_suite_config`] generators, the family's
+//! reconvergence bound as the heal-phase budget, the self-check predicate
+//! (did the family's mechanism fire?), the `dup_scenario_*` series, the
+//! flash-crowd space cell ([`flash_space_config`]) and one traced
+//! Perfetto/Prometheus export per family. The suite is proven non-vacuous
+//! by mutation: re-running a family with a [`crate::campaign::Mutation`]
+//! must make it fail (see `crates/harness/tests/scenario_suite.rs`).
 
 use rand::Rng;
 use serde::Serialize;
 
-use dup_core::{check_tree_invariants, run_simulation_kind, DupScheme, RepairStats, SchemeKind};
+use dup_core::DupScheme;
 use dup_proto::{
-    perfetto_trace, run_simulation_space_settled, CaptureProbe, ChurnConfig, FaultConfig,
-    FaultWindow, NodeRange, PartitionWindow, ProbeSink, ProtocolConfig, QueueBackendConfig,
-    Registry, ReliabilityConfig, ReliabilityStats, RunConfig, Runner, Scheme, SlowLink,
+    perfetto_trace, CaptureProbe, ChurnConfig, FaultConfig, FaultStats, FaultWindow, NodeRange,
+    PartitionWindow, ProbeSink, QueueBackendConfig, Registry, RunConfig, Runner, SlowLink,
     TraceCollector, ZipfPhase,
 };
-use dup_sim::{stream_rng, stream_seed};
-use dup_stats::Histogram;
+use dup_sim::stream_rng;
+
+use crate::campaign::{
+    lease_tick, maintenance_protocol, reliability, Artifact, Campaign, Case, Selection, Series,
+    SeriesTable,
+};
 
 /// The four adversarial scenario families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -91,7 +94,7 @@ impl ScenarioFamily {
     /// flash crowds and slow links corrupt through loss alone (2×2),
     /// partitions also strand whole-region lease state (2×3), and
     /// infiltration layers scoped churn on escalating cuts (2×4).
-    pub fn reconvergence_bound(self) -> usize {
+    pub const fn reconvergence_bound(self) -> usize {
         match self {
             ScenarioFamily::FlashCrowd => 4,
             ScenarioFamily::Partition => 6,
@@ -120,83 +123,90 @@ impl std::str::FromStr for ScenarioFamily {
     }
 }
 
-/// A seeded protocol mutation used to prove a family non-vacuous: a
-/// scenario that still passes with the maintenance rule deliberately
-/// broken is not checking anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Mutation {
-    /// No mutation: the scenario must pass.
-    Clean,
-    /// [`DupScheme::set_break_substitute_merge`]: substitute lists are
-    /// dropped instead of merged when a parent fails.
-    BrokenSubstituteMerge,
-    /// [`DupScheme::set_break_lease_expiry`]: the lease sweep only evicts
-    /// dead nodes' entries, never live-but-unrenewed ones.
-    BrokenLeaseExpiry,
-}
+/// The `scenarios` subcommand.
+pub static SCENARIOS: Campaign = Campaign {
+    name: "scenarios",
+    stem: "SCENARIO",
+    default_seeds: 2,
+    cases,
+    series: Some(&SeriesTable {
+        outcomes: (
+            "dup_scenario_cases_total",
+            "Adversarial scenario cases run, by family, scheme, and outcome",
+        ),
+        counters: &[
+            Series {
+                name: "dup_scenario_fault_interventions_total",
+                help: "Fault interventions (probabilistic plus partition drops), by family",
+                value: |c| c.fault_interventions,
+            },
+            Series {
+                name: "dup_scenario_partition_drops_total",
+                help: "Messages dropped by deterministic partition cuts, by family",
+                value: |c| c.partition_drops,
+            },
+            Series {
+                name: "dup_scenario_retransmits_total",
+                help: "Reliability-layer retransmissions, by family",
+                value: |c| c.retransmits,
+            },
+        ],
+        retransmits: None,
+        reconvergence: (
+            "dup_scenario_reconverge_lease_periods",
+            "Lease periods until a DUP scenario case matched the oracle tree",
+        ),
+    }),
+    space_cell: Some((
+        flash_space_config,
+        ScenarioFamily::FlashCrowd.reconvergence_bound(),
+    )),
+    traced: Some(trace_artifacts),
+};
 
-impl Mutation {
-    /// The deliberately broken rules (everything except [`Mutation::Clean`]).
-    pub const BROKEN: [Mutation; 2] =
-        [Mutation::BrokenSubstituteMerge, Mutation::BrokenLeaseExpiry];
-
-    /// Short stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mutation::Clean => "clean",
-            Mutation::BrokenSubstituteMerge => "broken-substitute-merge",
-            Mutation::BrokenLeaseExpiry => "broken-lease-expiry",
-        }
-    }
-
-    fn apply(self, scheme: &mut DupScheme) {
-        match self {
-            Mutation::Clean => {}
-            Mutation::BrokenSubstituteMerge => scheme.set_break_substitute_merge(true),
-            Mutation::BrokenLeaseExpiry => scheme.set_break_lease_expiry(true),
-        }
-    }
-}
-
-/// The per-family scenario seeds, derived from the master seed through the
-/// named-stream splitter (`scenario/<family>/<i>`): stable under
-/// reordering, disjoint across families, replayable from the seed alone.
-pub fn scenario_suite_seeds(master: u64, family: ScenarioFamily, n: usize) -> Vec<u64> {
-    (0..n)
-        .map(|i| stream_seed(master, &format!("scenario/{}/{i}", family.name())))
+/// The selected families' cases: per family, the seeds of stream
+/// `scenario/<family>`, in canonical family order.
+fn cases(selection: &Selection) -> Vec<Case> {
+    ScenarioFamily::ALL
+        .into_iter()
+        .filter(|f| selection.family.is_none() || selection.family == Some(f.name()))
+        .flat_map(|f| {
+            let seeds = selection.seeds(&format!("scenario/{}", f.name()));
+            seeds.into_iter().map(move |seed| case(f, seed))
+        })
         .collect()
 }
 
-/// The shared reliable-delivery profile for the suite (always enabled —
-/// the claims are about the *maintained* protocol, not raw best-effort).
-/// The retry budget is kept shallow (3–4) on purpose: adversarial windows
-/// are long enough to exhaust it, so some maintenance traffic is
-/// *permanently* lost and recovery must come from the lease layer — the
-/// path the broken-lease-expiry mutation sabotages.
-fn suite_reliability(rng: &mut dup_sim::StreamRng) -> ReliabilityConfig {
-    ReliabilityConfig {
-        enabled: true,
-        ack_timeout_secs: 2.0 + rng.gen::<f64>() * 3.0,
-        backoff_factor: 2.0,
-        max_backoff_secs: 60.0,
-        jitter_frac: 0.1,
-        max_retries: rng.gen_range(3..=4u32),
-        lease_every_secs: 150.0,
+/// The case of `family` at `seed`: [`scenario_suite_config`] healed by
+/// lease ticks within the family's bound, self-checked — partition
+/// families script deterministic cuts and must have dropped something at
+/// one; the others must have drawn a probabilistic fault.
+pub fn case(family: ScenarioFamily, seed: u64) -> Case {
+    let exercised: fn(&FaultStats) -> bool = match family {
+        ScenarioFamily::Partition | ScenarioFamily::Infiltration => |s| s.partitioned > 0,
+        ScenarioFamily::FlashCrowd | ScenarioFamily::AsymLink => |s| s.total() > 0,
+    };
+    Case {
+        family: Some(family.name()),
+        seed,
+        cfg: scenario_suite_config(family, seed),
+        heal_phases: family.reconvergence_bound(),
+        heal: lease_tick,
+        exercised: Some(exercised),
     }
 }
 
-fn suite_protocol() -> ProtocolConfig {
-    ProtocolConfig {
-        ttl_secs: 600.0,
-        push_lead_secs: 30.0,
-        threshold_c: 2,
-        ..ProtocolConfig::default()
-    }
-}
+/// The suite's retry-budget range (see [`scenario_suite_config`]).
+const SUITE_RETRIES: std::ops::RangeInclusive<u32> = 3..=4;
 
 /// Expands one seed into the family's complete scenario configuration.
 /// Every family runs the timer-wheel queue backend (the CI smoke's
-/// production configuration) with the reliability layer enabled.
+/// production configuration) with the reliability layer enabled — the
+/// claims are about the *maintained* protocol, not raw best-effort. The
+/// retry budget is kept shallow (3–4) on purpose: adversarial
+/// windows are long enough to exhaust it, so some maintenance traffic is
+/// *permanently* lost and recovery must come from the lease layer — the
+/// path the broken-lease-expiry mutation sabotages.
 pub fn scenario_suite_config(family: ScenarioFamily, seed: u64) -> RunConfig {
     let mut rng = stream_rng(seed, &format!("scenario-{}", family.name()));
     let nodes = rng.gen_range(48..=96usize);
@@ -206,7 +216,7 @@ pub fn scenario_suite_config(family: ScenarioFamily, seed: u64) -> RunConfig {
     let builder = RunConfig::builder(seed)
         .nodes(nodes)
         .lambda(0.5 + rng.gen::<f64>() * 2.0)
-        .protocol(suite_protocol())
+        .protocol(maintenance_protocol())
         .warmup_secs(warmup)
         .duration_secs(duration)
         .latency_batch(20)
@@ -246,7 +256,7 @@ pub fn scenario_suite_config(family: ScenarioFamily, seed: u64) -> RunConfig {
                 ])
                 .churn(Some(ChurnConfig::balanced(0.02 + rng.gen::<f64>() * 0.02)))
                 .faults(faults)
-                .reliability(suite_reliability(&mut rng))
+                .reliability(reliability(&mut rng, SUITE_RETRIES))
                 .build()
         }
         ScenarioFamily::Partition => {
@@ -282,7 +292,7 @@ pub fn scenario_suite_config(family: ScenarioFamily, seed: u64) -> RunConfig {
                 .zipf_theta(0.4 + rng.gen::<f64>() * 0.8)
                 .churn(Some(ChurnConfig::balanced(0.02 + rng.gen::<f64>() * 0.02)))
                 .faults(faults)
-                .reliability(suite_reliability(&mut rng))
+                .reliability(reliability(&mut rng, SUITE_RETRIES))
                 .build()
         }
         ScenarioFamily::AsymLink => {
@@ -320,7 +330,7 @@ pub fn scenario_suite_config(family: ScenarioFamily, seed: u64) -> RunConfig {
                 .zipf_theta(0.4 + rng.gen::<f64>() * 0.8)
                 .churn(Some(ChurnConfig::balanced(0.03 + rng.gen::<f64>() * 0.02)))
                 .faults(faults)
-                .reliability(suite_reliability(&mut rng))
+                .reliability(reliability(&mut rng, SUITE_RETRIES))
                 .build()
         }
         ScenarioFamily::Infiltration => {
@@ -382,426 +392,45 @@ pub fn scenario_suite_config(family: ScenarioFamily, seed: u64) -> RunConfig {
                 .zipf_theta(0.4 + rng.gen::<f64>() * 0.8)
                 .churn(Some(churn))
                 .faults(faults)
-                .reliability(suite_reliability(&mut rng))
+                .reliability(reliability(&mut rng, SUITE_RETRIES))
                 .build()
         }
     }
 }
 
-/// One verified scenario-suite case.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScenarioCaseResult {
-    /// The family name (kebab-case).
-    pub family: String,
-    /// The scenario seed (replays the case exactly).
-    pub seed: u64,
-    /// Scheme name ("PCX", "CUP", "DUP").
-    pub scheme: String,
-    /// The mutation applied ("clean" for the assertion runs).
-    pub mutation: String,
-    /// True when the check passed (mutated runs are *expected* to fail;
-    /// this field still reports what happened).
-    pub passed: bool,
-    /// The family's reconvergence bound (lease periods granted).
-    pub bound: usize,
-    /// Probabilistic fault interventions plus partition drops.
-    pub fault_interventions: u64,
-    /// Messages dropped by deterministic partition cuts alone.
-    pub partition_drops: u64,
-    /// Retransmissions the reliability layer performed (DUP).
-    pub retransmits: u64,
-    /// Subscriber-list entries expired for want of lease renewal (DUP).
-    pub lease_expirations: u64,
-    /// Stale-cache orphans repaired at lease boundaries (DUP).
-    pub orphan_repairs: u64,
-    /// Lease periods until the state first matched the oracle; `None`
-    /// means never (a DUP failure) or not applicable (PCX/CUP).
-    pub phases_to_reconverge: Option<usize>,
-    /// Human-readable violation report when `passed` is false.
-    pub detail: String,
-}
-
-/// Runs and verifies one scenario-suite case.
-///
-/// DUP runs fault→heal→drain through [`Runner::run_settled`] with the
-/// family's reconvergence bound as the heal-phase budget and must pass the
-/// NCA-closure oracle; PCX/CUP are checked by replay determinism of the
-/// faulted run. `mutation` deliberately breaks a DUP maintenance rule —
-/// used by the non-vacuity tests, which assert the scenario then *fails*.
-pub fn run_scenario_case(
-    family: ScenarioFamily,
-    kind: SchemeKind,
-    seed: u64,
-    mutation: Mutation,
-) -> ScenarioCaseResult {
-    let cfg = scenario_suite_config(family, seed);
-    let bound = family.reconvergence_bound();
-    match kind {
-        SchemeKind::Dup => {
-            let mut scheme = DupScheme::new();
-            mutation.apply(&mut scheme);
-            let mut first_converged: Option<usize> = None;
-            let settled = Runner::with_probe(cfg, scheme, ProbeSink::disabled()).run_settled(
-                bound,
-                |scheme, ctx, phase| {
-                    // Phase entry is quiescent (the previous period's
-                    // traffic fully drained) — a state the oracle can judge.
-                    if first_converged.is_none()
-                        && check_tree_invariants(scheme, ctx.tree()).is_ok()
-                    {
-                        first_converged = Some(phase);
-                    }
-                    scheme.on_lease_tick(ctx);
-                },
-            );
-            let stats = settled.world.faults.stats();
-            let rel = settled.world.reliable.stats();
-            let repair = settled.scheme.repair_stats();
-            let final_check = check_tree_invariants(&settled.scheme, &settled.world.tree);
-            let phases = first_converged.or(final_check.is_ok().then_some(bound));
-            let (mut passed, mut detail) = match final_check {
-                Ok(()) => (true, String::new()),
-                Err(report) => (false, report.to_string()),
-            };
-            // Self-checks: a scenario only counts as passed when its
-            // adversarial mechanism demonstrably fired AND the soft-state
-            // lease maintenance it claims to survive actually ran. A
-            // config drift that de-fangs a family (e.g. partition windows
-            // missing every live node) or a protocol change that silently
-            // disables the lease sweep must fail the scenario, not
-            // trivially pass it.
-            let exercised = match family {
-                ScenarioFamily::Partition | ScenarioFamily::Infiltration => stats.partitioned > 0,
-                ScenarioFamily::FlashCrowd | ScenarioFamily::AsymLink => stats.total() > 0,
-            };
-            if !exercised {
-                passed = false;
-                detail.push_str("vacuous scenario: the family's fault mechanism never fired\n");
-            }
-            if repair.lease_expirations == 0 {
-                passed = false;
-                detail.push_str(
-                    "soft-state repair inactive: the lease sweep never expired an entry\n",
-                );
-            }
-            case(
-                family,
-                seed,
-                kind,
-                mutation,
-                passed,
-                stats.total(),
-                stats.partitioned,
-                rel,
-                repair,
-                phases,
-                detail,
-            )
-        }
-        SchemeKind::Pcx | SchemeKind::Cup => {
-            let a = run_simulation_kind(&cfg, kind, ProbeSink::disabled());
-            let b = run_simulation_kind(&cfg, kind, ProbeSink::disabled());
-            let ja = serde_json::to_string(&a).expect("report serializes");
-            let jb = serde_json::to_string(&b).expect("report serializes");
-            let passed = ja == jb;
-            let detail = if passed {
-                String::new()
-            } else {
-                "adversarial run is not deterministic: two same-seed runs diverged".to_string()
-            };
-            case(
-                family,
-                seed,
-                kind,
-                mutation,
-                passed,
-                0,
-                0,
-                ReliabilityStats::default(),
-                RepairStats::default(),
-                None,
-                detail,
-            )
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // flat assembly of one result row
-fn case(
-    family: ScenarioFamily,
-    seed: u64,
-    kind: SchemeKind,
-    mutation: Mutation,
-    passed: bool,
-    fault_interventions: u64,
-    partition_drops: u64,
-    rel: ReliabilityStats,
-    repair: RepairStats,
-    phases_to_reconverge: Option<usize>,
-    detail: String,
-) -> ScenarioCaseResult {
-    ScenarioCaseResult {
-        family: family.name().to_string(),
-        seed,
-        scheme: kind.name().to_string(),
-        mutation: mutation.name().to_string(),
-        passed,
-        bound: family.reconvergence_bound(),
-        fault_interventions,
-        partition_drops,
-        retransmits: rel.retransmits,
-        lease_expirations: repair.lease_expirations,
-        orphan_repairs: repair.orphan_repairs,
-        phases_to_reconverge,
-        detail,
-    }
-}
-
-/// A full scenario-suite campaign: every family × seed × scheme outcome.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScenarioSuiteReport {
-    /// Master seed the per-family seeds were derived from.
-    pub master_seed: u64,
-    /// All case outcomes, in execution order.
-    pub cases: Vec<ScenarioCaseResult>,
-}
-
-impl ScenarioSuiteReport {
-    /// The cases that failed verification.
-    pub fn failures(&self) -> Vec<&ScenarioCaseResult> {
-        self.cases.iter().filter(|c| !c.passed).collect()
-    }
-
-    /// Lease-periods-to-reconvergence histogram over the converged DUP
-    /// cases (bucket width 1).
-    pub fn reconvergence_histogram(&self) -> Histogram {
-        let max_bound = ScenarioFamily::ALL
-            .iter()
-            .map(|f| f.reconvergence_bound())
-            .max()
-            .unwrap_or(8);
-        let mut h = Histogram::new(1.0, max_bound + 2);
-        for c in &self.cases {
-            if let Some(p) = c.phases_to_reconverge {
-                h.record(p as f64);
-            }
-        }
-        h
-    }
-}
-
-/// Runs `n` seeded scenarios per family for each of `schemes` (clean — no
-/// mutation; the mutation runs live in the non-vacuity tests).
-pub fn run_scenario_suite(
-    master_seed: u64,
-    n: usize,
-    families: &[ScenarioFamily],
-    schemes: &[SchemeKind],
-) -> ScenarioSuiteReport {
-    let mut cases = Vec::with_capacity(n * families.len() * schemes.len());
-    for &family in families {
-        for seed in scenario_suite_seeds(master_seed, family, n) {
-            for &kind in schemes {
-                cases.push(run_scenario_case(family, kind, seed, Mutation::Clean));
-            }
-        }
-    }
-    ScenarioSuiteReport { master_seed, cases }
-}
-
-/// Folds a campaign into a telemetry [`Registry`] for the
-/// `SCENARIO_metrics.prom` artifact: per-family/scheme outcome counters,
-/// partition-drop and fault-intervention totals, and the
-/// reconvergence-phase histogram.
-pub fn scenario_registry(report: &ScenarioSuiteReport) -> Registry {
-    let mut reg = Registry::new();
-    reg.describe(
-        "dup_scenario_cases_total",
-        "Adversarial scenario cases run, by family, scheme, and outcome",
-    );
-    reg.describe(
-        "dup_scenario_fault_interventions_total",
-        "Fault interventions (probabilistic plus partition drops), by family",
-    );
-    reg.describe(
-        "dup_scenario_partition_drops_total",
-        "Messages dropped by deterministic partition cuts, by family",
-    );
-    reg.describe(
-        "dup_scenario_retransmits_total",
-        "Reliability-layer retransmissions, by family",
-    );
-    for c in &report.cases {
-        let scheme = c.scheme.to_lowercase();
-        let outcome = if c.passed { "pass" } else { "fail" };
-        reg.inc_counter(
-            "dup_scenario_cases_total",
-            &[
-                ("family", c.family.as_str()),
-                ("scheme", scheme.as_str()),
-                ("outcome", outcome),
-            ],
-            1,
-        );
-        let labels = [("family", c.family.as_str())];
-        reg.inc_counter(
-            "dup_scenario_fault_interventions_total",
-            &labels,
-            c.fault_interventions,
-        );
-        reg.inc_counter(
-            "dup_scenario_partition_drops_total",
-            &labels,
-            c.partition_drops,
-        );
-        reg.inc_counter("dup_scenario_retransmits_total", &labels, c.retransmits);
-    }
-    reg.describe(
-        "dup_scenario_reconverge_lease_periods",
-        "Lease periods until a DUP scenario case matched the oracle tree",
-    );
-    let ch = report.reconvergence_histogram();
-    let ch_sum = ch.approx_mean() * (ch.total() - ch.overflow()) as f64;
-    reg.observe_histogram(
-        "dup_scenario_reconverge_lease_periods",
-        &[("scheme", "dup")],
-        &ch,
-        ch_sum,
-    );
-    reg
-}
-
-/// Console rendition of a campaign: per-case rows, the reconvergence
-/// summary, and a replay command per failure.
-pub fn render_scenario_report(report: &ScenarioSuiteReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let failures = report.failures();
-    let _ = writeln!(
-        out,
-        "scenarios: {} cases from master seed {} — {} passed, {} failed",
-        report.cases.len(),
-        report.master_seed,
-        report.cases.len() - failures.len(),
-        failures.len(),
-    );
-    for c in &report.cases {
-        let status = if c.passed { "ok" } else { "FAIL" };
-        if c.scheme == "DUP" {
-            let phases = match c.phases_to_reconverge {
-                Some(p) => format!("{p}/{} lease period(s)", c.bound),
-                None => format!("never (bound {})", c.bound),
-            };
-            let _ = writeln!(
-                out,
-                "  {:<12} seed {:>20}  {:<4} {}  ({} faults, {} partition drops, \
-                 {} retransmits, {} orphan repairs, reconverged after {})",
-                c.family,
-                c.seed,
-                c.scheme,
-                status,
-                c.fault_interventions,
-                c.partition_drops,
-                c.retransmits,
-                c.orphan_repairs,
-                phases,
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "  {:<12} seed {:>20}  {:<4} {}  (adversarial replay determinism)",
-                c.family, c.seed, c.scheme, status,
-            );
-        }
-    }
-    let ch = report.reconvergence_histogram();
-    if ch.total() > 0 {
-        let _ = writeln!(
-            out,
-            "lease periods to reconverge: mean {:.2}, p50 {}, p95 {}",
-            ch.approx_mean(),
-            ch.p50().map_or("-".into(), |v| format!("{v:.0}")),
-            ch.p95().map_or("-".into(), |v| format!("{v:.0}")),
-        );
-    }
-    for f in &failures {
-        let _ = writeln!(
-            out,
-            "\nFAILURE {} seed {} ({}):\n{}replay with:\n  dup-experiments scenarios \
-             --replay {} --family {} --scheme {}",
-            f.family,
-            f.seed,
-            f.scheme,
-            f.detail,
-            f.seed,
-            f.family,
-            f.scheme.to_lowercase(),
-        );
+/// One fully traced clean DUP run (fault→heal→drain) per selected family,
+/// at the family's replay seed or first derived seed, folded into the
+/// `SCENARIO_<family>_perfetto.json` / `SCENARIO_<family>_metrics.prom`
+/// pair the CI job uploads: the propagation-tree latency decomposition
+/// (transit vs. hold vs. install) as Chrome/Perfetto trace-event JSON plus
+/// the run metrics as Prometheus text.
+fn trace_artifacts(selection: &Selection) -> Vec<Artifact> {
+    let first = Selection {
+        seeds: 1,
+        ..*selection
+    };
+    let mut out = Vec::new();
+    for case in cases(&first) {
+        let capture = CaptureProbe::new();
+        let probe = ProbeSink::attach(capture.clone());
+        let settled = Runner::with_probe(case.cfg, DupScheme::new(), probe)
+            .run_settled(case.heal_phases, case.heal);
+        let collector = TraceCollector::from_events(&capture.events());
+        let mut registry = Registry::new();
+        registry.record_run(&settled.report);
+        registry.record_trace_summary(&collector.summary(), &settled.report.scheme);
+        let stem = case.family.unwrap_or_default().replace('-', "_");
+        let perfetto = serde_json::to_string(&perfetto_trace(&collector));
+        out.push(Artifact {
+            file: format!("SCENARIO_{stem}_perfetto.json"),
+            contents: perfetto.expect("perfetto doc serializes") + "\n",
+        });
+        out.push(Artifact {
+            file: format!("SCENARIO_{stem}_metrics.prom"),
+            contents: registry.render_prometheus(),
+        });
     }
     out
-}
-
-/// One family's trace artifacts: the Perfetto trace-event document and the
-/// Prometheus exposition of one traced DUP run of the family (the
-/// `SCENARIO_<family>_perfetto.json` / `SCENARIO_<family>_metrics.prom`
-/// pair the CI job uploads).
-pub struct ScenarioTraceArtifacts {
-    /// The traced family.
-    pub family: ScenarioFamily,
-    /// The scenario seed traced.
-    pub seed: u64,
-    /// Message lifetimes the collector tracked.
-    pub traced_spans: usize,
-    /// Chrome/Perfetto trace-event JSON document.
-    pub perfetto: serde_json::Value,
-    /// Prometheus text exposition (run metrics + latency decomposition).
-    pub prometheus: String,
-}
-
-/// Runs one fully traced DUP case of `family` (fault→heal→drain, clean)
-/// and folds the captured event stream into the per-family artifacts: the
-/// propagation-tree latency decomposition (transit vs. hold vs. install)
-/// as Perfetto JSON plus the metrics registry as Prometheus text.
-pub fn scenario_trace_artifacts(family: ScenarioFamily, seed: u64) -> ScenarioTraceArtifacts {
-    let cfg = scenario_suite_config(family, seed);
-    let capture = CaptureProbe::new();
-    let settled = Runner::with_probe(cfg, DupScheme::new(), ProbeSink::attach(capture.clone()))
-        .run_settled(family.reconvergence_bound(), |scheme, ctx, _phase| {
-            scheme.on_lease_tick(ctx);
-        });
-    let events = capture.events();
-    let collector = TraceCollector::from_events(&events);
-    let summary = collector.summary();
-    let mut registry = Registry::new();
-    registry.record_run(&settled.report);
-    registry.record_trace_summary(&summary, &settled.report.scheme);
-    ScenarioTraceArtifacts {
-        family,
-        seed,
-        traced_spans: collector.span_count(),
-        perfetto: perfetto_trace(&collector),
-        prometheus: registry.render_prometheus(),
-    }
-}
-
-/// Outcome of the flash-crowd space-parallel cell (see
-/// [`run_flash_space_cell`]).
-#[derive(Debug, Clone, Serialize)]
-pub struct ScenarioSpaceResult {
-    /// The scenario seed.
-    pub seed: u64,
-    /// Space-shard count of the parallel run (the reference runs 1).
-    pub space_shards: usize,
-    /// Delivery-log records compared.
-    pub log_records: usize,
-    /// True when the 2-shard event log equals the 1-shard log bit for bit.
-    pub logs_identical: bool,
-    /// True when the merged cross-shard DUP state passed the oracle.
-    pub oracle_ok: bool,
-    /// Both of the above.
-    pub passed: bool,
-    /// Human-readable report when `passed` is false.
-    pub detail: String,
 }
 
 /// The flash-crowd **space-parallel** configuration: the piecewise-θ
@@ -842,87 +471,20 @@ pub fn flash_space_config(seed: u64) -> RunConfig {
                 theta: base_theta,
             },
         ])
-        .protocol(suite_protocol())
+        .protocol(maintenance_protocol())
         .warmup_secs(warmup)
         .duration_secs(duration)
         .latency_batch(20)
         .queue_backend(QueueBackendConfig::TimerWheel)
         .faults(faults)
-        .reliability(suite_reliability(&mut rng))
+        .reliability(reliability(&mut rng, SUITE_RETRIES))
         .build()
-}
-
-/// The flash-crowd space cell: the same piecewise-θ scenario run
-/// fault→heal→drain sequentially and partitioned across two space shards.
-/// Passing requires the merged event logs bit-identical and the 2-shard
-/// final state, folded owner-locally, to match the oracle tree.
-pub fn run_flash_space_cell(seed: u64) -> ScenarioSpaceResult {
-    let base = flash_space_config(seed);
-    let bound = ScenarioFamily::FlashCrowd.reconvergence_bound();
-    let heal = |scheme: &mut DupScheme, ctx: &mut dup_proto::Ctx<'_, dup_core::DupMsg>, _phase| {
-        scheme.on_lease_tick(ctx);
-    };
-    let mut cfg1 = base.clone();
-    cfg1.space_shards = 1;
-    let (_, log1) = run_simulation_space_settled(&cfg1, DupScheme::new, true, bound, heal);
-    let mut cfg2 = base;
-    cfg2.space_shards = 2;
-    let (settled, log2) = run_simulation_space_settled(&cfg2, DupScheme::new, true, bound, heal);
-    let logs_identical = !log1.is_empty() && log1 == log2;
-    let mut merged = DupScheme::new();
-    for (i, (scheme, _)) in settled.shards.iter().enumerate() {
-        merged.adopt_owned_lists(scheme, |n| settled.map.owner(n) == i);
-    }
-    let oracle = check_tree_invariants(&merged, &settled.shards[0].1.tree);
-    let oracle_ok = oracle.is_ok();
-    let mut detail = String::new();
-    if !logs_identical {
-        detail.push_str("2-shard flash-crowd event log diverged from the 1-shard log\n");
-    }
-    if let Err(report) = oracle {
-        detail.push_str(&report.to_string());
-    }
-    ScenarioSpaceResult {
-        seed,
-        space_shards: 2,
-        log_records: log1.len(),
-        logs_identical,
-        oracle_ok,
-        passed: logs_identical && oracle_ok,
-        detail,
-    }
-}
-
-/// Console rendition of the flash-crowd space cell.
-pub fn render_flash_space_cell(result: &ScenarioSpaceResult) -> String {
-    let mut out = format!(
-        "flash-crowd space cell: seed {} space_shards={} -> {} \
-         ({} log records, logs {}, oracle {})\n",
-        result.seed,
-        result.space_shards,
-        if result.passed { "ok" } else { "FAIL" },
-        result.log_records,
-        if result.logs_identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        },
-        if result.oracle_ok {
-            "converged"
-        } else {
-            "VIOLATED"
-        },
-    );
-    if !result.detail.is_empty() {
-        out.push_str(&result.detail);
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::space_cell;
 
     #[test]
     fn family_names_round_trip() {
@@ -933,23 +495,9 @@ mod tests {
     }
 
     #[test]
-    fn suite_seeds_are_stable_and_disjoint_across_families() {
-        let mut all = Vec::new();
-        for family in ScenarioFamily::ALL {
-            let a = scenario_suite_seeds(42, family, 4);
-            assert_eq!(a, scenario_suite_seeds(42, family, 4));
-            all.extend(a);
-        }
-        let n = all.len();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), n, "families share scenario seeds");
-    }
-
-    #[test]
     fn suite_configs_validate_and_script_their_family() {
         for family in ScenarioFamily::ALL {
-            for seed in scenario_suite_seeds(7, family, 4) {
+            for seed in Selection::derived(7, 4).seeds(&format!("scenario/{family}")) {
                 let cfg = scenario_suite_config(family, seed);
                 cfg.validate();
                 assert!(cfg.faults.is_enabled());
@@ -989,40 +537,29 @@ mod tests {
     }
 
     #[test]
-    fn flash_space_cell_matches_sequential_log() {
-        let result = run_flash_space_cell(0x005C_EA05);
-        assert!(result.log_records > 0, "cell produced no deliveries");
-        assert!(result.passed, "flash space cell failed:\n{}", result.detail);
+    fn selection_filters_families_and_keeps_canonical_order() {
+        let all = cases(&Selection::derived(42, 2));
+        let families: Vec<_> = all.iter().filter_map(|c| c.family).collect();
+        let expected: Vec<_> = ScenarioFamily::ALL
+            .iter()
+            .flat_map(|f| [f.name(), f.name()])
+            .collect();
+        assert_eq!(families, expected);
+        let one = Selection {
+            family: Some("partition"),
+            replay: Some(9),
+            ..Selection::derived(42, 2)
+        };
+        let picked = cases(&one);
+        assert_eq!(picked.len(), 1);
+        assert_eq!((picked[0].family, picked[0].seed), (Some("partition"), 9));
     }
 
     #[test]
-    fn registry_renders_campaign_counters() {
-        let report = ScenarioSuiteReport {
-            master_seed: 1,
-            cases: vec![ScenarioCaseResult {
-                family: "partition".into(),
-                seed: 10,
-                scheme: "DUP".into(),
-                mutation: "clean".into(),
-                passed: true,
-                bound: 6,
-                fault_interventions: 9,
-                partition_drops: 9,
-                retransmits: 4,
-                lease_expirations: 2,
-                orphan_repairs: 1,
-                phases_to_reconverge: Some(2),
-                detail: String::new(),
-            }],
-        };
-        let text = scenario_registry(&report).render_prometheus();
-        assert!(text.contains(
-            "dup_scenario_cases_total{family=\"partition\",outcome=\"pass\",scheme=\"dup\"} 1"
-        ));
-        assert!(text.contains("dup_scenario_partition_drops_total{family=\"partition\"} 9"));
-        assert!(text.contains("dup_scenario_reconverge_lease_periods_bucket"));
-        let rendered = render_scenario_report(&report);
-        assert!(rendered.contains("1 passed, 0 failed"));
-        assert!(rendered.contains("2/6 lease period(s)"));
+    fn flash_space_cell_matches_sequential_log() {
+        let bound = ScenarioFamily::FlashCrowd.reconvergence_bound();
+        let result = space_cell(&flash_space_config(0x005C_EA05), bound);
+        assert!(result.log_records > 0, "cell produced no deliveries");
+        assert!(result.passed, "flash space cell failed:\n{}", result.detail);
     }
 }

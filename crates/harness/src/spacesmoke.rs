@@ -13,6 +13,7 @@ use serde::Serialize;
 use dup_core::{run_simulation_space_kind_logged, SchemeKind};
 use dup_proto::QueueBackendConfig;
 
+use crate::campaign::logs_identical;
 use crate::experiment::HarnessOpts;
 
 /// The outcome of one space-smoke comparison.
@@ -48,8 +49,7 @@ pub fn space_smoke(opts: &HarnessOpts) -> SpaceSmokeResult {
         log_records: sequential_log.len(),
         cross_shard_message_ratio: report.cross_shard_message_ratio,
         // A cell with no cross-shard traffic is vacuous, so it fails too.
-        passed: !sequential_log.is_empty()
-            && sequential_log == parallel_log
+        passed: logs_identical(&sequential_log, &parallel_log)
             && report.cross_shard_message_ratio > 0.0,
     }
 }

@@ -15,8 +15,7 @@
 //! ```
 
 use dup_harness::{
-    chaos_registry, run_chaos, run_fuzz, run_scenario_suite, scenario_registry, ScenarioFamily,
-    SchemeKind,
+    Campaign, CampaignReport, Mutation, SchemeKind, Selection, CHAOS, FUZZ, SCENARIOS,
 };
 use serde_json::Value;
 
@@ -45,9 +44,16 @@ fn rows(doc: &Value) -> &Vec<Value> {
         .expect("report carries a row array")
 }
 
+/// Runs `seeds` derived seeds per family of `campaign`, clean, for all
+/// three schemes.
+fn run(campaign: &Campaign, seeds: usize) -> CampaignReport {
+    let selection = Selection::derived(MASTER_SEED, seeds);
+    campaign.run(&selection, &SchemeKind::ALL, Mutation::Clean)
+}
+
 /// Every key of every golden row must be present, with an equal value, in
 /// the regenerated report's row at the same position.
-fn assert_rows_hold(name: &str, report: &impl serde::Serialize) {
+fn assert_rows_hold(name: &str, report: &CampaignReport) {
     let actual = serde_json::to_string_pretty(report).expect("report serializes") + "\n";
     let golden: Value = serde_json::from_str(&golden(name, &actual)).expect("golden parses");
     let actual: Value = serde_json::from_str(&actual).expect("report parses");
@@ -74,33 +80,28 @@ fn series(text: &str) -> Vec<&str> {
     text.lines().filter(|l| !l.starts_with('#')).collect()
 }
 
-fn assert_series_hold(name: &str, actual: &str) {
-    let golden = golden(name, actual);
-    assert_eq!(series(actual), series(&golden), "{name}: series drifted");
+fn assert_series_hold(name: &str, campaign: &Campaign, report: &CampaignReport) {
+    let table = campaign.series.expect("campaign has a series table");
+    let actual = table.registry(report).render_prometheus();
+    let golden = golden(name, &actual);
+    assert_eq!(series(&actual), series(&golden), "{name}: series drifted");
 }
 
 #[test]
 fn fuzz_rows_are_pinned() {
-    let report = run_fuzz(MASTER_SEED, 3, &SchemeKind::ALL, false);
-    assert_rows_hold("fuzz_report.json", &report);
+    assert_rows_hold("fuzz_report.json", &run(&FUZZ, 3));
 }
 
 #[test]
 fn chaos_rows_and_series_are_pinned() {
-    let report = run_chaos(MASTER_SEED, 2, &SchemeKind::ALL);
+    let report = run(&CHAOS, 2);
     assert_rows_hold("chaos_report.json", &report);
-    assert_series_hold(
-        "chaos_metrics.prom",
-        &chaos_registry(&report).render_prometheus(),
-    );
+    assert_series_hold("chaos_metrics.prom", &CHAOS, &report);
 }
 
 #[test]
 fn scenario_rows_and_series_are_pinned() {
-    let report = run_scenario_suite(MASTER_SEED, 1, &ScenarioFamily::ALL, &SchemeKind::ALL);
+    let report = run(&SCENARIOS, 1);
     assert_rows_hold("scenarios_report.json", &report);
-    assert_series_hold(
-        "scenarios_metrics.prom",
-        &scenario_registry(&report).render_prometheus(),
-    );
+    assert_series_hold("scenarios_metrics.prom", &SCENARIOS, &report);
 }

@@ -10,7 +10,7 @@
 //! 3. replaying a caught failure from its printed seed must reproduce the
 //!    identical verdict.
 
-use dup_harness::{run_fuzz, run_scenario, SchemeKind};
+use dup_harness::{Mutation, SchemeKind, Selection, FUZZ};
 
 /// Master seed and scenario count mirroring the `dup-experiments fuzz`
 /// defaults (and the CI fuzz-smoke job).
@@ -19,16 +19,16 @@ const DEFAULT_SEEDS: usize = 16;
 
 #[test]
 fn default_seed_set_is_clean_for_all_schemes() {
-    let report = run_fuzz(MASTER_SEED, 4, &SchemeKind::ALL, false);
+    let selection = Selection::derived(MASTER_SEED, 4);
+    let report = FUZZ.run(&selection, &SchemeKind::ALL, Mutation::Clean);
     let failures = report.failures();
     assert!(
         failures.is_empty(),
-        "clean protocol failed verification:\n{}",
-        dup_harness::render_fuzz_report(&report)
+        "clean protocol failed verification:\n{report}"
     );
     assert!(
         report
-            .scenarios
+            .cases
             .iter()
             .filter(|s| s.scheme == "DUP")
             .all(|s| s.fault_interventions > 0),
@@ -38,7 +38,9 @@ fn default_seed_set_is_clean_for_all_schemes() {
 
 #[test]
 fn broken_substitute_merge_is_caught_within_default_seeds() {
-    let report = run_fuzz(MASTER_SEED, DEFAULT_SEEDS, &[SchemeKind::Dup], true);
+    let selection = Selection::derived(MASTER_SEED, DEFAULT_SEEDS);
+    let broken = Mutation::BrokenSubstituteMerge;
+    let report = FUZZ.run(&selection, &[SchemeKind::Dup], broken);
     let failures = report.failures();
     eprintln!(
         "mutation caught in {}/{} seeds",
@@ -53,7 +55,7 @@ fn broken_substitute_merge_is_caught_within_default_seeds() {
     );
     // Every failure must replay deterministically from its seed alone.
     let first = failures[0];
-    let replay = run_scenario(SchemeKind::Dup, first.seed, true);
+    let replay = dup_harness::fuzz::case(first.seed).run(SchemeKind::Dup, broken);
     assert!(
         !replay.passed,
         "failing seed {} passed on replay",

@@ -16,34 +16,36 @@
 //! The `#[ignore]`d full-matrix test scans 48 seeds per family × both
 //! mutations and is the source of the pinned indices.
 
-use dup_harness::{
-    run_scenario_case, run_scenario_suite, scenario_suite_seeds, Mutation, ScenarioFamily,
-    SchemeKind,
-};
+use dup_harness::scenarios::case;
+use dup_harness::{Mutation, ScenarioFamily, SchemeKind, Selection, SCENARIOS};
 
 const MASTER_SEED: u64 = 42;
 
+/// The first `n` derived seeds of `family` at the master seed.
+fn family_seeds(family: ScenarioFamily, n: usize) -> Vec<u64> {
+    Selection::derived(MASTER_SEED, n).seeds(&format!("scenario/{family}"))
+}
+
 #[test]
 fn clean_suite_passes_for_all_families_and_schemes() {
-    let report = run_scenario_suite(MASTER_SEED, 2, &ScenarioFamily::ALL, &SchemeKind::ALL);
+    let selection = Selection::derived(MASTER_SEED, 2);
+    let report = SCENARIOS.run(&selection, &SchemeKind::ALL, Mutation::Clean);
     let failures = report.failures();
     assert!(
         failures.is_empty(),
-        "clean scenario suite failed:\n{}",
-        dup_harness::render_scenario_report(&report)
+        "clean scenario suite failed:\n{report}"
     );
     // Every DUP case must reconverge within its family's bound — the
     // paper-facing claim each family asserts.
     for c in report.cases.iter().filter(|c| c.scheme == "DUP") {
+        let family = c.family.expect("scenario rows carry their family");
         let phases = c
             .phases_to_reconverge
-            .unwrap_or_else(|| panic!("{} seed {} never reconverged", c.family, c.seed));
+            .unwrap_or_else(|| panic!("{family} seed {} never reconverged", c.seed));
         assert!(
             phases <= c.bound,
-            "{} seed {} reconverged after {} > bound {}",
-            c.family,
+            "{family} seed {} reconverged after {phases} > bound {}",
             c.seed,
-            phases,
             c.bound
         );
     }
@@ -55,12 +57,13 @@ fn clean_suite_passes_for_all_families_and_schemes() {
 /// exercise the lease-maintenance path it claims to survive.
 #[test]
 fn clean_suite_is_non_vacuous_per_family() {
-    let report = run_scenario_suite(MASTER_SEED, 2, &ScenarioFamily::ALL, &[SchemeKind::Dup]);
+    let selection = Selection::derived(MASTER_SEED, 2);
+    let report = SCENARIOS.run(&selection, &[SchemeKind::Dup], Mutation::Clean);
     for family in ScenarioFamily::ALL {
         let cases: Vec<_> = report
             .cases
             .iter()
-            .filter(|c| c.family == family.name())
+            .filter(|c| c.family == Some(family.name()))
             .collect();
         assert_eq!(cases.len(), 2, "{family} ran the wrong number of seeds");
         for c in &cases {
@@ -114,8 +117,8 @@ const PINNED_FAILING: [(ScenarioFamily, usize, Mutation); 6] = [
 #[test]
 fn every_family_fails_under_a_pinned_mutation() {
     for (family, idx, mutation) in PINNED_FAILING {
-        let seed = scenario_suite_seeds(MASTER_SEED, family, idx + 1)[idx];
-        let broken = run_scenario_case(family, SchemeKind::Dup, seed, mutation);
+        let pinned = case(family, family_seeds(family, idx + 1)[idx]);
+        let broken = pinned.run(SchemeKind::Dup, mutation);
         assert!(
             !broken.passed,
             "{family} seed index {idx} survived {} — the scenario's \
@@ -123,14 +126,14 @@ fn every_family_fails_under_a_pinned_mutation() {
             mutation.name()
         );
         // The same seed must pass clean: the failure is the mutation's.
-        let clean = run_scenario_case(family, SchemeKind::Dup, seed, Mutation::Clean);
+        let clean = pinned.run(SchemeKind::Dup, Mutation::Clean);
         assert!(
             clean.passed,
             "{family} seed index {idx} fails even without the mutation:\n{}",
             clean.detail
         );
         // And the caught failure replays bit-identically from its seed.
-        let replay = run_scenario_case(family, SchemeKind::Dup, seed, mutation);
+        let replay = pinned.run(SchemeKind::Dup, mutation);
         assert_eq!(
             replay.detail, broken.detail,
             "{family} seed index {idx} produced a different violation on replay"
@@ -145,14 +148,12 @@ fn every_family_fails_under_a_pinned_mutation() {
 fn full_mutation_matrix() {
     let mut weak = Vec::new();
     for family in ScenarioFamily::ALL {
-        let seeds = scenario_suite_seeds(MASTER_SEED, family, 48);
+        let seeds = family_seeds(family, 48);
         for mutation in Mutation::BROKEN {
             let failing: Vec<usize> = seeds
                 .iter()
                 .enumerate()
-                .filter(|&(_, &seed)| {
-                    !run_scenario_case(family, SchemeKind::Dup, seed, mutation).passed
-                })
+                .filter(|&(_, &seed)| !case(family, seed).run(SchemeKind::Dup, mutation).passed)
                 .map(|(i, _)| i)
                 .collect();
             println!(
@@ -167,7 +168,7 @@ fn full_mutation_matrix() {
             }
         }
         for &seed in seeds.iter().take(16) {
-            let clean = run_scenario_case(family, SchemeKind::Dup, seed, Mutation::Clean);
+            let clean = case(family, seed).run(SchemeKind::Dup, Mutation::Clean);
             assert!(
                 clean.passed,
                 "{family} clean seed {seed} failed:\n{}",

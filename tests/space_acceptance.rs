@@ -10,14 +10,14 @@
 //! cargo test --release --test space_acceptance -- --ignored
 //! ```
 
-use dup_core::{check_tree_invariants, DupScheme};
-use dup_harness::run_flash_space_cell;
+use dup_harness::scenarios::flash_space_config;
+use dup_harness::{logs_identical, space_cell, space_run, ScenarioFamily};
 use dup_overlay::TopologyParams;
-use dup_proto::{run_simulation_space_settled, RunConfig, Scheme, TopologySource};
+use dup_proto::{RunConfig, TopologySource};
 
 const HEAL_PHASES: usize = 8;
 
-fn acceptance_cfg(nodes: usize, space_shards: usize) -> RunConfig {
+fn acceptance_cfg(nodes: usize) -> RunConfig {
     RunConfig {
         topology: TopologySource::RandomTree(TopologyParams {
             nodes,
@@ -27,36 +27,22 @@ fn acceptance_cfg(nodes: usize, space_shards: usize) -> RunConfig {
         warmup_secs: 500.0,
         duration_secs: 2_000.0,
         latency_batch: 50,
-        space_shards,
         ..RunConfig::paper_default(0xD0_2026)
     }
 }
 
-/// Runs DUP at `space_shards`, returns the sorted merged log plus the
-/// oracle verdict on the owner-locally merged final state.
-fn run_at(nodes: usize, space_shards: usize) -> (Vec<dup_proto::LogRecord>, Result<(), String>) {
-    let cfg = acceptance_cfg(nodes, space_shards);
-    let (settled, log) =
-        run_simulation_space_settled(&cfg, DupScheme::new, true, HEAL_PHASES, |s, ctx, _| {
-            s.on_lease_tick(ctx);
-        });
-    let mut merged = DupScheme::new();
-    for (i, (scheme, _)) in settled.shards.iter().enumerate() {
-        merged.adopt_owned_lists(scheme, |n| settled.map.owner(n) == i);
-    }
-    let oracle =
-        check_tree_invariants(&merged, &settled.shards[0].1.tree).map_err(|r| r.to_string());
-    (log, oracle)
-}
-
+/// The sorted merged log of a DUP run at every shard count must equal
+/// the 1-shard log, and the owner-locally merged final state must pass
+/// the oracle at every count.
 fn shard_counts_agree(nodes: usize) {
-    let (log1, oracle1) = run_at(nodes, 1);
+    let cfg = acceptance_cfg(nodes);
+    let (log1, oracle1) = space_run(&cfg, 1, HEAL_PHASES);
     assert!(!log1.is_empty(), "run produced no deliveries");
     oracle1.expect("1-shard DUP run failed the differential oracle");
     for shards in [2usize, 4] {
-        let (log_n, oracle_n) = run_at(nodes, shards);
-        assert_eq!(
-            log1, log_n,
+        let (log_n, oracle_n) = space_run(&cfg, shards, HEAL_PHASES);
+        assert!(
+            logs_identical(&log1, &log_n),
             "{shards}-shard event log diverged from the 1-shard log"
         );
         oracle_n.unwrap_or_else(|r| {
@@ -86,7 +72,8 @@ fn dup_logs_bit_identical_across_shard_counts_10k() {
 #[test]
 fn flash_crowd_scenario_bit_identical_across_shards() {
     for seed in [42u64, 0x005C_EA05] {
-        let cell = run_flash_space_cell(seed);
+        let bound = ScenarioFamily::FlashCrowd.reconvergence_bound();
+        let cell = space_cell(&flash_space_config(seed), bound);
         assert!(cell.log_records > 0, "seed {seed} produced no deliveries");
         assert!(
             cell.passed,
