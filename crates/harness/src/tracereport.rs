@@ -275,6 +275,17 @@ mod tests {
         assert!(rendered.contains("scheme=DUP"));
     }
 
+    /// Bit-identical replay covers the exported document too: span records
+    /// are kept in span-id order, never in hash-map order.
+    #[test]
+    fn perfetto_export_is_byte_stable_across_same_seed_runs() {
+        let export = || {
+            let tr = trace_report(&bench_opts(), SchemeKind::Dup, 0.0);
+            serde_json::to_string(&tr.perfetto).unwrap()
+        };
+        assert_eq!(export(), export(), "same-seed Perfetto exports differ");
+    }
+
     #[test]
     fn progress_probe_forwards_everything() {
         let capture = CaptureProbe::new();

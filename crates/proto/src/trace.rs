@@ -20,7 +20,7 @@
 //! Chrome/Perfetto trace-event JSON export ([`perfetto_trace`]) that
 //! renders one row per node in [ui.perfetto.dev](https://ui.perfetto.dev).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -388,7 +388,7 @@ struct UpdateAcc {
 /// reconstructs [`UpdateTrace`]s and latency summaries.
 #[derive(Debug, Default)]
 pub struct TraceCollector {
-    spans: HashMap<u64, SpanRec>,
+    spans: BTreeMap<u64, SpanRec>,
     updates: BTreeMap<u64, UpdateAcc>,
     untraced_sends: u64,
 }
