@@ -2,11 +2,11 @@
 //!
 //! [`NodeHost`] runs one node's share of a scheme — the *same*
 //! `dup_proto` scheme/reliability/lease code the simulator runs — behind
-//! the `Clock`/`Transport` trait pair. The discrete-event [`Engine`] is
+//! the one [`EvSink`] trait. The discrete-event [`Engine`] is
 //! reused as the node's local timer queue: the host sets the engine's
 //! horizon to the current (wall or virtual) time and drains due events, so
 //! retry chains, lease ticks, and query drivers execute exactly as in-sim,
-//! while [`Transport::deliver`] routes remote-addressed messages into an
+//! while [`EvSink::deliver`] routes remote-addressed messages into an
 //! outbox that a [`FrameNet`] flushes onto real connections.
 //!
 //! The host is deliberately I/O-free: it is fed timestamps and frames and
@@ -34,8 +34,8 @@ use dup_overlay::{NodeId, SearchTree};
 use dup_proto::scheme::Scheme;
 use dup_proto::trace::SpanInfo;
 use dup_proto::{
-    AuthorityClock, Clock, Ctx, Ev, EvSink, InterestTracker, Msg, MsgClass, NodeCore, ProbeSink,
-    ReliabilityConfig, ReliableState, Transport, World,
+    AuthorityClock, Ctx, Ev, EvSink, InterestTracker, Msg, MsgClass, NodeCore, ProbeSink,
+    ReliabilityConfig, ReliableState, World,
 };
 use dup_sim::{Engine, SenderStreams, SimDuration, SimTime};
 
@@ -165,13 +165,11 @@ struct HostSink<'a, M> {
     outbox: &'a mut Vec<(NodeId, NodeId, MsgClass, Msg<M>)>,
 }
 
-impl<M> Clock for HostSink<'_, M> {
+impl<M> EvSink<M> for HostSink<'_, M> {
     fn now(&self) -> SimTime {
         self.engine.now()
     }
-}
 
-impl<M> Transport<M> for HostSink<'_, M> {
     fn deliver(&mut self, to: NodeId, at: SimTime, ev: Ev<M>) {
         if to == self.me {
             self.engine.schedule(at.max(self.engine.now()), ev);
@@ -185,9 +183,7 @@ impl<M> Transport<M> for HostSink<'_, M> {
             _ => unreachable!("remote-addressed non-delivery event"),
         }
     }
-}
 
-impl<M> EvSink<M> for HostSink<'_, M> {
     fn schedule(&mut self, at: SimTime, ev: Ev<M>) -> dup_sim::TimerId {
         self.engine.schedule(at, ev)
     }

@@ -2,11 +2,11 @@
 //!
 //! Everything above the transport — `dup-proto`'s scheme/reliability
 //! logic and `dup-core`'s lease/orphan-repair machinery — is substrate
-//! agnostic: it talks to the world through the `Clock`/`Transport`
-//! traits. This crate supplies the second substrate. A [`NodeHost`] wraps
-//! one node's protocol state plus a private discrete-event engine used as
-//! a timer queue, and exchanges [`Frame`]s with its peers through a
-//! [`FrameNet`]:
+//! agnostic: it talks to the world through the one `EvSink` trait (time
+//! source, delivery, local timers). This crate supplies the second
+//! substrate. A [`NodeHost`] wraps one node's protocol state plus a
+//! private discrete-event engine used as a timer queue, and exchanges
+//! [`Frame`]s with its peers through a [`FrameNet`]:
 //!
 //! * [`TcpNet`] — real length-delimited TCP between processes, with a
 //!   heartbeat-fed [`FailureDetector`] and [`ReconnectBackoff`]-governed

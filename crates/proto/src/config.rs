@@ -538,9 +538,6 @@ pub struct RunConfig {
     pub churn: Option<ChurnConfig>,
     /// Batch size for the latency batch-means CI.
     pub latency_batch: u64,
-    /// Hard cap on processed events (backstop; `None` = engine default of
-    /// effectively unlimited).
-    pub max_events: Option<u64>,
     /// Observability sampling schedule (defaults to disabled, so configs
     /// serialized before this field existed still deserialize).
     #[serde(default)]
@@ -597,7 +594,6 @@ impl RunConfig {
             stop: StopRule::FixedDuration,
             churn: None,
             latency_batch: 500,
-            max_events: None,
             probe: ProbeConfig::default(),
             queue: QueueConfig::default(),
             faults: FaultConfig::default(),
@@ -689,10 +685,6 @@ impl RunConfig {
             assert!(
                 matches!(self.stop, StopRule::FixedDuration),
                 "space-parallel runs support only the FixedDuration stop rule"
-            );
-            assert!(
-                self.max_events.is_none(),
-                "space-parallel runs do not support a global event cap"
             );
             assert!(
                 self.protocol.hop_latency_min_secs > 0.0,
@@ -824,12 +816,6 @@ pub struct RunConfigBuilder {
 }
 
 impl RunConfigBuilder {
-    /// Replaces the topology source.
-    pub fn topology(mut self, topology: TopologySource) -> Self {
-        self.cfg.topology = topology;
-        self
-    }
-
     /// Resizes the network, preserving the current max degree when the
     /// source is a random tree (other sources are replaced by a random tree
     /// of the paper's degree).
@@ -871,12 +857,6 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Sets how Zipf ranks map onto nodes.
-    pub fn rank_placement(mut self, placement: RankPlacement) -> Self {
-        self.cfg.rank_placement = placement;
-        self
-    }
-
     /// Replaces the shared protocol constants.
     pub fn protocol(mut self, protocol: ProtocolConfig) -> Self {
         self.cfg.protocol = protocol;
@@ -913,29 +893,10 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Caps processed events (backstop).
-    pub fn max_events(mut self, cap: Option<u64>) -> Self {
-        self.cfg.max_events = cap;
-        self
-    }
-
     /// Sets the probe time-series sampling interval (simulated seconds;
     /// `0` disables sampling).
     pub fn sample_every_secs(mut self, secs: f64) -> Self {
         self.cfg.probe.sample_every_secs = secs;
-        self
-    }
-
-    /// Sets deterministic trace sampling: trace 1 in `one_in` update
-    /// versions (`0`/`1` = trace all, the default).
-    pub fn trace_sample_one_in(mut self, one_in: u64) -> Self {
-        self.cfg.probe.trace_sampling = TraceSampling { one_in };
-        self
-    }
-
-    /// Enables (or disables) engine self-profiling for the run.
-    pub fn profile_engine(mut self, enabled: bool) -> Self {
-        self.cfg.probe.profile_engine = enabled;
         self
     }
 
@@ -968,13 +929,6 @@ impl RunConfigBuilder {
     /// run; `S > 1` partitions one run's node space across `S` shards).
     pub fn space_shards(mut self, shards: usize) -> Self {
         self.cfg.space_shards = shards;
-        self
-    }
-
-    /// Sets the per-hop latency floor (seconds) — the space-parallel
-    /// lookahead. Must stay below the mean.
-    pub fn hop_latency_min_secs(mut self, secs: f64) -> Self {
-        self.cfg.protocol.hop_latency_min_secs = secs;
         self
     }
 
@@ -1097,16 +1051,6 @@ mod tests {
         assert_eq!(back.sample_every_secs, 600.0);
         assert_eq!(back.trace_sampling, TraceSampling::default());
         assert!(!back.profile_engine);
-    }
-
-    #[test]
-    fn builder_sets_trace_sampling_and_profiling() {
-        let cfg = RunConfig::builder(0)
-            .trace_sample_one_in(16)
-            .profile_engine(true)
-            .build();
-        assert_eq!(cfg.probe.trace_sampling.one_in, 16);
-        assert!(cfg.probe.profile_engine);
     }
 
     #[test]
@@ -1416,13 +1360,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_space_shards_and_latency_floor() {
-        let cfg = RunConfig::builder(0)
-            .space_shards(4)
-            .hop_latency_min_secs(0.02)
-            .build();
+    fn builder_sets_space_shards() {
+        let cfg = RunConfig::builder(0).space_shards(4).build();
         assert_eq!(cfg.space_shards, 4);
-        assert_eq!(cfg.protocol.hop_latency_min_secs, 0.02);
     }
 
     #[test]

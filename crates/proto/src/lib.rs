@@ -83,8 +83,7 @@ pub use runner::{
     SettledRun,
 };
 pub use scheme::{
-    AppliedChurn, Clock, Ctx, Ev, EvSink, FaultState, FaultStats, FifoClocks, Msg, Scheme,
-    Transport, World,
+    AppliedChurn, Ctx, Ev, EvSink, FaultState, FaultStats, FifoClocks, Msg, Scheme, World,
 };
 pub use space::{
     run_simulation_space, run_simulation_space_logged, run_simulation_space_settled, ShardMap,

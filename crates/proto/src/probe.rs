@@ -6,14 +6,12 @@
 //! branch on a `None` — the event is never even constructed, so the
 //! simulation hot path pays nothing for the observability layer.
 //!
-//! Three sinks cover the common cases:
+//! Two sinks cover the common cases:
 //!
 //! * [`CaptureProbe`] — an in-memory capture buffer tests share with the
 //!   running simulation through a cloneable handle.
 //! * [`JsonlProbe`] — one JSON object per line to any [`std::io::Write`]
 //!   (the harness binary's `--trace out.jsonl`).
-//! * [`dup_sim::RingProbe`] — bounded most-recent-events buffer from the
-//!   simulation kernel, usable here because [`Probe`] is generic.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};

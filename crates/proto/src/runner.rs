@@ -395,9 +395,9 @@ impl<S: Scheme> Runner<S> {
     /// hits the deadline and fails loudly, naming the unconverged nodes,
     /// instead of draining forever.
     ///
-    /// A run whose `max_events` backstop fires mid-drain returns quietly,
-    /// as before: an exhausted event budget is a configured stop, not a
-    /// livelock.
+    /// A drain that ends any other way (the queue ran empty, or the run
+    /// was stopped) returns quietly: only an event set still busy at the
+    /// deadline is a livelock.
     fn settle_drain(&mut self, engine: &mut Engine<Ev<S::Msg>>, stage: &str) {
         engine.set_horizon(engine.now() + SimDuration::from_secs_f64(SETTLE_DEADLINE_SECS));
         let outcome = engine.run(|eng, ev| self.handle(eng, ev));
@@ -427,9 +427,6 @@ impl<S: Scheme> Runner<S> {
     /// and [`Runner::run_settled`].
     fn run_main(&mut self, engine: &mut Engine<Ev<S::Msg>>) -> RunReport {
         engine.set_horizon(self.horizon);
-        if let Some(limit) = self.cfg.max_events {
-            engine.set_event_limit(limit);
-        }
         if self.cfg.probe.profile_engine {
             engine.enable_profiler();
             self.node.world.probe.enable_timing();

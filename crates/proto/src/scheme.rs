@@ -621,39 +621,24 @@ impl World {
     }
 }
 
-/// The time source the protocol layer reads.
+/// The event-scheduling surface the protocol layer drives: a time source,
+/// message delivery, and local timer management.
 ///
-/// In-sim this is the engine's virtual clock; the live host
-/// (`dup-live`) derives a [`SimTime`] from a wall-clock epoch, so the
-/// identical scheme code sees monotonically advancing time either way.
-pub trait Clock {
+/// Sequential runs use the plain [`Engine`] implementation, where `now` is
+/// the engine's virtual clock and [`deliver`](EvSink::deliver) is an
+/// ordinary schedule on the one global queue. The space-parallel runner
+/// substitutes a shard adapter whose `deliver` routes by the destination
+/// node's owning shard, and the live host (`dup-live`) derives a
+/// [`SimTime`] from a wall-clock epoch and serialises remote deliveries
+/// onto sockets — so the identical scheme code sees monotonically
+/// advancing time and one send primitive either way. Timers (`schedule` /
+/// `schedule_after`) always stay on the calling side's local queue: a
+/// retransmit timer belongs to the sender that armed it.
+pub trait EvSink<M> {
     /// Current time (simulated or wall-derived).
     fn now(&self) -> SimTime;
-}
-
-/// The message-delivery surface the protocol layer sends through.
-///
-/// `deliver` hands off a delivery addressed to node `to`: the sequential
-/// engine schedules it on its one global queue, the space-parallel
-/// adapter routes it to `to`'s owner shard, and the live host serialises
-/// it onto `to`'s socket. Separated from [`EvSink`] so a transport can
-/// exist without a local timer queue.
-pub trait Transport<M> {
     /// Schedules a delivery addressed to node `to` at instant `at`.
     fn deliver(&mut self, to: NodeId, at: SimTime, ev: Ev<M>);
-}
-
-/// The full event-scheduling surface the protocol layer drives: a
-/// [`Clock`], a [`Transport`], and local timer management.
-///
-/// Sequential runs use the plain [`Engine`] implementation, where
-/// [`deliver`](Transport::deliver) is an ordinary schedule on the one
-/// global queue. The space-parallel runner substitutes a shard adapter
-/// whose `deliver` routes by the destination node's owning shard, and the
-/// live host (`dup-live`) implements it over real sockets — while timers
-/// (`schedule` / `schedule_after`) always stay on the calling side's
-/// local queue: a retransmit timer belongs to the sender that armed it.
-pub trait EvSink<M>: Clock + Transport<M> {
     /// Schedules `ev` at the absolute instant `at` on the local queue.
     fn schedule(&mut self, at: SimTime, ev: Ev<M>) -> TimerId;
     /// Schedules `ev` `delay` after now on the local queue.
@@ -667,22 +652,18 @@ pub trait EvSink<M>: Clock + Transport<M> {
     fn pending(&self) -> usize;
 }
 
-impl<E> Clock for Engine<E> {
+impl<M> EvSink<M> for Engine<Ev<M>> {
     #[inline]
     fn now(&self) -> SimTime {
         Engine::now(self)
     }
-}
 
-impl<M> Transport<M> for Engine<Ev<M>> {
     #[inline]
     fn deliver(&mut self, to: NodeId, at: SimTime, ev: Ev<M>) {
         let _ = to;
         Engine::schedule(self, at, ev);
     }
-}
 
-impl<M> EvSink<M> for Engine<Ev<M>> {
     #[inline]
     fn schedule(&mut self, at: SimTime, ev: Ev<M>) -> TimerId {
         Engine::schedule(self, at, ev)

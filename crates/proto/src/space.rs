@@ -40,7 +40,7 @@ use crate::config::{QueueBackendConfig, RunConfig, StopRule};
 use crate::metrics::{Metrics, RunReport};
 use crate::probe::ProbeSink;
 use crate::runner::{LogRecord, Runner};
-use crate::scheme::{Clock, Ctx, Ev, EvSink, Scheme, Transport, World};
+use crate::scheme::{Ctx, Ev, EvSink, Scheme, World};
 
 /// The deterministic node → shard assignment: contiguous blocks of
 /// `ceil(capacity / shards)` node ids, the tail clamped into the last
@@ -111,14 +111,12 @@ struct SpaceSink<'a, 'q, M> {
     cross: &'a mut u64,
 }
 
-impl<M> Clock for SpaceSink<'_, '_, M> {
+impl<M> EvSink<M> for SpaceSink<'_, '_, M> {
     #[inline]
     fn now(&self) -> SimTime {
         self.ctx.now()
     }
-}
 
-impl<M> Transport<M> for SpaceSink<'_, '_, M> {
     #[inline]
     fn deliver(&mut self, to: NodeId, at: SimTime, ev: Ev<M>) {
         let dst = self.map.owner(to);
@@ -132,9 +130,7 @@ impl<M> Transport<M> for SpaceSink<'_, '_, M> {
         // floor guarantees by construction.
         self.ctx.send(dst, at, ev);
     }
-}
 
-impl<M> EvSink<M> for SpaceSink<'_, '_, M> {
     #[inline]
     fn schedule(&mut self, at: SimTime, ev: Ev<M>) -> TimerId {
         self.ctx.schedule(at, ev)
@@ -254,10 +250,6 @@ where
         assert!(
             matches!(cfg.stop, StopRule::FixedDuration),
             "space-parallel runs support only StopRule::FixedDuration"
-        );
-        assert!(
-            cfg.max_events.is_none(),
-            "space-parallel runs do not support a global event cap"
         );
         assert!(
             cfg.churn.is_none(),

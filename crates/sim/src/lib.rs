@@ -45,7 +45,7 @@ pub mod shard;
 pub mod time;
 
 pub use engine::{Engine, RunOutcome};
-pub use probe::{FnProbe, NoopProbe, Probe, RingProbe};
+pub use probe::Probe;
 pub use profiler::{EngineProfiler, ShardProfile};
 pub use queue::{EventQueue, QueueBackend, TimerId};
 pub use rng::{stream_rng, stream_seed, SenderStreams, StreamRng};

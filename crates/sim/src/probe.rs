@@ -1,17 +1,16 @@
-//! Generic observability probes for event-driven simulations.
+//! The generic observability probe for event-driven simulations.
 //!
 //! A [`Probe`] is a passive observer: the simulation hands it timestamped
-//! events and it records them somewhere — nowhere ([`NoopProbe`]), a bounded
-//! in-memory ring ([`RingProbe`]), or an arbitrary closure ([`FnProbe`]).
-//! The kernel stays agnostic about *what* an event is (the type parameter
-//! `E` is supplied by the layer that owns the event vocabulary), so the same
-//! trait serves protocol traces, workload audits, and test capture buffers.
+//! events and it records them somewhere. The kernel stays agnostic about
+//! *what* an event is (the type parameter `E` is supplied by the layer
+//! that owns the event vocabulary), so the same trait serves protocol
+//! traces, workload audits, and test capture buffers; the implementations
+//! live with that vocabulary (`dup_proto::{CaptureProbe, JsonlProbe,
+//! LoadProbe}`).
 //!
 //! Probes must never influence the simulation: they receive `&E` after the
 //! fact and have no channel back into the engine. Determinism is therefore
 //! preserved whether or not a probe is attached.
-
-use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -22,121 +21,4 @@ pub trait Probe<E> {
 
     /// Flushes any buffered output (end of run). Default: nothing.
     fn flush(&mut self) {}
-}
-
-/// The do-nothing probe: every call compiles away.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopProbe;
-
-impl<E> Probe<E> for NoopProbe {
-    #[inline]
-    fn record(&mut self, _at: SimTime, _event: &E) {}
-}
-
-/// A bounded in-memory trace: keeps the most recent `capacity` events,
-/// discarding the oldest. Useful for post-mortem inspection of long runs
-/// where a full trace would not fit in memory.
-#[derive(Debug, Clone)]
-pub struct RingProbe<E> {
-    capacity: usize,
-    buf: VecDeque<(SimTime, E)>,
-    /// Events seen in total, including those already discarded.
-    seen: u64,
-}
-
-impl<E> RingProbe<E> {
-    /// Creates a ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring probe capacity must be positive");
-        RingProbe {
-            capacity,
-            buf: VecDeque::with_capacity(capacity),
-            seen: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(SimTime, E)> {
-        self.buf.iter()
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total events observed, including discarded ones.
-    pub fn total_seen(&self) -> u64 {
-        self.seen
-    }
-}
-
-impl<E: Clone> Probe<E> for RingProbe<E> {
-    fn record(&mut self, at: SimTime, event: &E) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back((at, event.clone()));
-        self.seen += 1;
-    }
-}
-
-/// Adapts a closure into a probe.
-#[derive(Debug, Clone)]
-pub struct FnProbe<F>(pub F);
-
-impl<E, F: FnMut(SimTime, &E)> Probe<E> for FnProbe<F> {
-    #[inline]
-    fn record(&mut self, at: SimTime, event: &E) {
-        (self.0)(at, event);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ring_discards_oldest() {
-        let mut ring = RingProbe::new(3);
-        for i in 0..5u32 {
-            ring.record(SimTime::from_secs(i as u64), &i);
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.total_seen(), 5);
-        let kept: Vec<u32> = ring.events().map(|&(_, e)| e).collect();
-        assert_eq!(kept, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn fn_probe_forwards() {
-        let mut seen = Vec::new();
-        {
-            let mut probe = FnProbe(|at: SimTime, e: &u32| seen.push((at, *e)));
-            probe.record(SimTime::from_secs(1), &7);
-        }
-        assert_eq!(seen, vec![(SimTime::from_secs(1), 7)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        RingProbe::<u32>::new(0);
-    }
-
-    #[test]
-    fn noop_probe_accepts_anything() {
-        let mut probe = NoopProbe;
-        Probe::<&str>::record(&mut probe, SimTime::ZERO, &"ignored");
-        Probe::<&str>::flush(&mut probe);
-    }
 }

@@ -61,7 +61,7 @@ pub mod prelude {
         InterestPolicy, JsonlProbe, PcxScheme, ProbeConfig, ProbeEvent, ProbeSink, ProtocolConfig,
         RunConfig, RunConfigBuilder, RunReport, StopRule, TopologySource, TraceSample,
     };
-    pub use dup_sim::{NoopProbe, Probe, RingProbe, SimDuration, SimTime};
+    pub use dup_sim::{Probe, SimDuration, SimTime};
     pub use dup_workload::RankPlacement;
 }
 
