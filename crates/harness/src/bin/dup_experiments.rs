@@ -5,30 +5,28 @@
 //!
 //! EXPERIMENTS   any of: table2 fig4 table3 fig5 fig6 fig7 fig8
 //!               ext-churn ext-staleness ext-chord ext-placement
-//!               ext-policy ext-cup-halo
+//!               ext-policy ext-cup-halo ext-tails ext-cup-economic
 //!               or `all` (default: all paper artifacts, no extensions)
-//!               or `fuzz`: run seeded fault-injection scenarios per scheme
-//!               and verify each against the invariant/oracle layer (see
-//!               EXPERIMENTS.md); exits nonzero when any scenario fails
-//!               or `chaos`: run fault→heal→drain convergence scenarios
-//!               with the reliability layer (ack/retransmit, leases,
-//!               orphan repair) enabled; every scheme must re-converge to
-//!               the oracle DUP tree (or replay bit-identically) within
-//!               bounded lease periods; writes CHAOS_report.json and
-//!               CHAOS_metrics.prom to --out DIR; exits nonzero on any
-//!               non-convergence
-//!               or `scenarios`: run the adversarial scenario suite —
-//!               flash crowds (piecewise-Zipf θ spikes), regional
-//!               partitions, slow/asymmetric links, and peer-set
-//!               infiltration with scoped churn as the countermeasure;
-//!               every DUP case must re-converge to the NCA-closure
-//!               oracle within its family's lease-period bound (PCX/CUP
-//!               replay bit-identically), and the flash-crowd space cell
-//!               must match the sequential event log bit for bit; writes
-//!               SCENARIO_report.json, SCENARIO_metrics.prom, and one
+//!               or a verification campaign — `fuzz`, `chaos`,
+//!               `scenarios` (EXPERIMENTS.md, "Verification campaigns"):
+//!               expand seeds into faulted configurations, run DUP
+//!               fault→heal→drain and judge the settled tree against the
+//!               NCA-closure oracle within the campaign's heal-phase
+//!               budget, replay PCX/CUP twice for bit-identity; print a
+//!               replay command per failing row; exit nonzero on any
+//!               failure. `fuzz` arms faults with the reliability layer
+//!               off and heals by hand (writes FUZZ_report.json to --out
+//!               DIR); `chaos` arms the reliability layer (ack/retransmit,
+//!               leases, orphan repair) under drops up to 0.2 and adds a
+//!               2-space-shard cell (CHAOS_report.json,
+//!               CHAOS_metrics.prom); `scenarios` scripts four adversarial
+//!               families — flash crowds (piecewise-Zipf θ spikes),
+//!               regional partitions, slow/asymmetric links, peer-set
+//!               infiltration — each with its own lease-period bound and
+//!               self-checks, plus the flash-crowd space cell
+//!               (SCENARIO_report.json, SCENARIO_metrics.prom, and one
 //!               SCENARIO_<family>_perfetto.json +
-//!               SCENARIO_<family>_metrics.prom pair per family to --out
-//!               DIR; exits nonzero on any failure
+//!               SCENARIO_<family>_metrics.prom pair per family)
 //!               or `trace-report`: run one fully traced simulation
 //!               (scheme from --scheme, default dup), reconstruct
 //!               per-update propagation trees with a latency decomposition,
@@ -74,19 +72,20 @@
 //!                    engine shards (one simulation, one worker thread per
 //!                    shard; default 1 = classic single-queue; mutually
 //!                    exclusive with --shards)
-//!   --seeds <n>      scenarios per scheme for `fuzz`/`chaos` (default 16)
-//!                    and per family for `scenarios` (default 2); scenario
-//!                    seeds derive from --seed
+//!   --seeds <n>      cases per scheme for `fuzz`/`chaos` (default 16) and
+//!                    per family for `scenarios` (default 2); case seeds
+//!                    derive from --seed
 //!   --family <name>  restrict `scenarios` to one family
 //!                    (flash-crowd|partition|asym-link|infiltration;
 //!                    default: all four)
-//!   --replay <u64>   replay exactly one scenario seed (as printed by a
+//!   --replay <u64>   replay exactly one case seed (as printed by a
 //!                    failing campaign) instead of a full seed set
-//!   --scheme <pcx|cup|dup>   restrict `fuzz`/`chaos` to one scheme
+//!   --scheme <pcx|cup|dup>   restrict a campaign to one scheme
 //!                    (default: all three) and select the scheme traced by
 //!                    `trace-report`/`--trace` (default dup)
-//!   --fuzz-mutate    enable the deliberately broken substitute-merge
-//!                    rule, to demonstrate the harness catches it
+//!   --fuzz-mutate    run `fuzz` with the deliberately broken
+//!                    substitute-merge rule, to demonstrate the harness
+//!                    catches it
 //!
 //! The pre-consolidation spellings of the seed-set/scheme family
 //! (`--fuzz-seeds`, `--fuzz-seed`, `--fuzz-scheme`, `--chaos-seeds`,

@@ -84,7 +84,7 @@ pub type Heal = fn(&mut DupScheme, &mut Ctx<'_, DupMsg>, usize);
 /// The protocol's own heal: one [`Scheme::on_lease_tick`] per phase —
 /// expire unrenewed leases, re-assert every live subscription, repair
 /// orphans. Each phase is then one lease period.
-pub fn lease_tick(scheme: &mut DupScheme, ctx: &mut Ctx<'_, DupMsg>, _phase: usize) {
+pub(crate) fn lease_tick(scheme: &mut DupScheme, ctx: &mut Ctx<'_, DupMsg>, _phase: usize) {
     scheme.on_lease_tick(ctx);
 }
 

@@ -88,7 +88,7 @@ pub static CHAOS: Campaign = Campaign {
 };
 
 /// The chaos case of `seed`: [`chaos_config`] healed by lease ticks.
-pub fn case(seed: u64) -> Case {
+fn case(seed: u64) -> Case {
     Case {
         family: None,
         seed,

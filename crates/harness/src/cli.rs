@@ -1,7 +1,7 @@
 //! Shared command-line argument family for the `dup-experiments` binary.
 //!
-//! The `fuzz`, `chaos`, `trace-report`, and `--trace` entry points all
-//! need the same three knobs — how many derived scenario seeds to run, a
+//! The `fuzz`, `chaos`, `scenarios`, `trace-report`, and `--trace` entry
+//! points all need the same three knobs — how many derived scenario seeds to run, a
 //! single scenario seed to replay exactly, and a scheme restriction — and
 //! each used to declare its own prefixed spelling (`--fuzz-seeds`,
 //! `--chaos-seed`, `--trace-scheme`, …). [`ScenarioArgs`] is the one

@@ -16,6 +16,16 @@
 //! | Figure 7 (Zipf θ) | [`fig7`] |
 //! | Figure 8 (Pareto arrivals) | [`fig8`] |
 //! | X1–X9 extensions/ablations | [`extensions`] |
+//!
+//! Beyond the paper's artifacts, the `dup-experiments` subcommands:
+//!
+//! | Subcommand | Module |
+//! |------------|--------|
+//! | `fuzz`, `chaos`, `scenarios` | [`campaign`] — the one settle-and-judge, report and space cell — with [`fuzz`], [`chaos`], [`scenarios`] supplying generators, heal drivers, budgets and series tables |
+//! | `space-smoke` | [`spacesmoke`] |
+//! | `trace-report` | [`tracereport`] |
+//! | `load-report` | [`loadreport`] |
+//! | `live-smoke` | [`livesmoke`] |
 
 #![warn(missing_docs)]
 
@@ -40,8 +50,7 @@ pub mod table3;
 pub mod tracereport;
 
 pub use campaign::{
-    logs_identical, space_cell, space_run, Artifact, Campaign, CampaignReport, Case, CaseResult,
-    Mutation, Selection, SpaceCellResult,
+    logs_identical, space_cell, space_run, Campaign, CampaignReport, Mutation, Selection,
 };
 pub use chaos::CHAOS;
 pub use cli::ScenarioArgs;
