@@ -135,9 +135,10 @@ type Subcommand = fn(&Cli) -> Result<bool, String>;
 const SUBCOMMANDS: [(&str, Subcommand); 7] = [
     ("trace-report", run_trace_report),
     ("fuzz", |cli| {
-        let mutation = match cli.fuzz_mutate {
-            true => Mutation::BrokenSubstituteMerge,
-            false => Mutation::Clean,
+        let mutation = if cli.fuzz_mutate {
+            Mutation::BrokenSubstituteMerge
+        } else {
+            Mutation::Clean
         };
         run_campaign(cli, &FUZZ, mutation)
     }),
@@ -240,7 +241,6 @@ fn main() -> ExitCode {
     }
     cli.opts.shards = shards;
     cli.opts.space_shards = space_shards;
-    let cli = cli;
 
     // `--trace` and every named subcommand run first, in table order; they
     // stand alone unless experiments were also requested.
@@ -258,7 +258,10 @@ fn main() -> ExitCode {
         }
         selected.retain(|s| s != name);
         stood_alone = true;
-        match run(&cli) {
+        let started = std::time::Instant::now();
+        let outcome = run(&cli);
+        println!("({name} finished in {:.1?})\n", started.elapsed());
+        match outcome {
             Ok(true) => {}
             Ok(false) => return ExitCode::FAILURE,
             Err(msg) => {
@@ -327,7 +330,6 @@ fn run_campaign(cli: &Cli, campaign: &Campaign, mutation: Mutation) -> Result<bo
         replay: cli.scenario.replay,
         family: cli.family.map(ScenarioFamily::name),
     };
-    let started = std::time::Instant::now();
     let report = campaign.run(&selection, &cli.scenario.schemes(), mutation);
     print!("{report}");
     if mutation != Mutation::Clean {
@@ -342,11 +344,6 @@ fn run_campaign(cli: &Cli, campaign: &Campaign, mutation: Mutation) -> Result<bo
         print!("{} {cell}", campaign.name);
         cell_passed = cell.passed;
     }
-    println!(
-        "({} finished in {:.1?})\n",
-        campaign.name,
-        started.elapsed()
-    );
     if let Some(dir) = &cli.out_dir {
         for artifact in campaign.artifacts(&report, &selection) {
             write_artifact(dir, &artifact.file, &artifact.contents)?;
@@ -360,10 +357,8 @@ fn run_campaign(cli: &Cli, campaign: &Campaign, mutation: Mutation) -> Result<bo
 /// `Ok(true)` when the sketch agreed with the exact accounting at every
 /// point.
 fn run_load_report(cli: &Cli) -> Result<bool, String> {
-    let started = std::time::Instant::now();
     let out = dup_harness::load_report(&cli.opts);
     print!("{}", dup_harness::render_load_report(&out));
-    println!("(load-report finished in {:.1?})\n", started.elapsed());
     let dir = cli.out_dir_or_cwd();
     let doc = serde_json::to_string_pretty(&out.report).expect("load report serializes");
     write_artifact(dir, "LOAD_report.json", &(doc + "\n"))?;
@@ -375,11 +370,9 @@ fn run_load_report(cli: &Cli) -> Result<bool, String> {
 /// and writes the Perfetto JSON (load it in ui.perfetto.dev) and
 /// Prometheus text artifacts.
 fn run_trace_report(cli: &Cli) -> Result<bool, String> {
-    let started = std::time::Instant::now();
     let kind = cli.trace_scheme();
     let tr = dup_harness::trace_report(&cli.opts, kind, cli.trace_sample);
     print!("{}", dup_harness::render_trace_report(&tr));
-    println!("(trace-report finished in {:.1?})\n", started.elapsed());
     let dir = cli.out_dir_or_cwd();
     let scheme = kind.name().to_lowercase();
     let doc = serde_json::to_string(&tr.perfetto).expect("perfetto doc serializes");
@@ -392,10 +385,8 @@ fn run_trace_report(cli: &Cli) -> Result<bool, String> {
 /// the timer-wheel backend, merged event log compared bit-for-bit against
 /// the sequential run. Returns `Ok(true)` on equality.
 fn run_space_smoke(cli: &Cli) -> Result<bool, String> {
-    let started = std::time::Instant::now();
     let result = dup_harness::space_smoke(&cli.opts);
     print!("{}", dup_harness::render_space_smoke(&result));
-    println!("(space-smoke finished in {:.1?})\n", started.elapsed());
     Ok(result.passed)
 }
 

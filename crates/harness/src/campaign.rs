@@ -122,9 +122,8 @@ pub(crate) fn reliability(rng: &mut StreamRng, retries: RangeInclusive<u32>) -> 
 pub struct Case {
     /// The scenario family (kebab-case), for campaigns that have families.
     pub family: Option<&'static str>,
-    /// The seed `cfg` was expanded from; replays the case exactly.
-    pub seed: u64,
-    /// The faulted run configuration.
+    /// The faulted run configuration; `cfg.seed` is the case seed it was
+    /// expanded from and replays the case exactly.
     pub cfg: RunConfig,
     /// Heal phases granted after the faulted horizon — the bound within
     /// which the settled DUP state must match the oracle.
@@ -177,7 +176,7 @@ pub struct CaseResult {
     pub orphan_repairs: u64,
     /// Subscribed nodes found degraded to TTL-expiry fallback.
     pub lease_fallbacks: u64,
-    /// Heal phases until the quiescent state first matched the oracle: 0
+    /// Heal phases until a quiescent state first matched the oracle: 0
     /// means the drain alone sufficed; `None` means never (a DUP failure)
     /// or not applicable (PCX/CUP).
     pub phases_to_reconverge: Option<usize>,
@@ -203,7 +202,7 @@ impl Case {
     pub fn run(&self, kind: SchemeKind, mutation: Mutation) -> CaseResult {
         let mut row = CaseResult {
             family: self.family,
-            seed: self.seed,
+            seed: self.cfg.seed,
             scheme: kind.name(),
             mutation: mutation.name(),
             passed: true,
@@ -244,9 +243,10 @@ impl Case {
         row.lease_expirations = repair.lease_expirations;
         row.orphan_repairs = repair.orphan_repairs;
         row.lease_fallbacks = repair.lease_fallbacks;
-        match check_tree_invariants(&settled.scheme, &settled.world.tree) {
-            Ok(()) => row.phases_to_reconverge = first_converged.or(Some(self.heal_phases)),
-            Err(report) => row.fail(&report.to_string()),
+        let verdict = check_tree_invariants(&settled.scheme, &settled.world.tree);
+        row.phases_to_reconverge = first_converged.or(verdict.is_ok().then_some(self.heal_phases));
+        if let Err(report) = verdict {
+            row.fail(&report.to_string());
         }
         if let Some(exercised) = self.exercised {
             if !exercised(&faults) {
@@ -408,7 +408,7 @@ impl CampaignReport {
 
     /// Retransmissions-per-case histogram over the DUP cases (bucket
     /// width 50).
-    pub fn retransmit_histogram(&self) -> Histogram {
+    fn retransmit_histogram(&self) -> Histogram {
         let mut h = Histogram::new(50.0, 64);
         for c in self.cases.iter().filter(|c| c.scheme == "DUP") {
             h.record(c.retransmits as f64);
@@ -419,7 +419,7 @@ impl CampaignReport {
     /// Heal-phases-to-reconvergence histogram over the cases that
     /// converged (bucket width 1; ten buckets cover the largest budget
     /// any campaign grants, 8, with room to spare).
-    pub fn reconvergence_histogram(&self) -> Histogram {
+    fn reconvergence_histogram(&self) -> Histogram {
         let mut h = Histogram::new(1.0, 10);
         for p in self.cases.iter().filter_map(|c| c.phases_to_reconverge) {
             h.record(p as f64);

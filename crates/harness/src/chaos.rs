@@ -8,7 +8,7 @@
 //! drops of up to 20% on maintenance and push traffic, duplicate
 //! injection, reordering delays, and churn bursts? What `chaos` adds to
 //! the shared campaign (`crate::campaign`): the reliable [`chaos_config`]
-//! generator, the protocol's own [`lease_tick`] as heal driver, the
+//! generator, the protocol's own `on_lease_tick` as heal driver, the
 //! `dup_chaos_*` series of `CHAOS_metrics.prom`, and the space-parallel
 //! cell at the specified loss bound ([`chaos_space_config`]).
 
@@ -91,7 +91,6 @@ pub static CHAOS: Campaign = Campaign {
 fn case(seed: u64) -> Case {
     Case {
         family: None,
-        seed,
         cfg: chaos_config(seed),
         heal_phases: CHAOS_HEAL_PHASES,
         heal: lease_tick,

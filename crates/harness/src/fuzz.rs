@@ -41,7 +41,6 @@ pub static FUZZ: Campaign = Campaign {
 pub fn case(seed: u64) -> Case {
     Case {
         family: None,
-        seed,
         cfg: scenario_config(seed),
         heal_phases: HEAL_PHASES,
         heal: dup_heal,

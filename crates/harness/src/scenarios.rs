@@ -188,7 +188,6 @@ pub fn case(family: ScenarioFamily, seed: u64) -> Case {
     };
     Case {
         family: Some(family.name()),
-        seed,
         cfg: scenario_suite_config(family, seed),
         heal_phases: family.reconvergence_bound(),
         heal: lease_tick,
@@ -552,7 +551,10 @@ mod tests {
         };
         let picked = cases(&one);
         assert_eq!(picked.len(), 1);
-        assert_eq!((picked[0].family, picked[0].seed), (Some("partition"), 9));
+        assert_eq!(
+            (picked[0].family, picked[0].cfg.seed),
+            (Some("partition"), 9)
+        );
     }
 
     #[test]
