@@ -303,13 +303,7 @@ fn main() -> ExitCode {
         println!("{}", output.text);
         println!("({} finished in {:.1?})\n", output.name, started.elapsed());
         if let Some(dir) = &cli.out_dir {
-            let doc = serde_json::json!({
-                "title": output.title,
-                "scale": format!("{:?}", opts.scale),
-                "seed": opts.seed,
-                "results": output.json,
-            });
-            let doc = serde_json::to_string_pretty(&doc).unwrap() + "\n";
+            let doc = output.document(opts);
             if let Err(msg) = write_artifact(dir, &format!("{}.json", output.name), &doc) {
                 eprintln!("error: {msg}");
                 return ExitCode::FAILURE;

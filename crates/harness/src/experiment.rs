@@ -279,6 +279,20 @@ pub struct ExperimentOutput {
     pub json: serde_json::Value,
 }
 
+impl ExperimentOutput {
+    /// The `<name>.json` artifact `dup-experiments --out` writes: the
+    /// results wrapped with the title and the scale and seed they ran at.
+    pub fn document(&self, opts: &HarnessOpts) -> String {
+        let doc = serde_json::json!({
+            "title": self.title,
+            "scale": format!("{:?}", opts.scale),
+            "seed": opts.seed,
+            "results": self.json,
+        });
+        serde_json::to_string_pretty(&doc).expect("experiment document serializes") + "\n"
+    }
+}
+
 /// Experiment registry entry: name → runner.
 type Runner = fn(&HarnessOpts) -> ExperimentOutput;
 
