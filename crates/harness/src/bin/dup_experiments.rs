@@ -55,7 +55,7 @@
 //!
 //! OPTIONS
 //!   --full           paper-scale runs (n=4096, 180000 s windows)
-//!   --bench-scale    minimal runs (Criterion-sized)
+//!   --bench-scale    minimal runs (every experiment in well under a second)
 //!   --seed <u64>     master seed (default 42)
 //!   --jobs <n>       worker threads (default: all cores)
 //!   --reps <n>       independent replications per sweep point (default 1;
@@ -280,7 +280,7 @@ fn main() -> ExitCode {
     } else if selected.iter().any(|s| s == "all") {
         all_experiments()
             .iter()
-            .map(|(n, _)| n.to_string())
+            .map(|sweep| sweep.name.to_string())
             .collect()
     } else {
         selected
@@ -294,11 +294,11 @@ fn main() -> ExitCode {
         names.join(", ")
     );
     for name in &names {
-        let Some(runner) = experiment_by_name(name) else {
+        let Some(sweep) = experiment_by_name(name) else {
             return usage(&format!("unknown experiment {name}"));
         };
         let started = std::time::Instant::now();
-        let output = runner(opts);
+        let output = sweep.run(opts);
         println!("== {} ==", output.title);
         println!("{}", output.text);
         println!("({} finished in {:.1?})\n", output.name, started.elapsed());

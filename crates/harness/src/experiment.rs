@@ -3,9 +3,8 @@
 
 use serde::Serialize;
 
-use dup_core::run_simulation_kind;
 use dup_overlay::TopologyParams;
-use dup_proto::{ProbeSink, RunConfig, RunReport, TopologySource};
+use dup_proto::{RunConfig, RunReport, TopologySource};
 use dup_sim::stream_seed;
 
 pub use dup_core::SchemeKind;
@@ -17,14 +16,14 @@ pub use dup_core::SchemeKind;
 /// while keeping every dimensionless ratio that drives the dynamics —
 /// queries per node per TTL, interest threshold, TTL/push-lead — so shapes
 /// are preserved at a fraction of the wall-clock cost. `Bench` is smaller
-/// still, for Criterion.
+/// still: every experiment in well under a second, for tests and CI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Scale {
     /// Paper-scale runs (minutes to hours of wall clock for full sweeps).
     Full,
     /// Default: shape-preserving scaled-down runs (seconds to minutes).
     Quick,
-    /// Minimal runs for Criterion benchmarks.
+    /// Minimal runs for tests, goldens and CI smoke cells.
     Bench,
 }
 
@@ -156,13 +155,6 @@ impl HarnessOpts {
     }
 }
 
-/// Runs one simulation with the given scheme kind (no probe). Kept as the
-/// harness's historical entry point; dispatch itself now lives in
-/// [`dup_core::run_simulation_kind`].
-pub fn scheme_run(kind: SchemeKind, cfg: &RunConfig) -> RunReport {
-    run_simulation_kind(cfg, kind, ProbeSink::disabled())
-}
-
 /// Reports for all three schemes on one configuration.
 #[derive(Debug, Clone, Serialize)]
 pub struct Triple {
@@ -190,35 +182,38 @@ impl Triple {
 /// topology, workload, and latency streams; only the scheme differs).
 pub fn run_triple(cfg: &RunConfig) -> Triple {
     Triple {
-        pcx: scheme_run(SchemeKind::Pcx, cfg),
-        cup: scheme_run(SchemeKind::Cup, cfg),
-        dup: scheme_run(SchemeKind::Dup, cfg),
+        pcx: SchemeKind::Pcx.run(cfg),
+        cup: SchemeKind::Cup.run(cfg),
+        dup: SchemeKind::Dup.run(cfg),
     }
 }
 
-/// Runs `opts.reps` independent replications of the triple (each with a
+/// Runs `run` — the simulations one sweep point needs, one report per
+/// scheme — on `opts.reps` independent replications of `cfg` (each with a
 /// seed derived from the configuration seed and the replication index) and
-/// aggregates them per scheme. With `reps == 1` this is [`run_triple`].
-pub fn run_triple_replicated(opts: &HarnessOpts, cfg: &RunConfig) -> Triple {
+/// aggregates them scheme by scheme. With `reps == 1` this is `run(cfg)`.
+pub fn run_replicated(
+    opts: &HarnessOpts,
+    cfg: &RunConfig,
+    run: impl Fn(&RunConfig) -> Vec<RunReport>,
+) -> Vec<RunReport> {
     if opts.reps <= 1 {
-        return run_triple(cfg);
+        return run(cfg);
     }
-    let mut pcx = Vec::with_capacity(opts.reps);
-    let mut cup = Vec::with_capacity(opts.reps);
-    let mut dup = Vec::with_capacity(opts.reps);
+    let mut per_scheme: Vec<Vec<RunReport>> = Vec::new();
     for rep in 0..opts.reps {
         let mut rep_cfg = cfg.clone();
         rep_cfg.seed = stream_seed(cfg.seed, &format!("rep/{rep}"));
-        let t = run_triple(&rep_cfg);
-        pcx.push(t.pcx);
-        cup.push(t.cup);
-        dup.push(t.dup);
+        let reports = run(&rep_cfg);
+        per_scheme.resize_with(reports.len(), Vec::new);
+        for (slot, report) in per_scheme.iter_mut().zip(reports) {
+            slot.push(report);
+        }
     }
-    Triple {
-        pcx: RunReport::aggregate(&pcx),
-        cup: RunReport::aggregate(&cup),
-        dup: RunReport::aggregate(&dup),
-    }
+    per_scheme
+        .iter()
+        .map(|reps| RunReport::aggregate(reps))
+        .collect()
 }
 
 /// Runs `work` over `points` on a worker pool, preserving point order in the
@@ -293,41 +288,6 @@ impl ExperimentOutput {
     }
 }
 
-/// Experiment registry entry: name → runner.
-type Runner = fn(&HarnessOpts) -> ExperimentOutput;
-
-/// All experiments in presentation order.
-pub fn all_experiments() -> Vec<(&'static str, Runner)> {
-    vec![
-        ("table2", crate::table2::run as Runner),
-        ("fig4", crate::fig4::run as Runner),
-        ("table3", crate::table3::run as Runner),
-        ("fig5", crate::fig5::run as Runner),
-        ("fig6", crate::fig6::run as Runner),
-        ("fig7", crate::fig7::run as Runner),
-        ("fig8", crate::fig8::run as Runner),
-        ("ext-churn", crate::extensions::run_churn as Runner),
-        ("ext-staleness", crate::extensions::run_staleness as Runner),
-        ("ext-chord", crate::extensions::run_chord as Runner),
-        ("ext-placement", crate::extensions::run_placement as Runner),
-        ("ext-policy", crate::extensions::run_policy as Runner),
-        ("ext-cup-halo", crate::extensions::run_cup_halo as Runner),
-        ("ext-tails", crate::extensions::run_tails as Runner),
-        (
-            "ext-cup-economic",
-            crate::extensions::run_cup_economic as Runner,
-        ),
-    ]
-}
-
-/// Looks up one experiment by name.
-pub fn experiment_by_name(name: &str) -> Option<Runner> {
-    all_experiments()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, r)| r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,17 +322,6 @@ mod tests {
         assert_eq!(out, vec![1, 2, 3]);
         let empty: Vec<i32> = run_parallel(&opts, Vec::<i32>::new(), |&x| x);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn registry_names_are_unique() {
-        let names: Vec<&str> = all_experiments().iter().map(|(n, _)| *n).collect();
-        let mut dedup = names.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(names.len(), dedup.len());
-        assert!(experiment_by_name("table2").is_some());
-        assert!(experiment_by_name("nope").is_none());
     }
 
     #[test]

@@ -33,20 +33,13 @@ pub mod campaign;
 pub mod chaos;
 pub mod cli;
 pub mod experiment;
-pub mod extensions;
-pub mod fig4;
-pub mod fig5;
-pub mod fig6;
-pub mod fig7;
-pub mod fig8;
 pub mod fuzz;
 pub mod livesmoke;
 pub mod loadreport;
 pub mod report;
 pub mod scenarios;
 pub mod spacesmoke;
-pub mod table2;
-pub mod table3;
+pub mod sweeps;
 pub mod tracereport;
 
 pub use campaign::{
@@ -55,8 +48,8 @@ pub use campaign::{
 pub use chaos::CHAOS;
 pub use cli::ScenarioArgs;
 pub use experiment::{
-    all_experiments, experiment_by_name, run_parallel, run_triple, run_triple_replicated,
-    ExperimentOutput, HarnessOpts, Scale, SchemeKind, Triple,
+    run_parallel, run_replicated, run_triple, ExperimentOutput, HarnessOpts, Scale, SchemeKind,
+    Triple,
 };
 pub use fuzz::FUZZ;
 pub use livesmoke::{
@@ -68,4 +61,5 @@ pub use loadreport::{
 pub use report::{write_artifact, TextTable};
 pub use scenarios::{ScenarioFamily, SCENARIOS};
 pub use spacesmoke::{render_space_smoke, space_smoke, SpaceSmokeResult};
+pub use sweeps::{all_experiments, experiment_by_name, Sweep};
 pub use tracereport::{render_trace_report, trace_report, ProgressProbe, TraceReport};

@@ -1,8 +1,11 @@
-//! Plain-text table rendering for experiment output, and the one place
-//! that writes an artifact file.
+//! Plain-text table rendering and ordered JSON objects for experiment
+//! output, and the one place that writes an artifact file.
 
 use std::fmt::Write as _;
 use std::path::Path;
+
+use serde::ser::{Serialize, SerializeMap, Serializer};
+use serde_json::Value;
 
 /// Writes `contents` to `dir/file` (creating `dir` first) and says so on
 /// stdout; the error names the path that failed.
@@ -12,6 +15,21 @@ pub fn write_artifact(dir: &Path, file: &str, contents: &str) -> Result<(), Stri
     std::fs::write(&path, contents).map_err(|e| format!("write {} failed: {e}", path.display()))?;
     println!("wrote {}", path.display());
     Ok(())
+}
+
+/// A JSON object whose keys are data and whose entries keep their
+/// insertion order.
+#[derive(Debug, Clone, Default)]
+pub struct JsonObject(pub Vec<(String, Value)>);
+
+impl Serialize for JsonObject {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut map = serializer.serialize_map(Some(self.0.len()))?;
+        for (key, value) in &self.0 {
+            map.serialize_entry(key, value)?;
+        }
+        map.end()
+    }
 }
 
 /// A simple fixed-column text table, rendered in the style of the paper's
@@ -57,6 +75,26 @@ impl TextTable {
     /// True when no rows have been added.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// The paper's layout of a two-coordinate grid. `self` lists an outer
+    /// and an inner coordinate in its first two columns, its rows grouped by
+    /// outer value and every group covering the same inner values; the
+    /// result has one column per inner value and one line per (outer
+    /// value, remaining column).
+    pub fn pivoted(&self) -> TextTable {
+        let outer = |row: &Vec<String>| row[0] == self.rows[0][0];
+        let inner = self.rows.iter().take_while(|row| outer(row)).count();
+        let columns = self.rows[..inner].iter().map(|row| &row[1]);
+        let mut table = TextTable::new(std::iter::once(&self.header[1]).chain(columns));
+        for group in self.rows.chunks(inner) {
+            for (i, head) in self.header.iter().enumerate().skip(2) {
+                let label = format!("{head} ({}={})", self.header[0], group[0][0]);
+                let cells = group.iter().map(|row| row[i].clone());
+                table.row(std::iter::once(label).chain(cells));
+            }
+        }
+        table
     }
 
     /// Renders the table with aligned columns.
@@ -126,6 +164,28 @@ mod tests {
         assert!(lines[2].ends_with("10.5"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn pivots_a_grid() {
+        let mut t = TextTable::new(["lambda", "c", "cost"]);
+        for (lambda, c, cost) in [
+            ("0.1", "2", "a"),
+            ("0.1", "4", "b"),
+            ("1", "2", "x"),
+            ("1", "4", "y"),
+        ] {
+            t.row([lambda, c, cost]);
+        }
+        let pivoted = t.pivoted();
+        assert_eq!(pivoted.header, ["c", "2", "4"]);
+        assert_eq!(
+            pivoted.rows,
+            [
+                ["cost (lambda=0.1)", "a", "b"],
+                ["cost (lambda=1)", "x", "y"]
+            ]
+        );
     }
 
     #[test]

@@ -11,7 +11,18 @@
 //! DUP_RECORD_GOLDEN=1 cargo test -p dup-harness --test experiment_golden
 //! ```
 
-use dup_harness::{all_experiments, HarnessOpts, Scale};
+use dup_harness::{all_experiments, experiment_by_name, HarnessOpts, Scale};
+
+#[test]
+fn registry_names_are_unique() {
+    let names: Vec<&str> = all_experiments().iter().map(|sweep| sweep.name).collect();
+    let mut dedup = names.clone();
+    dedup.sort_unstable();
+    dedup.dedup();
+    assert_eq!(names.len(), dedup.len());
+    assert!(experiment_by_name("table2").is_some());
+    assert!(experiment_by_name("nope").is_none());
+}
 
 #[test]
 fn bench_scale_documents_are_pinned() {
@@ -23,8 +34,9 @@ fn bench_scale_documents_are_pinned() {
             jobs,
             ..HarnessOpts::default()
         };
-        for (name, runner) in all_experiments() {
-            let actual = runner(&opts).document(&opts);
+        for sweep in all_experiments() {
+            let name = sweep.name;
+            let actual = sweep.run(&opts).document(&opts);
             let path = format!("{dir}/{name}.json");
             if std::env::var_os("DUP_RECORD_GOLDEN").is_some() {
                 std::fs::write(&path, &actual).expect("golden file is writable");

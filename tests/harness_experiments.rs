@@ -1,7 +1,8 @@
 //! Every experiment in the registry runs end-to-end at bench scale and
 //! produces well-formed, shape-consistent output.
 
-use dup_p2p::harness::{all_experiments, HarnessOpts, Scale};
+use dup_p2p::harness::{all_experiments, experiment_by_name, HarnessOpts, Scale};
+use serde_json::Value;
 
 fn opts() -> HarnessOpts {
     HarnessOpts {
@@ -14,10 +15,16 @@ fn opts() -> HarnessOpts {
     }
 }
 
+/// The `results` document of one experiment at [`opts`].
+fn results(name: &str) -> Value {
+    experiment_by_name(name).expect(name).run(&opts()).json
+}
+
 #[test]
 fn every_registered_experiment_runs() {
-    for (name, runner) in all_experiments() {
-        let out = runner(&opts());
+    for sweep in all_experiments() {
+        let name = sweep.name;
+        let out = sweep.run(&opts());
         assert_eq!(out.name, name);
         assert!(!out.text.trim().is_empty(), "{name}: empty text output");
         assert!(out.json.is_object(), "{name}: JSON is not an object");
@@ -31,8 +38,8 @@ fn every_registered_experiment_runs() {
 
 #[test]
 fn fig4_shapes() {
-    let out = dup_p2p::harness::fig4::run(&opts());
-    let points = out.json["points"].as_array().unwrap();
+    let json = results("fig4");
+    let points = json["points"].as_array().unwrap();
     assert!(!points.is_empty());
     for p in points {
         let lat = p["latency"].as_array().unwrap();
@@ -48,8 +55,8 @@ fn fig4_shapes() {
 
 #[test]
 fn table2_has_all_cells() {
-    let out = dup_p2p::harness::table2::run(&opts());
-    let cells = out.json["cells"].as_array().unwrap();
+    let json = results("table2");
+    let cells = json["cells"].as_array().unwrap();
     assert_eq!(cells.len(), 15, "5 c-values × 3 λ values");
     for c in cells {
         assert!(c["avg_query_cost"].as_f64().unwrap() >= 0.0);
@@ -58,8 +65,8 @@ fn table2_has_all_cells() {
 
 #[test]
 fn table3_latency_grows_with_network_size() {
-    let out = dup_p2p::harness::table3::run(&opts());
-    let cells = out.json["cells"].as_array().unwrap();
+    let json = results("table3");
+    let cells = json["cells"].as_array().unwrap();
     // For λ=0.1 (coldest caches), PCX latency at the largest n must exceed
     // PCX latency at the smallest n.
     let pcx_lat = |nodes: u64| -> f64 {
@@ -81,8 +88,8 @@ fn table3_latency_grows_with_network_size() {
 
 #[test]
 fn fig6_larger_degree_means_lower_pcx_latency() {
-    let out = dup_p2p::harness::fig6::run(&opts());
-    let points = out.json["points"].as_array().unwrap();
+    let json = results("fig6");
+    let points = json["points"].as_array().unwrap();
     let first = points.first().unwrap()["latency"][0].as_f64().unwrap();
     let last = points.last().unwrap()["latency"][0].as_f64().unwrap();
     assert!(last < first, "D=10 PCX latency {last} !< D=2 {first}");
@@ -90,8 +97,7 @@ fn fig6_larger_degree_means_lower_pcx_latency() {
 
 #[test]
 fn ext_staleness_pcx_dominates() {
-    let out = dup_p2p::harness::extensions::run_staleness(&opts());
-    for p in out.json["points"].as_array().unwrap() {
+    for p in results("ext-staleness")["points"].as_array().unwrap() {
         let stale = p["stale"].as_array().unwrap();
         let pcx = stale[0].as_f64().unwrap();
         let dup = stale[2].as_f64().unwrap();
@@ -101,4 +107,26 @@ fn ext_staleness_pcx_dominates() {
             p["lambda"]
         );
     }
+}
+
+#[test]
+fn every_sweep_replicates_each_point() {
+    // `--reps` reaches every sweep, the full-report and the DUP-only ones
+    // included: aggregation sums the replications' queries and takes the
+    // latency CI over their means.
+    let run = |name: &str, reps: usize| {
+        let opts = HarnessOpts { reps, ..opts() };
+        experiment_by_name(name).expect(name).run(&opts).json
+    };
+    let (once, twice) = (run("ext-churn", 1), run("ext-churn", 2));
+    let dup = |json: &Value, field: &str| json["points"][0]["dup"][field].clone();
+    let queries = |json: &Value| dup(json, "queries").as_u64().unwrap() as f64;
+    let ratio = queries(&twice) / queries(&once);
+    assert!((1.9..2.1).contains(&ratio), "queries grew {ratio}x");
+    let latency = dup(&twice, "latency_hops");
+    assert_eq!(latency["count"].as_u64(), Some(2), "replication means");
+    assert!(latency["ci95_half_width"].as_f64().unwrap().is_finite());
+
+    let cell = |reps| run("table2", reps)["cells"][0]["avg_query_latency"].as_f64();
+    assert_ne!(cell(1), cell(2), "table2 ignored the replications");
 }
