@@ -6,16 +6,15 @@
 //! [`run_simulation_kind`] replace those with a single dispatch point that
 //! also threads a probe through, so every entry path gains observability
 //! for free. Ablation variants (e.g. economic-push CUP) are not kinds —
-//! construct them directly and call
-//! [`dup_proto::run_simulation_probed`] yourself.
+//! construct them directly and hand them to [`dup_proto::run_simulation`]
+//! or a [`dup_proto::Runner`] yourself.
 
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
 use dup_proto::{
-    run_simulation_probed, run_simulation_space, run_simulation_space_logged, CupScheme, LogRecord,
-    PcxScheme, ProbeSink, RunConfig, RunReport,
+    run_simulation_space, CupScheme, PcxScheme, ProbeSink, RunConfig, RunReport, Runner,
 };
 
 use crate::dup::DupScheme;
@@ -85,44 +84,25 @@ impl FromStr for SchemeKind {
 /// report, tagged with their shard.
 ///
 /// With `cfg.space_shards > 1` the run executes in **space-parallel mode**
-/// (see [`run_simulation_space_kind`]): one simulation, its node space
-/// partitioned across shards. The probe attaches to shard 0.
+/// (see [`dup_proto::run_simulation_space`]): one simulation, its node space
+/// partitioned across shards. The probe attaches to shard 0, which also
+/// finalizes the merged report.
 pub fn run_simulation_kind(cfg: &RunConfig, kind: SchemeKind, probe: ProbeSink) -> RunReport {
     if cfg.shards > 1 {
         return run_simulation_sharded(cfg, kind, true);
     }
     if cfg.space_shards > 1 {
-        return run_simulation_space_kind(cfg, kind, probe);
+        return match kind {
+            SchemeKind::Pcx => run_simulation_space(cfg, PcxScheme::new, probe, false).0,
+            SchemeKind::Cup => run_simulation_space(cfg, CupScheme::new, probe, false).0,
+            SchemeKind::Dup => run_simulation_space(cfg, DupScheme::new, probe, false).0,
+        };
     }
+    let cfg = cfg.clone();
     match kind {
-        SchemeKind::Pcx => run_simulation_probed(cfg, PcxScheme::new(), probe),
-        SchemeKind::Cup => run_simulation_probed(cfg, CupScheme::new(), probe),
-        SchemeKind::Dup => run_simulation_probed(cfg, DupScheme::new(), probe),
-    }
-}
-
-/// Runs one simulation of `kind` with its node space partitioned across
-/// `cfg.space_shards` engine shards (see [`dup_proto::space`]). The probe
-/// attaches to shard 0, which also finalizes the merged report.
-pub fn run_simulation_space_kind(cfg: &RunConfig, kind: SchemeKind, probe: ProbeSink) -> RunReport {
-    match kind {
-        SchemeKind::Pcx => run_simulation_space(cfg, PcxScheme::new, probe),
-        SchemeKind::Cup => run_simulation_space(cfg, CupScheme::new, probe),
-        SchemeKind::Dup => run_simulation_space(cfg, DupScheme::new, probe),
-    }
-}
-
-/// [`run_simulation_space_kind`] with event-log capture: returns the
-/// canonically ordered delivery log alongside the report. The log is the
-/// space-parallel equivalence artifact — identical for every shard count.
-pub fn run_simulation_space_kind_logged(
-    cfg: &RunConfig,
-    kind: SchemeKind,
-) -> (RunReport, Vec<LogRecord>) {
-    match kind {
-        SchemeKind::Pcx => run_simulation_space_logged(cfg, PcxScheme::new),
-        SchemeKind::Cup => run_simulation_space_logged(cfg, CupScheme::new),
-        SchemeKind::Dup => run_simulation_space_logged(cfg, DupScheme::new),
+        SchemeKind::Pcx => Runner::with_probe(cfg, PcxScheme::new(), probe).run(),
+        SchemeKind::Cup => Runner::with_probe(cfg, CupScheme::new(), probe).run(),
+        SchemeKind::Dup => Runner::with_probe(cfg, DupScheme::new(), probe).run(),
     }
 }
 

@@ -58,8 +58,5 @@ pub mod testkit;
 
 pub use audit::{audit_quiescent, AuditError};
 pub use dup::{DupMsg, DupScheme, RepairStats};
-pub use kind::{
-    run_simulation_kind, run_simulation_sharded, run_simulation_space_kind,
-    run_simulation_space_kind_logged, SchemeKind,
-};
+pub use kind::{run_simulation_kind, run_simulation_sharded, SchemeKind};
 pub use oracle::{check_tree_invariants, InvariantReport, OracleMismatch};

@@ -10,8 +10,8 @@
 
 use serde::Serialize;
 
-use dup_core::{run_simulation_space_kind_logged, SchemeKind};
-use dup_proto::QueueBackendConfig;
+use dup_core::DupScheme;
+use dup_proto::{run_simulation_space, ProbeSink, QueueBackendConfig};
 
 use crate::campaign::logs_identical;
 use crate::experiment::HarnessOpts;
@@ -40,9 +40,11 @@ pub fn space_smoke(opts: &HarnessOpts) -> SpaceSmokeResult {
     let mut cfg = opts.scale.base_config(opts.seed);
     cfg.queue.backend = QueueBackendConfig::TimerWheel;
     cfg.space_shards = 1;
-    let (_, sequential_log) = run_simulation_space_kind_logged(&cfg, SchemeKind::Dup);
+    let (_, sequential_log) =
+        run_simulation_space(&cfg, DupScheme::new, ProbeSink::disabled(), true);
     cfg.space_shards = 2;
-    let (report, parallel_log) = run_simulation_space_kind_logged(&cfg, SchemeKind::Dup);
+    let (report, parallel_log) =
+        run_simulation_space(&cfg, DupScheme::new, ProbeSink::disabled(), true);
     SpaceSmokeResult {
         scheme: report.scheme.clone(),
         space_shards: 2,

@@ -434,7 +434,7 @@ impl Default for TraceSampling {
 /// Controls only the *periodic sampling* schedule, trace sampling, and
 /// engine self-profiling; whether any events are recorded at all is
 /// decided by attaching a probe at run time (see
-/// [`crate::run_simulation_probed`]), so serialized configs stay free of
+/// [`crate::Runner::with_probe`]), so serialized configs stay free of
 /// non-data probe state.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProbeConfig {

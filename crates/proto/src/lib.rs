@@ -78,17 +78,11 @@ pub use probe::{
     CaptureProbe, JsonlProbe, ProbeEvent, ProbeSink, SubscriberStats, TraceLine, TraceSample,
 };
 pub use reliable::{backoff_delay_secs, ReliabilityStats, ReliableState, RetryAction};
-pub use runner::{
-    build_topology, run_simulation, run_simulation_probed, LiveSetError, LogRecord, Runner,
-    SettledRun,
-};
+pub use runner::{build_topology, run_simulation, LiveSetError, LogRecord, Runner, SettledRun};
 pub use scheme::{
     AppliedChurn, Ctx, Ev, EvSink, FaultState, FaultStats, FifoClocks, Msg, Scheme, World,
 };
-pub use space::{
-    run_simulation_space, run_simulation_space_logged, run_simulation_space_settled, ShardMap,
-    SpaceSettledRun,
-};
+pub use space::{run_simulation_space, run_simulation_space_settled, ShardMap, SpaceSettledRun};
 pub use telemetry::Registry;
 pub use trace::{
     perfetto_counter_events, perfetto_trace, EdgeKind, PropEdge, SpanInfo, TraceCollector,

@@ -46,19 +46,12 @@ use crate::trace::TraceCtx;
 /// draining without end.
 const SETTLE_DEADLINE_SECS: f64 = 1e7;
 
-/// Runs one simulation to completion and returns its report.
+/// Runs one simulation to completion and returns its report. To observe
+/// it, build the [`Runner`] yourself: `Runner::with_probe(cfg, scheme,
+/// probe).run()` has identical dynamics — probes observe, they never
+/// influence — and feeds every protocol event to the probe.
 pub fn run_simulation<S: Scheme>(cfg: &RunConfig, scheme: S) -> RunReport {
     Runner::new(cfg.clone(), scheme).run()
-}
-
-/// Runs one simulation with a probe attached, returning its report.
-///
-/// Identical dynamics to [`run_simulation`] — probes observe, they never
-/// influence — plus every protocol event flows into `probe` and, when
-/// [`crate::ProbeConfig::sample_every_secs`] is positive, periodic
-/// [`TraceSample`]s land in [`RunReport::samples`].
-pub fn run_simulation_probed<S: Scheme>(cfg: &RunConfig, scheme: S, probe: ProbeSink) -> RunReport {
-    Runner::with_probe(cfg.clone(), scheme, probe).run()
 }
 
 /// Dense set of live nodes supporting O(1) uniform sampling.

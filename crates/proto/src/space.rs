@@ -388,36 +388,24 @@ where
 
 /// Runs one simulation with its node space partitioned across
 /// `cfg.space_shards` engine shards (one worker thread per shard), and
-/// returns the merged report. With `space_shards = 1` the result is
-/// bit-identical to [`crate::run_simulation`].
+/// returns the merged report — with `space_shards = 1` bit-identical to
+/// [`crate::run_simulation`] — and, when `logged`, the canonically ordered
+/// message-delivery log (see [`LogRecord`]; empty otherwise). The
+/// space-parallel equivalence contract is that this log is identical for
+/// every shard count. The probe attaches to shard 0.
 pub fn run_simulation_space<S>(
     cfg: &RunConfig,
     make_scheme: impl FnMut() -> S,
     probe: ProbeSink,
-) -> RunReport
-where
-    S: Scheme + Send,
-    S::Msg: Send,
-{
-    let mut run = SpaceRun::launch(cfg, make_scheme, probe, false);
-    run.finish(true)
-}
-
-/// [`run_simulation_space`] plus the canonically ordered message-delivery
-/// log (see [`LogRecord`]): the space-parallel equivalence contract is
-/// that this log is identical for every shard count.
-pub fn run_simulation_space_logged<S>(
-    cfg: &RunConfig,
-    make_scheme: impl FnMut() -> S,
+    logged: bool,
 ) -> (RunReport, Vec<LogRecord>)
 where
     S: Scheme + Send,
     S::Msg: Send,
 {
-    let mut run = SpaceRun::launch(cfg, make_scheme, ProbeSink::disabled(), true);
+    let mut run = SpaceRun::launch(cfg, make_scheme, probe, logged);
     let report = run.finish(true);
-    let log = run.take_merged_log();
-    (report, log)
+    (report, run.take_merged_log())
 }
 
 /// The space-parallel analog of [`Runner::run_settled`]: runs to the
@@ -507,6 +495,15 @@ mod tests {
     use crate::runner::run_simulation;
     use dup_overlay::TopologyParams;
 
+    /// One space run with no probe and the delivery log captured.
+    fn logged<S>(cfg: &RunConfig, make_scheme: fn() -> S) -> (RunReport, Vec<LogRecord>)
+    where
+        S: Scheme + Send,
+        S::Msg: Send,
+    {
+        run_simulation_space(cfg, make_scheme, ProbeSink::disabled(), true)
+    }
+
     fn tiny_cfg(seed: u64, space_shards: usize) -> RunConfig {
         RunConfig {
             topology: TopologySource::RandomTree(TopologyParams {
@@ -544,7 +541,7 @@ mod tests {
     fn one_shard_space_run_is_bit_identical_to_sequential() {
         let cfg = tiny_cfg(21, 1);
         let seq = run_simulation(&cfg, PcxScheme::new());
-        let space = run_simulation_space(&cfg, PcxScheme::new, ProbeSink::disabled());
+        let space = logged(&cfg, PcxScheme::new).0;
         assert_eq!(
             serde_json::to_string(&seq).unwrap(),
             serde_json::to_string(&space).unwrap(),
@@ -554,8 +551,18 @@ mod tests {
 
     #[test]
     fn two_shard_log_equals_one_shard_log_pcx() {
-        let (r1, log1) = run_simulation_space_logged(&tiny_cfg(22, 1), PcxScheme::new);
-        let (r2, log2) = run_simulation_space_logged(&tiny_cfg(22, 2), PcxScheme::new);
+        let (r1, log1) = run_simulation_space(
+            &tiny_cfg(22, 1),
+            PcxScheme::new,
+            ProbeSink::disabled(),
+            true,
+        );
+        let (r2, log2) = run_simulation_space(
+            &tiny_cfg(22, 2),
+            PcxScheme::new,
+            ProbeSink::disabled(),
+            true,
+        );
         assert!(!log1.is_empty());
         assert_eq!(log1, log2, "sharding changed the delivered-message log");
         assert_eq!(r1.queries, r2.queries);
@@ -578,8 +585,18 @@ mod tests {
 
     #[test]
     fn two_shard_log_equals_one_shard_log_cup() {
-        let (_, log1) = run_simulation_space_logged(&tiny_cfg(23, 1), CupScheme::new);
-        let (_, log2) = run_simulation_space_logged(&tiny_cfg(23, 2), CupScheme::new);
+        let (_, log1) = run_simulation_space(
+            &tiny_cfg(23, 1),
+            CupScheme::new,
+            ProbeSink::disabled(),
+            true,
+        );
+        let (_, log2) = run_simulation_space(
+            &tiny_cfg(23, 2),
+            CupScheme::new,
+            ProbeSink::disabled(),
+            true,
+        );
         assert!(!log1.is_empty());
         assert_eq!(log1, log2, "sharding changed CUP's delivered-message log");
     }
@@ -589,14 +606,14 @@ mod tests {
         let cfg = tiny_cfg(24, 1);
         let (_, mut seq_log) = crate::Runner::new(cfg.clone(), PcxScheme::new()).run_logged();
         seq_log.sort_unstable();
-        let (_, space_log) = run_simulation_space_logged(&cfg, PcxScheme::new);
+        let (_, space_log) = logged(&cfg, PcxScheme::new);
         assert_eq!(seq_log, space_log);
     }
 
     #[test]
     fn settled_space_run_report_matches_plain_space_run() {
         let cfg = tiny_cfg(25, 2);
-        let plain = run_simulation_space(&cfg, PcxScheme::new, ProbeSink::disabled());
+        let plain = logged(&cfg, PcxScheme::new).0;
         let (settled, _) =
             run_simulation_space_settled(&cfg, PcxScheme::new, false, 2, |_, _, _| {});
         assert_eq!(
@@ -617,12 +634,12 @@ mod tests {
         let wheel = |seed, shards| {
             let mut cfg = tiny_cfg(seed, shards);
             cfg.queue.backend = QueueBackendConfig::TimerWheel;
-            run_simulation_space_logged(&cfg, PcxScheme::new).1
+            logged(&cfg, PcxScheme::new).1
         };
         let heap = |seed, shards| {
             let mut cfg = tiny_cfg(seed, shards);
             cfg.queue.backend = QueueBackendConfig::Heap;
-            run_simulation_space_logged(&cfg, PcxScheme::new).1
+            logged(&cfg, PcxScheme::new).1
         };
         let reference = heap(27, 1);
         assert!(!reference.is_empty());
@@ -644,6 +661,6 @@ mod tests {
             rel_half_width: 0.5,
             check_every_secs: 1000.0,
         };
-        let _ = run_simulation_space(&cfg, PcxScheme::new, ProbeSink::disabled());
+        let _ = logged(&cfg, PcxScheme::new).0;
     }
 }
