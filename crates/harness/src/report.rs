@@ -67,16 +67,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// The paper's layout of a two-coordinate grid. `self` lists an outer
     /// and an inner coordinate in its first two columns, its rows grouped by
     /// outer value and every group covering the same inner values; the
@@ -138,15 +128,6 @@ pub fn fmt_f(value: f64) -> String {
     }
 }
 
-/// Formats a mean ± half-width pair.
-pub fn fmt_ci(mean: f64, half_width: f64) -> String {
-    if half_width.is_finite() {
-        format!("{} ±{}", fmt_f(mean), fmt_f(half_width))
-    } else {
-        fmt_f(mean)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,8 +143,6 @@ mod tests {
         assert!(lines[0].contains("value"));
         assert!(lines[1].starts_with('-'));
         assert!(lines[2].ends_with("10.5"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -202,11 +181,5 @@ mod tests {
         assert_eq!(fmt_f(2.34567), "2.346");
         assert_eq!(fmt_f(123.456), "123.5");
         assert_eq!(fmt_f(f64::NAN), "n/a");
-    }
-
-    #[test]
-    fn ci_formatting() {
-        assert_eq!(fmt_ci(1.5, 0.25), "1.500 ±0.2500");
-        assert_eq!(fmt_ci(1.5, f64::INFINITY), "1.500");
     }
 }

@@ -1,9 +1,9 @@
 //! The paper's seven artifacts and the eight extensions as one table.
 //!
-//! A [`Sweep`] declares an experiment: the [`Axis`] values it runs `over`
+//! A [`Sweep`] declares an experiment: the `Axis` values it runs `over`
 //! (JSON key order, the last varying slowest; an axis knows its points per
 //! [`Scale`], the field it sets and its part of the seed label), the `runs`
-//! a point needs, the `columns` ([`Measure`]s) written to a JSON row and
+//! a point needs, the `columns` (`Measure`s) written to a JSON row and
 //! printed under their keys (`text_only` ones are printed only) and the
 //! `layout`. [`Sweep::run`] is the only driver: [`run_parallel`] over the
 //! points, [`run_replicated`] at each, one row per point or CUP variant.

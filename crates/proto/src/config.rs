@@ -626,7 +626,7 @@ impl RunConfig {
         }
     }
 
-    /// A scaled-down configuration for tests and Criterion benches: smaller
+    /// A scaled-down configuration for tests and examples: smaller
     /// network and a shorter (but still multi-TTL) window.
     pub fn quick(seed: u64) -> Self {
         RunConfig {
