@@ -193,16 +193,16 @@ impl Measure {
             let (value, cell) = match get {
                 Real(get) => {
                     let x = get(r, runs[0].1);
-                    (json!(x), fmt_f(x))
+                    (json!(x), Some(fmt_f(x)))
                 }
-                Count(get) => (json!(get(r)), get(r).to_string()),
+                Count(get) => (json!(get(r)), Some(get(r).to_string())),
                 Percentiles => {
                     let hops = [r.latency_p50_hops, r.latency_p95_hops, r.latency_p99_hops];
-                    (json!(hops), hops.map(fmt_f).join("/"))
+                    (json!(hops), Some(hops.map(fmt_f).join("/")))
                 }
-                Report => (json!(r), String::new()),
+                Report => (json!(r), None),
             };
-            if !cell.is_empty() {
+            if let Some(cell) = cell {
                 let head = key.unwrap_or("p50/p95/p99");
                 row.head.push(format!("{scheme} {head}"));
                 row.cells.push(cell);

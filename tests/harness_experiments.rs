@@ -8,10 +8,7 @@ fn opts() -> HarnessOpts {
     HarnessOpts {
         scale: Scale::Bench,
         seed: 7,
-        jobs: 0,
-        reps: 1,
-        shards: 1,
-        space_shards: 1,
+        ..HarnessOpts::default()
     }
 }
 
