@@ -248,6 +248,127 @@ pub fn read_frame<R: Read, M: DeserializeOwned>(r: &mut R) -> io::Result<Frame<M
 mod tests {
     use super::*;
     use dup_core::DupMsg;
+    use dup_proto::cup::CupMsg;
+    use dup_proto::{IndexRecord, Version};
+    use dup_sim::SimTime;
+
+    fn record() -> IndexRecord {
+        IndexRecord {
+            version: Version(7),
+            created: SimTime::from_secs(3),
+            expires: SimTime::from_nanos(3_600_000_000_001),
+        }
+    }
+
+    /// One `write_frame` encoding, hex, newline-terminated.
+    fn hex_line<M: Serialize>(frame: &Frame<M>) -> String {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, frame).unwrap();
+        let mut line: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        line.push('\n');
+        line
+    }
+
+    /// `Frame::Deliver` once per `Msg` variant, `Scheme` once per entry of
+    /// `scheme` and `Tracked` around the first of them.
+    fn deliver_lines<M: Serialize + Clone>(scheme: &[M]) -> String {
+        let mut msgs = vec![
+            Msg::Request {
+                origin: NodeId(6),
+                visited: vec![NodeId(6), NodeId(5), NodeId(3)],
+                issued_at: SimTime::from_nanos(1_500_000_000),
+                riders: vec![NodeId(6)],
+            },
+            Msg::Reply {
+                record: record(),
+                remaining: vec![NodeId(6), NodeId(5)],
+                issued_at: SimTime::from_nanos(1_500_000_000),
+            },
+        ];
+        msgs.extend(scheme.iter().cloned().map(Msg::Scheme));
+        msgs.push(Msg::Tracked {
+            seq: u64::MAX,
+            inner: scheme[0].clone(),
+        });
+        msgs.push(Msg::Ack { seq: 41 });
+        let classes = [
+            MsgClass::Request,
+            MsgClass::Reply,
+            MsgClass::Push,
+            MsgClass::Control,
+        ];
+        msgs.into_iter()
+            .enumerate()
+            .map(|(i, msg)| {
+                hex_line(&Frame::Deliver {
+                    from: NodeId(3),
+                    to: NodeId(2),
+                    class: classes[i % classes.len()],
+                    msg,
+                })
+            })
+            .collect()
+    }
+
+    /// Wire golden: the `write_frame` bytes of one frame per `Frame`
+    /// variant, `Deliver` repeated for every `Msg` variant over `DupMsg`
+    /// and `CupMsg`, must match the committed file byte for byte — the
+    /// encoding is what two hosts of different builds agree on. Re-record
+    /// with:
+    ///
+    /// ```text
+    /// DUP_RECORD_GOLDEN=1 cargo test -p dup-live --lib golden
+    /// ```
+    #[test]
+    fn golden_frame_bytes_are_pinned() {
+        let tree = SearchTree::from_parents(&[None, Some(NodeId(0)), Some(NodeId(0))]);
+        let control: Vec<Frame<DupMsg>> = vec![
+            Frame::Hello {
+                node: NodeId(3),
+                incarnation: 2,
+            },
+            Frame::HelloAck {
+                node: NodeId(1),
+                incarnation: 1,
+                tree: tree.clone(),
+            },
+            Frame::Heartbeat {
+                node: NodeId(0),
+                incarnation: u64::MAX,
+            },
+            Frame::SnapshotReq {
+                reply_to: "127.0.0.1:9\"\\\u{e9}".into(),
+            },
+            Frame::Snapshot(NodeSnapshot {
+                node: NodeId(2),
+                incarnation: 4,
+                tree,
+                s_list: vec![NodeId(2), NodeId(1)],
+                subscribed: true,
+                cache_version: None,
+                authority_version: 9,
+                queries_issued: 12,
+            }),
+            Frame::Shutdown,
+        ];
+        let mut actual: String = control.iter().map(hex_line).collect();
+        actual += &deliver_lines(&[
+            DupMsg::Subscribe { subject: NodeId(5) },
+            DupMsg::Unsubscribe { subject: NodeId(5) },
+            DupMsg::Substitute {
+                old: NodeId(5),
+                new: NodeId(4),
+            },
+            DupMsg::Push(record()),
+        ]);
+        actual += &deliver_lines(&[CupMsg::Register, CupMsg::Deregister, CupMsg::Push(record())]);
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/frames.txt");
+        if std::env::var_os("DUP_RECORD_GOLDEN").is_some() {
+            std::fs::write(path, &actual).expect("golden file is writable");
+        }
+        let golden = std::fs::read_to_string(path).expect("golden file is committed");
+        assert_eq!(actual, golden, "wire golden drifted; actual:\n{actual}");
+    }
 
     #[test]
     fn frames_round_trip() {
