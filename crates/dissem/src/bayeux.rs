@@ -190,10 +190,10 @@ mod tests {
         let mut node = leaf;
         loop {
             assert!(
-                h.node.scheme.member_list(node).contains(&leaf),
+                h.bench.node.scheme.member_list(node).contains(&leaf),
                 "missing at {node}"
             );
-            match h.node.world.tree.parent(node) {
+            match h.bench.node.world.tree.parent(node) {
                 Some(p) => node = p,
                 None => break,
             }
@@ -208,7 +208,7 @@ mod tests {
         }
         // The root's list holds every member — the paper's scalability
         // criticism of Bayeux.
-        assert_eq!(h.node.scheme.member_list(NodeId(0)).len(), 8);
+        assert_eq!(h.bench.node.scheme.member_list(NodeId(0)).len(), 8);
     }
 
     #[test]
@@ -227,11 +227,11 @@ mod tests {
         assert!(receivers.contains(&NodeId(7)) && receivers.contains(&NodeId(8)));
         assert!(!receivers.contains(&NodeId(2)));
         assert_eq!(
-            h.node.world.cache.raw(NodeId(7)).map(|r| r.version),
+            h.bench.node.world.cache.raw(NodeId(7)).map(|r| r.version),
             Some(record.version)
         );
         // Relay nodes forward but do not install (they never asked).
-        assert_eq!(h.node.world.cache.raw(NodeId(3)), None);
+        assert_eq!(h.bench.node.world.cache.raw(NodeId(3)), None);
     }
 
     #[test]
@@ -239,9 +239,9 @@ mod tests {
         let mut h = host();
         h.subscribe(NodeId(14));
         h.unsubscribe(NodeId(14));
-        for node in h.node.world.tree.live_nodes() {
+        for node in h.bench.node.world.tree.live_nodes() {
             assert!(
-                h.node.scheme.member_list(node).is_empty(),
+                h.bench.node.scheme.member_list(node).is_empty(),
                 "leaked member at {node}"
             );
         }

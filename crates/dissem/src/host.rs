@@ -2,10 +2,11 @@
 //! tree with explicit (application-driven) subscriptions and event-driven
 //! publishing, instead of the query-workload runner.
 
+use dup_core::testkit::TestBench;
 use dup_overlay::{NodeId, SearchTree};
-use dup_proto::scheme::{Ctx, Ev, Msg, Scheme, World};
-use dup_proto::{IndexRecord, InterestTracker, MsgClass, NodeCore, ProbeSink, Registry};
-use dup_sim::{Engine, SenderStreams, SimTime};
+use dup_proto::scheme::{Msg, Scheme};
+use dup_proto::{IndexRecord, MsgClass, ProbeSink, Registry};
+use dup_sim::{SenderStreams, SimTime};
 
 /// Hosts one scheme instance over one topic's search tree.
 ///
@@ -15,64 +16,47 @@ use dup_sim::{Engine, SenderStreams, SimTime};
 /// lapse path (event (D)). Publishing mints a new version at the authority
 /// and lets the scheme propagate it.
 pub struct TopicHost<S: Scheme> {
-    /// This topic's protocol state, its dissemination scheme, and the
-    /// handlers every driver shares.
-    pub node: NodeCore<S>,
-    engine: Engine<Ev<S::Msg>>,
+    /// The hand-driven protocol bench this host steers: the topic's
+    /// protocol state and scheme (`bench.node`) and its event engine.
+    pub bench: TestBench<S>,
 }
 
 impl<S: Scheme> TopicHost<S> {
     /// Creates a host over `tree`, with the paper's hop-latency model and a
     /// per-topic RNG stream derived from `seed` and the topic `label`.
     pub fn new(tree: SearchTree, scheme: S, seed: u64, label: &str) -> Self {
-        let mut world = World::new(tree);
-        world.interest = InterestTracker::new(world.authority.ttl(), 0, world.tree.capacity());
-        world.metrics.start_recording();
-        world.latency_rng = SenderStreams::new(seed, format!("dissem-latency/{label}"));
-        TopicHost {
-            node: NodeCore::new(world, scheme),
-            engine: Engine::new(),
-        }
+        let mut bench = TestBench::new(tree, scheme, 0);
+        bench.node.world.latency_rng = SenderStreams::new(seed, format!("dissem-latency/{label}"));
+        TopicHost { bench }
     }
 
     /// Attaches `probe` to this topic's world; subsequent subscription,
     /// maintenance, and publish traffic flows into it.
     pub fn attach_probe(&mut self, probe: ProbeSink) {
-        self.node.world.probe = probe;
+        self.bench.node.world.probe = probe;
     }
 
     /// Probe events emitted by this topic so far (0 with no probe).
     pub fn probe_events(&self) -> u64 {
-        self.node.world.probe.emitted()
+        self.bench.node.world.probe.emitted()
     }
 
     /// Current simulated time inside this topic's event stream.
     pub fn now(&self) -> SimTime {
-        self.engine.now()
-    }
-
-    /// Runs a scheme hook with a wired context.
-    pub fn with_ctx<R>(&mut self, f: impl FnOnce(&mut S, &mut Ctx<'_, S::Msg>) -> R) -> R {
-        self.node.with_ctx(&mut self.engine, f)
+        self.bench.engine.now()
     }
 
     /// Subscribes `node` to the topic (idempotent) and settles the
     /// resulting maintenance traffic.
     pub fn subscribe(&mut self, node: NodeId) {
-        let now = self.engine.now();
-        self.node.world.interest.observe(node, now);
-        self.node.world.begin_maintenance();
-        let mut riders = Vec::new();
-        self.with_ctx(|s, ctx| s.on_query_step(ctx, node, None, &mut riders, false));
-        self.drain(|_, _, _| {});
+        self.bench.make_interested(node);
+        self.bench.drain();
     }
 
     /// Unsubscribes `node` (idempotent) and settles.
     pub fn unsubscribe(&mut self, node: NodeId) {
-        self.node.world.interest.clear(node);
-        self.node.world.begin_maintenance();
-        self.with_ctx(|s, ctx| s.on_interest_lost(ctx, node));
-        self.drain(|_, _, _| {});
+        self.bench.drop_interest(node);
+        self.bench.drain();
     }
 
     /// Charges `hops` transfer hops of `class` against this topic (used by
@@ -80,47 +64,25 @@ impl<S: Scheme> TopicHost<S> {
     /// the ring rather than inside the topic tree).
     pub fn charge(&mut self, class: MsgClass, hops: u32) {
         for _ in 0..hops {
-            self.node.world.metrics.charge_hop(class);
+            self.bench.node.world.metrics.charge_hop(class);
         }
     }
 
     /// Publishes a new event version at the authority and settles delivery,
     /// reporting every message arrival to `inspect` as
     /// `(recipient, message, arrival time)`.
-    pub fn publish(
-        &mut self,
-        mut inspect: impl FnMut(NodeId, &Msg<S::Msg>, SimTime),
-    ) -> IndexRecord {
-        let record = self.node.publish(&mut self.engine);
-        let root = self.node.world.tree.root();
-        self.node.world.cache.install(root, record);
-        self.drain(&mut inspect);
+    pub fn publish(&mut self, inspect: impl FnMut(NodeId, &Msg<S::Msg>, SimTime)) -> IndexRecord {
+        let TestBench { node, engine } = &mut self.bench;
+        let record = node.publish(engine);
+        let root = node.world.tree.root();
+        node.world.cache.install(root, record);
+        self.bench.drain_inspect(inspect);
         record
-    }
-
-    /// Delivers every in-flight message, reporting arrivals to `inspect`.
-    pub fn drain(&mut self, mut inspect: impl FnMut(NodeId, &Msg<S::Msg>, SimTime)) {
-        let node = &mut self.node;
-        self.engine.run(|eng, ev| match ev {
-            Ev::Deliver {
-                from,
-                to,
-                class,
-                cause,
-                msg,
-            } => {
-                if node.world.tree.is_alive(to) {
-                    inspect(to, &msg, eng.now());
-                }
-                node.deliver(eng, from, to, class, cause, msg);
-            }
-            other => panic!("topic host saw unexpected event {other:?}"),
-        });
     }
 
     /// Total hops charged so far for `class`.
     pub fn hops(&self, class: MsgClass) -> u64 {
-        self.node.world.metrics.ledger().hops(class)
+        self.bench.node.world.metrics.ledger().hops(class)
     }
 
     /// Publishes this topic's hop ledger and probe activity into `registry`
@@ -172,13 +134,13 @@ mod tests {
         let mut h = host();
         let leaf = NodeId(14);
         h.subscribe(leaf);
-        assert!(h.node.scheme.is_subscribed(leaf));
+        assert!(h.bench.node.scheme.is_subscribed(leaf));
         let mut delivered = Vec::new();
         let record = h.publish(|to, _, at| delivered.push((to, at)));
         assert_eq!(record.version, Version(2));
         assert!(delivered.iter().any(|&(to, _)| to == leaf));
         assert_eq!(
-            h.node.world.cache.raw(leaf).map(|r| r.version),
+            h.bench.node.world.cache.raw(leaf).map(|r| r.version),
             Some(record.version)
         );
     }
@@ -189,7 +151,7 @@ mod tests {
         let leaf = NodeId(14);
         h.subscribe(leaf);
         h.unsubscribe(leaf);
-        assert!(!h.node.scheme.is_subscribed(leaf));
+        assert!(!h.bench.node.scheme.is_subscribed(leaf));
         let mut delivered = 0;
         h.publish(|_, _, _| delivered += 1);
         assert_eq!(delivered, 0);

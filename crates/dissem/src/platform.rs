@@ -245,7 +245,12 @@ impl<S: DisseminationScheme> DisseminationPlatform<S> {
     /// True when the member is currently enrolled.
     pub fn is_subscribed(&self, ring_node: NodeId, key: u64) -> bool {
         let topic = self.topic(key);
-        topic.host.node.scheme.is_member(topic.dense(ring_node))
+        topic
+            .host
+            .bench
+            .node
+            .scheme
+            .is_member(topic.dense(ring_node))
     }
 
     /// Publishes one event from `publisher`: the event routes over the ring
@@ -270,7 +275,7 @@ impl<S: DisseminationScheme> DisseminationPlatform<S> {
         let mut delivered = Vec::new();
         let mut relay_copies = 0usize;
         for (dense, delay) in deliveries {
-            if topic.host.node.scheme.is_member(dense) {
+            if topic.host.bench.node.scheme.is_member(dense) {
                 delivered.push((topic.ring_ids[dense.index()], delay));
             } else {
                 relay_copies += 1;
@@ -278,11 +283,12 @@ impl<S: DisseminationScheme> DisseminationPlatform<S> {
         }
         let subscribers = topic
             .host
+            .bench
             .node
             .world
             .tree
             .live_nodes()
-            .filter(|&n| topic.host.node.scheme.is_member(n))
+            .filter(|&n| topic.host.bench.node.scheme.is_member(n))
             .count();
         DeliveryReport {
             key: topic.key,
@@ -302,8 +308,8 @@ impl<S: DisseminationScheme> DisseminationPlatform<S> {
         let mut total = 0usize;
         let mut nonempty = 0usize;
         for topic in &self.topics {
-            for node in topic.host.node.world.tree.live_nodes() {
-                let entries = topic.host.node.scheme.state_entries(node);
+            for node in topic.host.bench.node.world.tree.live_nodes() {
+                let entries = topic.host.bench.node.scheme.state_entries(node);
                 max_entries = max_entries.max(entries);
                 total += entries;
                 if entries > 0 {
@@ -332,7 +338,7 @@ impl<S: DisseminationScheme> DisseminationPlatform<S> {
 
     /// The topic's search tree (for inspection and tests).
     pub fn topic_tree(&self, key: u64) -> &SearchTree {
-        &self.topic(key).host.node.world.tree
+        &self.topic(key).host.bench.node.world.tree
     }
 }
 

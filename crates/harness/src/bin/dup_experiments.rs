@@ -86,11 +86,6 @@
 //!   --fuzz-mutate    run `fuzz` with the deliberately broken
 //!                    substitute-merge rule, to demonstrate the harness
 //!                    catches it
-//!
-//! The pre-consolidation spellings of the seed-set/scheme family
-//! (`--fuzz-seeds`, `--fuzz-seed`, `--fuzz-scheme`, `--chaos-seeds`,
-//! `--chaos-seed`, `--chaos-scheme`, `--trace-scheme`) are removed; each
-//! errors out naming its uniform replacement above.
 //! ```
 
 use std::path::{Path, PathBuf};

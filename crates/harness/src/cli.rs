@@ -2,19 +2,13 @@
 //!
 //! The `fuzz`, `chaos`, `scenarios`, `trace-report`, and `--trace` entry
 //! points all need the same three knobs — how many derived scenario seeds to run, a
-//! single scenario seed to replay exactly, and a scheme restriction — and
-//! each used to declare its own prefixed spelling (`--fuzz-seeds`,
-//! `--chaos-seed`, `--trace-scheme`, …). [`ScenarioArgs`] is the one
-//! parser for the family, under the uniform spellings:
+//! single scenario seed to replay exactly, and a scheme restriction.
+//! [`ScenarioArgs`] is the one parser for the family:
 //!
 //! * `--seeds N` — scenarios per scheme (campaign size),
 //! * `--replay SEED` — re-run exactly one scenario seed (as printed by a
 //!   failing campaign) instead of a full seed set,
 //! * `--scheme pcx|cup|dup` — restrict to one scheme.
-//!
-//! The pre-consolidation spellings (`--fuzz-seeds`, `--chaos-seed`, …)
-//! were accepted as hidden aliases for one release; they are now removed
-//! and produce an error naming the replacement.
 
 use dup_core::SchemeKind;
 
@@ -39,18 +33,7 @@ impl ScenarioArgs {
         flag: &str,
         args: &mut dyn Iterator<Item = String>,
     ) -> Result<bool, String> {
-        // The retired pre-consolidation spellings: error with the current
-        // spelling rather than silently treating them as foreign flags.
-        let retired = |replacement: &str| {
-            Err(format!(
-                "{flag} was removed; use {replacement} (the uniform scenario flags are \
-                 --seeds N, --replay SEED, --scheme pcx|cup|dup)"
-            ))
-        };
         match flag {
-            "--fuzz-seeds" | "--chaos-seeds" => return retired("--seeds"),
-            "--fuzz-seed" | "--chaos-seed" => return retired("--replay"),
-            "--fuzz-scheme" | "--chaos-scheme" | "--trace-scheme" => return retired("--scheme"),
             "--seeds" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n >= 1 => self.seeds = Some(n),
                 _ => return Err(format!("{flag} needs a positive integer")),
@@ -105,27 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn retired_spellings_error_with_the_replacement() {
-        for (old, new) in [
-            ("--fuzz-seeds", "--seeds"),
-            ("--chaos-seeds", "--seeds"),
-            ("--fuzz-seed", "--replay"),
-            ("--chaos-seed", "--replay"),
-            ("--fuzz-scheme", "--scheme"),
-            ("--chaos-scheme", "--scheme"),
-            ("--trace-scheme", "--scheme"),
-        ] {
-            let mut args = ScenarioArgs::default();
-            let err = consume(&mut args, &[old, "4"]).unwrap_err();
-            assert!(err.contains(old), "{err}");
-            assert!(err.contains(new), "{err}");
-            assert_eq!(args.seeds, None);
-            assert_eq!(args.replay, None);
-            assert_eq!(args.scheme, None);
-        }
-    }
-
-    #[test]
     fn foreign_flags_are_left_alone() {
         let mut args = ScenarioArgs::default();
         assert_eq!(consume(&mut args, &["--jobs", "4"]), Ok(false));
@@ -137,8 +99,6 @@ mod tests {
         let mut args = ScenarioArgs::default();
         let err = consume(&mut args, &["--seeds", "zero"]).unwrap_err();
         assert!(err.contains("--seeds"), "{err}");
-        let err = consume(&mut args, &["--fuzz-seeds", "0"]).unwrap_err();
-        assert!(err.contains("--fuzz-seeds"), "{err}");
         let err = consume(&mut args, &["--scheme", "bayeux"]).unwrap_err();
         assert!(err.contains("bayeux"), "{err}");
     }

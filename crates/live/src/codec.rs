@@ -47,10 +47,11 @@ pub struct NodeSnapshot {
 
 /// Everything that travels between live hosts (and the harness).
 ///
-/// Serde impls are hand-written (externally tagged, matching the derive
-/// layout) because the vendored `serde_derive` does not handle generic
-/// types.
-#[derive(Debug, Clone)]
+/// This declaration is the wire format: serde's externally tagged layout,
+/// fields in the order written here (pinned byte for byte by
+/// `tests/golden/frames.txt`). A new field is one line here and a
+/// re-recorded golden.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Frame<M> {
     /// Announces a (re)started process. Receivers repair their tree for a
     /// newer incarnation and answer with [`Frame::HelloAck`].
@@ -101,121 +102,6 @@ pub enum Frame<M> {
     Shutdown,
 }
 
-impl<M: Serialize> Serialize for Frame<M> {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStructVariant;
-        match self {
-            Frame::Hello { node, incarnation } => {
-                let mut sv = serializer.serialize_struct_variant("Frame", 0, "Hello", 2)?;
-                sv.serialize_field("node", node)?;
-                sv.serialize_field("incarnation", incarnation)?;
-                sv.end()
-            }
-            Frame::HelloAck {
-                node,
-                incarnation,
-                tree,
-            } => {
-                let mut sv = serializer.serialize_struct_variant("Frame", 1, "HelloAck", 3)?;
-                sv.serialize_field("node", node)?;
-                sv.serialize_field("incarnation", incarnation)?;
-                sv.serialize_field("tree", tree)?;
-                sv.end()
-            }
-            Frame::Heartbeat { node, incarnation } => {
-                let mut sv = serializer.serialize_struct_variant("Frame", 2, "Heartbeat", 2)?;
-                sv.serialize_field("node", node)?;
-                sv.serialize_field("incarnation", incarnation)?;
-                sv.end()
-            }
-            Frame::Deliver {
-                from,
-                to,
-                class,
-                msg,
-            } => {
-                let mut sv = serializer.serialize_struct_variant("Frame", 3, "Deliver", 4)?;
-                sv.serialize_field("from", from)?;
-                sv.serialize_field("to", to)?;
-                sv.serialize_field("class", class)?;
-                sv.serialize_field("msg", msg)?;
-                sv.end()
-            }
-            Frame::SnapshotReq { reply_to } => {
-                let mut sv = serializer.serialize_struct_variant("Frame", 4, "SnapshotReq", 1)?;
-                sv.serialize_field("reply_to", reply_to)?;
-                sv.end()
-            }
-            Frame::Snapshot(snap) => {
-                serializer.serialize_newtype_variant("Frame", 5, "Snapshot", snap)
-            }
-            Frame::Shutdown => serializer.serialize_unit_variant("Frame", 6, "Shutdown"),
-        }
-    }
-}
-
-impl<'de, M: Deserialize<'de>> Deserialize<'de> for Frame<M> {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error;
-
-        /// Pulls one named field out of an externally-tagged payload.
-        fn field<'de, T: Deserialize<'de>, E: serde::de::Error>(
-            payload: &serde::Content,
-            key: &str,
-        ) -> Result<T, E> {
-            let value = payload
-                .get(key)
-                .cloned()
-                .ok_or_else(|| E::custom(format_args!("missing field `{key}`")))?;
-            T::deserialize(serde::ContentDeserializer::<E>::new(value))
-        }
-
-        let content = deserializer.content()?;
-        let entries = match content {
-            serde::Content::Str(variant) if variant == "Shutdown" => return Ok(Frame::Shutdown),
-            serde::Content::Map(entries) => entries,
-            other => {
-                return Err(D::Error::custom(format_args!(
-                    "expected externally tagged Frame, got {other:?}"
-                )))
-            }
-        };
-        let [(variant, payload)] = <[_; 1]>::try_from(entries)
-            .map_err(|_| D::Error::custom("expected a single-variant map for Frame"))?;
-        match variant.as_str() {
-            "Hello" => Ok(Frame::Hello {
-                node: field(&payload, "node")?,
-                incarnation: field(&payload, "incarnation")?,
-            }),
-            "HelloAck" => Ok(Frame::HelloAck {
-                node: field(&payload, "node")?,
-                incarnation: field(&payload, "incarnation")?,
-                tree: field(&payload, "tree")?,
-            }),
-            "Heartbeat" => Ok(Frame::Heartbeat {
-                node: field(&payload, "node")?,
-                incarnation: field(&payload, "incarnation")?,
-            }),
-            "Deliver" => Ok(Frame::Deliver {
-                from: field(&payload, "from")?,
-                to: field(&payload, "to")?,
-                class: field(&payload, "class")?,
-                msg: field(&payload, "msg")?,
-            }),
-            "SnapshotReq" => Ok(Frame::SnapshotReq {
-                reply_to: field(&payload, "reply_to")?,
-            }),
-            "Snapshot" => {
-                NodeSnapshot::deserialize(serde::ContentDeserializer::<D::Error>::new(payload))
-                    .map(Frame::Snapshot)
-            }
-            other => Err(D::Error::custom(format_args!(
-                "unknown Frame variant `{other}`"
-            ))),
-        }
-    }
-}
-
 /// Writes one length-delimited frame.
 pub fn write_frame<W: Write, M: Serialize>(w: &mut W, frame: &Frame<M>) -> io::Result<()> {
     let body = serde_json::to_vec(frame).map_err(io::Error::other)?;
@@ -246,11 +132,22 @@ pub fn read_frame<R: Read, M: DeserializeOwned>(r: &mut R) -> io::Result<Frame<M
 
 #[cfg(test)]
 mod tests {
+    use std::fmt::Debug;
+
     use super::*;
     use dup_core::DupMsg;
     use dup_proto::cup::CupMsg;
+    use dup_proto::pcx::NoMsg;
     use dup_proto::{IndexRecord, Version};
     use dup_sim::SimTime;
+    use proptest::prelude::*;
+
+    const CLASSES: [MsgClass; 4] = [
+        MsgClass::Request,
+        MsgClass::Reply,
+        MsgClass::Push,
+        MsgClass::Control,
+    ];
 
     fn record() -> IndexRecord {
         IndexRecord {
@@ -260,11 +157,99 @@ mod tests {
         }
     }
 
-    /// One `write_frame` encoding, hex, newline-terminated.
-    fn hex_line<M: Serialize>(frame: &Frame<M>) -> String {
+    fn wire<M: Serialize>(frame: &Frame<M>) -> Vec<u8> {
         let mut buf = Vec::new();
         write_frame(&mut buf, frame).unwrap();
-        let mut line: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        buf
+    }
+
+    fn assert_round_trips<M: Serialize + DeserializeOwned + Debug>(frame: &Frame<M>) {
+        let got: Frame<M> = read_frame(&mut &wire(frame)[..]).unwrap();
+        assert_eq!(format!("{got:?}"), format!("{frame:?}"));
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        let frames: Vec<Frame<DupMsg>> = vec![
+            Frame::Hello {
+                node: NodeId(3),
+                incarnation: 2,
+            },
+            Frame::Heartbeat {
+                node: NodeId(0),
+                incarnation: 1,
+            },
+            Frame::Deliver {
+                from: NodeId(1),
+                to: NodeId(2),
+                class: MsgClass::Control,
+                msg: Msg::Scheme(DupMsg::Subscribe { subject: NodeId(5) }),
+            },
+            Frame::SnapshotReq {
+                reply_to: "127.0.0.1:9".into(),
+            },
+            Frame::Shutdown,
+        ];
+        let mut buf = Vec::new();
+        for f in &frames {
+            write_frame(&mut buf, f).unwrap();
+        }
+        let mut r = &buf[..];
+        for f in &frames {
+            let got: Frame<DupMsg> = read_frame(&mut r).unwrap();
+            assert_eq!(format!("{got:?}"), format!("{f:?}"));
+        }
+        assert!(read_frame::<_, DupMsg>(&mut r).is_err(), "EOF expected");
+    }
+
+    /// PCX has no scheme messages, but its queries and replies cross the
+    /// codec like any other scheme's; a frame claiming to carry one of the
+    /// messages that cannot exist is refused.
+    #[test]
+    fn pcx_frames_round_trip() {
+        assert_round_trips(&Frame::<NoMsg>::Deliver {
+            from: NodeId(6),
+            to: NodeId(5),
+            class: MsgClass::Request,
+            msg: Msg::Request {
+                origin: NodeId(6),
+                visited: vec![NodeId(6)],
+                issued_at: SimTime::from_secs(1),
+                riders: Vec::new(),
+            },
+        });
+        let forged = wire(&Frame::Deliver {
+            from: NodeId(6),
+            to: NodeId(5),
+            class: MsgClass::Control,
+            msg: Msg::Scheme(CupMsg::Register),
+        });
+        assert!(read_frame::<_, NoMsg>(&mut &forged[..]).is_err());
+    }
+
+    #[test]
+    fn oversized_length_prefix_is_refused() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&u32::MAX.to_be_bytes());
+        let err = read_frame::<_, DupMsg>(&mut &buf[..]).unwrap_err();
+        assert!(err.to_string().contains("cap"), "got {err}");
+    }
+
+    /// Nesting is the one input whose cost is stack, not heap: a frame of
+    /// 100 000 `[` is far below `MAX_FRAME_BYTES` and must come back as an
+    /// error, not overflow the reader's stack.
+    #[test]
+    fn deeply_nested_frame_is_refused() {
+        let body = "[".repeat(100_000);
+        let mut buf = (body.len() as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(body.as_bytes());
+        let err = read_frame::<_, DupMsg>(&mut &buf[..]).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "got {err}");
+    }
+
+    /// One `write_frame` encoding, hex, newline-terminated.
+    fn hex_line<M: Serialize>(frame: &Frame<M>) -> String {
+        let mut line: String = wire(frame).iter().map(|b| format!("{b:02x}")).collect();
         line.push('\n');
         line
     }
@@ -291,19 +276,13 @@ mod tests {
             inner: scheme[0].clone(),
         });
         msgs.push(Msg::Ack { seq: 41 });
-        let classes = [
-            MsgClass::Request,
-            MsgClass::Reply,
-            MsgClass::Push,
-            MsgClass::Control,
-        ];
         msgs.into_iter()
             .enumerate()
             .map(|(i, msg)| {
                 hex_line(&Frame::Deliver {
                     from: NodeId(3),
                     to: NodeId(2),
-                    class: classes[i % classes.len()],
+                    class: CLASSES[i % CLASSES.len()],
                     msg,
                 })
             })
@@ -370,45 +349,241 @@ mod tests {
         assert_eq!(actual, golden, "wire golden drifted; actual:\n{actual}");
     }
 
-    #[test]
-    fn frames_round_trip() {
-        let frames: Vec<Frame<DupMsg>> = vec![
-            Frame::Hello {
-                node: NodeId(3),
-                incarnation: 2,
-            },
-            Frame::Heartbeat {
-                node: NodeId(0),
-                incarnation: 1,
-            },
-            Frame::Deliver {
-                from: NodeId(1),
-                to: NodeId(2),
-                class: MsgClass::Control,
-                msg: Msg::Scheme(DupMsg::Subscribe { subject: NodeId(5) }),
-            },
-            Frame::SnapshotReq {
-                reply_to: "127.0.0.1:9".into(),
-            },
-            Frame::Shutdown,
-        ];
-        let mut buf = Vec::new();
-        for f in &frames {
-            write_frame(&mut buf, f).unwrap();
-        }
-        let mut r = &buf[..];
-        for f in &frames {
-            let got: Frame<DupMsg> = read_frame(&mut r).unwrap();
-            assert_eq!(format!("{got:?}"), format!("{f:?}"));
-        }
-        assert!(read_frame::<_, DupMsg>(&mut r).is_err(), "EOF expected");
+    /// Builds a scheme message from raw draws; `None` for a scheme that
+    /// has none.
+    type SchemeMsg<M> = fn(u64, NodeId, NodeId) -> Option<M>;
+
+    fn dup_msg(pick: u64, a: NodeId, b: NodeId) -> Option<DupMsg> {
+        Some(match pick % 4 {
+            0 => DupMsg::Subscribe { subject: a },
+            1 => DupMsg::Unsubscribe { subject: a },
+            2 => DupMsg::Substitute { old: a, new: b },
+            _ => DupMsg::Push(record()),
+        })
     }
 
-    #[test]
-    fn oversized_length_prefix_is_refused() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_be_bytes());
-        let err = read_frame::<_, DupMsg>(&mut &buf[..]).unwrap_err();
-        assert!(err.to_string().contains("cap"), "got {err}");
+    fn cup_msg(pick: u64, _: NodeId, _: NodeId) -> Option<CupMsg> {
+        Some(match pick % 3 {
+            0 => CupMsg::Register,
+            1 => CupMsg::Deregister,
+            _ => CupMsg::Push(record()),
+        })
+    }
+
+    fn no_msg(_: u64, _: NodeId, _: NodeId) -> Option<NoMsg> {
+        None
+    }
+
+    /// A valid tree of `seeds.len() + 1` nodes: node `i` hangs under an
+    /// earlier node picked by `seeds[i - 1]`.
+    fn tree(seeds: &[NodeId]) -> SearchTree {
+        let mut parents = vec![None];
+        parents.extend(
+            seeds
+                .iter()
+                .enumerate()
+                .map(|(i, s)| Some(NodeId(s.0 % (i as u32 + 1)))),
+        );
+        SearchTree::from_parents(&parents)
+    }
+
+    /// Every `Frame` variant and, inside `Deliver`, every `Msg` variant the
+    /// scheme can produce, over the full range of ids and counters.
+    fn frames<M: Debug>(scheme: SchemeMsg<M>) -> impl Strategy<Value = Frame<M>> {
+        let ids = || prop::collection::vec(any::<u32>().prop_map(NodeId), 0..6);
+        let draws = (
+            0usize..11,
+            any::<u32>(),
+            any::<u32>(),
+            any::<u64>(),
+            any::<u64>(),
+            ids(),
+            ids(),
+            0usize..CLASSES.len(),
+        );
+        draws.prop_map(move |(variant, a, b, x, y, list, more, class)| {
+            let (a, b) = (NodeId(a), NodeId(b));
+            let at = SimTime::from_nanos(x);
+            let deliver = |msg| Frame::Deliver {
+                from: a,
+                to: b,
+                class: CLASSES[class],
+                msg,
+            };
+            match variant {
+                0 => Frame::Hello {
+                    node: a,
+                    incarnation: x,
+                },
+                1 => Frame::HelloAck {
+                    node: a,
+                    incarnation: x,
+                    tree: tree(&list),
+                },
+                2 => Frame::Heartbeat {
+                    node: a,
+                    incarnation: x,
+                },
+                3 => Frame::SnapshotReq {
+                    reply_to: format!("127.0.0.1:{}", x % 65_536),
+                },
+                4 => Frame::Snapshot(NodeSnapshot {
+                    node: a,
+                    incarnation: x,
+                    tree: tree(&list),
+                    s_list: more,
+                    subscribed: x % 2 == 0,
+                    cache_version: (y % 2 == 0).then_some(y),
+                    authority_version: y,
+                    queries_issued: x,
+                }),
+                5 => Frame::Shutdown,
+                6 => deliver(Msg::Request {
+                    origin: a,
+                    visited: list,
+                    issued_at: at,
+                    riders: more,
+                }),
+                7 => deliver(Msg::Reply {
+                    record: record(),
+                    remaining: list,
+                    issued_at: at,
+                }),
+                8 => deliver(scheme(x, a, b).map_or(Msg::Ack { seq: y }, Msg::Scheme)),
+                9 => deliver(match scheme(x, a, b) {
+                    Some(inner) => Msg::Tracked { seq: y, inner },
+                    None => Msg::Ack { seq: y },
+                }),
+                _ => deliver(Msg::Ack { seq: y }),
+            }
+        })
+    }
+
+    /// Names a decoder matches on: `Frame`, `Msg` and scheme variants.
+    const TAGS: [&str; 15] = [
+        "Hello",
+        "HelloAck",
+        "Heartbeat",
+        "Deliver",
+        "SnapshotReq",
+        "Snapshot",
+        "Shutdown",
+        "Request",
+        "Reply",
+        "Scheme",
+        "Tracked",
+        "Ack",
+        "Subscribe",
+        "Register",
+        "Push",
+    ];
+
+    /// Replaces one variant tag in `body` by another.
+    fn swap_tag(body: &str, pick: usize) -> String {
+        let quoted = |tag: &str| format!("\"{tag}\"");
+        let present: Vec<&str> = TAGS
+            .into_iter()
+            .filter(|tag| body.contains(&quoted(tag)))
+            .collect();
+        let old = present[pick % present.len()];
+        let new = TAGS[pick % TAGS.len()];
+        body.replacen(&quoted(old), &quoted(new), 1)
+    }
+
+    /// Applies `edit` to the members of the `pick`-th JSON object in
+    /// `body` (generated frames hold no structural character inside a
+    /// string, so a scan by depth finds them).
+    fn edit_object(body: &str, pick: usize, edit: impl FnOnce(&mut Vec<&str>)) -> String {
+        let opens: Vec<usize> = body.match_indices('{').map(|(i, _)| i).collect();
+        if opens.is_empty() {
+            return body.to_owned();
+        }
+        let open = opens[pick % opens.len()];
+        let (mut depth, mut start, mut close) = (0usize, open + 1, body.len());
+        let mut members = Vec::new();
+        for (i, c) in body[open..].char_indices().map(|(i, c)| (open + i, c)) {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                ',' if depth == 1 => {
+                    members.push(&body[start..i]);
+                    start = i + 1;
+                }
+                _ => {}
+            }
+            if depth == 0 {
+                members.push(&body[start..i]);
+                close = i;
+                break;
+            }
+        }
+        edit(&mut members);
+        format!("{}{}{}", &body[..=open], members.join(","), &body[close..])
+    }
+
+    /// Damages an encoded frame in one of the ways a broken or hostile
+    /// peer can, and requires `read_frame` to return — `Ok` or `Err`,
+    /// never a panic.
+    fn survives_damage<M: Serialize + DeserializeOwned>(
+        frame: &Frame<M>,
+        kind: usize,
+        pick: usize,
+        mask: u8,
+    ) {
+        let mut wire = wire(frame);
+        let body = std::str::from_utf8(&wire[4..]).unwrap();
+        let rebody = |body: String| {
+            let mut wire = (body.len() as u32).to_be_bytes().to_vec();
+            wire.extend_from_slice(body.as_bytes());
+            wire
+        };
+        match kind {
+            0 => wire.truncate(pick % wire.len()),
+            1 => {
+                let at = pick % wire.len();
+                wire[at] ^= mask | 1;
+            }
+            2 => wire = rebody(swap_tag(body, pick)),
+            3 => {
+                wire = rebody(edit_object(body, pick, |members| {
+                    members.remove(pick % members.len());
+                }))
+            }
+            4 => {
+                wire = rebody(edit_object(body, pick, |members| {
+                    members.push(members[pick % members.len()]);
+                }))
+            }
+            _ => wire[..4].copy_from_slice(&(MAX_FRAME_BYTES + 1).to_be_bytes()),
+        }
+        let result = read_frame::<_, M>(&mut &wire[..]);
+        assert!(kind < 5 || result.is_err(), "oversized prefix accepted");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        fn generated_frames_round_trip(
+            dup in frames(dup_msg),
+            cup in frames(cup_msg),
+            pcx in frames(no_msg),
+        ) {
+            assert_round_trips(&dup);
+            assert_round_trips(&cup);
+            assert_round_trips(&pcx);
+        }
+
+        fn damaged_frames_never_panic_the_reader(
+            dup in frames(dup_msg),
+            cup in frames(cup_msg),
+            pcx in frames(no_msg),
+            kind in 0usize..6,
+            pick in any::<usize>(),
+            mask in any::<u8>(),
+        ) {
+            survives_damage(&dup, kind, pick, mask);
+            survives_damage(&cup, kind, pick, mask);
+            survives_damage(&pcx, kind, pick, mask);
+        }
     }
 }

@@ -7,12 +7,10 @@
 //! virtual path). The protocol layer reacts differently to the two, so the
 //! distinction is part of the operation type.
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::NodeId;
 
 /// A topology change applied to a search tree during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnOp {
     /// A new node joins as a leaf under `parent`.
     JoinLeaf {

@@ -14,7 +14,7 @@ use crate::tree::SearchTree;
 
 /// Parameters for random topology generation (Table I defaults: `n = 4096`,
 /// `D = 4`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopologyParams {
     /// Total number of nodes, including the root.
     pub nodes: usize,

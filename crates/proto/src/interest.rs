@@ -18,7 +18,7 @@ use dup_overlay::NodeId;
 use dup_sim::{SimDuration, SimTime};
 
 /// How "queries received in the last TTL interval" is evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InterestPolicy {
     /// Counts are kept per TTL *epoch* (the interval between authority
     /// refreshes): a node becomes interested the moment its current-epoch

@@ -121,7 +121,7 @@ impl Metrics {
     /// differ (see [`dup_stats::BatchMeans::merge`]). Absorbing nothing
     /// leaves the collector bit-identical, so a one-shard space run
     /// reports exactly like the sequential path.
-    pub fn absorb(&mut self, other: &Metrics) {
+    pub(crate) fn absorb(&mut self, other: &Metrics) {
         self.queries += other.queries;
         self.local_hits += other.local_hits;
         self.stale_serves += other.stale_serves;

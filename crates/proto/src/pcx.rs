@@ -19,8 +19,9 @@ impl PcxScheme {
 }
 
 /// PCX sends no scheme messages; this uninhabitable type documents that at
-/// the type level.
-#[derive(Debug, Clone, Copy)]
+/// the type level. It is serializable (no encoding exists, every decode
+/// fails) so `Msg<NoMsg>` can travel through the live codec.
+#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
 pub enum NoMsg {}
 
 impl Scheme for PcxScheme {

@@ -27,10 +27,9 @@ use crate::trace::{SpanInfo, TraceCtx};
 ///
 /// Serializable (for scheme messages that are) so the live host
 /// (`dup-live`) can carry the identical payloads over a socket codec;
-/// in-sim the impls are never exercised. The impls are hand-written
-/// (externally tagged, matching the derive layout) because the vendored
-/// `serde_derive` does not handle generic types.
-#[derive(Debug, Clone)]
+/// in-sim the impls are never exercised. This declaration is the wire
+/// format: externally tagged, fields in the order written here.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub enum Msg<M> {
     /// A query request traveling up the search tree. `visited` lists the
     /// nodes already traversed, origin first — it becomes the reply's
@@ -79,102 +78,6 @@ pub enum Msg<M> {
         /// The acknowledged sequence number.
         seq: u64,
     },
-}
-
-impl<M: serde::Serialize> serde::Serialize for Msg<M> {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStructVariant;
-        match self {
-            Msg::Request {
-                origin,
-                visited,
-                issued_at,
-                riders,
-            } => {
-                let mut sv = serializer.serialize_struct_variant("Msg", 0, "Request", 4)?;
-                sv.serialize_field("origin", origin)?;
-                sv.serialize_field("visited", visited)?;
-                sv.serialize_field("issued_at", issued_at)?;
-                sv.serialize_field("riders", riders)?;
-                sv.end()
-            }
-            Msg::Reply {
-                record,
-                remaining,
-                issued_at,
-            } => {
-                let mut sv = serializer.serialize_struct_variant("Msg", 1, "Reply", 3)?;
-                sv.serialize_field("record", record)?;
-                sv.serialize_field("remaining", remaining)?;
-                sv.serialize_field("issued_at", issued_at)?;
-                sv.end()
-            }
-            Msg::Scheme(m) => serializer.serialize_newtype_variant("Msg", 2, "Scheme", m),
-            Msg::Tracked { seq, inner } => {
-                let mut sv = serializer.serialize_struct_variant("Msg", 3, "Tracked", 2)?;
-                sv.serialize_field("seq", seq)?;
-                sv.serialize_field("inner", inner)?;
-                sv.end()
-            }
-            Msg::Ack { seq } => {
-                let mut sv = serializer.serialize_struct_variant("Msg", 4, "Ack", 1)?;
-                sv.serialize_field("seq", seq)?;
-                sv.end()
-            }
-        }
-    }
-}
-
-impl<'de, M: serde::Deserialize<'de>> serde::Deserialize<'de> for Msg<M> {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error;
-
-        /// Pulls one named field out of an externally-tagged payload.
-        fn field<'de, T: serde::Deserialize<'de>, E: serde::de::Error>(
-            payload: &serde::Content,
-            key: &str,
-        ) -> Result<T, E> {
-            let value = payload
-                .get(key)
-                .cloned()
-                .ok_or_else(|| E::custom(format_args!("missing field `{key}`")))?;
-            T::deserialize(serde::ContentDeserializer::<E>::new(value))
-        }
-
-        let content = deserializer.content()?;
-        let serde::Content::Map(entries) = content else {
-            return Err(D::Error::custom(format_args!(
-                "expected externally tagged Msg, got {content:?}"
-            )));
-        };
-        let [(variant, payload)] = <[_; 1]>::try_from(entries)
-            .map_err(|_| D::Error::custom("expected a single-variant map for Msg"))?;
-        match variant.as_str() {
-            "Request" => Ok(Msg::Request {
-                origin: field(&payload, "origin")?,
-                visited: field(&payload, "visited")?,
-                issued_at: field(&payload, "issued_at")?,
-                riders: field(&payload, "riders")?,
-            }),
-            "Reply" => Ok(Msg::Reply {
-                record: field(&payload, "record")?,
-                remaining: field(&payload, "remaining")?,
-                issued_at: field(&payload, "issued_at")?,
-            }),
-            "Scheme" => M::deserialize(serde::ContentDeserializer::<D::Error>::new(payload))
-                .map(Msg::Scheme),
-            "Tracked" => Ok(Msg::Tracked {
-                seq: field(&payload, "seq")?,
-                inner: field(&payload, "inner")?,
-            }),
-            "Ack" => Ok(Msg::Ack {
-                seq: field(&payload, "seq")?,
-            }),
-            other => Err(D::Error::custom(format_args!(
-                "unknown Msg variant `{other}`"
-            ))),
-        }
-    }
 }
 
 /// The discrete events of a simulation run.

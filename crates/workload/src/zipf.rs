@@ -11,7 +11,7 @@ use dup_sim::StreamRng;
 
 /// How Zipf ranks are assigned to nodes. The paper does not specify this, so
 /// it is an explicit, reported knob (see DESIGN.md §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RankPlacement {
     /// Ranks are a seeded random permutation of the nodes (default).
     #[default]
