@@ -61,7 +61,7 @@ fn assert_rows_hold(name: &str, report: &CampaignReport) {
     let (want, got) = (rows(&golden), rows(&actual));
     assert_eq!(want.len(), got.len(), "{name}: row count drifted");
     for (i, (want, got)) in want.iter().zip(got).enumerate() {
-        let Value::Map(entries) = want else {
+        let Some(entries) = want.as_object() else {
             panic!("{name}: golden row {i} is not an object");
         };
         for (key, value) in entries {

@@ -2,10 +2,14 @@
 //!
 //! Every byte that crosses a live-host connection is one [`Frame`],
 //! encoded as a 4-byte big-endian length followed by that many bytes of
-//! JSON. The protocol payload ([`dup_proto::Msg`]) travels inside
-//! [`Frame::Deliver`] untouched — the same `Msg` values the simulator
-//! schedules are what the sockets carry, so the scheme logic cannot
-//! diverge between the two substrates. Causal span identity
+//! JSON. The JSON is whatever `#[derive(Serialize, Deserialize)]` makes
+//! of the [`Frame`], [`dup_proto::Msg`] and scheme-message declarations;
+//! this module adds only the length prefix and its cap. The protocol
+//! payload travels inside [`Frame::Deliver`] untouched — the same `Msg`
+//! values the simulator schedules are what the sockets carry, so the
+//! scheme logic cannot diverge between the two substrates, and any
+//! scheme whose messages derive serde (PCX's empty `NoMsg` included) can
+//! run over a serializing net. Causal span identity
 //! ([`dup_proto::scheme::Ev::Deliver`]'s `cause`) is a simulator-side
 //! observability concern and is not serialized; receivers reconstruct
 //! deliveries with `SpanInfo::NONE`.
