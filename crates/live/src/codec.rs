@@ -4,7 +4,17 @@
 //! encoded as a 4-byte big-endian length followed by that many bytes of
 //! JSON. The JSON is whatever `#[derive(Serialize, Deserialize)]` makes
 //! of the [`Frame`], [`dup_proto::Msg`] and scheme-message declarations;
-//! this module adds only the length prefix and its cap. The protocol
+//! this module adds only the length prefix and its cap. Both directions
+//! stream: [`write_frame`] renders the frame into the buffer that holds
+//! the prefix and writes the two at once, [`read_frame`] reads the body
+//! into a buffer that grows with what arrives and decodes the frame
+//! straight from it, and neither builds a tree of JSON values on the way.
+//! What bounds an untrusted body, and where: its length here, before
+//! allocating; UTF-8, nesting depth (128) and trailing bytes in
+//! `serde_json`; integer ranges, variant names and missing fields in the
+//! derived impls — and a body that fails any of them is
+//! `io::ErrorKind::InvalidData`, with the stream still aligned on the
+//! next prefix. The protocol
 //! payload travels inside [`Frame::Deliver`] untouched — the same `Msg`
 //! values the simulator schedules are what the sockets carry, so the
 //! scheme logic cannot diverge between the two substrates, and any
@@ -106,20 +116,31 @@ pub enum Frame<M> {
     Shutdown,
 }
 
-/// Writes one length-delimited frame.
+/// A frame body starts out with room for this much, and no length prefix
+/// makes [`read_frame`] reserve more before the bytes have arrived.
+const BODY_RESERVE: usize = 64 * 1024;
+
+/// Writes one length-delimited frame: prefix and body are built in one
+/// buffer and handed to `w` in one `write_all`, so a frame is one
+/// `write` syscall and one segment on a `TCP_NODELAY` socket.
 pub fn write_frame<W: Write, M: Serialize>(w: &mut W, frame: &Frame<M>) -> io::Result<()> {
-    let body = serde_json::to_vec(frame).map_err(io::Error::other)?;
-    let len = u32::try_from(body.len()).map_err(|_| io::Error::other("frame too large"))?;
+    let mut buf = Vec::with_capacity(128);
+    buf.extend_from_slice(&[0; 4]);
+    serde_json::to_writer(&mut buf, frame).map_err(io::Error::other)?;
+    let len = u32::try_from(buf.len() - 4).map_err(|_| io::Error::other("frame too large"))?;
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::other("frame exceeds MAX_FRAME_BYTES"));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&body)?;
+    buf[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&buf)?;
     w.flush()
 }
 
-/// Reads one length-delimited frame. `Err(UnexpectedEof)` on a cleanly
-/// closed connection.
+/// Reads one length-delimited frame. `Err(UnexpectedEof)` on a closed
+/// connection, cleanly between frames or short inside one;
+/// `Err(InvalidData)` on a body that is not a frame, after which the
+/// stream is still aligned on the next prefix; any other error is the
+/// connection's.
 pub fn read_frame<R: Read, M: DeserializeOwned>(r: &mut R) -> io::Result<Frame<M>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -129,9 +150,15 @@ pub fn read_frame<R: Read, M: DeserializeOwned>(r: &mut R) -> io::Result<Frame<M
             "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"
         )));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    serde_json::from_slice(&body).map_err(io::Error::other)
+    // The prefix is a peer's claim: the buffer grows with the bytes that
+    // arrive, not with the length announced.
+    let len = len as usize;
+    let mut body = Vec::with_capacity(len.min(BODY_RESERVE));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    serde_json::from_slice(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -251,13 +278,32 @@ mod tests {
         buf
     }
 
-    /// Every frame of a stream reads back equal (by `Debug`), then EOF.
+    /// Decodes `body` as `read_frame` does, text → type, and through the
+    /// tree, text → `Value` → type: the two must agree on what the frame is
+    /// (by `Debug`) or that it is none.
+    fn decode_both_ways<M: DeserializeOwned + Debug>(body: &[u8]) -> Option<String> {
+        let shown = |frame: Frame<M>| format!("{frame:?}");
+        let streamed = serde_json::from_slice(body).ok().map(shown);
+        let tree = serde_json::from_slice::<serde_json::Value>(body).ok();
+        let via_tree = tree.and_then(|v| serde_json::from_value(v).ok()).map(shown);
+        let text = String::from_utf8_lossy(body);
+        assert_eq!(streamed, via_tree, "decoders disagree on {text}");
+        streamed
+    }
+
+    /// Every frame of a stream reads back equal (by `Debug`), then EOF; the
+    /// tree-building decoder and encoder agree with the streaming ones on
+    /// each.
     fn assert_round_trips<M: Serialize + DeserializeOwned + Debug>(frames: &[Frame<M>]) {
         let buf = wire(frames);
         let mut r = &buf[..];
         for f in frames {
             let got: Frame<M> = read_frame(&mut r).unwrap();
             assert_eq!(format!("{got:?}"), format!("{f:?}"));
+            let body = &wire(std::slice::from_ref(f))[4..];
+            assert_eq!(decode_both_ways::<M>(body), Some(format!("{f:?}")));
+            let via_tree = serde_json::to_vec(&serde_json::to_value(f).unwrap()).unwrap();
+            assert_eq!(via_tree, body, "encoders disagree on {f:?}");
         }
         assert!(read_frame::<_, M>(&mut r).is_err(), "EOF expected");
     }
@@ -317,14 +363,130 @@ mod tests {
         assert!(err.to_string().contains("cap"), "got {err}");
     }
 
-    /// Nesting is the one input whose cost is stack, not heap: a frame of
-    /// 100 000 `[` is far below `MAX_FRAME_BYTES` and must come back as an
-    /// error, not overflow the reader's stack.
+    /// A reader that records the largest buffer it was asked to fill.
+    struct Metered<'a> {
+        bytes: &'a [u8],
+        largest_ask: usize,
+    }
+
+    impl Read for Metered<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_ask = self.largest_ask.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    /// A prefix that announces the largest frame allowed, three bytes, then
+    /// nothing: the reader reports the short frame, having held room for
+    /// what arrived and not for what was announced.
+    #[test]
+    fn announced_length_is_not_allocated_before_the_bytes_arrive() {
+        let sent = [&MAX_FRAME_BYTES.to_be_bytes()[..], b"{\"H"].concat();
+        let mut peer = Metered {
+            bytes: &sent,
+            largest_ask: 0,
+        };
+        let err = read_frame::<_, DupMsg>(&mut peer).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            peer.largest_ask <= BODY_RESERVE,
+            "asked for {} bytes",
+            peer.largest_ask
+        );
+    }
+
+    /// What the tree-building decoder held a body to, the streaming one
+    /// holds it to: nothing after the value, UTF-8 throughout, integers in
+    /// their field's range, known variants in their own shape, every field
+    /// present; of a repeated field the last one stays. A body that fails
+    /// is `InvalidData`, so a reader can tell it from a dead socket.
+    #[test]
+    fn decoder_limits_hold() {
+        let heartbeat = |fields: &str| format!(r#"{{"Heartbeat":{{{fields}}}}}"#);
+        let intact = heartbeat(r#""node":1,"incarnation":2"#);
+        assert!(decode_both_ways::<DupMsg>(intact.as_bytes()).is_some());
+        let refused: [(Vec<u8>, &str); 11] = [
+            ((intact.clone() + " x").into_bytes(), "trailing"),
+            ((intact + "{}").into_bytes(), "trailing"),
+            (
+                b"{\"SnapshotReq\":{\"reply_to\":\"\xff\"}}".to_vec(),
+                "utf-8",
+            ),
+            (
+                heartbeat(r#""node":4294967296,"incarnation":2"#).into_bytes(),
+                "out of range",
+            ),
+            (
+                heartbeat(r#""node":1,"incarnation":-1"#).into_bytes(),
+                "expected u64",
+            ),
+            (
+                heartbeat(r#""node":1,"incarnation":1.5"#).into_bytes(),
+                "expected u64",
+            ),
+            (
+                r#"{"Heartbeet":{"node":1,"incarnation":2}}"#.into(),
+                "unknown Frame variant Heartbeet",
+            ),
+            (r#""Heartbeat""#.into(), "unknown Frame variant Heartbeat"),
+            (
+                r#"{"Shutdown":null}"#.into(),
+                "unknown Frame variant Shutdown",
+            ),
+            (
+                heartbeat(r#""node":1"#).into_bytes(),
+                "missing field `incarnation`",
+            ),
+            (
+                heartbeat(r#""node":1,"incarnation":2},"Shutdown":{"#).into_bytes(),
+                "several entries",
+            ),
+        ];
+        for (body, why) in &refused {
+            let mut buf = (body.len() as u32).to_be_bytes().to_vec();
+            buf.extend_from_slice(body);
+            let err = read_frame::<_, DupMsg>(&mut &buf[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(why), "wanted {why}, got {err}");
+            assert_eq!(decode_both_ways::<DupMsg>(body), None);
+        }
+        let twice = heartbeat(r#""node":1,"incarnation":2,"node":9"#);
+        let last: Frame<DupMsg> = read_frame(&mut &framed(&twice)[..]).unwrap();
+        assert!(
+            matches!(
+                last,
+                Frame::Heartbeat {
+                    node: NodeId(9),
+                    ..
+                }
+            ),
+            "got {last:?}"
+        );
+        decode_both_ways::<DupMsg>(twice.as_bytes());
+    }
+
+    /// Nesting is the one input whose cost is stack, not heap: 100 000 `[`
+    /// are far below `MAX_FRAME_BYTES` and must come back as an error, not
+    /// overflow the reader's stack — as the whole body, and as the value of
+    /// a field `Heartbeat` does not declare, which the decoder reads past
+    /// without building it. The cap counts the two levels around the field.
     #[test]
     fn deeply_nested_frame_is_refused() {
         let buf = framed(&"[".repeat(100_000));
-        let err = read_frame::<_, DupMsg>(&mut &buf[..]).unwrap_err();
-        assert!(err.to_string().contains("recursion limit"), "got {err}");
+        assert!(read_frame::<_, DupMsg>(&mut &buf[..]).is_err());
+        let heartbeat = |depth: usize| {
+            framed(&format!(
+                r#"{{"Heartbeat":{{"node":1,"x":{}{},"incarnation":2}}}}"#,
+                "[".repeat(depth),
+                "]".repeat(depth)
+            ))
+        };
+        let fits: Frame<DupMsg> = read_frame(&mut &heartbeat(126)[..]).unwrap();
+        assert!(matches!(fits, Frame::Heartbeat { incarnation: 2, .. }));
+        for depth in [127, 129, 100_000] {
+            let err = read_frame::<_, DupMsg>(&mut &heartbeat(depth)[..]).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "got {err}");
+        }
     }
 
     /// The JSON body of every `Frame` variant and, inside `Deliver`, every
@@ -414,7 +576,8 @@ mod tests {
     /// A generated body decodes, and re-encodes to the same bytes (so
     /// `read_frame(write_frame(f)) == f`); damaged in one of the ways a
     /// broken or hostile peer can damage it, `read_frame` still returns —
-    /// `Ok` or `Err`, never a panic.
+    /// `Ok` or `Err`, never a panic — and returns what decoding through
+    /// the tree would.
     fn check<M: Serialize + DeserializeOwned + Debug>(body: &str, damage: usize, pick: usize) {
         let intact = framed(body);
         let frame: Frame<M> = read_frame(&mut &intact[..]).expect("generated frame decodes");
@@ -438,6 +601,7 @@ mod tests {
         };
         let result = read_frame::<_, M>(&mut &damaged[..]);
         assert!(damage < 5 || result.is_err(), "oversized prefix accepted");
+        decode_both_ways::<M>(damaged.get(4..).unwrap_or_default());
     }
 
     proptest! {

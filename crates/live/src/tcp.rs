@@ -10,8 +10,9 @@
 //! [`run_live_node`] is the complete event loop of a node process, with
 //! its sleep budgeted by the host's next timer/detector deadline.
 
-use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::fs::File;
+use std::io::{self, BufReader, Read};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::thread;
@@ -29,6 +30,10 @@ use crate::host::{FrameNet, LiveConfig, LiveScheme, NodeHost};
 /// How long a blocked socket write may stall the event loop before the
 /// link is declared broken and handed to the backoff policy.
 const WRITE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// No rendezvous file is read past this: a socket address is shorter, and
+/// whatever else the file holds is refused before it is allocated for.
+const MAX_ADDR_BYTES: u64 = 256;
 
 /// The rendezvous file advertising `node`'s listener address.
 pub fn addr_file(dir: &Path, node: NodeId) -> PathBuf {
@@ -108,8 +113,17 @@ impl TcpNet {
 
     fn dial(&self, to: NodeId) -> io::Result<TcpStream> {
         // Re-read on every attempt: a restarted peer publishes a new port.
-        let addr = std::fs::read_to_string(addr_file(&self.dir, to))?;
-        let stream = TcpStream::connect(addr.trim())?;
+        // The file is anyone's to write: it must hold a literal socket
+        // address (no name is ever resolved) within its first bytes.
+        let mut addr = String::new();
+        File::open(addr_file(&self.dir, to))?
+            .take(MAX_ADDR_BYTES)
+            .read_to_string(&mut addr)?;
+        let addr: SocketAddr = addr
+            .trim()
+            .parse()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         Ok(stream)
@@ -160,19 +174,29 @@ impl<M: Serialize> FrameNet<M> for TcpNet {
 }
 
 /// Spawns the accept loop: every inbound connection gets a reader thread
-/// that decodes frames into `tx` until the peer closes.
+/// that decodes frames into `tx` until the peer closes. A body that is
+/// not a frame is dropped and reading goes on — the length prefix kept
+/// the stream aligned; any other error ends the connection.
 fn spawn_acceptor<M>(listener: TcpListener, tx: mpsc::Sender<Frame<M>>)
 where
     M: DeserializeOwned + Send + 'static,
 {
     thread::spawn(move || {
         for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { break };
+            let Ok(stream) = stream else { break };
             let tx = tx.clone();
             thread::spawn(move || {
-                while let Ok(frame) = read_frame::<_, M>(&mut stream) {
-                    if tx.send(frame).is_err() {
-                        break;
+                // Buffered, so a frame's prefix and body are one `read`.
+                let mut stream = BufReader::new(stream);
+                loop {
+                    match read_frame::<_, M>(&mut stream) {
+                        Ok(frame) => {
+                            if tx.send(frame).is_err() {
+                                break;
+                            }
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::InvalidData => {}
+                        Err(_) => break,
                     }
                 }
             });
@@ -236,5 +260,100 @@ where
             Err(mpsc::RecvTimeoutError::Timeout) => host.advance(now(), &mut net),
             Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+
+    use super::*;
+    use dup_core::DupMsg;
+
+    fn heartbeat(incarnation: u64) -> Frame<DupMsg> {
+        Frame::Heartbeat {
+            node: NodeId(1),
+            incarnation,
+        }
+    }
+
+    /// A scratch rendezvous directory of this test's own.
+    fn rendezvous(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dup-live-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir is writable");
+        dir
+    }
+
+    /// A body that does not decode costs that frame, not the connection:
+    /// the frame behind it on the same socket is delivered.
+    #[test]
+    fn garbage_body_is_skipped_and_the_connection_keeps_reading() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = mpsc::channel::<Frame<DupMsg>>();
+        spawn_acceptor(listener, tx);
+
+        let mut peer = TcpStream::connect(addr).unwrap();
+        let garbage = b"{\"Heartbeat\":{\"node\":\"one\"}} not a frame";
+        let mut bytes = (garbage.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(garbage);
+        write_frame(&mut bytes, &heartbeat(7)).unwrap();
+        peer.write_all(&bytes).unwrap();
+
+        let got = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("valid frame arrives");
+        assert!(
+            matches!(got, Frame::Heartbeat { incarnation: 7, .. }),
+            "got {got:?}"
+        );
+    }
+
+    /// The rendezvous file is outside input: whatever it holds, a send
+    /// fails as a down link fails (`false`, backoff engaged), and once the
+    /// file is republished the next dial the backoff permits connects.
+    #[test]
+    fn malformed_addr_file_fails_the_send_and_republishing_heals_it() {
+        let dir = rendezvous("addr");
+        let (me, peer) = (NodeId(0), NodeId(1));
+        let mut net = TcpNet::new(me, dir.clone(), 2, Instant::now());
+        let hostile: [&[u8]; 5] = [
+            b"",
+            b"not an address",
+            b"\xff\xfe\x00garbage",
+            b"localhost:9",
+            &vec![b'7'; 1 << 20],
+        ];
+        for (i, contents) in hostile.into_iter().enumerate() {
+            std::fs::write(addr_file(&dir, peer), contents).unwrap();
+            // Move the clock past the longest backoff instead of sleeping.
+            net.epoch -= Duration::from_secs(2);
+            assert!(!net.send(me, peer, heartbeat(1)), "case {i} sent");
+            assert_eq!(net.failures(peer), i as u32 + 1, "case {i}");
+            assert!(
+                !net.send(me, peer, heartbeat(1)),
+                "case {i}: backoff let a dial through"
+            );
+            assert_eq!(
+                net.failures(peer),
+                i as u32 + 1,
+                "case {i}: backed-off send dialed"
+            );
+        }
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        publish_addr(&dir, peer, &listener.local_addr().unwrap().to_string()).unwrap();
+        assert!(!net.send(me, peer, heartbeat(2)), "backoff still holds");
+        net.epoch -= Duration::from_secs(2);
+        assert!(net.send(me, peer, heartbeat(2)));
+        assert_eq!(net.failures(peer), 0);
+        let (mut inbound, _) = listener.accept().unwrap();
+        let got: Frame<DupMsg> = read_frame(&mut inbound).unwrap();
+        assert!(
+            matches!(got, Frame::Heartbeat { incarnation: 2, .. }),
+            "got {got:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
