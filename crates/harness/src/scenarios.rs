@@ -43,8 +43,7 @@ use serde::Serialize;
 use dup_core::DupScheme;
 use dup_proto::{
     perfetto_trace, CaptureProbe, ChurnConfig, FaultConfig, FaultStats, FaultWindow, NodeRange,
-    PartitionWindow, ProbeSink, QueueBackendConfig, Registry, RunConfig, Runner, SlowLink,
-    TraceCollector, ZipfPhase,
+    PartitionWindow, ProbeSink, Registry, RunConfig, Runner, SlowLink, TraceCollector, ZipfPhase,
 };
 use dup_sim::stream_rng;
 
@@ -199,8 +198,7 @@ pub fn case(family: ScenarioFamily, seed: u64) -> Case {
 const SUITE_RETRIES: std::ops::RangeInclusive<u32> = 3..=4;
 
 /// Expands one seed into the family's complete scenario configuration.
-/// Every family runs the timer-wheel queue backend (the CI smoke's
-/// production configuration) with the reliability layer enabled — the
+/// Every family runs with the reliability layer enabled — the
 /// claims are about the *maintained* protocol, not raw best-effort. The
 /// retry budget is kept shallow (3–4) on purpose: adversarial
 /// windows are long enough to exhaust it, so some maintenance traffic is
@@ -218,8 +216,7 @@ pub fn scenario_suite_config(family: ScenarioFamily, seed: u64) -> RunConfig {
         .protocol(maintenance_protocol())
         .warmup_secs(warmup)
         .duration_secs(duration)
-        .latency_batch(20)
-        .queue_backend(QueueBackendConfig::TimerWheel);
+        .latency_batch(20);
     match family {
         ScenarioFamily::FlashCrowd => {
             // A calm base skew, then θ spikes mid-run (the flash crowd)
@@ -474,7 +471,6 @@ pub fn flash_space_config(seed: u64) -> RunConfig {
         .warmup_secs(warmup)
         .duration_secs(duration)
         .latency_batch(20)
-        .queue_backend(QueueBackendConfig::TimerWheel)
         .faults(faults)
         .reliability(reliability(&mut rng, SUITE_RETRIES))
         .build()
@@ -501,7 +497,6 @@ mod tests {
                 cfg.validate();
                 assert!(cfg.faults.is_enabled());
                 assert!(cfg.reliability.is_enabled());
-                assert_eq!(cfg.queue.backend, QueueBackendConfig::TimerWheel);
                 match family {
                     ScenarioFamily::FlashCrowd => {
                         assert_eq!(cfg.zipf_phases.len(), 2);

@@ -11,7 +11,7 @@
 use serde::Serialize;
 
 use dup_core::DupScheme;
-use dup_proto::{run_simulation_space, ProbeSink, QueueBackendConfig};
+use dup_proto::{run_simulation_space, ProbeSink};
 
 use crate::campaign::logs_identical;
 use crate::experiment::HarnessOpts;
@@ -38,7 +38,6 @@ pub struct SpaceSmokeResult {
 /// timer-wheel backend, sequential vs 2 space shards, logs compared.
 pub fn space_smoke(opts: &HarnessOpts) -> SpaceSmokeResult {
     let mut cfg = opts.scale.base_config(opts.seed);
-    cfg.queue.backend = QueueBackendConfig::TimerWheel;
     cfg.space_shards = 1;
     let (_, sequential_log) =
         run_simulation_space(&cfg, DupScheme::new, ProbeSink::disabled(), true);

@@ -289,27 +289,26 @@ impl<S: Scheme> Runner<S> {
         }
     }
 
-    /// Builds the event queue per `cfg.queue`, pre-sized from the expected
-    /// event population: one standing timer per node (interest checks,
-    /// refresh, samples) plus queries in flight, each holding a couple of
-    /// messages for a few hop latencies.
-    fn build_queue(&self) -> EventQueue<Ev<S::Msg>> {
+    /// Builds the event queue per `cfg.queue` — for a sequential run and for
+    /// each space-parallel shard alike — pre-sized on either backend from
+    /// the expected event population: one standing timer per node (interest
+    /// checks, refresh, samples) plus queries in flight, each holding a
+    /// couple of messages for a few hop latencies.
+    pub(crate) fn build_queue(&self) -> EventQueue<Ev<S::Msg>> {
         let nodes = self.node.world.tree.capacity();
         let hop = self.cfg.protocol.hop_latency_mean_secs.max(1e-6);
         let in_flight = (self.cfg.lambda * hop * 16.0).ceil() as usize;
-        match self.cfg.queue.backend {
-            QueueBackendConfig::Heap => EventQueue::with_capacity(nodes + in_flight + 64),
-            QueueBackendConfig::TimerWheel => EventQueue::with_backend(QueueBackend::TimerWheel {
-                tick: self.wheel_tick(),
-            }),
-        }
+        let mut queue = EventQueue::with_backend(self.queue_backend());
+        queue.reserve(nodes + in_flight + 64);
+        queue
     }
 
-    /// The timer wheel's finest slot width.
+    /// The queue backend per `cfg.queue`, the wheel with its finest slot
+    /// width.
     ///
     /// The wheel wins by parking TTL/lease-scale timers out of the
     /// comparison structure while near-future deliveries (a few hop
-    /// latencies out) drop straight into the small `near` heap. That wants
+    /// latencies out) drop straight into the small `near` list. That wants
     /// a *coarse* finest slot: several event inter-arrival times wide
     /// (≈ 8/λ simulated seconds, the measured plateau in the queue_bench
     /// sweep), floored at a few hop latencies so deliveries stay inside
@@ -317,10 +316,18 @@ impl<S: Scheme> Runner<S> {
     /// only `λ / space_shards` of the arrival stream, so the slot is
     /// derived from that *local* rate — the partition is uniform, so every
     /// shard lands on the same tick.
-    pub(crate) fn wheel_tick(&self) -> SimDuration {
-        let hop = self.cfg.protocol.hop_latency_mean_secs.max(1e-6);
-        let lambda_local = self.cfg.lambda / self.cfg.space_shards.max(1) as f64;
-        SimDuration::from_secs_f64((8.0 / lambda_local.max(1e-3)).max(4.0 * hop))
+    fn queue_backend(&self) -> QueueBackend {
+        match self.cfg.queue.backend {
+            QueueBackendConfig::Heap => QueueBackend::DEFAULT_HEAP,
+            QueueBackendConfig::TimerWheel => {
+                let hop = self.cfg.protocol.hop_latency_mean_secs.max(1e-6);
+                let lambda_local = self.cfg.lambda / self.cfg.space_shards.max(1) as f64;
+                let tick = (8.0 / lambda_local.max(1e-3)).max(4.0 * hop);
+                QueueBackend::TimerWheel {
+                    tick: SimDuration::from_secs_f64(tick),
+                }
+            }
+        }
     }
 
     /// Read access to the world (tests and audits).
@@ -1263,10 +1270,15 @@ mod tests {
     #[test]
     fn timer_wheel_backend_matches_heap_backend() {
         use crate::config::QueueBackendConfig;
-        let mut heap_cfg = tiny_cfg(11);
-        heap_cfg.churn = Some(ChurnConfig::balanced(0.02));
-        let mut wheel_cfg = heap_cfg.clone();
-        wheel_cfg.queue.backend = QueueBackendConfig::TimerWheel;
+        let mut wheel_cfg = tiny_cfg(11);
+        wheel_cfg.churn = Some(ChurnConfig::balanced(0.02));
+        assert_eq!(
+            RunConfig::builder(11).build().queue.backend,
+            QueueBackendConfig::TimerWheel,
+            "the wheel is what a run gets without asking"
+        );
+        let mut heap_cfg = wheel_cfg.clone();
+        heap_cfg.queue.backend = QueueBackendConfig::Heap;
         let a = run_simulation(&heap_cfg, PcxScheme::new());
         let b = run_simulation(&wheel_cfg, PcxScheme::new());
         // Reports must agree field-for-field, bit-for-bit.

@@ -34,9 +34,9 @@
 //! pops, same draws — and the report is bit-identical to [`Runner::run`].
 
 use dup_overlay::NodeId;
-use dup_sim::{QueueBackend, ShardCtx, ShardModel, ShardedEngine, SimDuration, SimTime, TimerId};
+use dup_sim::{ShardCtx, ShardModel, ShardedEngine, SimDuration, SimTime, TimerId};
 
-use crate::config::{QueueBackendConfig, RunConfig, StopRule};
+use crate::config::{RunConfig, StopRule};
 use crate::metrics::{Metrics, RunReport};
 use crate::probe::ProbeSink;
 use crate::runner::{LogRecord, Runner};
@@ -259,8 +259,7 @@ where
         let mut probe = Some(probe);
         let mut horizon = SimTime::ZERO;
         let mut lookahead = SimDuration::ZERO;
-        let mut backend = QueueBackend::DEFAULT_HEAP;
-        let models: Vec<SpaceShard<S>> = (0..shards)
+        let models: Vec<_> = (0..shards)
             .map(|i| {
                 let shard_probe = if i == 0 {
                     probe.take().expect("shard 0 builds first")
@@ -275,19 +274,15 @@ where
                 }
                 horizon = runner.horizon();
                 lookahead = runner.world().hop_latency.lookahead();
-                backend = match cfg.queue.backend {
-                    QueueBackendConfig::Heap => QueueBackend::DEFAULT_HEAP,
-                    QueueBackendConfig::TimerWheel => QueueBackend::TimerWheel {
-                        tick: runner.wheel_tick(),
-                    },
-                };
-                SpaceShard {
+                let queue = runner.build_queue();
+                let shard = SpaceShard {
                     runner,
                     map,
                     shard: i,
                     local_deliveries: 0,
                     cross_deliveries: 0,
-                }
+                };
+                (shard, queue)
             })
             .collect();
         assert!(
@@ -295,7 +290,7 @@ where
             "space-parallel runs need a positive hop latency floor \
              (protocol.hop_latency_min_secs) as the lookahead window"
         );
-        let mut engine = ShardedEngine::with_backend(models, lookahead, backend);
+        let mut engine = ShardedEngine::with_queues(models, lookahead);
         // Seed init + the standing drivers on every shard at t = 0; the
         // barrier merges any init-time cross-shard sends canonically.
         engine.barrier_inject(SimTime::ZERO, |model, ctx| {
@@ -489,7 +484,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TopologySource;
+    use crate::config::{QueueBackendConfig, TopologySource};
     use crate::cup::CupScheme;
     use crate::pcx::PcxScheme;
     use crate::runner::run_simulation;
@@ -631,11 +626,7 @@ mod tests {
         // grows. Log equality across backend x shard-count combinations
         // proves the tick is purely a queue-indexing choice and the
         // local-rate derivation cannot perturb event order.
-        let wheel = |seed, shards| {
-            let mut cfg = tiny_cfg(seed, shards);
-            cfg.queue.backend = QueueBackendConfig::TimerWheel;
-            logged(&cfg, PcxScheme::new).1
-        };
+        let wheel = |seed, shards| logged(&tiny_cfg(seed, shards), PcxScheme::new).1;
         let heap = |seed, shards| {
             let mut cfg = tiny_cfg(seed, shards);
             cfg.queue.backend = QueueBackendConfig::Heap;

@@ -48,7 +48,8 @@ impl<E> Engine<E> {
     }
 
     /// Creates an engine over a caller-configured pending-event queue
-    /// (backend selection and pre-sizing; see [`QueueBackend`]).
+    /// (backend selection, [`EventQueue::with_backend`], and pre-sizing,
+    /// [`EventQueue::reserve`]).
     pub fn with_queue(queue: EventQueue<E>) -> Self {
         Engine {
             queue,
@@ -159,8 +160,9 @@ impl<E> Engine<E> {
     }
 
     /// Cancels a scheduled event by handle. Returns true when the event was
-    /// marked for removal (see [`EventQueue::cancel`] for the lazy-deletion
-    /// contract). Cancel only events that have not fired yet.
+    /// still pending and is now marked for removal; false, with no effect,
+    /// once it has fired or been cancelled (see [`EventQueue::cancel`] for
+    /// the lazy-deletion contract).
     pub fn cancel(&mut self, id: TimerId) -> bool {
         self.queue.cancel(id)
     }

@@ -4,60 +4,78 @@
 //! instant in FIFO order, which keeps runs deterministic regardless of how
 //! the backing store resolves equal keys internally.
 //!
-//! Two interchangeable backends implement the same contract. Both operate
-//! on compact 24-byte `(time, seq, slot)` keys over a shared payload slab,
-//! so ordering work never moves the (much larger) events themselves:
+//! Events live in a slab. A slab slot (a node) holds the payload and, in
+//! front of it, 24 bytes of ordering metadata: the instant, the sequence
+//! number with a cancelled bit under it, and a link to another node. Nodes
+//! are recycled through a free list threaded through the links, so the
+//! footprint is the queue's high-water mark. A [`TimerId`] names
+//! `(sequence, slot)`: [`EventQueue::cancel`] compares the node's tag and
+//! sets the bit, and the pop that empties the node reads the bit from the
+//! line it is already touching. No per-event step hashes, and none
+//! allocates once the slab has reached its high-water mark.
 //!
-//! * [`QueueBackend::Heap`] — a binary heap of keys; `O(log n)` push/pop,
-//!   no tuning knobs, the default.
-//! * [`QueueBackend::TimerWheel`] — a hierarchical timer wheel: six levels
-//!   of 64 slots each, every level 64× coarser than the one below, with a
-//!   `u64` occupancy bitmap per level so empty slots are skipped with one
-//!   `trailing_zeros`. Near-future events (the vast majority in a
-//!   message-passing simulation: deliveries a few hop latencies out) land
-//!   in the finest level and are placed in `O(1)`; far-future timers
-//!   (TTL-scale refreshes, interest checks) sit in a coarse level and
-//!   cascade toward level zero as the cursor approaches — `O(1)` amortized
-//!   per event per level. A tiny `near` heap holds the events of the slot
-//!   the cursor is draining, so pops stay exact `(time, seq)` order; an
+//! Two interchangeable backends order the nodes:
+//!
+//! * [`QueueBackend::TimerWheel`] — what a simulation run gets by default.
+//!   A hierarchical timer wheel: six levels of 64 slots each, every level
+//!   64× coarser than the one below, with a `u64` occupancy bitmap per
+//!   level so empty slots are skipped with one `trailing_zeros`. A wheel
+//!   slot is a `u32` head of a list threaded through the nodes' links:
+//!   placing, cascading and draining an event move no memory, and the
+//!   wheel owns 1.5 KiB of heads whatever bursts pass through it.
+//!   Near-future events (the vast majority in a message-passing
+//!   simulation: deliveries a few hop latencies out) land in the finest
+//!   level and are placed in `O(1)`; far-future timers (TTL-scale
+//!   refreshes, interest checks) sit in a coarse level and cascade toward
+//!   level zero as the cursor approaches — `O(1)` amortized per event per
+//!   level. A small sorted `near` list holds the events of the slot the
+//!   cursor is draining, so pops stay exact `(time, seq)` order; an
 //!   overflow heap takes the (practically unreachable) instants beyond the
 //!   top level's span.
+//! * [`QueueBackend::Heap`] — a binary heap of 24-byte `(time, seq, slot)`
+//!   keys; `O(log n)` push/pop, no tick to derive. [`EventQueue::new`]
+//!   uses it, and it is the reference the wheel is tested against.
 //!
 //! Both backends pop in exactly `(time, seq)` order — the equivalence is
-//! enforced by property tests here and by end-to-end report-identity tests
-//! in the workspace `tests/` tree.
+//! enforced by the model-based property test here and by end-to-end
+//! report-identity tests in the workspace `tests/` tree.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
+/// "No slot": the end of a list, and the slot of a fabricated handle.
+const NIL: u32 = u32::MAX;
+
 /// A handle to one queued event, returned by [`EventQueue::push`] and
-/// consumed by [`EventQueue::cancel`]. Wraps the event's unique insertion
-/// sequence number, so handles stay valid (and unambiguous) across any
-/// number of pushes and pops.
+/// consumed by [`EventQueue::cancel`]. Names the event's unique insertion
+/// sequence number and the slab slot holding it; the slot is only a hint
+/// where to look, the sequence number decides, so a handle outliving its
+/// event can never touch the slot's next tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
+pub struct TimerId {
+    seq: u64,
+    slot: u32,
+}
 
 impl TimerId {
-    /// Rebuilds a handle from its raw sequence number. Intended for tests
-    /// and bookkeeping layers that fabricate placeholder handles; a raw
-    /// value not obtained from [`TimerId::raw`] on the same queue will
-    /// cancel nothing (or the wrong event), exactly as misusing the handle
-    /// itself would.
+    /// Fabricates a placeholder handle carrying `seq`, for tests and
+    /// bookkeeping layers that only compare handles. It names no slot:
+    /// [`EventQueue::cancel`] returns false for it on every queue.
     pub fn from_raw(seq: u64) -> Self {
-        TimerId(seq)
+        TimerId { seq, slot: NIL }
     }
 
-    /// The handle's raw sequence number.
+    /// The handle's sequence number.
     pub fn raw(self) -> u64 {
-        self.0
+        self.seq
     }
 }
 
 /// A compact queue entry: the full ordering key plus the slab slot holding
-/// the payload. Heap sifts and wheel cascades move these 24 bytes, never
-/// the event itself.
+/// the payload. Heap sifts and the wheel's `near` list move these 24 bytes,
+/// never the event itself.
 struct Key {
     at: SimTime,
     seq: u64,
@@ -91,54 +109,83 @@ impl Ord for Key {
     }
 }
 
-/// The payload store shared by both backends: a slab with an embedded free
-/// list. Slots are recycled, so the slab's footprint is the queue's
-/// high-water mark, not its push count.
+/// One slab slot: ordering metadata, then the payload. They share the slot
+/// because a push and a pop touch both; a cascade reads only the head.
+struct Node<E> {
+    at: SimTime,
+    /// `seq << 1 | cancelled`. A free slot keeps its last tenant's tag with
+    /// the bit set, so no handle matches it.
+    tag: u64,
+    /// The next slot on whichever list this one is on: a wheel slot's
+    /// chain while queued on the wheel, the free list once removed.
+    next: u32,
+    event: Option<E>,
+}
+
+/// The key stored in node `idx` and the next slot on its list.
+#[inline]
+fn unlink<E>(nodes: &[Node<E>], idx: u32) -> (Key, u32) {
+    let n = &nodes[idx as usize];
+    let key = Key {
+        at: n.at,
+        seq: n.tag >> 1,
+        idx,
+    };
+    (key, n.next)
+}
+
+/// The event store shared by both backends, free slots chained from
+/// `free`. Slots are recycled, so the footprint is the queue's high-water
+/// mark, not its push count.
 struct Slab<E> {
-    slots: Vec<Option<E>>,
-    free: Vec<u32>,
+    nodes: Vec<Node<E>>,
+    free: u32,
 }
 
 impl<E> Slab<E> {
-    fn with_capacity(capacity: usize) -> Self {
-        Slab {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
+    #[inline]
+    fn insert(&mut self, at: SimTime, seq: u64, event: E) -> u32 {
+        let node = Node {
+            at,
+            tag: seq << 1,
+            next: NIL,
+            event: Some(event),
+        };
+        let idx = self.free;
+        if idx != NIL {
+            let i = idx as usize;
+            self.free = self.nodes[i].next;
+            self.nodes[i] = node;
+            return idx;
         }
+        let i = self.nodes.len();
+        assert!(i < NIL as usize, "pending-event slab overflow");
+        self.nodes.push(node);
+        i as u32
     }
 
+    /// Frees slot `idx`; returns its payload and whether it was cancelled.
     #[inline]
-    fn insert(&mut self, event: E) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(event);
-                i
-            }
-            None => {
-                let i = self.slots.len();
-                assert!(i <= u32::MAX as usize, "pending-event slab overflow");
-                self.slots.push(Some(event));
-                i as u32
-            }
-        }
-    }
-
-    #[inline]
-    fn remove(&mut self, idx: u32) -> E {
-        let event = self.slots[idx as usize]
+    fn remove(&mut self, idx: u32) -> (E, bool) {
+        let node = &mut self.nodes[idx as usize];
+        let event = node
+            .event
             .take()
             .expect("queue key pointed at an empty slab slot");
-        self.free.push(idx);
-        event
+        let cancelled = node.tag & 1 != 0;
+        node.tag |= 1;
+        node.next = self.free;
+        self.free = idx;
+        (event, cancelled)
     }
 
     fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
+        self.nodes.clear();
+        self.free = NIL;
     }
 }
 
-/// Backend selection (and sizing) for an [`EventQueue`].
+/// Backend selection for an [`EventQueue`].
 ///
 /// Marked `#[non_exhaustive]`: match with a wildcard arm so new backends
 /// can be added without a breaking change. The formerly available
@@ -147,12 +194,11 @@ impl<E> Slab<E> {
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueBackend {
-    /// Binary heap with `capacity` slots pre-allocated.
-    Heap {
-        /// Pending-event slots to pre-allocate.
-        capacity: usize,
-    },
-    /// Hierarchical timer wheel (six levels × 64 slots, bitmap-indexed).
+    /// Binary heap. Needs no tick, so it backs [`EventQueue::new`];
+    /// simulation runs use the wheel.
+    Heap,
+    /// Hierarchical timer wheel (six levels × 64 slots, bitmap-indexed),
+    /// the backend of every configured simulation run.
     TimerWheel {
         /// Width of one finest-level wheel slot (rounded up to a
         /// power-of-two nanosecond count so slot indexing is a shift, not
@@ -164,8 +210,8 @@ pub enum QueueBackend {
 }
 
 impl QueueBackend {
-    /// The default heap backend with no pre-allocation.
-    pub const DEFAULT_HEAP: QueueBackend = QueueBackend::Heap { capacity: 0 };
+    /// The heap backend.
+    pub const DEFAULT_HEAP: QueueBackend = QueueBackend::Heap;
 }
 
 /// Slots per wheel level; levels are 64× coarser as they go up.
@@ -179,28 +225,20 @@ const WHEEL_LEVELS: usize = 6;
 
 /// One wheel level: 64 unsorted slots plus an occupancy bitmap, so the
 /// next occupied slot is found with a mask and a `trailing_zeros` instead
-/// of a scan.
+/// of a scan. A slot is the head of a chain through `Node::next` (`NIL`
+/// when its bit is clear): the level owns no memory beyond these heads.
 struct WheelLevel {
     occupied: u64,
-    slots: [Vec<Key>; WHEEL_SLOTS],
-}
-
-impl WheelLevel {
-    fn new() -> Self {
-        WheelLevel {
-            occupied: 0,
-            slots: std::array::from_fn(|_| Vec::new()),
-        }
-    }
+    heads: [u32; WHEEL_SLOTS],
 }
 
 /// Hierarchical timer wheel state.
 ///
 /// `cursor` is the absolute finest-level slot index the wheel has drained
 /// up to: every event in a slot at or before the cursor lives in `near`
-/// (a tiny key heap), every event after it in the level whose span first
-/// covers its distance from the cursor, and everything beyond the top
-/// level in `overflow`. Invariant: all `near` events precede all wheel
+/// (a small sorted key list), every event after it in the level whose span
+/// first covers its distance from the cursor, and everything beyond the
+/// top level in `overflow`. Invariant: all `near` events precede all wheel
 /// events in time, so the head of `near` is the wheel-or-near minimum and
 /// only the `overflow` head can compete with it.
 struct TimerWheel {
@@ -229,7 +267,10 @@ impl TimerWheel {
             near: Vec::new(),
             in_wheel: 0,
             overflow: BinaryHeap::new(),
-            levels: Box::new(std::array::from_fn(|_| WheelLevel::new())),
+            levels: Box::new(std::array::from_fn(|_| WheelLevel {
+                occupied: 0,
+                heads: [NIL; WHEEL_SLOTS],
+            })),
         }
     }
 
@@ -256,8 +297,29 @@ impl TimerWheel {
         self.near.insert(idx, key);
     }
 
+    /// The first occupied slot strictly beyond the cursor's own — which is
+    /// already drained (level 0) or cascaded below (coarser levels) —
+    /// finest level upward. A coarse level's events all start after the
+    /// finer levels' current window, so the first hit holds the earliest.
     #[inline]
-    fn push(&mut self, key: Key) {
+    fn first_occupied(&self) -> Option<(usize, usize)> {
+        for (level, lv) in self.levels.iter().enumerate() {
+            let cur_ring = ((self.cursor >> (WHEEL_BITS * level as u32)) & 63) as u32;
+            let mask = if cur_ring == 63 {
+                0
+            } else {
+                !0u64 << (cur_ring + 1)
+            };
+            let ready = lv.occupied & mask;
+            if ready != 0 {
+                return Some((level, ready.trailing_zeros() as usize));
+            }
+        }
+        None
+    }
+
+    #[inline]
+    fn push<E>(&mut self, nodes: &mut [Node<E>], key: Key) {
         let s = self.slot0(key.at);
         if s <= self.cursor {
             // The cursor slot (or earlier — a same-instant cascade or a
@@ -275,27 +337,29 @@ impl TimerWheel {
         // already-drained territory.
         let ring = ((s >> (WHEEL_BITS * level as u32)) & 63) as usize;
         let lv = &mut self.levels[level];
-        lv.slots[ring].push(key);
+        nodes[key.idx as usize].next = lv.heads[ring];
+        lv.heads[ring] = key.idx;
         lv.occupied |= 1 << ring;
         self.in_wheel += 1;
     }
 
     /// Ensures `near` holds the earliest wheel events, advancing the
-    /// cursor (and cascading coarse slots) as needed. Returns false when
-    /// the wheel and `near` are both empty; `overflow` is consulted only
-    /// to re-anchor a fully drained wheel.
-    fn fill_near(&mut self) -> bool {
-        loop {
-            if !self.near.is_empty() {
-                return true;
-            }
+    /// cursor (and cascading coarse slots) as needed; leaves it empty when
+    /// the wheel is too. `overflow` is consulted only to re-anchor a fully
+    /// drained wheel.
+    ///
+    /// Kept out of line: it is generic over the payload only to reach the
+    /// links, and inlined into every engine loop it cost the heap-backed
+    /// live hosts 1 % of their throughput in code they never run.
+    #[inline(never)]
+    fn fill_near<E>(&mut self, nodes: &mut [Node<E>]) {
+        while self.near.is_empty() {
             if self.in_wheel == 0 {
                 // Wheel drained: re-anchor at the overflow's earliest
                 // event and migrate everything that now fits the span.
-                if self.overflow.is_empty() {
-                    return false;
-                }
-                let front = self.overflow.peek().expect("peeked event vanished");
+                let Some(front) = self.overflow.peek() else {
+                    return;
+                };
                 self.cursor = self.slot0(front.at);
                 while let Some(f) = self.overflow.peek() {
                     let s = self.slot0(f.at);
@@ -303,58 +367,40 @@ impl TimerWheel {
                         break;
                     }
                     let key = self.overflow.pop().expect("peeked event vanished");
-                    self.push(key);
+                    self.push(nodes, key);
                 }
                 continue;
             }
-            // Find the first occupied slot, finest level upward. A coarse
-            // level's events all start after the finer levels' current
-            // window, so the first hit is the earliest.
-            let mut found = None;
-            for level in 0..WHEEL_LEVELS {
-                let cur_ring = ((self.cursor >> (WHEEL_BITS * level as u32)) & 63) as u32;
-                // The cursor's own slot is already drained (level 0) or
-                // cascaded below (coarser levels): search strictly beyond.
-                let mask = if cur_ring == 63 {
-                    0
-                } else {
-                    !0u64 << (cur_ring + 1)
-                };
-                let ready = self.levels[level].occupied & mask;
-                if ready != 0 {
-                    found = Some((level, ready.trailing_zeros() as usize));
-                    break;
-                }
-            }
-            let Some((level, ring)) = found else {
+            let Some((level, ring)) = self.first_occupied() else {
                 debug_assert!(false, "wheel count out of sync with occupancy");
-                return false;
+                return;
             };
             // Advance the cursor to the start of the found slot: replace
             // the level's digit with `ring`, zero everything below.
             let w = WHEEL_BITS * level as u32;
             self.cursor = (((self.cursor >> (w + WHEEL_BITS)) << WHEEL_BITS) | ring as u64) << w;
-            self.levels[level].occupied &= !(1u64 << ring);
-            if level == 0 {
-                // Drain the finest slot into `near` in place, so the slot
-                // keeps its capacity for the next lap. `near` is empty
-                // here (loop condition), so one unstable sort replaces
-                // per-key ordered inserts. Key's `Ord` is reversed, so the
-                // ascending sort yields the descending-by-time layout.
-                let lv = &mut self.levels[0];
-                let slot = &mut lv.slots[ring];
-                self.in_wheel -= slot.len();
-                self.near.append(slot);
-                self.near.sort_unstable();
-            } else {
-                // Cascade a coarse slot down: re-place every key against
-                // the advanced cursor (finer level, or `near` when the key
-                // falls in the cursor slot itself).
-                let keys = std::mem::take(&mut self.levels[level].slots[ring]);
-                self.in_wheel -= keys.len();
-                for k in keys {
-                    self.push(k);
+            let lv = &mut self.levels[level];
+            lv.occupied &= !(1u64 << ring);
+            let mut idx = std::mem::replace(&mut lv.heads[ring], NIL);
+            while idx != NIL {
+                let (key, next) = unlink(nodes, idx);
+                self.in_wheel -= 1;
+                if level == 0 {
+                    self.near.push(key);
+                } else {
+                    // Cascade a coarse slot down: re-place every key
+                    // against the advanced cursor (finer level, or `near`
+                    // when the key falls in the cursor slot itself).
+                    self.push(nodes, key);
                 }
+                idx = next;
+            }
+            if level == 0 {
+                // `near` was empty (loop condition), so one unstable sort
+                // replaces per-key ordered inserts. Key's `Ord` is
+                // reversed, so the ascending sort yields the
+                // descending-by-time layout.
+                self.near.sort_unstable();
             }
         }
     }
@@ -363,9 +409,9 @@ impl TimerWheel {
     /// removes it (strictly before `limit`) or reports its instant without
     /// disturbing it.
     #[inline]
-    fn pop_before(&mut self, limit: Option<SimTime>) -> Popped<Key> {
+    fn pop_before<E>(&mut self, nodes: &mut [Node<E>], limit: Option<SimTime>) -> Popped<Key> {
         if self.near.is_empty() {
-            self.fill_near();
+            self.fill_near(nodes);
         }
         let take_overflow = match (self.near.last(), self.overflow.peek()) {
             (None, None) => return Popped::Empty,
@@ -395,24 +441,18 @@ impl TimerWheel {
     }
 
     /// The `(time, seq)` of the earliest pending event without disturbing
-    /// the wheel (no cursor movement, no cascades): the near heap's head,
+    /// the wheel (no cursor movement, no cascades): the near list's head,
     /// else a bitmap walk to the first occupied slot and an unsorted scan
     /// of that one slot, always compared against the overflow head.
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
+    fn peek_key<E>(&self, nodes: &[Node<E>]) -> Option<(SimTime, u64)> {
         let mut best = self.near.last().map(Key::key);
-        if best.is_none() && self.in_wheel > 0 {
-            for level in 0..WHEEL_LEVELS {
-                let cur_ring = ((self.cursor >> (WHEEL_BITS * level as u32)) & 63) as u32;
-                let mask = if cur_ring == 63 {
-                    0
-                } else {
-                    !0u64 << (cur_ring + 1)
-                };
-                let ready = self.levels[level].occupied & mask;
-                if ready != 0 {
-                    let ring = ready.trailing_zeros() as usize;
-                    best = self.levels[level].slots[ring].iter().map(Key::key).min();
-                    break;
+        if best.is_none() {
+            if let Some((level, ring)) = self.first_occupied() {
+                let mut idx = self.levels[level].heads[ring];
+                while idx != NIL {
+                    let (key, next) = unlink(nodes, idx);
+                    best = Some(best.map_or(key.key(), |b| b.min(key.key())));
+                    idx = next;
                 }
             }
         }
@@ -426,9 +466,7 @@ impl TimerWheel {
     fn clear(&mut self) {
         for lv in self.levels.iter_mut() {
             lv.occupied = 0;
-            for slot in &mut lv.slots {
-                slot.clear();
-            }
+            lv.heads = [NIL; WHEEL_SLOTS];
         }
         self.near.clear();
         self.overflow.clear();
@@ -438,7 +476,16 @@ impl TimerWheel {
     }
 }
 
-/// The two interchangeable key stores behind an [`EventQueue`].
+#[cfg(test)]
+impl TimerWheel {
+    /// Bytes the wheel owns beyond the slab.
+    fn footprint(&self) -> usize {
+        std::mem::size_of_val(&*self.levels)
+            + (self.near.capacity() + self.overflow.capacity()) * std::mem::size_of::<Key>()
+    }
+}
+
+/// The two interchangeable orderings of the slab's nodes.
 enum Store {
     Heap(BinaryHeap<Key>),
     Wheel(TimerWheel),
@@ -446,29 +493,29 @@ enum Store {
 
 impl Store {
     #[inline]
-    fn push(&mut self, key: Key) {
+    fn push<E>(&mut self, nodes: &mut [Node<E>], key: Key) {
         match self {
             Store::Heap(h) => h.push(key),
-            Store::Wheel(w) => w.push(key),
+            Store::Wheel(w) => w.push(nodes, key),
         }
     }
 
     #[inline]
-    fn pop_before(&mut self, limit: Option<SimTime>) -> Popped<Key> {
+    fn pop_before<E>(&mut self, nodes: &mut [Node<E>], limit: Option<SimTime>) -> Popped<Key> {
         match self {
             Store::Heap(h) => match h.peek() {
                 None => Popped::Empty,
                 Some(k) if limit.is_some_and(|l| k.at >= l) => Popped::AtOrAfter(k.at),
                 Some(_) => Popped::Event(h.pop().expect("peeked event vanished")),
             },
-            Store::Wheel(w) => w.pop_before(limit),
+            Store::Wheel(w) => w.pop_before(nodes, limit),
         }
     }
 
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
+    fn peek_key<E>(&self, nodes: &[Node<E>]) -> Option<(SimTime, u64)> {
         match self {
             Store::Heap(h) => h.peek().map(Key::key),
-            Store::Wheel(w) => w.peek_key(),
+            Store::Wheel(w) => w.peek_key(nodes),
         }
     }
 
@@ -482,6 +529,7 @@ impl Store {
 
 /// Result of a [`EventQueue::pop_before`] call: the popped event, or why
 /// nothing was popped.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) enum Popped<E> {
     /// The earliest event, removed from the queue.
     Event(E),
@@ -499,11 +547,6 @@ pub struct EventQueue<E> {
     next_seq: u64,
     len: usize,
     peak_len: usize,
-    /// Sequence numbers cancelled via [`EventQueue::cancel`] but not yet
-    /// swept out of the backend. Lazy deletion: the pop paths discard any
-    /// popped event whose seq is in this set. The sweep lives here, above
-    /// both backends, so cancellation cannot introduce backend divergence.
-    cancelled: HashSet<u64>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -513,32 +556,35 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty heap-backed queue.
+    /// Creates an empty heap-backed queue: the backend that needs no tick
+    /// derived from a workload.
     pub fn new() -> Self {
         Self::with_backend(QueueBackend::DEFAULT_HEAP)
     }
 
-    /// Creates an empty heap-backed queue with room for `capacity` pending
-    /// events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_backend(QueueBackend::Heap { capacity })
-    }
-
     /// Creates an empty queue with the given backend.
     pub fn with_backend(backend: QueueBackend) -> Self {
-        let (store, capacity) = match backend {
-            QueueBackend::Heap { capacity } => {
-                (Store::Heap(BinaryHeap::with_capacity(capacity)), capacity)
-            }
-            QueueBackend::TimerWheel { tick } => (Store::Wheel(TimerWheel::new(tick)), 0),
-        };
         EventQueue {
-            store,
-            slab: Slab::with_capacity(capacity),
+            store: match backend {
+                QueueBackend::Heap => Store::Heap(BinaryHeap::new()),
+                QueueBackend::TimerWheel { tick } => Store::Wheel(TimerWheel::new(tick)),
+            },
+            slab: Slab {
+                nodes: Vec::new(),
+                free: NIL,
+            },
             next_seq: 0,
             len: 0,
             peak_len: 0,
-            cancelled: HashSet::new(),
+        }
+    }
+
+    /// Makes room for `additional` more pending events, so that pushing
+    /// them reallocates nothing on either backend.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slab.nodes.reserve(additional);
+        if let Store::Heap(h) = &mut self.store {
+            h.reserve(additional);
         }
     }
 
@@ -549,30 +595,34 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) -> TimerId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let idx = self.slab.insert(event);
-        self.store.push(Key { at, seq, idx });
+        let idx = self.slab.insert(at, seq, event);
+        self.store.push(&mut self.slab.nodes, Key { at, seq, idx });
         self.len += 1;
         if self.len > self.peak_len {
             self.peak_len = self.len;
         }
-        TimerId(seq)
+        TimerId { seq, slot: idx }
     }
 
     /// Cancels a pending event by handle. Returns true when the event was
-    /// marked for removal, false when the handle was already cancelled or
-    /// never issued by this queue. The event is discarded lazily on its way
-    /// out of the backend, so [`EventQueue::len`] keeps counting it until a
-    /// pop sweeps past its instant.
+    /// pending and is now marked; false — and nothing is marked — for a
+    /// handle whose event already popped, was already cancelled, was
+    /// dropped by [`EventQueue::clear`], or was never issued by this queue
+    /// ([`TimerId::from_raw`]). One tag comparison in the handle's slot
+    /// decides, and since sequence numbers are never reused, a stale
+    /// handle cannot hit the slot's next tenant.
     ///
-    /// Cancelling an event that already popped is the caller's bug this
-    /// queue cannot detect (sequence numbers are never reused, so no *other*
-    /// event is ever affected); the stale mark lingers until
-    /// [`EventQueue::clear`].
+    /// Deletion is lazy: the event is discarded on its way out of the
+    /// backend, so [`EventQueue::len`] keeps counting it until a pop
+    /// sweeps past its instant.
     pub fn cancel(&mut self, id: TimerId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
+        match self.slab.nodes.get_mut(id.slot as usize) {
+            Some(node) if node.tag == id.seq << 1 => {
+                node.tag |= 1;
+                true
+            }
+            _ => false,
         }
-        self.cancelled.insert(id.0)
     }
 
     /// Removes and returns the earliest pending event.
@@ -596,14 +646,15 @@ impl<E> EventQueue<E> {
     #[inline]
     pub(crate) fn pop_before(&mut self, limit: Option<SimTime>) -> Popped<(SimTime, E)> {
         loop {
-            match self.store.pop_before(limit) {
+            match self.store.pop_before(&mut self.slab.nodes, limit) {
                 Popped::Event(k) => {
-                    let event = self.slab.remove(k.idx);
+                    // The sweep of cancelled events lives here, above both
+                    // backends, so it cannot make them diverge.
+                    let (event, cancelled) = self.slab.remove(k.idx);
                     self.len -= 1;
-                    if !self.cancelled.is_empty() && self.cancelled.remove(&k.seq) {
-                        continue;
+                    if !cancelled {
+                        return Popped::Event((k.at, event));
                     }
-                    return Popped::Event((k.at, event));
                 }
                 Popped::AtOrAfter(at) => return Popped::AtOrAfter(at),
                 Popped::Empty => return Popped::Empty,
@@ -614,7 +665,7 @@ impl<E> EventQueue<E> {
     /// The instant of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.store.peek_key().map(|(at, _)| at)
+        self.store.peek_key(&self.slab.nodes).map(|(at, _)| at)
     }
 
     /// Number of pending events.
@@ -634,19 +685,20 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Drops all pending events (the sequence counter keeps advancing so
-    /// determinism is preserved across a clear).
+    /// Drops all pending events; every handle issued so far goes stale
+    /// (the sequence counter keeps advancing so determinism is preserved
+    /// across a clear).
     pub fn clear(&mut self) {
         self.store.clear();
         self.slab.clear();
         self.len = 0;
-        self.cancelled.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Both backends, so every contract test runs against each.
     fn backends() -> Vec<(&'static str, EventQueue<&'static str>)> {
@@ -826,60 +878,49 @@ mod tests {
     }
 
     #[test]
-    fn cancel_rejects_unissued_ids_and_clear_forgets_marks() {
-        let mut q: EventQueue<&str> = EventQueue::new();
-        let a = q.push(SimTime::from_secs(1), "a");
-        assert!(!q.cancel(TimerId(999)), "never-issued id");
-        assert!(q.cancel(a));
-        q.clear();
-        // After clear, old marks are forgotten and fresh pushes pop
-        // normally even though their seqs continue past the cleared ones.
-        let b = q.push(SimTime::from_secs(2), "b");
-        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
-        // Cancelling an already-popped handle is accepted (the queue cannot
-        // detect it) and harmless: the mark matches no future seq.
-        assert!(q.cancel(b));
-        assert!(q.pop().is_none());
+    fn cancel_rejects_stale_and_fabricated_handles() {
+        for (name, mut q) in backends() {
+            let a = q.push(SimTime::from_secs(1), "a");
+            assert!(!q.cancel(TimerId::from_raw(a.raw())), "{name}: fabricated");
+            assert!(q.cancel(a), "backend {name}");
+            q.clear();
+            assert!(!q.cancel(a), "{name}: dropped by clear");
+            // "b" moves into a's slot; a's handle must not reach it, and
+            // fresh pushes pop normally though their seqs run on.
+            let b = q.push(SimTime::from_secs(2), "b");
+            assert!(!q.cancel(a), "{name}: the slot's next tenant");
+            assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")), "{name}");
+            assert!(!q.cancel(b), "{name}: already popped");
+            q.push(SimTime::from_secs(3), "c");
+            assert!(!q.cancel(b), "{name}: popped, slot reused");
+            assert_eq!(q.pop(), Some((SimTime::from_secs(3), "c")), "{name}");
+        }
     }
 
     #[test]
-    fn wheel_interleaved_push_pop_matches_heap() {
-        // Deterministic pseudo-random interleaving of pushes and pops (with
-        // monotone non-decreasing push times, as the engine guarantees)
-        // produces identical sequences from both backends.
-        let mut heap = EventQueue::new();
-        let mut wheel = EventQueue::with_backend(QueueBackend::TimerWheel {
-            tick: SimDuration::from_nanos(4096),
+    fn wheel_retains_no_burst_capacity() {
+        // Every lap parks 4 096 events in one coarse slot, which cascades
+        // into a single level-0 slot — a different one each lap — and
+        // drains from there. Slots that were `Vec`s kept each burst's
+        // capacity (64 × 4 096 keys after one turn of level 0); list heads
+        // keep nothing, so what the wheel owns beyond the slab stops
+        // growing after the first lap and the slab recycles its slots.
+        let mut q = EventQueue::with_backend(QueueBackend::TimerWheel {
+            tick: SimDuration::from_nanos(1),
         });
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut now = 0u64;
-        for i in 0..2000u64 {
-            if rng() % 3 != 0 {
-                let at = now + rng() % 100_000;
-                heap.push(SimTime::from_nanos(at), i);
-                wheel.push(SimTime::from_nanos(at), i);
-            } else {
-                let a = heap.pop();
-                let b = wheel.pop();
-                assert_eq!(a, b);
-                if let Some((t, _)) = a {
-                    now = t.as_nanos();
-                }
+        let mut first_lap = None;
+        for lap in 1..=130u64 {
+            let at = SimTime::from_nanos(lap * 64 + lap % 63 + 1);
+            for i in 0..4096 {
+                q.push(at, i);
             }
-        }
-        loop {
-            let a = heap.pop();
-            let b = wheel.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
+            while q.pop().is_some() {}
+            let Store::Wheel(wheel) = &q.store else {
+                unreachable!("built on the wheel");
+            };
+            let owned = wheel.footprint();
+            assert_eq!(*first_lap.get_or_insert(owned), owned, "lap {lap}");
+            assert_eq!(q.slab.nodes.len(), 4096, "lap {lap}");
         }
     }
 
@@ -928,6 +969,152 @@ mod tests {
             assert_eq!(a, b);
             if a.is_none() {
                 break;
+            }
+        }
+    }
+
+    /// The reference: pending events in a `Vec` kept sorted by `(at, seq)`,
+    /// cancelled ones flagged in place and swept when a pop reaches them.
+    #[derive(Default)]
+    struct Model {
+        pending: Vec<(u64, u64, bool)>,
+        next_seq: u64,
+        peak: usize,
+    }
+
+    impl Model {
+        fn push(&mut self, at: u64) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let i = self.pending.partition_point(|e| (e.0, e.1) < (at, seq));
+            self.pending.insert(i, (at, seq, false));
+            self.peak = self.peak.max(self.pending.len());
+            seq
+        }
+
+        fn cancel(&mut self, seq: u64) -> bool {
+            match self.pending.iter_mut().find(|e| e.1 == seq && !e.2) {
+                Some(e) => {
+                    e.2 = true;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn pop_before(&mut self, limit: Option<u64>) -> Popped<(SimTime, u64)> {
+            loop {
+                let Some(&(at, seq, cancelled)) = self.pending.first() else {
+                    return Popped::Empty;
+                };
+                if limit.is_some_and(|l| at >= l) {
+                    return Popped::AtOrAfter(SimTime::from_nanos(at));
+                }
+                self.pending.remove(0);
+                if !cancelled {
+                    return Popped::Event((SimTime::from_nanos(at), seq));
+                }
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Push this far past the last popped instant (0: the same instant).
+        Push(u64),
+        Pop,
+        /// `pop_before` with the limit this far past the last popped instant.
+        PopBefore(u64),
+        /// Cancel the n-th handle issued so far (modulo their count), be
+        /// its event pending, popped, cancelled or cleared.
+        Cancel(usize),
+        /// Cancel a fabricated handle with this sequence number.
+        CancelRaw(u64),
+        Clear,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            8 => Just(Op::Push(0)),
+            20 => (1u64..200).prop_map(Op::Push),
+            16 => (1u64..5_000_000).prop_map(Op::Push),
+            // Hours out: the coarse levels, and past the 1 ns wheel's span.
+            6 => (1u64..20_000_000_000_000).prop_map(Op::Push),
+            22 => Just(Op::Pop),
+            10 => (0u64..10_000_000).prop_map(Op::PopBefore),
+            14 => (0usize..1 << 16).prop_map(Op::Cancel),
+            3 => (0u64..64).prop_map(Op::CancelRaw),
+            1 => Just(Op::Clear),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 1024 }
+        ))]
+
+        /// Any interleaving of the queue's operations reads the same on the
+        /// heap, on the wheel at three very different ticks, and on the
+        /// sorted-`Vec` model: popped sequence, `cancel`'s answer, `len`,
+        /// `peak_len` and `peek_time` after every step.
+        fn every_backend_follows_the_sorted_vec_model(
+            ops in prop::collection::vec(op(), 1..400),
+        ) {
+            let wheel = |nanos| QueueBackend::TimerWheel {
+                tick: SimDuration::from_nanos(nanos),
+            };
+            for backend in [
+                QueueBackend::DEFAULT_HEAP,
+                wheel(1),
+                wheel(4096),
+                wheel(8_000_000_000),
+            ] {
+                let mut q = EventQueue::with_backend(backend);
+                let mut model = Model::default();
+                let mut handles = Vec::new();
+                let mut now = 0u64;
+                for (step, op) in ops.iter().enumerate() {
+                    let ctx = format!("{backend:?}, step {step}: {op:?}");
+                    match *op {
+                        Op::Push(gap) => {
+                            let seq = model.push(now + gap);
+                            handles.push((q.push(SimTime::from_nanos(now + gap), seq), seq));
+                        }
+                        Op::Pop => {
+                            let want = match model.pop_before(None) {
+                                Popped::Event(e) => Some(e),
+                                _ => None,
+                            };
+                            now = want.map_or(now, |(at, _)| at.as_nanos());
+                            prop_assert_eq!(q.pop(), want, "{}", ctx);
+                        }
+                        Op::PopBefore(ahead) => {
+                            let limit = now + ahead;
+                            let want = model.pop_before(Some(limit));
+                            if let Popped::Event((at, _)) = want {
+                                now = at.as_nanos();
+                            }
+                            let got = q.pop_before(Some(SimTime::from_nanos(limit)));
+                            prop_assert_eq!(got, want, "{}", ctx);
+                        }
+                        Op::Cancel(n) => {
+                            if let Some(&(id, seq)) = handles.get(n % handles.len().max(1)) {
+                                prop_assert_eq!(q.cancel(id), model.cancel(seq), "{}", ctx);
+                            }
+                        }
+                        Op::CancelRaw(seq) => {
+                            prop_assert!(!q.cancel(TimerId::from_raw(seq)), "{}", ctx);
+                        }
+                        Op::Clear => {
+                            q.clear();
+                            model.pending.clear();
+                        }
+                    }
+                    let head = model.pending.first().map(|e| SimTime::from_nanos(e.0));
+                    prop_assert_eq!(q.peek_time(), head, "{}", ctx);
+                    prop_assert_eq!(q.len(), model.pending.len(), "{}", ctx);
+                    prop_assert_eq!(q.peak_len(), model.peak, "{}", ctx);
+                }
             }
         }
     }

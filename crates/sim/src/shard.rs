@@ -27,7 +27,7 @@
 //! traffic) used by the protocol layer's `RunConfig::shards` mode.
 
 use crate::profiler::ShardProfile;
-use crate::queue::{EventQueue, Popped, QueueBackend, TimerId};
+use crate::queue::{EventQueue, Popped, TimerId};
 use crate::time::{SimDuration, SimTime};
 use std::time::Instant;
 
@@ -162,21 +162,23 @@ pub struct ShardedEngine<M: ShardModel> {
 
 impl<M: ShardModel> ShardedEngine<M> {
     /// Creates an engine over `models` (one per shard) with the given
-    /// lookahead window, using the default queue backend.
+    /// lookahead window, each shard on a heap-backed queue.
     ///
     /// # Panics
     ///
     /// Panics on zero shards or a zero lookahead (a zero window can never
     /// make progress).
     pub fn new(models: Vec<M>, lookahead: SimDuration) -> Self {
-        Self::with_backend(models, lookahead, QueueBackend::DEFAULT_HEAP)
+        let shards = models.into_iter().map(|m| (m, EventQueue::new()));
+        Self::with_queues(shards.collect(), lookahead)
     }
 
-    /// [`ShardedEngine::new`] with an explicit queue backend for the
-    /// per-shard queues.
-    pub fn with_backend(models: Vec<M>, lookahead: SimDuration, backend: QueueBackend) -> Self {
+    /// [`ShardedEngine::new`] over caller-configured per-shard queues
+    /// (backend selection, [`EventQueue::with_backend`], and pre-sizing,
+    /// [`EventQueue::reserve`]).
+    pub fn with_queues(shards: Vec<(M, EventQueue<M::Event>)>, lookahead: SimDuration) -> Self {
         assert!(
-            !models.is_empty(),
+            !shards.is_empty(),
             "a sharded engine needs at least one shard"
         );
         assert!(
@@ -184,11 +186,11 @@ impl<M: ShardModel> ShardedEngine<M> {
             "a zero lookahead window cannot make progress"
         );
         ShardedEngine {
-            shards: models
+            shards: shards
                 .into_iter()
-                .map(|model| ShardState {
+                .map(|(model, queue)| ShardState {
                     model,
-                    queue: EventQueue::with_backend(backend),
+                    queue,
                     outbox: Vec::new(),
                     events: 0,
                     last_event_at: None,

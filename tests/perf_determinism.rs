@@ -21,10 +21,10 @@
 use dup_p2p::harness::{HarnessOpts, Scale, SchemeKind};
 use dup_p2p::proto::{
     ChurnConfig, FaultConfig, FaultWindow, InterestPolicy, ProbeSink, QueueBackendConfig,
-    ReliabilityConfig, RunReport,
+    ReliabilityConfig, RunConfig, RunReport,
 };
 
-fn run(cfg: &dup_p2p::proto::RunConfig, kind: SchemeKind) -> RunReport {
+fn run(cfg: &RunConfig, kind: SchemeKind) -> RunReport {
     dup_p2p::core::run_simulation_kind(cfg, kind, ProbeSink::disabled())
 }
 
@@ -41,9 +41,15 @@ fn backends_agree_for_all_schemes_at_bench_scale() {
     };
     let mut heap_cfg = opts.scale.base_config(opts.seed);
     heap_cfg.churn = Some(ChurnConfig::balanced(0.02));
-    let mut wheel_cfg = heap_cfg.clone();
-    wheel_cfg.queue.backend = QueueBackendConfig::TimerWheel;
-    assert_eq!(heap_cfg.queue.backend, QueueBackendConfig::Heap);
+    // The wheel is what a run gets without asking; the heap is the
+    // reference it is held to.
+    let wheel_cfg = heap_cfg.clone();
+    assert_eq!(wheel_cfg.queue.backend, QueueBackendConfig::TimerWheel);
+    assert_eq!(
+        RunConfig::builder(opts.seed).build().queue.backend,
+        QueueBackendConfig::TimerWheel
+    );
+    heap_cfg.queue.backend = QueueBackendConfig::Heap;
     for kind in [SchemeKind::Pcx, SchemeKind::Cup, SchemeKind::Dup] {
         let heap = run(&heap_cfg, kind);
         let wheel = run(&wheel_cfg, kind);
@@ -76,8 +82,8 @@ fn backends_agree_under_expiry_heavy_workload() {
     heap_cfg.protocol.interest_policy = InterestPolicy::SlidingWindow;
     heap_cfg.churn = Some(ChurnConfig::balanced(0.04));
     heap_cfg.validate();
-    let mut wheel_cfg = heap_cfg.clone();
-    wheel_cfg.queue.backend = QueueBackendConfig::TimerWheel;
+    let wheel_cfg = heap_cfg.clone();
+    heap_cfg.queue.backend = QueueBackendConfig::Heap;
     for kind in [SchemeKind::Pcx, SchemeKind::Cup, SchemeKind::Dup] {
         let heap = run(&heap_cfg, kind);
         let wheel = run(&wheel_cfg, kind);
@@ -126,8 +132,8 @@ fn backends_agree_with_faults_and_retransmit() {
         lease_every_secs: 150.0,
     };
     heap_cfg.validate();
-    let mut wheel_cfg = heap_cfg.clone();
-    wheel_cfg.queue.backend = QueueBackendConfig::TimerWheel;
+    let wheel_cfg = heap_cfg.clone();
+    heap_cfg.queue.backend = QueueBackendConfig::Heap;
     for kind in [SchemeKind::Pcx, SchemeKind::Cup, SchemeKind::Dup] {
         let heap = run(&heap_cfg, kind);
         let wheel = run(&wheel_cfg, kind);
