@@ -166,6 +166,17 @@ fn render_cluster(cluster: &LoopbackCluster<DupScheme>) -> String {
     out
 }
 
+/// Holds `actual` to `tests/golden/<file>`, re-recording it first when
+/// `DUP_RECORD_GOLDEN` is set.
+fn assert_golden(file: &str, actual: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("DUP_RECORD_GOLDEN").is_some() {
+        std::fs::write(&path, actual).expect("golden file is writable");
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden file is committed");
+    assert_eq!(actual, golden, "{file} drifted; actual:\n{actual}");
+}
+
 /// Live golden: a fixed script on virtual time — boot the 8-node smoke
 /// tree, kill N2 at 3 s, restart it at 5 s, run one convergence bound —
 /// must reproduce the committed per-host state byte for byte. The
@@ -184,16 +195,43 @@ fn golden_kill_restart_script_is_pinned() {
     cluster.run_for(secs(2.0));
     cluster.restart(NodeId(2));
     cluster.run_for(LiveConfig::smoke(smoke_parents()).convergence_bound());
-    let actual = render_cluster(&cluster);
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/loopback_kill_restart.txt"
-    );
-    if std::env::var_os("DUP_RECORD_GOLDEN").is_some() {
-        std::fs::write(path, &actual).expect("golden file is writable");
-    }
-    let golden = std::fs::read_to_string(path).expect("golden file is committed");
-    assert_eq!(actual, golden, "live golden drifted; actual:\n{actual}");
+    assert_golden("loopback_kill_restart.txt", &render_cluster(&cluster));
+}
+
+/// Live golden at the benchmark's shape: 64 hosts on the complete 4-ary
+/// tree at `live_mesh`'s cadences, N2 killed at 5 s and restarted at 8 s,
+/// 16 virtual seconds. Beside the per-host state it pins the net's
+/// traffic counters and every host's rejected-frame count, so a change to
+/// the host loop, the detector or the loopback queue that moves a single
+/// frame shows. It records behaviour as it is, ROADMAP item 4's rejoin
+/// defect included — which is why it does not consult `oracle_check`.
+/// Re-record as above.
+#[test]
+fn golden_mesh64_kill_restart_script_is_pinned() {
+    let parents = (0..64)
+        .map(|i| (i > 0).then(|| NodeId::from_index((i - 1) / 4)))
+        .collect();
+    let cfg = LiveConfig {
+        heartbeat_every: secs(0.2),
+        suspect_after: secs(0.8),
+        dead_after: secs(2.0),
+        query_every: secs(0.05),
+        ..LiveConfig::smoke(parents)
+    };
+    let mut cluster = LoopbackCluster::new(cfg, DupScheme::new);
+    cluster.run_for(secs(5.0));
+    cluster.kill(NodeId(2));
+    cluster.run_for(secs(3.0));
+    cluster.restart(NodeId(2));
+    cluster.run_for(secs(8.0));
+    let mut actual = render_cluster(&cluster);
+    let net = cluster.net_mut();
+    actual.push_str(&format!("net sent={} dropped={}\n", net.sent, net.dropped));
+    let rejected: Vec<u64> = (0..64)
+        .map(|i| cluster.host(NodeId(i)).map_or(0, |h| h.rejected_frames()))
+        .collect();
+    actual.push_str(&format!("rejected={rejected:?}\n"));
+    assert_golden("loopback_mesh64.txt", &actual);
 }
 
 /// Hostile frames: ids far outside the cluster (which used to size peer
