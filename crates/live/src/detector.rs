@@ -8,6 +8,19 @@
 //! incarnation) snaps it back to `Alive`. A heartbeat carrying a *newer*
 //! incarnation additionally reports a rejoin, which the host turns into the
 //! deterministic splice-and-revive tree repair.
+//!
+//! ## Cost
+//!
+//! A host polls the detector on every frame and every loop step, and almost
+//! none of those polls can find anything: a verdict only changes when some
+//! peer's deadline passes. The detector therefore keeps `quiet_until`, a
+//! lower bound on the earliest instant at which any slot can change
+//! verdict, and [`FailureDetector::poll`] returns without touching a slot
+//! while `now < quiet_until`. The bound holds by construction: every write
+//! to a slot takes `min` with that slot's new deadline, and a poll that
+//! does scan recomputes it exactly. A heartbeat is a slot write plus one
+//! `min`; with heartbeats every `h` against a suspicion threshold `s`, a
+//! scan happens about once per `s − h`, whatever the poll rate.
 
 use dup_overlay::NodeId;
 use dup_sim::{SimDuration, SimTime};
@@ -57,6 +70,15 @@ pub struct FailureDetector {
     suspect_after: SimDuration,
     dead_after: SimDuration,
     peers: Vec<Option<PeerSlot>>,
+    /// No slot changes verdict before this instant (`SimTime::MAX`: none
+    /// ever will without a write). Never later than the earliest slot
+    /// deadline — Alive: `last_heard + suspect_after`, Suspect:
+    /// `last_heard + dead_after`, Dead: none — and equal to it right after
+    /// a poll that scanned; writes in between only lower it.
+    quiet_until: SimTime,
+    /// Polls that walked the slots.
+    #[cfg(test)]
+    scans: u64,
 }
 
 impl FailureDetector {
@@ -71,11 +93,15 @@ impl FailureDetector {
             suspect_after,
             dead_after,
             peers: Vec::new(),
+            quiet_until: SimTime::MAX,
+            #[cfg(test)]
+            scans: 0,
         }
     }
 
-    /// Starts tracking `peer` as alive at `now` with `incarnation`.
-    pub fn register(&mut self, peer: NodeId, now: SimTime, incarnation: u64) {
+    /// Writes `peer`'s slot as alive and heard from at `now`, lowering
+    /// `quiet_until` to the slot's new deadline if that is earlier.
+    fn heard(&mut self, peer: NodeId, now: SimTime, incarnation: u64) {
         let i = peer.index();
         if i >= self.peers.len() {
             self.peers.resize(i + 1, None);
@@ -85,6 +111,12 @@ impl FailureDetector {
             incarnation,
             state: PeerState::Alive,
         });
+        self.quiet_until = self.quiet_until.min(now + self.suspect_after);
+    }
+
+    /// Starts tracking `peer` as alive at `now` with `incarnation`.
+    pub fn register(&mut self, peer: NodeId, now: SimTime, incarnation: u64) {
+        self.heard(peer, now, incarnation);
     }
 
     /// The current verdict for `peer` (`None` when unregistered).
@@ -114,30 +146,16 @@ impl FailureDetector {
         now: SimTime,
         incarnation: u64,
     ) -> Option<Transition> {
-        let i = peer.index();
-        if i >= self.peers.len() {
-            self.peers.resize(i + 1, None);
-        }
-        let slot = match &mut self.peers[i] {
-            Some(slot) => slot,
-            None => {
-                self.peers[i] = Some(PeerSlot {
-                    last_heard: now,
-                    incarnation,
-                    state: PeerState::Alive,
-                });
-                return None;
-            }
+        let Some(slot) = self.peers.get(peer.index()).copied().flatten() else {
+            self.heard(peer, now, incarnation);
+            return None;
         };
         if incarnation < slot.incarnation {
             return None;
         }
+        self.heard(peer, now, incarnation);
         let restarted = incarnation > slot.incarnation;
-        let was = slot.state;
-        slot.last_heard = now;
-        slot.incarnation = incarnation;
-        slot.state = PeerState::Alive;
-        if restarted || was != PeerState::Alive {
+        if restarted || slot.state != PeerState::Alive {
             Some(Transition::Revived { peer, restarted })
         } else {
             None
@@ -145,63 +163,61 @@ impl FailureDetector {
     }
 
     /// Advances every peer's verdict to `now`, returning the transitions
-    /// that occurred (suspicions before deaths, in peer order).
+    /// that occurred, in peer order (one per peer at most: a peer that
+    /// aged past both thresholds since the last poll reports `Died`
+    /// without a `Suspected` before it). While `now` is short of
+    /// `quiet_until` no verdict can have changed, and the call returns the
+    /// empty `Vec` — which does not allocate — without reading a slot.
     pub fn poll(&mut self, now: SimTime) -> Vec<Transition> {
         let mut out = Vec::new();
+        if now < self.quiet_until {
+            return out;
+        }
+        #[cfg(test)]
+        {
+            self.scans += 1;
+        }
+        let mut quiet_until = SimTime::MAX;
         for (i, slot) in self.peers.iter_mut().enumerate() {
-            let slot = match slot {
-                Some(s) => s,
-                None => continue,
-            };
-            let quiet = now.saturating_since(slot.last_heard);
-            let verdict = if quiet >= self.dead_after {
-                PeerState::Dead
-            } else if quiet >= self.suspect_after {
-                PeerState::Suspect
-            } else {
-                PeerState::Alive
-            };
-            if verdict == slot.state {
-                continue;
-            }
+            let Some(slot) = slot else { continue };
             // Verdicts only age forward here; revival happens in
             // `on_heartbeat`.
-            match (slot.state, verdict) {
-                (PeerState::Alive, PeerState::Suspect) => {
-                    slot.state = verdict;
-                    out.push(Transition::Suspected(NodeId::from_index(i)));
-                }
-                (PeerState::Alive | PeerState::Suspect, PeerState::Dead) => {
-                    slot.state = verdict;
-                    out.push(Transition::Died(NodeId::from_index(i)));
-                }
-                (PeerState::Suspect, PeerState::Suspect)
-                | (PeerState::Dead, _)
-                | (_, PeerState::Alive) => {}
+            let quiet = now.saturating_since(slot.last_heard);
+            if slot.state != PeerState::Dead && quiet >= self.dead_after {
+                slot.state = PeerState::Dead;
+                out.push(Transition::Died(NodeId::from_index(i)));
+            } else if slot.state == PeerState::Alive && quiet >= self.suspect_after {
+                slot.state = PeerState::Suspect;
+                out.push(Transition::Suspected(NodeId::from_index(i)));
             }
+            let deadline = match slot.state {
+                PeerState::Alive => slot.last_heard + self.suspect_after,
+                PeerState::Suspect => slot.last_heard + self.dead_after,
+                PeerState::Dead => continue,
+            };
+            quiet_until = quiet_until.min(deadline);
         }
+        self.quiet_until = quiet_until;
         out
     }
 
-    /// The earliest instant at which [`FailureDetector::poll`] could report
-    /// a new transition, for event-loop sleep budgeting (`None` when every
-    /// peer is already dead or none is registered).
+    /// An instant before which [`FailureDetector::poll`] reports nothing,
+    /// for event-loop sleep budgeting, in O(1): never later than the
+    /// earliest instant at which a poll could report a transition, and
+    /// exactly that instant right after a poll that scanned (a heartbeat
+    /// since may have pushed the true instant later; the poll at the bound
+    /// then scans, finds nothing and tightens it). `None` when no poll
+    /// will report anything until a slot is written: every peer is dead,
+    /// or none is registered.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.peers
-            .iter()
-            .flatten()
-            .filter_map(|s| match s.state {
-                PeerState::Alive => Some(s.last_heard + self.suspect_after),
-                PeerState::Suspect => Some(s.last_heard + self.dead_after),
-                PeerState::Dead => None,
-            })
-            .min()
+        (self.quiet_until != SimTime::MAX).then_some(self.quiet_until)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)
@@ -276,5 +292,188 @@ mod tests {
         }
         assert_eq!(fd.state(p), Some(PeerState::Alive));
         assert!(fd.next_deadline().unwrap() > t(at));
+    }
+
+    /// The gate at the benchmark's shape: 63 peers heartbeating every
+    /// 0.2 s against 0.8 s / 2.0 s thresholds, polled every 5 ms for a
+    /// virtual minute. A poll walks the slots about once per 0.6 s — the
+    /// youngest deadline a scan can leave behind — not once per poll.
+    #[test]
+    fn a_poll_between_deadlines_visits_no_slot() {
+        let mut fd = FailureDetector::new(d(0.8), d(2.0));
+        for p in 1..64 {
+            fd.register(NodeId(p), SimTime::ZERO, 1);
+        }
+        let polls = 12_000u64;
+        for step in 1..=polls {
+            let now = SimTime::from_nanos(step * 5_000_000);
+            // Peer p beats every 40th step, at a phase of its own.
+            for p in (1..64).filter(|p| (step + p) % 40 == 0) {
+                assert_eq!(fd.on_heartbeat(NodeId(p as u32), now, 1), None);
+            }
+            assert_eq!(fd.poll(now), vec![], "spurious transition at {now}");
+        }
+        assert!(
+            (1..=200).contains(&fd.scans),
+            "{} scans in {polls} polls",
+            fd.scans
+        );
+        assert!((1..64).all(|p| fd.state(NodeId(p)) == Some(PeerState::Alive)));
+    }
+
+    /// The detector as it was before `quiet_until`: every poll visits
+    /// every slot and `next_deadline` takes the exact minimum.
+    struct ScanEverything {
+        suspect_after: SimDuration,
+        dead_after: SimDuration,
+        peers: Vec<Option<PeerSlot>>,
+    }
+
+    impl ScanEverything {
+        fn register(&mut self, peer: NodeId, now: SimTime, incarnation: u64) {
+            let i = peer.index();
+            if i >= self.peers.len() {
+                self.peers.resize(i + 1, None);
+            }
+            self.peers[i] = Some(PeerSlot {
+                last_heard: now,
+                incarnation,
+                state: PeerState::Alive,
+            });
+        }
+
+        fn on_heartbeat(
+            &mut self,
+            peer: NodeId,
+            now: SimTime,
+            incarnation: u64,
+        ) -> Option<Transition> {
+            let known = self.peers.get(peer.index()).copied().flatten();
+            let Some(was) = known else {
+                self.register(peer, now, incarnation);
+                return None;
+            };
+            if incarnation < was.incarnation {
+                return None;
+            }
+            self.register(peer, now, incarnation);
+            let restarted = incarnation > was.incarnation;
+            (restarted || was.state != PeerState::Alive)
+                .then_some(Transition::Revived { peer, restarted })
+        }
+
+        fn poll(&mut self, now: SimTime) -> Vec<Transition> {
+            let mut out = Vec::new();
+            for (i, slot) in self.peers.iter_mut().enumerate() {
+                let Some(slot) = slot else { continue };
+                let peer = NodeId::from_index(i);
+                let quiet = now.saturating_since(slot.last_heard);
+                match slot.state {
+                    PeerState::Alive | PeerState::Suspect if quiet >= self.dead_after => {
+                        slot.state = PeerState::Dead;
+                        out.push(Transition::Died(peer));
+                    }
+                    PeerState::Alive if quiet >= self.suspect_after => {
+                        slot.state = PeerState::Suspect;
+                        out.push(Transition::Suspected(peer));
+                    }
+                    _ => {}
+                }
+            }
+            out
+        }
+
+        fn next_deadline(&self) -> Option<SimTime> {
+            self.peers
+                .iter()
+                .flatten()
+                .filter_map(|s| match s.state {
+                    PeerState::Alive => Some(s.last_heard + self.suspect_after),
+                    PeerState::Suspect => Some(s.last_heard + self.dead_after),
+                    PeerState::Dead => None,
+                })
+                .min()
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Register { peer: u32, incarnation: u64 },
+        Heartbeat { peer: u32, incarnation: u64 },
+        Poll,
+    }
+
+    /// Peers 0..10 and incarnations 1..4: heartbeats reach peers nobody
+    /// registered, and carry stale, equal and newer incarnations.
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            1 => (0u32..10, 1u64..4).prop_map(|(peer, incarnation)| Op::Register { peer, incarnation }),
+            6 => (0u32..10, 1u64..4).prop_map(|(peer, incarnation)| Op::Heartbeat { peer, incarnation }),
+            5 => Just(Op::Poll),
+        ]
+    }
+
+    /// Signed nanoseconds to the next operation: mostly a fraction of the
+    /// suspicion threshold forward, now and then past the death threshold,
+    /// now and then backwards (a wall clock read on another thread).
+    fn step() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            8 => 0i64..300_000_000,
+            1 => 300_000_000i64..3_000_000_000,
+            1 => -500_000_000i64..0,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 1024 }
+        ))]
+
+        /// Any interleaving of writes and polls, on a clock that sometimes
+        /// steps backwards, reads the same on the gated detector and on
+        /// the one that scans every slot on every poll: the transitions
+        /// and their order, each peer's verdict and incarnation — and the
+        /// O(1) deadline is never later than the exact one, and equal to
+        /// it after a poll that scanned.
+        fn the_gate_never_hides_a_transition(
+            ops in prop::collection::vec((step(), op()), 1..400),
+        ) {
+            let (suspect_after, dead_after) = (d(0.8), d(2.0));
+            let mut fd = FailureDetector::new(suspect_after, dead_after);
+            let mut model = ScanEverything { suspect_after, dead_after, peers: Vec::new() };
+            let mut at = 1_000_000_000i64;
+            for (i, &(step, op)) in ops.iter().enumerate() {
+                at = (at + step).max(0);
+                let now = SimTime::from_nanos(at as u64);
+                let ctx = format!("step {i} at {now}: {op:?}");
+                let scans = fd.scans;
+                match op {
+                    Op::Register { peer, incarnation } => {
+                        fd.register(NodeId(peer), now, incarnation);
+                        model.register(NodeId(peer), now, incarnation);
+                    }
+                    Op::Heartbeat { peer, incarnation } => prop_assert_eq!(
+                        fd.on_heartbeat(NodeId(peer), now, incarnation),
+                        model.on_heartbeat(NodeId(peer), now, incarnation),
+                        "{}", ctx
+                    ),
+                    Op::Poll => prop_assert_eq!(fd.poll(now), model.poll(now), "{}", ctx),
+                }
+                for peer in (0..10).map(NodeId) {
+                    let want = model.peers.get(peer.index()).copied().flatten();
+                    prop_assert_eq!(fd.state(peer), want.map(|s| s.state), "{}", ctx);
+                    prop_assert_eq!(fd.incarnation(peer), want.map(|s| s.incarnation), "{}", ctx);
+                }
+                let exact = model.next_deadline();
+                let bound = fd.next_deadline();
+                prop_assert!(
+                    bound.unwrap_or(SimTime::MAX) <= exact.unwrap_or(SimTime::MAX),
+                    "{}: bound {:?} later than {:?}", ctx, bound, exact
+                );
+                if fd.scans > scans {
+                    prop_assert_eq!(bound, exact, "{}", ctx);
+                }
+            }
+        }
     }
 }

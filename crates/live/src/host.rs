@@ -144,6 +144,11 @@ impl LiveConfig {
         SimDuration::from_secs_f64(self.lease_every.as_secs_f64() * 8.0)
     }
 
+    /// Keep-alive cadence: half the lease period.
+    fn keepalive_every(&self) -> SimDuration {
+        SimDuration::from_secs_f64(self.lease_every.as_secs_f64() / 2.0)
+    }
+
     fn reliability(&self) -> ReliabilityConfig {
         ReliabilityConfig {
             enabled: true,
@@ -243,9 +248,31 @@ pub struct NodeHost<S: LiveScheme> {
 impl<S: LiveScheme> NodeHost<S> {
     /// Builds the host for `me` at `incarnation` (1 on first boot; +1 per
     /// restart), starting its clocks at `now`.
+    ///
+    /// # Panics
+    ///
+    /// When `me` is not a node of `cfg`'s topology, when `heartbeat_every`
+    /// or half of `lease_every` is zero (`advance` steps its next
+    /// heartbeat and keep-alive by them until they pass `now`), or when
+    /// `suspect_after` is not shorter than `dead_after`.
     pub fn new(me: NodeId, incarnation: u64, cfg: LiveConfig, scheme: S, now: SimTime) -> Self {
         let n = cfg.n();
         assert!(me.index() < n, "node {me} outside the {n}-node cluster");
+        assert!(
+            !cfg.heartbeat_every.is_zero(),
+            "heartbeat_every must be positive"
+        );
+        assert!(
+            !cfg.keepalive_every().is_zero(),
+            "lease_every ({}) must be positive, and so must half of it",
+            cfg.lease_every
+        );
+        assert!(
+            cfg.suspect_after < cfg.dead_after,
+            "suspect_after ({}) must be shorter than dead_after ({})",
+            cfg.suspect_after,
+            cfg.dead_after
+        );
         let mut world = World::new(SearchTree::from_parents(&cfg.parents));
         world.authority = AuthorityClock::new(now, cfg.index_ttl, cfg.push_lead);
         world.interest = InterestTracker::new(cfg.index_ttl, cfg.interest_threshold, n);
@@ -323,6 +350,7 @@ impl<S: LiveScheme> NodeHost<S> {
         assert!(!self.core.started, "start called twice");
         self.core.started = true;
         let me = self.core.me;
+        let incarnation = self.core.incarnation;
         for peer in self.peers() {
             self.core.detector.register(peer, now, 1);
             net.send(
@@ -330,7 +358,7 @@ impl<S: LiveScheme> NodeHost<S> {
                 peer,
                 Frame::Hello {
                     node: me,
-                    incarnation: self.core.incarnation,
+                    incarnation,
                 },
             );
         }
@@ -433,27 +461,32 @@ impl<S: LiveScheme> NodeHost<S> {
 
     /// Advances host time to `now`: runs the failure detector, emits due
     /// heartbeats/keep-alives, executes due timer-queue events, and
-    /// flushes the outbox through `net`.
+    /// flushes the outbox through `net`. Called at the end of every
+    /// `on_frame`, so what it costs when nothing is due is what a frame
+    /// costs the host beside the codec: an O(1) detector poll (see
+    /// [`FailureDetector::poll`]), two cadence compares, and parking the
+    /// engine clock.
     pub fn advance<N: FrameNet<S::Msg>>(&mut self, now: SimTime, net: &mut N) {
         for tr in self.core.detector.poll(now) {
             self.on_transition(tr);
         }
         let me = self.core.me;
         if now >= self.core.next_heartbeat_at {
+            let (joined, incarnation) = (self.core.joined, self.core.incarnation);
             for peer in self.peers() {
                 // An un-joined host keeps announcing itself instead of
                 // plain heartbeating: its first Hello (or the HelloAck
                 // reply) may have been lost to a stale link, and a Hello
                 // feeds the receiver's failure detector just the same.
-                let frame = if self.core.joined {
+                let frame = if joined {
                     Frame::Heartbeat {
                         node: me,
-                        incarnation: self.core.incarnation,
+                        incarnation,
                     }
                 } else {
                     Frame::Hello {
                         node: me,
-                        incarnation: self.core.incarnation,
+                        incarnation,
                     }
                 };
                 net.send(me, peer, frame);
@@ -465,9 +498,9 @@ impl<S: LiveScheme> NodeHost<S> {
         }
         let keepalive_due = self.core.joined && now >= self.core.next_keepalive_at;
         if keepalive_due {
-            let half = SimDuration::from_secs_f64(self.core.cfg.lease_every.as_secs_f64() / 2.0);
+            let every = self.core.cfg.keepalive_every();
             while self.core.next_keepalive_at <= now {
-                self.core.next_keepalive_at += half;
+                self.core.next_keepalive_at += every;
             }
         }
         // Execute every timer-queue event due at or before `now`; the
@@ -487,8 +520,11 @@ impl<S: LiveScheme> NodeHost<S> {
         self.flush(net);
     }
 
-    /// The earliest instant at which this host has something to do, for
-    /// event-loop sleep budgeting.
+    /// The earliest instant at which this host may have something to do,
+    /// for event-loop sleep budgeting. O(1): two cadence slots, the timer
+    /// queue's head and the detector's bound, which can be earlier than
+    /// its first real deadline (see [`FailureDetector::next_deadline`]) —
+    /// a loop that wakes on it finds nothing and gets a later answer.
     pub fn next_deadline(&self) -> SimTime {
         let mut at = self.core.next_heartbeat_at;
         if self.core.joined {
@@ -518,12 +554,13 @@ impl<S: LiveScheme> NodeHost<S> {
         }
     }
 
-    fn peers(&self) -> Vec<NodeId> {
+    /// Every node of the cluster but this one, in id order (an iterator
+    /// over the id range that holds no borrow of the host).
+    fn peers(&self) -> impl Iterator<Item = NodeId> {
         let me = self.core.me;
         (0..self.core.cfg.n())
             .map(NodeId::from_index)
-            .filter(|&p| p != me)
-            .collect()
+            .filter(move |&p| p != me)
     }
 
     /// Arms the protocol drivers once a tree view exists.
@@ -538,8 +575,7 @@ impl<S: LiveScheme> NodeHost<S> {
                 Ev::Refresh,
             );
         }
-        self.core.next_keepalive_at =
-            now + SimDuration::from_secs_f64(self.core.cfg.lease_every.as_secs_f64() / 2.0);
+        self.core.next_keepalive_at = now + self.core.cfg.keepalive_every();
     }
 
     fn on_transition(&mut self, tr: Transition) {

@@ -7,7 +7,7 @@
 //! every run is bit-reproducible, which is what makes kill/restart
 //! recovery unit-testable.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 use dup_overlay::NodeId;
 use dup_sim::{SimDuration, SimTime};
@@ -21,7 +21,7 @@ pub struct LoopbackNet<M> {
     delay: SimDuration,
     /// In-flight frames as `(deliver_at, to, frame)`; constant delay keeps
     /// the queue sorted by push order, preserving per-pair FIFO like TCP.
-    queue: Vec<(SimTime, NodeId, Frame<M>)>,
+    queue: VecDeque<(SimTime, NodeId, Frame<M>)>,
     /// Severed directed links (frames are silently dropped, as during a
     /// TCP reconnect window).
     cut: HashSet<(NodeId, NodeId)>,
@@ -37,7 +37,7 @@ impl<M> LoopbackNet<M> {
     pub fn new(delay: SimDuration) -> Self {
         LoopbackNet {
             delay,
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             cut: HashSet::new(),
             sent: 0,
             dropped: 0,
@@ -56,20 +56,15 @@ impl<M> LoopbackNet<M> {
     }
 
     /// Removes and returns every frame due at or before `now`, in send
-    /// order.
+    /// order: the due frames are a prefix of the queue, and the frames
+    /// behind them are not touched.
     pub fn take_due(&mut self, now: SimTime) -> Vec<(NodeId, Frame<M>)> {
         self.now = now;
-        let mut due = Vec::new();
-        let mut rest = Vec::with_capacity(self.queue.len());
-        for (at, to, frame) in self.queue.drain(..) {
-            if at <= now {
-                due.push((to, frame));
-            } else {
-                rest.push((at, to, frame));
-            }
-        }
-        self.queue = rest;
-        due
+        let due = self.queue.partition_point(|&(at, ..)| at <= now);
+        self.queue
+            .drain(..due)
+            .map(|(_, to, frame)| (to, frame))
+            .collect()
     }
 
     /// Frames still in flight.
@@ -85,7 +80,7 @@ impl<M> FrameNet<M> for LoopbackNet<M> {
             self.dropped += 1;
             return false;
         }
-        self.queue.push((self.now + self.delay, to, frame));
+        self.queue.push_back((self.now + self.delay, to, frame));
         true
     }
 }

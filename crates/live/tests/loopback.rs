@@ -7,10 +7,10 @@
 //! over real sockets; anything provable without wall time is proved here.
 
 use dup_core::{DupMsg, DupScheme};
-use dup_live::{oracle_check, Frame, LiveConfig, LoopbackCluster};
+use dup_live::{oracle_check, Frame, LiveConfig, LoopbackCluster, NodeHost};
 use dup_overlay::{NodeId, SearchTree};
 use dup_proto::{CaptureProbe, Msg, MsgClass, ProbeEvent, ProbeSink};
-use dup_sim::SimDuration;
+use dup_sim::{SimDuration, SimTime};
 
 /// The smoke topology: a root chain with a mid-tree fan-out at node 2
 /// (children 3 and 4) so splicing it out actually moves branches.
@@ -327,4 +327,30 @@ fn attached_probe_sees_the_simulators_events() {
     assert!(capture.count(|e| matches!(e, ProbeEvent::MsgSent { .. })) > 0);
     assert!(capture.count(|e| matches!(e, ProbeEvent::MsgDelivered { .. })) > 0);
     assert!(capture.count(|e| matches!(e, ProbeEvent::CacheInsert { .. })) > 0);
+}
+
+/// A configuration `advance` could not make progress on, or the detector
+/// could not order, is refused when the host is built, by field name.
+fn host_with(edit: fn(&mut LiveConfig)) {
+    let mut cfg = LiveConfig::smoke(smoke_parents());
+    edit(&mut cfg);
+    NodeHost::new(NodeId(0), 1, cfg, DupScheme::new(), SimTime::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "heartbeat_every must be positive")]
+fn zero_heartbeat_cadence_is_refused() {
+    host_with(|cfg| cfg.heartbeat_every = SimDuration::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "lease_every (0.000000s) must be positive")]
+fn zero_lease_period_is_refused() {
+    host_with(|cfg| cfg.lease_every = SimDuration::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "suspect_after (1.000000s) must be shorter than dead_after")]
+fn suspicion_threshold_at_the_death_threshold_is_refused() {
+    host_with(|cfg| cfg.suspect_after = cfg.dead_after);
 }
