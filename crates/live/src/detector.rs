@@ -99,9 +99,10 @@ impl FailureDetector {
         }
     }
 
-    /// Writes `peer`'s slot as alive and heard from at `now`, lowering
-    /// `quiet_until` to the slot's new deadline if that is earlier.
-    fn heard(&mut self, peer: NodeId, now: SimTime, incarnation: u64) {
+    /// Starts tracking `peer` as alive at `now` with `incarnation`. (The
+    /// one place a slot is written outside `poll`: it lowers `quiet_until`
+    /// to the slot's new deadline if that is earlier.)
+    pub fn register(&mut self, peer: NodeId, now: SimTime, incarnation: u64) {
         let i = peer.index();
         if i >= self.peers.len() {
             self.peers.resize(i + 1, None);
@@ -112,11 +113,6 @@ impl FailureDetector {
             state: PeerState::Alive,
         });
         self.quiet_until = self.quiet_until.min(now + self.suspect_after);
-    }
-
-    /// Starts tracking `peer` as alive at `now` with `incarnation`.
-    pub fn register(&mut self, peer: NodeId, now: SimTime, incarnation: u64) {
-        self.heard(peer, now, incarnation);
     }
 
     /// The current verdict for `peer` (`None` when unregistered).
@@ -147,13 +143,13 @@ impl FailureDetector {
         incarnation: u64,
     ) -> Option<Transition> {
         let Some(slot) = self.peers.get(peer.index()).copied().flatten() else {
-            self.heard(peer, now, incarnation);
+            self.register(peer, now, incarnation);
             return None;
         };
         if incarnation < slot.incarnation {
             return None;
         }
-        self.heard(peer, now, incarnation);
+        self.register(peer, now, incarnation);
         let restarted = incarnation > slot.incarnation;
         if restarted || slot.state != PeerState::Alive {
             Some(Transition::Revived { peer, restarted })

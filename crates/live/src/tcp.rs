@@ -236,9 +236,8 @@ where
 
     loop {
         // Sleep only as long as nothing can become due: the next timer
-        // event, detector deadline, or heartbeat (each read in O(1), so
-        // the budget costs the same at 8 peers and at 800) — capped so
-        // inbound frames are still polled at a steady floor.
+        // event, detector deadline, or heartbeat — capped so inbound
+        // frames are still polled at a steady floor.
         let budget = host
             .next_deadline()
             .saturating_since(now())
