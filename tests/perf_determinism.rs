@@ -17,6 +17,11 @@
 //! 3. **Parallel equivalence** — ensemble runs with a fixed shard count
 //!    merge to the same report whether shards execute on worker threads
 //!    or sequentially; thread scheduling never reaches the results.
+//! 4. **Report goldens at the benchmark's shapes** — whole `RunReport`s
+//!    as committed files under `tests/golden/`, for a deep tree and for a
+//!    long lossy, churning run; re-record (deliberate behaviour changes
+//!    only) with
+//!    `DUP_RECORD_GOLDEN=1 cargo test --release --test perf_determinism pinned`.
 
 use dup_p2p::harness::{HarnessOpts, Scale, SchemeKind};
 use dup_p2p::proto::{
@@ -231,6 +236,66 @@ const GOLDEN_DUP: (u64, u64, u64, u64, u64) =
     (13_314, 7_914, 0x3f9e47091f3f775d, 0x3fbe1da16a4b6f57, 42);
 const GOLDEN_PCX: (u64, u64, u64, u64, u64) =
     (13_457, 7_914, 0x3fb821a443064685, 0x3fc821a443064685, 7);
+
+/// Compares `report`'s canonical JSON with `tests/golden/<name>.json`,
+/// writing the file first when `DUP_RECORD_GOLDEN` is set.
+fn assert_pinned(name: &str, report: &RunReport) {
+    let path = format!("{}/tests/golden/{name}.json", env!("CARGO_MANIFEST_DIR"));
+    let actual = canonical_json(report) + "\n";
+    if std::env::var_os("DUP_RECORD_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).expect("golden file is writable");
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden file is committed");
+    assert!(actual == golden, "{name}.json drifted");
+}
+
+/// The shape of the benchmark's `sim_deep` at a quarter of its nodes:
+/// every query walks a tree four times the size of the largest other
+/// golden, so the per-node tables are hit at random far beyond any one
+/// node's neighbourhood. All three schemes, whole reports.
+#[test]
+fn deep_tree_reports_are_pinned() {
+    let cfg = RunConfig::builder(42)
+        .nodes(16_384)
+        .lambda(1.0)
+        .warmup_secs(3_600.0)
+        .duration_secs(40_000.0)
+        .build();
+    for kind in [SchemeKind::Pcx, SchemeKind::Cup, SchemeKind::Dup] {
+        let name = format!("deep_tree_{}", kind.name().to_lowercase());
+        assert_pinned(&name, &run(&cfg, kind));
+    }
+}
+
+/// The shape of the benchmark's `sim_lossy` over 71 000 s: the shortest
+/// window (in thousands of seconds, seed 42) at which one sender's FIFO
+/// channel list passed 64 entries when every destination ever addressed
+/// kept its slot — node N3 reached 65 at t = 77 880 s and 67 by the end
+/// (527 over `sim_lossy`'s full 400 000 s). Retransmits, duplicates,
+/// delays and churn-driven re-subscription all pass through the channel
+/// clocks here, so any change to what they grant moves this report.
+#[test]
+fn long_churn_report_is_pinned() {
+    let cfg = RunConfig::builder(42)
+        .nodes(1024)
+        .lambda(4.0)
+        .duration_secs(71_000.0)
+        .reliability(ReliabilityConfig {
+            enabled: true,
+            lease_every_secs: 150.0,
+            ..ReliabilityConfig::default()
+        })
+        .faults(FaultConfig {
+            drop_p: 0.10,
+            duplicate_p: 0.05,
+            delay_p: 0.05,
+            max_extra_delay_secs: 10.0,
+            ..FaultConfig::default()
+        })
+        .churn(Some(ChurnConfig::balanced(0.02)))
+        .build();
+    assert_pinned("long_churn_dup", &run(&cfg, SchemeKind::Dup));
+}
 
 /// Parallel ensemble mode: for a fixed shard count, the merged report must
 /// be **bit-identical** whether the shards ran on one worker thread each
