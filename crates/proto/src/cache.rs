@@ -9,43 +9,38 @@
 use dup_overlay::NodeId;
 use dup_sim::SimTime;
 
-use crate::index::{IndexRecord, Version};
+use crate::index::IndexRecord;
 
 /// The cache slots of all nodes, indexed densely by [`NodeId`].
 ///
-/// Struct-of-arrays layout: version, creation, and expiry live in parallel
-/// dense arrays with an `occupied` flag array, so the periodic
-/// [`CacheStore::valid_count`] sweep and the validity test in the deliver
-/// hot path read only the arrays they need (`occupied` + `expires`)
-/// instead of striding over `Option<IndexRecord>` slots.
+/// One 32-byte `Option<IndexRecord>` per node, two to a cache line. The
+/// table is read at a random node per hop, and past a few thousand nodes
+/// it does not fit the CPU caches, so what a lookup or an install costs is
+/// the number of lines it touches: one here, where parallel arrays of
+/// flags, versions, creation and expiry instants touched up to four. The
+/// [`CacheStore::valid_count`] sweep runs once per probe sample and reads
+/// the whole table either way.
 #[derive(Debug, Clone, Default)]
 pub struct CacheStore {
-    occupied: Vec<bool>,
-    versions: Vec<Version>,
-    created: Vec<SimTime>,
-    expires: Vec<SimTime>,
+    slots: Vec<Option<IndexRecord>>,
 }
+
+// A field added to the record must not silently double the table.
+const _: () = assert!(std::mem::size_of::<Option<IndexRecord>>() == 32);
 
 impl CacheStore {
     /// Creates a store with `capacity` empty slots.
     pub fn new(capacity: usize) -> Self {
-        let mut store = CacheStore::default();
-        store.grow(capacity);
-        store
-    }
-
-    fn grow(&mut self, len: usize) {
-        self.occupied.resize(len, false);
-        self.versions.resize(len, Version(0));
-        self.created.resize(len, SimTime::ZERO);
-        self.expires.resize(len, SimTime::ZERO);
+        CacheStore {
+            slots: vec![None; capacity],
+        }
     }
 
     /// Grows the store so `node` has a slot (needed when churn allocates new
     /// node ids mid-run).
     pub(crate) fn ensure_slot(&mut self, node: NodeId) {
-        if node.index() >= self.occupied.len() {
-            self.grow(node.index() + 1);
+        if node.index() >= self.slots.len() {
+            self.slots.resize(node.index() + 1, None);
         }
     }
 
@@ -54,62 +49,39 @@ impl CacheStore {
     /// Returns true when the slot changed.
     pub fn install(&mut self, node: NodeId, record: IndexRecord) -> bool {
         self.ensure_slot(node);
-        let i = node.index();
-        if self.occupied[i] && self.versions[i] >= record.version {
+        let slot = &mut self.slots[node.index()];
+        if slot.is_some_and(|held| held.version >= record.version) {
             return false;
         }
-        self.occupied[i] = true;
-        self.versions[i] = record.version;
-        self.created[i] = record.created;
-        self.expires[i] = record.expires;
+        *slot = Some(record);
         true
     }
 
     /// The valid cached copy at `node`, if any.
     pub fn valid_at(&self, node: NodeId, now: SimTime) -> Option<IndexRecord> {
-        let i = node.index();
-        // Validity needs only the flag and expiry arrays; the full record
-        // is assembled after the (usually failing) filter.
-        if *self.occupied.get(i)? && now < self.expires[i] {
-            Some(IndexRecord {
-                version: self.versions[i],
-                created: self.created[i],
-                expires: self.expires[i],
-            })
-        } else {
-            None
-        }
+        self.raw(node).filter(|held| held.is_valid_at(now))
     }
 
     /// The raw slot contents regardless of validity (for inspection/tests).
     /// An occupied-but-expired slot is still returned — only
     /// [`CacheStore::evict`] empties a slot.
     pub fn raw(&self, node: NodeId) -> Option<IndexRecord> {
-        let i = node.index();
-        if *self.occupied.get(i)? {
-            Some(IndexRecord {
-                version: self.versions[i],
-                created: self.created[i],
-                expires: self.expires[i],
-            })
-        } else {
-            None
-        }
+        *self.slots.get(node.index())?
     }
 
     /// Clears a node's slot (used when a node departs).
     pub(crate) fn evict(&mut self, node: NodeId) {
-        if let Some(flag) = self.occupied.get_mut(node.index()) {
-            *flag = false;
+        if let Some(slot) = self.slots.get_mut(node.index()) {
+            *slot = None;
         }
     }
 
     /// Number of slots currently holding a copy valid at `now`.
     pub fn valid_count(&self, now: SimTime) -> usize {
-        self.occupied
+        self.slots
             .iter()
-            .zip(&self.expires)
-            .filter(|&(&occ, &exp)| occ && now < exp)
+            .flatten()
+            .filter(|held| held.is_valid_at(now))
             .count()
     }
 }
@@ -117,6 +89,7 @@ impl CacheStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::Version;
 
     fn record(version: u64, expires_sec: u64) -> IndexRecord {
         IndexRecord {
@@ -193,5 +166,61 @@ mod tests {
         c.install(NodeId(1), record(1, 100));
         assert_eq!(c.valid_count(SimTime::from_secs(50)), 1);
         assert_eq!(c.valid_count(SimTime::ZERO), 2);
+    }
+
+    #[test]
+    fn store_matches_a_hashmap_model() {
+        // Every operation, drawn at random over ids inside and beyond the
+        // initial capacity, against the obvious model: a map from node to
+        // the record it holds.
+        use std::collections::HashMap;
+        let mut store = CacheStore::new(8);
+        let mut model: HashMap<NodeId, IndexRecord> = HashMap::new();
+        let mut state = 0x5EED_CAFEu64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let valid = |held: &IndexRecord, now: SimTime| now < held.expires;
+        for _ in 0..20_000 {
+            let node = NodeId((rng() % 24) as u32);
+            let now = SimTime::from_secs(rng() % 200);
+            match rng() % 8 {
+                0..=2 => {
+                    // One version older than, equal to, or newer than the
+                    // copy held (version 1 on an empty slot).
+                    let held = model.get(&node).map_or(1, |r| r.version.0);
+                    let offered = IndexRecord {
+                        version: Version((held + rng() % 3).saturating_sub(1)),
+                        created: now,
+                        expires: SimTime::from_secs(rng() % 200),
+                    };
+                    let newer = match model.get(&node) {
+                        Some(held) => held.version < offered.version,
+                        None => true,
+                    };
+                    assert_eq!(store.install(node, offered), newer);
+                    if newer {
+                        model.insert(node, offered);
+                    }
+                }
+                3 => {
+                    store.evict(node);
+                    model.remove(&node);
+                }
+                4 => store.ensure_slot(node),
+                5 => {
+                    let expected = model.values().filter(|r| valid(r, now)).count();
+                    assert_eq!(store.valid_count(now), expected);
+                }
+                _ => {
+                    let held = model.get(&node).copied();
+                    assert_eq!(store.raw(node), held);
+                    assert_eq!(store.valid_at(node, now), held.filter(|r| valid(r, now)));
+                }
+            }
+        }
     }
 }

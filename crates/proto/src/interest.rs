@@ -33,40 +33,21 @@ pub enum InterestPolicy {
     SlidingWindow,
 }
 
-/// Per-node interest state in struct-of-arrays layout: the Epoch-policy
-/// hot path (`observe`, `roll_epoch`) walks only the dense `epoch_count`
-/// and `interested` arrays, never touching the per-node timestamp deques
-/// the sliding-window policy needs. One index across all arrays = one
-/// node.
-#[derive(Debug, Clone, Default)]
-struct NodeStates {
-    epoch_count: Vec<u32>,
-    interested: Vec<bool>,
-    check_pending: Vec<bool>,
-    /// Observation timestamps; populated only under
-    /// [`InterestPolicy::SlidingWindow`].
-    times: Vec<VecDeque<SimTime>>,
+/// One node's interest state: 8 bytes, eight nodes to a cache line.
+///
+/// `observe` runs at a random node per hop over a table that does not fit
+/// the CPU caches, so count and flags share one slot and an observation
+/// touches one line; `roll_epoch` sweeps the table once per TTL and reads
+/// all of it whatever the layout.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    epoch_count: u32,
+    interested: bool,
+    check_pending: bool,
 }
 
-impl NodeStates {
-    fn len(&self) -> usize {
-        self.interested.len()
-    }
-
-    fn resize(&mut self, len: usize) {
-        self.epoch_count.resize(len, 0);
-        self.interested.resize(len, false);
-        self.check_pending.resize(len, false);
-        self.times.resize(len, VecDeque::new());
-    }
-
-    fn reset(&mut self, i: usize) {
-        self.epoch_count[i] = 0;
-        self.interested[i] = false;
-        self.check_pending[i] = false;
-        self.times[i].clear();
-    }
-}
+// A field added to the slot must not silently double the table.
+const _: () = assert!(std::mem::size_of::<Slot>() == 8);
 
 /// Result of observing one query at a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +74,11 @@ pub struct InterestTracker {
     window: SimDuration,
     threshold: u32,
     policy: InterestPolicy,
-    nodes: NodeStates,
+    slots: Vec<Slot>,
+    /// Observation timestamps per node: sized with `slots` under
+    /// [`InterestPolicy::SlidingWindow`], empty under `Epoch`, which never
+    /// reads them.
+    times: Vec<VecDeque<SimTime>>,
 }
 
 impl InterestTracker {
@@ -119,14 +104,15 @@ impl InterestTracker {
         capacity: usize,
     ) -> Self {
         assert!(!window.is_zero(), "interest window must be non-zero");
-        let mut nodes = NodeStates::default();
-        nodes.resize(capacity);
-        InterestTracker {
+        let mut tracker = InterestTracker {
             window,
             threshold,
             policy,
-            nodes,
-        }
+            slots: Vec::new(),
+            times: Vec::new(),
+        };
+        tracker.resize(capacity);
+        tracker
     }
 
     /// The active evaluation policy.
@@ -140,12 +126,12 @@ impl InterestTracker {
     pub(crate) fn roll_epoch(&mut self) -> Vec<NodeId> {
         debug_assert_eq!(self.policy, InterestPolicy::Epoch);
         let mut lapsed = Vec::new();
-        for i in 0..self.nodes.len() {
-            if self.nodes.interested[i] && self.nodes.epoch_count[i] <= self.threshold {
-                self.nodes.interested[i] = false;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if slot.interested && slot.epoch_count <= self.threshold {
+                slot.interested = false;
                 lapsed.push(NodeId::from_index(i));
             }
-            self.nodes.epoch_count[i] = 0;
+            slot.epoch_count = 0;
         }
         lapsed
     }
@@ -157,52 +143,48 @@ impl InterestTracker {
 
     /// Grows the table so `node` has a slot.
     pub(crate) fn ensure_slot(&mut self, node: NodeId) {
-        if node.index() >= self.nodes.len() {
-            self.nodes.resize(node.index() + 1);
+        if node.index() >= self.slots.len() {
+            self.resize(node.index() + 1);
+        }
+    }
+
+    fn resize(&mut self, len: usize) {
+        self.slots.resize(len, Slot::default());
+        if self.policy == InterestPolicy::SlidingWindow {
+            self.times.resize(len, VecDeque::new());
         }
     }
 
     /// True when `node` currently satisfies the interest policy.
     #[inline]
     pub fn is_interested(&self, node: NodeId) -> bool {
-        self.nodes
-            .interested
-            .get(node.index())
-            .copied()
-            .unwrap_or(false)
+        self.slots.get(node.index()).is_some_and(|s| s.interested)
     }
 
     /// Records that `node` received a query at `now`.
     pub fn observe(&mut self, node: NodeId, now: SimTime) -> Observation {
         self.ensure_slot(node);
         let i = node.index();
+        let slot = &mut self.slots[i];
         if self.policy == InterestPolicy::Epoch {
-            let count = self.nodes.epoch_count[i].saturating_add(1);
-            self.nodes.epoch_count[i] = count;
-            let mut became = false;
-            if !self.nodes.interested[i] && count > self.threshold {
-                self.nodes.interested[i] = true;
-                became = true;
-            }
+            slot.epoch_count = slot.epoch_count.saturating_add(1);
+            let became = !slot.interested && slot.epoch_count > self.threshold;
+            slot.interested |= became;
             return Observation {
                 became_interested: became,
                 schedule_check_at: None,
             };
         }
-        let window = self.window;
-        Self::prune(&mut self.nodes.times[i], now, window);
-        let times = &mut self.nodes.times[i];
+        let times = &mut self.times[i];
+        Self::prune(times, now, self.window);
         times.push_back(now);
-        let mut became = false;
-        if !self.nodes.interested[i] && self.nodes.times[i].len() > self.threshold as usize {
-            self.nodes.interested[i] = true;
-            became = true;
-        }
-        let schedule = if self.nodes.interested[i] && !self.nodes.check_pending[i] {
-            self.nodes.check_pending[i] = true;
+        let became = !slot.interested && times.len() > self.threshold as usize;
+        slot.interested |= became;
+        let schedule = if slot.interested && !slot.check_pending {
+            slot.check_pending = true;
             // The earliest instant the window content can change: when the
             // oldest observation ages out.
-            Some(*self.nodes.times[i].front().expect("just pushed") + window)
+            Some(*times.front().expect("just pushed") + self.window)
         } else {
             None
         };
@@ -212,49 +194,54 @@ impl InterestTracker {
         }
     }
 
-    /// Runs the decay check scheduled for `node`.
+    /// Runs the decay check scheduled for `node` (sliding-window policy
+    /// only: the epoch policy schedules none).
     pub(crate) fn run_check(&mut self, node: NodeId, now: SimTime) -> CheckOutcome {
+        debug_assert_eq!(self.policy, InterestPolicy::SlidingWindow);
         self.ensure_slot(node);
         let i = node.index();
-        self.nodes.check_pending[i] = false;
-        if !self.nodes.interested[i] {
+        let slot = &mut self.slots[i];
+        slot.check_pending = false;
+        if !slot.interested {
             return CheckOutcome {
                 lapsed: false,
                 reschedule_at: None,
             };
         }
-        let window = self.window;
-        Self::prune(&mut self.nodes.times[i], now, window);
-        if self.nodes.times[i].len() <= self.threshold as usize {
-            self.nodes.interested[i] = false;
+        let times = &mut self.times[i];
+        Self::prune(times, now, self.window);
+        if times.len() <= self.threshold as usize {
+            slot.interested = false;
             CheckOutcome {
                 lapsed: true,
                 reschedule_at: None,
             }
         } else {
-            self.nodes.check_pending[i] = true;
+            slot.check_pending = true;
             CheckOutcome {
                 lapsed: false,
-                reschedule_at: Some(
-                    *self.nodes.times[i].front().expect("len > threshold >= 0") + window,
-                ),
+                reschedule_at: Some(*times.front().expect("len > threshold >= 0") + self.window),
             }
         }
     }
 
     /// Forgets all state for a departed node.
     pub fn clear(&mut self, node: NodeId) {
-        if node.index() < self.nodes.len() {
-            self.nodes.reset(node.index());
+        let i = node.index();
+        if let Some(slot) = self.slots.get_mut(i) {
+            *slot = Slot::default();
+        }
+        if let Some(times) = self.times.get_mut(i) {
+            times.clear();
         }
     }
 
     /// Number of observations currently inside `node`'s window at `now`.
-    pub fn window_len(&mut self, node: NodeId, now: SimTime) -> usize {
+    #[cfg(test)]
+    fn window_len(&mut self, node: NodeId, now: SimTime) -> usize {
         self.ensure_slot(node);
-        let window = self.window;
-        let times = &mut self.nodes.times[node.index()];
-        Self::prune(times, now, window);
+        let times = &mut self.times[node.index()];
+        Self::prune(times, now, self.window);
         times.len()
     }
 
@@ -445,5 +432,70 @@ mod tests {
         assert!(!t.is_interested(NodeId(100)));
         t.observe(NodeId(100), SimTime::ZERO);
         assert!(t.is_interested(NodeId(100)));
+    }
+
+    #[test]
+    fn epoch_policy_keeps_no_per_node_deque() {
+        let mut t = InterestTracker::new(SimDuration::from_secs(100), 1, 1000);
+        for node in [0, 999, 5000] {
+            t.observe(NodeId(node), SimTime::from_secs(1));
+            t.observe(NodeId(node), SimTime::from_secs(2));
+            assert!(t.is_interested(NodeId(node)));
+        }
+        t.clear(NodeId(999));
+        t.roll_epoch();
+        assert_eq!(t.slots.len(), 5001);
+        assert!(t.times.is_empty(), "the epoch policy never reads them");
+        // The sliding window keeps one per slot, as before.
+        let mut sliding = tracker(1);
+        sliding.observe(NodeId(50), SimTime::ZERO);
+        assert_eq!(sliding.times.len(), sliding.slots.len());
+    }
+
+    #[test]
+    fn epoch_tracker_matches_a_counter_model() {
+        // The epoch policy is a counter and a flag per node.
+        use std::collections::BTreeMap;
+        const C: u32 = 3;
+        let mut t = epoch_tracker(C);
+        let mut model: BTreeMap<NodeId, (u32, bool)> = BTreeMap::new();
+        let mut state = 0x1D1E_5EEDu64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for step in 0..20_000u64 {
+            let node = NodeId((rng() % 12) as u32);
+            match rng() % 40 {
+                0 => {
+                    let mut lapsed = Vec::new();
+                    for (&n, (count, interested)) in model.iter_mut() {
+                        if *interested && *count <= C {
+                            *interested = false;
+                            lapsed.push(n);
+                        }
+                        *count = 0;
+                    }
+                    assert_eq!(t.roll_epoch(), lapsed);
+                }
+                1..=3 => {
+                    t.clear(node);
+                    model.remove(&node);
+                }
+                _ => {
+                    let (count, interested) = model.entry(node).or_default();
+                    *count += 1;
+                    let became = !*interested && *count > C;
+                    *interested |= became;
+                    let seen = t.observe(node, SimTime::from_secs(step));
+                    assert_eq!(seen.became_interested, became);
+                    assert_eq!(seen.schedule_check_at, None);
+                }
+            }
+            let held = model.get(&node).is_some_and(|&(_, interested)| interested);
+            assert_eq!(t.is_interested(node), held);
+        }
     }
 }

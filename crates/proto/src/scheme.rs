@@ -342,79 +342,161 @@ impl FaultState {
     }
 }
 
-/// Per-channel FIFO clocks: the last scheduled delivery instant for every
-/// ordered `(from, to)` pair that has carried a message.
+/// Per-channel FIFO clocks: the last scheduled delivery instant of every
+/// ordered `(from, to)` pair that may still have a message in flight.
 ///
-/// Hit once per [`send_msg`], i.e. once per simulated message, so the
-/// representation is chosen for the hot path: a dense `Vec` indexed by the
-/// sender's id, holding a short unsorted per-sender channel list in
-/// struct-of-arrays form — destination ids in one dense array, clocks in a
-/// parallel one. A node only ever sends to its parent, its children, and
-/// (for DUP's direct pushes) its few subscriber-list entries, so the
-/// destination scan walks a handful of 4-byte ids packed in one cache
-/// line, and the clock array is touched only at the hit index. Slots for
-/// departed destinations linger harmlessly, exactly as the old
-/// `HashMap<(NodeId, NodeId), SimTime>` entries did.
+/// Hit once per [`send_msg`], i.e. once per simulated message, at a sender
+/// drawn from the whole node space: past a few thousand nodes the table
+/// does not fit the CPU caches, so the representation is one 64-byte,
+/// 64-aligned record per sender in a dense `Vec` indexed by the sender's
+/// id — a send touches one cache line and follows no pointer. A node
+/// sends to its parent, its children and (for DUP's direct pushes) its few
+/// subscriber-list entries, and a channel only needs a clock while a
+/// message is in flight on it (see [`FifoClocks::reserve_slot`]), so four
+/// inline channels covered every sender of the benchmark's fault-free
+/// workloads; a sender with more simultaneous destinations (a lease-tick
+/// burst from a DUP-tree hub) spills into a boxed list with the same
+/// dense-id scan.
 #[derive(Debug, Clone, Default)]
 pub struct FifoClocks {
-    /// `chans[from.index()]` = this sender's channel list.
-    chans: Vec<Chan>,
+    /// `senders[from.index()]` = this sender's channels.
+    senders: Vec<Sender>,
 }
 
+/// Channels held in the sender's own record.
+const INLINE_CHANNELS: usize = 4;
+
 /// One sender's channels: `tos[k]` is the destination of channel `k`,
-/// `ats[k]` its last scheduled delivery instant.
+/// `ats[k]` its last scheduled delivery instant, for `k < len`; ids and
+/// clocks are separate arrays so the destination scan compares four packed
+/// 4-byte ids.
+#[derive(Debug, Clone)]
+#[repr(align(64))]
+struct Sender {
+    ats: [SimTime; INLINE_CHANNELS],
+    tos: [NodeId; INLINE_CHANNELS],
+    len: u32,
+    /// Channels beyond the inline four, `None` until a fifth destination
+    /// is in flight at once.
+    spill: Option<Box<Spill>>,
+}
+
+impl Default for Sender {
+    fn default() -> Self {
+        Sender {
+            ats: [SimTime::ZERO; INLINE_CHANNELS],
+            tos: [NodeId(0); INLINE_CHANNELS],
+            len: 0,
+            spill: None,
+        }
+    }
+}
+
+/// The overflow channels of one sender, destinations and clocks in
+/// parallel.
 #[derive(Debug, Clone, Default)]
-struct Chan {
+struct Spill {
     tos: Vec<NodeId>,
     ats: Vec<SimTime>,
+}
+
+// A field added to the record must not silently double the table.
+const _: () = assert!(std::mem::size_of::<Sender>() == 64 && std::mem::align_of::<Sender>() == 64);
+
+/// Grants the next delivery instant on a channel whose last one was
+/// `*last`, for a message sampled to arrive at `at`.
+#[inline]
+fn grant(last: &mut SimTime, at: SimTime) -> SimTime {
+    if at <= *last {
+        *last += SimDuration::from_nanos(1);
+    } else {
+        *last = at;
+    }
+    *last
 }
 
 impl FifoClocks {
     /// Creates clocks pre-sized for `nodes` senders (ids may still grow
     /// beyond this under churn; [`FifoClocks::reserve_slot`] extends).
     pub fn with_capacity(nodes: usize) -> Self {
-        FifoClocks {
-            chans: vec![Chan::default(); nodes],
-        }
+        let mut senders = Vec::new();
+        senders.resize_with(nodes, Sender::default);
+        FifoClocks { senders }
     }
 
-    /// Advances the `(from, to)` channel clock to cover a message sampled
-    /// to arrive at `at`, returning the instant the message may actually be
-    /// delivered: `at` itself when the channel is idle past it, otherwise
-    /// one nanosecond after the channel's last scheduled delivery.
+    /// Advances the `(from, to)` channel clock to cover a message sent at
+    /// `now` and sampled to arrive at `at ≥ now`, returning the instant the
+    /// message may actually be delivered: `at` itself when the channel is
+    /// idle past it, otherwise one nanosecond after the channel's last
+    /// scheduled delivery.
+    ///
+    /// A new destination takes over a slot whose clock is already in the
+    /// past before the sender's record grows. Such a slot is unobservable:
+    /// every later request on its channel has `at ≥ now' ≥ now > last` and
+    /// is granted `at`, exactly what a missing slot grants (`now` never
+    /// runs backwards within one clock table). So a sender holds at most as
+    /// many slots as it has had destinations in flight at one instant, not
+    /// one per destination it ever addressed, and grants the same instants
+    /// either way.
     #[inline]
-    pub(crate) fn reserve_slot(&mut self, from: NodeId, to: NodeId, at: SimTime) -> SimTime {
+    pub(crate) fn reserve_slot(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        now: SimTime,
+        at: SimTime,
+    ) -> SimTime {
+        debug_assert!(now <= at, "a message cannot arrive before it is sent");
         let i = from.index();
-        if i >= self.chans.len() {
-            self.chans.resize(i + 1, Chan::default());
+        if i >= self.senders.len() {
+            self.senders.resize_with(i + 1, Sender::default);
         }
-        let chan = &mut self.chans[i];
-        if let Some(k) = chan.tos.iter().position(|&t| t == to) {
-            let last = chan.ats[k];
-            let granted = if at <= last {
-                last + SimDuration::from_nanos(1)
-            } else {
-                at
-            };
-            chan.ats[k] = granted;
-            return granted;
+        let sender = &mut self.senders[i];
+        let len = sender.len as usize;
+        // First inline slot free for reuse, found on the way.
+        let mut idle = None;
+        for k in 0..len {
+            if sender.tos[k] == to {
+                return grant(&mut sender.ats[k], at);
+            }
+            if idle.is_none() && sender.ats[k] < now {
+                idle = Some(k);
+            }
         }
-        chan.tos.push(to);
-        chan.ats.push(at);
+        if let Some(spill) = &mut sender.spill {
+            if let Some(k) = spill.tos.iter().position(|&t| t == to) {
+                return grant(&mut spill.ats[k], at);
+            }
+        }
+        if idle.is_none() && len < INLINE_CHANNELS {
+            sender.len += 1;
+            idle = Some(len);
+        }
+        if let Some(k) = idle {
+            sender.tos[k] = to;
+            sender.ats[k] = at;
+            return at;
+        }
+        let spill = sender.spill.get_or_insert_with(Box::default);
+        match spill.ats.iter().position(|&last| last < now) {
+            Some(k) => {
+                spill.tos[k] = to;
+                spill.ats[k] = at;
+            }
+            None => {
+                spill.tos.push(to);
+                spill.ats.push(at);
+            }
+        }
         at
     }
 
-    /// The last scheduled delivery on `(from, to)`, if the channel has ever
-    /// carried a message (tests and audits).
-    pub fn last_scheduled(&self, from: NodeId, to: NodeId) -> Option<SimTime> {
-        let chan = self.chans.get(from.index())?;
-        let k = chan.tos.iter().position(|&t| t == to)?;
-        Some(chan.ats[k])
-    }
-
-    /// Total live channel slots (diagnostics).
-    pub fn channel_count(&self) -> usize {
-        self.chans.iter().map(|c| c.tos.len()).sum()
+    /// Channel slots held by each sender, in id order (tests and the
+    /// footprint gate: more than four means the sender spilled).
+    pub fn slots_per_sender(&self) -> impl Iterator<Item = usize> + '_ {
+        self.senders
+            .iter()
+            .map(|s| s.len as usize + s.spill.as_ref().map_or(0, |spill| spill.tos.len()))
     }
 }
 
@@ -818,14 +900,14 @@ fn dispatch_msg<M: Clone>(
         }
     }
     // Enforce FIFO per ordered node pair.
-    let at = world.fifo.reserve_slot(from, to, arrive);
+    let at = world.fifo.reserve_slot(from, to, now, arrive);
     if duplicate {
         world
             .probe
             .emit(now, || ProbeEvent::FaultDuplicate { from, to, class });
         // The copy takes the next FIFO slot on the same channel, arriving
         // right behind the original.
-        let at2 = world.fifo.reserve_slot(from, to, arrive);
+        let at2 = world.fifo.reserve_slot(from, to, now, arrive);
         world.trace.note_sent();
         engine.deliver(
             to,
@@ -1057,12 +1139,19 @@ mod tests {
 
     #[test]
     fn fifo_clocks_match_hashmap_reference() {
-        // The dense representation must grant exactly the slots the old
-        // `HashMap<(NodeId, NodeId), SimTime>` implementation granted, for
-        // any interleaving of channels and request instants.
+        // What is observable of the clocks is the instants they grant.
+        // Under a monotone `now` they must be exactly those of a
+        // `HashMap<(NodeId, NodeId), SimTime>` that keeps every channel
+        // forever, while a sender holds no more slots than it has had
+        // destinations in flight at one instant. Sender 0 is a hub (a
+        // third of all sends, so more than four destinations in flight:
+        // the spill); long idle gaps let every clock fall into the past
+        // (slot reuse, inline and spilled).
         use std::collections::HashMap;
+        const SENDERS: u64 = 12;
         let mut dense = FifoClocks::with_capacity(4);
         let mut reference: HashMap<(NodeId, NodeId), SimTime> = HashMap::new();
+        let mut peak_in_flight = [0usize; SENDERS as usize];
         let mut state = 0xDEADBEEFu64;
         let mut rng = move || {
             state ^= state << 13;
@@ -1070,36 +1159,81 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for _ in 0..5000 {
-            let from = NodeId((rng() % 12) as u32);
-            let to = NodeId((rng() % 12) as u32);
+        let mut now = SimTime::ZERO;
+        let (mut spilled, mut ops) = (false, 0);
+        while ops < 20_000 {
+            now += SimDuration::from_nanos(if rng() % 500 == 0 {
+                100_000
+            } else {
+                rng() % 50
+            });
+            let from = if rng() % 3 == 0 { 0 } else { rng() % SENDERS };
+            let (from, to) = (NodeId(from as u32), NodeId((rng() % 40) as u32));
             if from == to {
                 continue;
             }
-            let at = SimTime::from_nanos(rng() % 1000);
-            let expected = {
-                let slot = reference.entry((from, to)).or_insert(SimTime::ZERO);
-                let granted = if at <= *slot {
-                    *slot + SimDuration::from_nanos(1)
-                } else {
-                    at
-                };
-                *slot = granted;
-                granted
+            ops += 1;
+            let at = now + SimDuration::from_nanos(rng() % 1000);
+            let slot = reference.entry((from, to)).or_insert(SimTime::ZERO);
+            let expected = if at <= *slot {
+                *slot + SimDuration::from_nanos(1)
+            } else {
+                at
             };
-            assert_eq!(dense.reserve_slot(from, to, at), expected);
-            assert_eq!(dense.last_scheduled(from, to), Some(expected));
+            *slot = expected;
+            assert_eq!(dense.reserve_slot(from, to, now, at), expected);
+
+            let in_flight = reference
+                .iter()
+                .filter(|&(&(f, _), &last)| f == from && last >= now)
+                .count();
+            let peak = &mut peak_in_flight[from.index()];
+            *peak = (*peak).max(in_flight);
+            let held = dense.slots_per_sender().nth(from.index()).unwrap();
+            assert!(held <= (*peak).max(INLINE_CHANNELS), "{from}: {held} slots");
+            spilled |= held > INLINE_CHANNELS;
         }
-        assert_eq!(dense.channel_count(), reference.len());
+        assert!(spilled, "no sender ever had five destinations in flight");
+        let held: usize = dense.slots_per_sender().sum();
+        assert!(
+            held * 4 < reference.len(),
+            "{held} slots for {} channels: idle slots were not reused",
+            reference.len()
+        );
+    }
+
+    #[test]
+    fn a_slot_due_this_instant_is_not_reused() {
+        // Reuse needs `last < now` strictly: a zero-delay message sent at
+        // the instant a channel's last delivery is due must still queue
+        // behind it, inline and in the spill alike.
+        let mut clocks = FifoClocks::default();
+        let (from, now) = (NodeId(0), SimTime::from_nanos(10));
+        for round in 0..2 {
+            for to in 1..=6 {
+                let granted = clocks.reserve_slot(from, NodeId(to), now, now);
+                assert_eq!(granted, SimTime::from_nanos(10 + round), "N{to}");
+            }
+        }
+        assert_eq!(clocks.slots_per_sender().next(), Some(6));
+        // Two nanoseconds on, all six clocks are in the past: six fresh
+        // destinations take the six slots over.
+        let later = SimTime::from_nanos(12);
+        for to in 7..=12 {
+            assert_eq!(clocks.reserve_slot(from, NodeId(to), later, later), later);
+        }
+        assert_eq!(clocks.slots_per_sender().next(), Some(6));
     }
 
     #[test]
     fn fifo_clocks_grow_past_initial_capacity() {
         let mut clocks = FifoClocks::with_capacity(2);
-        let at = SimTime::from_secs(1);
-        assert_eq!(clocks.reserve_slot(NodeId(100), NodeId(0), at), at);
-        assert_eq!(clocks.last_scheduled(NodeId(100), NodeId(0)), Some(at));
-        assert_eq!(clocks.last_scheduled(NodeId(101), NodeId(0)), None);
+        let (now, at) = (SimTime::ZERO, SimTime::from_secs(1));
+        assert_eq!(clocks.reserve_slot(NodeId(100), NodeId(0), now, at), at);
+        // The channel kept its clock: the same instant is taken.
+        let next = at + SimDuration::from_nanos(1);
+        assert_eq!(clocks.reserve_slot(NodeId(100), NodeId(0), now, at), next);
+        assert_eq!(clocks.reserve_slot(NodeId(101), NodeId(0), now, at), at);
     }
 
     fn armed_faults(cfg: FaultConfig) -> FaultState {

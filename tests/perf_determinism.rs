@@ -23,10 +23,11 @@
 //!    only) with
 //!    `DUP_RECORD_GOLDEN=1 cargo test --release --test perf_determinism pinned`.
 
+use dup_p2p::core::DupScheme;
 use dup_p2p::harness::{HarnessOpts, Scale, SchemeKind};
 use dup_p2p::proto::{
     ChurnConfig, FaultConfig, FaultWindow, InterestPolicy, ProbeSink, QueueBackendConfig,
-    ReliabilityConfig, RunConfig, RunReport,
+    ReliabilityConfig, RunConfig, RunReport, Runner,
 };
 
 fn run(cfg: &RunConfig, kind: SchemeKind) -> RunReport {
@@ -273,7 +274,10 @@ fn deep_tree_reports_are_pinned() {
 /// kept its slot — node N3 reached 65 at t = 77 880 s and 67 by the end
 /// (527 over `sim_lossy`'s full 400 000 s). Retransmits, duplicates,
 /// delays and churn-driven re-subscription all pass through the channel
-/// clocks here, so any change to what they grant moves this report.
+/// clocks here, so any change to what they grant moves this report — and
+/// a channel keeps its slot only while a message is in flight on it, so the
+/// same run ends with no sender holding more than 32 (18, the root in a
+/// lease-tick burst).
 #[test]
 fn long_churn_report_is_pinned() {
     let cfg = RunConfig::builder(42)
@@ -294,7 +298,11 @@ fn long_churn_report_is_pinned() {
         })
         .churn(Some(ChurnConfig::balanced(0.02)))
         .build();
-    assert_pinned("long_churn_dup", &run(&cfg, SchemeKind::Dup));
+    // The report is final before the settle drain: it is `run`'s.
+    let settled = Runner::new(cfg, DupScheme::new()).run_settled(0, |_, _, _| {});
+    assert_pinned("long_churn_dup", &settled.report);
+    let most_channels = settled.world.fifo.slots_per_sender().max();
+    assert!(most_channels <= Some(32), "{most_channels:?} channels held");
 }
 
 /// Parallel ensemble mode: for a fixed shard count, the merged report must
