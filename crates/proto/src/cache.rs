@@ -173,29 +173,24 @@ mod tests {
         // Every operation, drawn at random over ids inside and beyond the
         // initial capacity, against the obvious model: a map from node to
         // the record it holds.
+        use rand::Rng;
         use std::collections::HashMap;
         let mut store = CacheStore::new(8);
         let mut model: HashMap<NodeId, IndexRecord> = HashMap::new();
-        let mut state = 0x5EED_CAFEu64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = dup_sim::stream_rng(1, "cache-model");
         let valid = |held: &IndexRecord, now: SimTime| now < held.expires;
         for _ in 0..20_000 {
-            let node = NodeId((rng() % 24) as u32);
-            let now = SimTime::from_secs(rng() % 200);
-            match rng() % 8 {
+            let node = NodeId(rng.gen_range(0..24));
+            let now = SimTime::from_secs(rng.gen_range(0..200));
+            match rng.gen_range(0..8) {
                 0..=2 => {
                     // One version older than, equal to, or newer than the
                     // copy held (version 1 on an empty slot).
                     let held = model.get(&node).map_or(1, |r| r.version.0);
                     let offered = IndexRecord {
-                        version: Version((held + rng() % 3).saturating_sub(1)),
+                        version: Version((held + rng.gen_range(0..3)).saturating_sub(1)),
                         created: now,
-                        expires: SimTime::from_secs(rng() % 200),
+                        expires: SimTime::from_secs(rng.gen_range(0..200)),
                     };
                     let newer = match model.get(&node) {
                         Some(held) => held.version < offered.version,

@@ -455,20 +455,15 @@ mod tests {
     #[test]
     fn epoch_tracker_matches_a_counter_model() {
         // The epoch policy is a counter and a flag per node.
+        use rand::Rng;
         use std::collections::BTreeMap;
         const C: u32 = 3;
         let mut t = epoch_tracker(C);
         let mut model: BTreeMap<NodeId, (u32, bool)> = BTreeMap::new();
-        let mut state = 0x1D1E_5EEDu64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = dup_sim::stream_rng(1, "interest-model");
         for step in 0..20_000u64 {
-            let node = NodeId((rng() % 12) as u32);
-            match rng() % 40 {
+            let node = NodeId(rng.gen_range(0..12));
+            match rng.gen_range(0..40) {
                 0 => {
                     let mut lapsed = Vec::new();
                     for (&n, (count, interested)) in model.iter_mut() {

@@ -419,9 +419,9 @@ impl FifoClocks {
     /// Creates clocks pre-sized for `nodes` senders (ids may still grow
     /// beyond this under churn; [`FifoClocks::reserve_slot`] extends).
     pub fn with_capacity(nodes: usize) -> Self {
-        let mut senders = Vec::new();
-        senders.resize_with(nodes, Sender::default);
-        FifoClocks { senders }
+        FifoClocks {
+            senders: vec![Sender::default(); nodes],
+        }
     }
 
     /// Advances the `(from, to)` channel clock to cover a message sent at
@@ -1148,32 +1148,30 @@ mod tests {
         // the spill); long idle gaps let every clock fall into the past
         // (slot reuse, inline and spilled).
         use std::collections::HashMap;
-        const SENDERS: u64 = 12;
+        const SENDERS: u32 = 12;
         let mut dense = FifoClocks::with_capacity(4);
         let mut reference: HashMap<(NodeId, NodeId), SimTime> = HashMap::new();
         let mut peak_in_flight = [0usize; SENDERS as usize];
-        let mut state = 0xDEADBEEFu64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = dup_sim::stream_rng(1, "fifo-model");
         let mut now = SimTime::ZERO;
         let (mut spilled, mut ops) = (false, 0);
         while ops < 20_000 {
-            now += SimDuration::from_nanos(if rng() % 500 == 0 {
+            now += SimDuration::from_nanos(if rng.gen_range(0..500) == 0 {
                 100_000
             } else {
-                rng() % 50
+                rng.gen_range(0..50)
             });
-            let from = if rng() % 3 == 0 { 0 } else { rng() % SENDERS };
-            let (from, to) = (NodeId(from as u32), NodeId((rng() % 40) as u32));
+            let from = if rng.gen_range(0..3) == 0 {
+                0
+            } else {
+                rng.gen_range(0..SENDERS)
+            };
+            let (from, to) = (NodeId(from), NodeId(rng.gen_range(0..40)));
             if from == to {
                 continue;
             }
             ops += 1;
-            let at = now + SimDuration::from_nanos(rng() % 1000);
+            let at = now + SimDuration::from_nanos(rng.gen_range(0..1000));
             let slot = reference.entry((from, to)).or_insert(SimTime::ZERO);
             let expected = if at <= *slot {
                 *slot + SimDuration::from_nanos(1)
