@@ -247,6 +247,31 @@ mod tests {
         assert_eq!(Arrivals::pareto(1.2, 3.0).rate(), 3.0);
     }
 
+    /// The first gaps of both arrival streams under the runner's own
+    /// stream label, in nanoseconds: what `RunConfig::arrivals` feeds a
+    /// run. No golden pins the Poisson stream directly, and fig8's
+    /// document holds the Pareto one only through a whole run.
+    #[test]
+    fn first_gaps_are_pinned() {
+        let gaps = |mut arrivals: Arrivals| {
+            let mut rng = stream_rng(42, "arrivals");
+            let gap = |_| arrivals.next_gap(&mut rng).as_nanos();
+            (0..16).map(gap).collect::<Vec<u64>>()
+        };
+        #[rustfmt::skip]
+        assert_eq!(gaps(Arrivals::poisson(2.0)), [
+            233_386_103, 242_625_382, 349_531_768, 254_122_236, 701_144_788, 511_708_638,
+            577_691_353, 28_170_936, 268_732_161, 144_232_000, 806_137_163, 747_354_763,
+            22_390_946, 180_188_613, 1_077_923_873, 299_963_496,
+        ]);
+        #[rustfmt::skip]
+        assert_eq!(gaps(Arrivals::pareto(1.2, 2.0)), [
+            166_370_115, 42_793_073, 6_641_361, 179_754_042, 54_236_041, 48_544_710,
+            25_975_871, 67_780_426, 22_856_409, 139_039_211, 93_897_386, 53_820_106,
+            1_114_751_346, 64_276_611, 17_854_845, 107_732_759,
+        ]);
+    }
+
     #[test]
     fn phase_offset_bounded_by_mean_gap() {
         let mut rng = stream_rng(9, "phase");
