@@ -201,10 +201,6 @@ impl<M> EvSink<M> for HostSink<'_, M> {
         self.engine.cancel(id)
     }
 
-    fn stop(&mut self) {
-        self.engine.stop();
-    }
-
     fn pending(&self) -> usize {
         self.engine.pending()
     }
@@ -694,7 +690,7 @@ impl<S: LiveScheme> HostCore<S> {
             Ev::EndWarmup => {
                 eng.schedule_after(SimDuration::from_secs_f64(1e9), Ev::EndWarmup);
             }
-            Ev::Churn | Ev::CiCheck | Ev::Sample => {}
+            Ev::Churn | Ev::Sample => {}
         }
     }
 }

@@ -4,7 +4,7 @@
 //! `θ = 0.8`, `c = 6`, TTL 60 min, push lead 1 min, hop latency Exp(0.1 s),
 //! and runs of at least 180 000 simulated seconds.
 
-use dup_overlay::{NodeId, SearchTree, TopologyParams};
+use dup_overlay::{NodeId, TopologyParams};
 use dup_workload::RankPlacement;
 
 use crate::interest::InterestPolicy;
@@ -34,8 +34,6 @@ pub enum TopologySource {
         /// The key whose index search tree is extracted.
         key: u64,
     },
-    /// A caller-supplied tree (tests and ablations).
-    Prebuilt(SearchTree),
 }
 
 impl TopologySource {
@@ -44,7 +42,6 @@ impl TopologySource {
         match self {
             TopologySource::RandomTree(p) => p.nodes,
             TopologySource::Chord { nodes, .. } => *nodes,
-            TopologySource::Prebuilt(t) => t.len(),
         }
     }
 }
@@ -396,55 +393,24 @@ pub struct ZipfPhase {
     pub theta: f64,
 }
 
-/// Deterministic sampled-tracing configuration.
-///
-/// When `one_in > 1`, only updates whose version hashes into the sample
-/// (a seeded splitmix64 of `seed ^ version`) allocate causal-trace spans;
-/// the rest of the run proceeds identically because span ids are pure
-/// metadata — sampling can never change protocol dynamics. `0` and `1`
-/// both mean "trace every update" (the default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceSampling {
-    /// Trace 1 in this many update versions (`0`/`1` = trace all).
-    pub one_in: u64,
-}
-
-impl Default for TraceSampling {
-    fn default() -> Self {
-        TraceSampling { one_in: 1 }
-    }
-}
-
 /// Observability configuration for a run.
 ///
-/// Controls only the *periodic sampling* schedule, trace sampling, and
-/// engine self-profiling; whether any events are recorded at all is
+/// Controls only the *periodic sampling* schedule and engine
+/// self-profiling; whether any events are recorded at all is
 /// decided by attaching a probe at run time (see
 /// [`crate::Runner::with_probe`]), so configs stay free of non-data probe
 /// state.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ProbeConfig {
     /// Interval (simulated seconds) between time-series samples collected
     /// into [`crate::RunReport::samples`]; `0` (the default) disables
     /// sampling.
     pub sample_every_secs: f64,
-    /// Deterministic trace sampling (defaults to tracing every update).
-    pub trace_sampling: TraceSampling,
     /// Opt-in engine self-profiling: wall-clock per-phase timing, queue
     /// depth sampling, and probe-emit accounting, harvested into
     /// [`crate::RunReport::engine_profile`]. Wall-clock only — never feeds
     /// back into deterministic results. Defaults off.
     pub profile_engine: bool,
-}
-
-impl Default for ProbeConfig {
-    fn default() -> Self {
-        ProbeConfig {
-            sample_every_secs: 0.0,
-            trace_sampling: TraceSampling::default(),
-            profile_engine: false,
-        }
-    }
 }
 
 /// Which pending-event store the simulation engine uses. Both backends pop
@@ -472,24 +438,6 @@ pub struct QueueConfig {
     pub backend: QueueBackendConfig,
 }
 
-/// When a run stops.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StopRule {
-    /// Run exactly `warmup + duration` simulated seconds.
-    FixedDuration,
-    /// Stop early once the hop-latency CI has converged (paper: "kept
-    /// running until at least the 95 % confidence interval … is obtained"),
-    /// bounded above by the configured duration.
-    ConvergedCi {
-        /// Minimum closed batches before the rule may fire.
-        min_batches: u64,
-        /// Maximum relative CI half-width.
-        rel_half_width: f64,
-        /// How often (simulated seconds) to test the rule.
-        check_every_secs: f64,
-    },
-}
-
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -515,8 +463,6 @@ pub struct RunConfig {
     pub warmup_secs: f64,
     /// Measured window after warm-up (simulated seconds).
     pub duration_secs: f64,
-    /// Stop rule.
-    pub stop: StopRule,
     /// Optional churn process.
     pub churn: Option<ChurnConfig>,
     /// Batch size for the latency batch-means CI.
@@ -559,7 +505,6 @@ impl RunConfig {
             protocol: ProtocolConfig::default(),
             warmup_secs: 7200.0,
             duration_secs: 180_000.0,
-            stop: StopRule::FixedDuration,
             churn: None,
             latency_batch: 500,
             probe: ProbeConfig::default(),
@@ -649,10 +594,6 @@ impl RunConfig {
                 self.churn.is_none(),
                 "space-parallel runs do not support churn yet (topology \
                  mutation is global state)"
-            );
-            assert!(
-                matches!(self.stop, StopRule::FixedDuration),
-                "space-parallel runs support only the FixedDuration stop rule"
             );
             assert!(
                 self.protocol.hop_latency_min_secs > 0.0,
@@ -843,12 +784,6 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Sets the stop rule.
-    pub fn stop(mut self, stop: StopRule) -> Self {
-        self.cfg.stop = stop;
-        self
-    }
-
     /// Enables (`Some`) or disables (`None`) the churn process.
     pub fn churn(mut self, churn: Option<ChurnConfig>) -> Self {
         self.cfg.churn = churn;
@@ -877,13 +812,6 @@ impl RunConfigBuilder {
     /// Replaces the reliable-delivery configuration.
     pub fn reliability(mut self, reliability: ReliabilityConfig) -> Self {
         self.cfg.reliability = reliability;
-        self
-    }
-
-    /// Sets the parallel shard count (ensemble mode; `1` = classic
-    /// single-queue run).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shards = shards;
         self
     }
 
@@ -993,11 +921,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_sampling_and_profiling_default_off() {
-        let d = ProbeConfig::default();
-        assert_eq!(d.trace_sampling, TraceSampling::default());
-        assert_eq!(d.trace_sampling.one_in, 1, "trace everything by default");
-        assert!(!d.profile_engine, "profiling is opt-in");
+    fn profiling_defaults_off() {
+        assert!(
+            !ProbeConfig::default().profile_engine,
+            "profiling is opt-in"
+        );
     }
 
     #[test]

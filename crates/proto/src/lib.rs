@@ -64,7 +64,7 @@ pub use cache::CacheStore;
 pub use config::{
     ArrivalKind, ChurnConfig, FaultConfig, FaultWindow, NodeRange, PartitionWindow, ProbeConfig,
     ProtocolConfig, QueueBackendConfig, QueueConfig, ReliabilityConfig, RunConfig,
-    RunConfigBuilder, SlowLink, StopRule, TopologySource, TraceSampling, ZipfPhase,
+    RunConfigBuilder, SlowLink, TopologySource, ZipfPhase,
 };
 pub use cup::{CupPushPolicy, CupScheme};
 pub use index::{AuthorityClock, IndexRecord, Version};

@@ -103,11 +103,6 @@ impl Metrics {
         self.queries
     }
 
-    /// Access to the hop-latency batch means (for stopping rules).
-    pub fn latency_hops(&self) -> &BatchMeans {
-        &self.latency_hops
-    }
-
     /// Access to the cost ledger.
     pub fn ledger(&self) -> &CostLedger {
         &self.ledger

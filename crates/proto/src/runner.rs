@@ -7,7 +7,7 @@
 //! [`NodeCore`] and is shared with every other driver. The runner owns
 //! what is the simulator's alone: the arrival, origin and churn streams,
 //! the authority's refresh schedule and the interest epoch it closes,
-//! time-series sampling, the CI stop rule, the settle phase, the event
+//! time-series sampling, the settle phase, the event
 //! log, and the space-parallel ownership gate.
 
 use rand::seq::SliceRandom;
@@ -23,7 +23,7 @@ use dup_workload::{
 };
 
 use crate::config::{
-    ArrivalKind, ChurnConfig, NodeRange, QueueBackendConfig, RunConfig, StopRule, TopologySource,
+    ArrivalKind, ChurnConfig, NodeRange, QueueBackendConfig, RunConfig, TopologySource,
 };
 use crate::index::AuthorityClock;
 use crate::interest::InterestTracker;
@@ -34,7 +34,6 @@ use crate::probe::{ProbeEvent, ProbeSink, TraceSample};
 use crate::reliable::ReliableState;
 use crate::scheme::{AppliedChurn, Ctx, Ev, EvSink, FaultState, Msg, Scheme, World};
 use crate::space::SpaceCtl;
-use crate::trace::TraceCtx;
 
 /// Hard deadline for each settle/heal drain in [`Runner::run_settled`],
 /// in simulated seconds past the point where the drain begins. Generous
@@ -213,7 +212,6 @@ pub fn build_topology(cfg: &RunConfig) -> SearchTree {
         TopologySource::Chord { nodes, key } => {
             ChordRing::new(*nodes, &mut stream_rng(seed, "chord")).search_tree(*key)
         }
-        TopologySource::Prebuilt(t) => t.clone(),
     }
 }
 
@@ -248,13 +246,6 @@ impl<S: Scheme> Runner<S> {
         world.probe = probe;
         world.faults = FaultState::from_config(cfg.faults.clone(), seed);
         world.reliable = ReliableState::from_config(cfg.reliability.clone(), seed);
-        // The sampling seed derives from the master seed via the usual
-        // labeled-stream scheme, so the sampled subset is reproducible
-        // per seed but decorrelated from every other stream.
-        world.trace = TraceCtx::with_sampling(
-            cfg.probe.trace_sampling.one_in,
-            dup_sim::stream_seed(seed, "trace-sample"),
-        );
         let arrivals = match cfg.arrivals {
             ArrivalKind::Exponential => Arrivals::poisson(cfg.lambda),
             ArrivalKind::Pareto { alpha } => Arrivals::pareto(alpha, cfg.lambda),
@@ -340,7 +331,7 @@ impl<S: Scheme> Runner<S> {
         &self.node.scheme
     }
 
-    /// Runs to the horizon (or early CI convergence) and reports.
+    /// Runs to the horizon and reports.
     pub fn run(mut self) -> RunReport {
         let mut engine: Engine<Ev<S::Msg>> = Engine::with_queue(self.build_queue());
         self.run_main(&mut engine)
@@ -395,9 +386,8 @@ impl<S: Scheme> Runner<S> {
     /// hits the deadline and fails loudly, naming the unconverged nodes,
     /// instead of draining forever.
     ///
-    /// A drain that ends any other way (the queue ran empty, or the run
-    /// was stopped) returns quietly: only an event set still busy at the
-    /// deadline is a livelock.
+    /// A drain that ends because the queue ran empty returns quietly:
+    /// only an event set still busy at the deadline is a livelock.
     fn settle_drain(&mut self, engine: &mut Engine<Ev<S::Msg>>, stage: &str) {
         engine.set_horizon(engine.now() + SimDuration::from_secs_f64(SETTLE_DEADLINE_SECS));
         let outcome = engine.run(|eng, ev| self.handle(eng, ev));
@@ -434,10 +424,7 @@ impl<S: Scheme> Runner<S> {
         self.schedule_drivers(engine);
         let outcome = engine.run(|eng, ev| self.handle(eng, ev));
         debug_assert!(
-            matches!(
-                outcome,
-                RunOutcome::HorizonReached | RunOutcome::Stopped | RunOutcome::EventLimit
-            ),
+            matches!(outcome, RunOutcome::HorizonReached | RunOutcome::EventLimit),
             "simulation drained its event set unexpectedly"
         );
         let mut report = self.finalize_report(
@@ -475,15 +462,6 @@ impl<S: Scheme> Runner<S> {
         if self.cfg.reliability.enabled && self.cfg.reliability.lease_every_secs > 0.0 {
             let every = SimDuration::from_secs_f64(self.cfg.reliability.lease_every_secs);
             engine.schedule(SimTime::ZERO + every, Ev::LeaseTick);
-        }
-        if let StopRule::ConvergedCi {
-            check_every_secs, ..
-        } = self.cfg.stop
-        {
-            engine.schedule(
-                self.warmup_end + SimDuration::from_secs_f64(check_every_secs),
-                Ev::CiCheck,
-            );
         }
     }
 
@@ -633,29 +611,6 @@ impl<S: Scheme> Runner<S> {
             }
             Ev::InterestCheck { node } => self.node.interest_check(eng, node),
             Ev::EndWarmup => self.node.world.metrics.start_recording(),
-            Ev::CiCheck => {
-                if let StopRule::ConvergedCi {
-                    min_batches,
-                    rel_half_width,
-                    check_every_secs,
-                } = self.cfg.stop
-                {
-                    if self
-                        .node
-                        .world
-                        .metrics
-                        .latency_hops()
-                        .converged(min_batches, rel_half_width)
-                    {
-                        eng.stop();
-                    } else {
-                        eng.schedule_after(
-                            SimDuration::from_secs_f64(check_every_secs),
-                            Ev::CiCheck,
-                        );
-                    }
-                }
-            }
             Ev::Churn => {
                 self.node.world.begin_maintenance();
                 self.apply_churn(eng);
@@ -1043,23 +998,6 @@ mod tests {
     }
 
     #[test]
-    fn ci_stop_rule_can_end_early() {
-        let mut cfg = tiny_cfg(8);
-        cfg.duration_secs = 500_000.0;
-        cfg.stop = StopRule::ConvergedCi {
-            min_batches: 5,
-            rel_half_width: 0.5,
-            check_every_secs: 1000.0,
-        };
-        let report = run_simulation(&cfg, PcxScheme::new());
-        assert!(
-            report.sim_secs < 500_000.0,
-            "run did not stop early: {}",
-            report.sim_secs
-        );
-    }
-
-    #[test]
     fn rank_placements_shape_latency() {
         // Hot nodes near the root should see shorter paths than hot nodes
         // at the leaves.
@@ -1248,22 +1186,6 @@ mod tests {
                 .unwrap()
                 .contains("engine_profile"),
             "disabled profile must not serialize"
-        );
-    }
-
-    #[test]
-    fn sampled_tracing_preserves_dynamics() {
-        let cfg = tiny_cfg(16);
-        let plain = run_simulation(&cfg, PcxScheme::new());
-        let mut sampled_cfg = cfg.clone();
-        sampled_cfg.probe.trace_sampling.one_in = 16;
-        // Spans are pure metadata: sampling must not move a single event
-        // even though span allocation is now version-gated.
-        let sampled = run_simulation(&sampled_cfg, PcxScheme::new());
-        assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&sampled).unwrap(),
-            "trace sampling perturbed simulation results"
         );
     }
 

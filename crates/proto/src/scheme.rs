@@ -113,8 +113,6 @@ pub enum Ev<M> {
     Churn,
     /// Warm-up ends; metrics start recording.
     EndWarmup,
-    /// Periodic convergence check for [`crate::StopRule::ConvergedCi`].
-    CiCheck,
     /// Periodic probe time-series sample (scheduled only when
     /// [`crate::ProbeConfig::sample_every_secs`] is positive).
     Sample,
@@ -504,8 +502,8 @@ impl World {
     /// A world over `tree` at the paper's defaults (Table I): 60-minute
     /// TTL with a one-minute push lead, interest threshold `c = 6` under
     /// the epoch policy, the 0.1 s hop-latency model, clocks at zero —
-    /// with metrics not yet recording and the probe, fault layer,
-    /// reliability layer and trace sampling all off. This is the only
+    /// with metrics not yet recording and the probe, fault layer and
+    /// reliability layer all off. This is the only
     /// place a `World` is assembled; every driver starts here and assigns
     /// the fields its configuration overrides.
     pub fn new(tree: SearchTree) -> Self {
@@ -630,9 +628,6 @@ pub trait EvSink<M> {
     fn schedule_after(&mut self, delay: SimDuration, ev: Ev<M>) -> TimerId;
     /// Cancels a locally scheduled event; true if it had not yet fired.
     fn cancel(&mut self, id: TimerId) -> bool;
-    /// Requests the run to stop early (the `ConvergedCi` stop rule).
-    /// Space-parallel runs reject configurations that could call this.
-    fn stop(&mut self);
     /// Events still queued locally (sampled queue-depth telemetry).
     fn pending(&self) -> usize;
 }
@@ -662,11 +657,6 @@ impl<M> EvSink<M> for Engine<Ev<M>> {
     #[inline]
     fn cancel(&mut self, id: TimerId) -> bool {
         Engine::cancel(self, id)
-    }
-
-    #[inline]
-    fn stop(&mut self) {
-        Engine::stop(self)
     }
 
     #[inline]

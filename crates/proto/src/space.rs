@@ -36,7 +36,7 @@
 use dup_overlay::NodeId;
 use dup_sim::{ShardCtx, ShardModel, ShardedEngine, SimDuration, SimTime, TimerId};
 
-use crate::config::{RunConfig, StopRule};
+use crate::config::RunConfig;
 use crate::metrics::{Metrics, RunReport};
 use crate::probe::ProbeSink;
 use crate::runner::{LogRecord, Runner};
@@ -147,12 +147,6 @@ impl<M> EvSink<M> for SpaceSink<'_, '_, M> {
         self.ctx.cancel(id)
     }
 
-    fn stop(&mut self) {
-        // RunConfig::validate rejects the ConvergedCi stop rule in space
-        // mode; reaching this is a dispatch bug, not a user error.
-        panic!("early stop is not available in a space-parallel run");
-    }
-
     #[inline]
     fn pending(&self) -> usize {
         self.ctx.pending()
@@ -247,10 +241,6 @@ where
         probe: ProbeSink,
         logged: bool,
     ) -> Self {
-        assert!(
-            matches!(cfg.stop, StopRule::FixedDuration),
-            "space-parallel runs support only StopRule::FixedDuration"
-        );
         assert!(
             cfg.churn.is_none(),
             "space-parallel runs do not support churn"
@@ -641,17 +631,5 @@ mod tests {
             wheel(27, 2),
             "local-rate wheel tick diverged at 2 shards"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "FixedDuration")]
-    fn space_rejects_ci_stop_rule() {
-        let mut cfg = tiny_cfg(26, 2);
-        cfg.stop = StopRule::ConvergedCi {
-            min_batches: 5,
-            rel_half_width: 0.5,
-            check_every_secs: 1000.0,
-        };
-        let _ = logged(&cfg, PcxScheme::new).0;
     }
 }

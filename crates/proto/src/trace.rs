@@ -73,16 +73,6 @@ impl Default for SpanInfo {
     }
 }
 
-/// SplitMix64 finalizer — the deterministic hash behind update sampling.
-/// Independent of the simulation's RNG streams: sampling must never touch
-/// model randomness, or the traced and untraced dynamics would diverge.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Per-world trace state: the span counter, the current causal context, and
 /// the in-flight message count.
 ///
@@ -90,25 +80,11 @@ fn splitmix64(mut x: u64) -> u64 {
 /// add/sub per message) so [`crate::TraceSample::in_flight_msgs`] is
 /// populated even without a probe; span allocation happens only while a
 /// probe is attached.
-///
-/// With sampling configured ([`TraceCtx::with_sampling`]), only a
-/// deterministic 1-in-N subset of published versions opens a trace:
-/// unsampled updates get [`SpanInfo::NONE`] roots, and [`TraceCtx::child`]
-/// refuses to allocate under an untraced context, so their whole causal
-/// cascade stays span-free — bounded collector memory at any scale. Spans
-/// are pure metadata, so sampling cannot change simulation dynamics, and
-/// the version-hash decision makes the sampled set identical across
-/// backends, shard counts, and repeat runs.
 #[derive(Debug)]
 pub struct TraceCtx {
     next_span: u64,
     current: SpanInfo,
     in_flight: u64,
-    /// Trace 1 in N published updates (1 = trace everything).
-    sample_one_in: u64,
-    /// Seed mixed into the version hash, so different runs sample
-    /// different (but per-run deterministic) subsets.
-    sample_seed: u64,
 }
 
 impl Default for TraceCtx {
@@ -118,22 +94,12 @@ impl Default for TraceCtx {
 }
 
 impl TraceCtx {
-    /// A fresh context (span ids start at 1; 0 means untraced) tracing
-    /// every update.
+    /// A fresh context (span ids start at 1; 0 means untraced).
     pub fn new() -> Self {
-        TraceCtx::with_sampling(1, 0)
-    }
-
-    /// A context tracing a deterministic 1-in-`one_in` subset of published
-    /// updates, selected by hashing `seed ^ version` (`one_in <= 1` traces
-    /// everything).
-    pub fn with_sampling(one_in: u64, seed: u64) -> Self {
         TraceCtx {
             next_span: 1,
             current: SpanInfo::NONE,
             in_flight: 0,
-            sample_one_in: one_in.max(1),
-            sample_seed: seed,
         }
     }
 
@@ -143,21 +109,9 @@ impl TraceCtx {
         s
     }
 
-    /// Whether `version` falls in the sampled subset.
-    pub fn samples_update(&self, version: u64) -> bool {
-        self.sample_one_in <= 1
-            || splitmix64(self.sample_seed ^ version).is_multiple_of(self.sample_one_in)
-    }
-
     /// Opens the root span of an update-propagation trace (trace id = the
-    /// published version) and makes it the current context. Under sampling,
-    /// unsampled versions clear the context and return [`SpanInfo::NONE`]
-    /// instead — their cascade allocates no spans at all.
+    /// published version) and makes it the current context.
     pub(crate) fn begin_update(&mut self, version: u64) -> SpanInfo {
-        if !self.samples_update(version) {
-            self.current = SpanInfo::NONE;
-            return SpanInfo::NONE;
-        }
         let span = self.alloc();
         self.current = SpanInfo {
             trace: version,
@@ -209,9 +163,9 @@ impl TraceCtx {
 
     /// Allocates a child span of the current context for an outgoing
     /// message. Callers gate this on the probe being attached; with tracing
-    /// off they stamp [`SpanInfo::NONE`] instead. Under an untraced context
-    /// (an unsampled update's cascade, or no context at all) no span is
-    /// allocated and [`SpanInfo::NONE`] propagates.
+    /// off they stamp [`SpanInfo::NONE`] instead. With no context current
+    /// (a send outside any trace) no span is allocated and
+    /// [`SpanInfo::NONE`] propagates.
     #[inline]
     pub fn child(&mut self) -> SpanInfo {
         if !self.current.is_traced() {
@@ -790,44 +744,13 @@ mod tests {
         let m = ctx.begin_maintenance();
         assert!(m.trace & MAINT_TRACE_BIT != 0);
         assert_ne!(q.trace, m.trace);
-    }
-
-    #[test]
-    fn sampling_gates_update_spans_deterministically() {
-        let mut ctx = TraceCtx::with_sampling(4, 0xABCD);
-        let sampled: Vec<u64> = (0..64).filter(|&v| ctx.samples_update(v)).collect();
-        // Roughly 1/4 of versions, decided by hash — not a fixed stride.
-        assert!(sampled.len() > 4 && sampled.len() < 32, "{sampled:?}");
-        // Same config → same subset; different seed → different subset.
-        let ctx2 = TraceCtx::with_sampling(4, 0xABCD);
-        let again: Vec<u64> = (0..64).filter(|&v| ctx2.samples_update(v)).collect();
-        assert_eq!(sampled, again);
-        let other = TraceCtx::with_sampling(4, 0x1234);
-        let differs = (0..64).any(|v| ctx2.samples_update(v) != other.samples_update(v));
-        assert!(differs);
-
-        // Unsampled update: no root span, and the whole cascade allocates
-        // nothing (children of NONE stay NONE).
-        let &unsampled = (0..64).find(|&v| !ctx.samples_update(v)).as_ref().unwrap();
-        let root = ctx.begin_update(unsampled);
-        assert!(!root.is_traced());
-        let c = ctx.child();
-        assert!(!c.is_traced());
-        ctx.enter(c);
+        // Outside any trace a send gets no span, and neither does what it
+        // causes.
+        ctx.clear();
+        let orphan = ctx.child();
+        assert!(!orphan.is_traced());
+        ctx.enter(orphan);
         assert!(!ctx.child().is_traced());
-        // Sampled update: full causal chain as without sampling.
-        let &hit = sampled.first().unwrap();
-        let root = ctx.begin_update(hit);
-        assert!(root.is_traced());
-        assert_eq!(root.trace, hit);
-        let child = ctx.child();
-        assert_eq!(child.parent, root.span);
-        // one_in = 1 (or 0) always samples.
-        assert!(TraceCtx::with_sampling(1, 9).samples_update(7));
-        assert!(TraceCtx::with_sampling(0, 9).samples_update(7));
-        // Queries and maintenance stay traced regardless of update sampling.
-        assert!(ctx.begin_query().is_traced());
-        assert!(ctx.begin_maintenance().is_traced());
     }
 
     #[test]

@@ -13,8 +13,6 @@ pub enum RunOutcome {
     Drained,
     /// The horizon was reached; events at or beyond it remain queued.
     HorizonReached,
-    /// The handler requested a stop via [`Engine::stop`].
-    Stopped,
     /// The event budget ([`Engine::set_event_limit`]) was exhausted.
     EventLimit,
 }
@@ -31,7 +29,6 @@ pub struct Engine<E> {
     horizon: Option<SimTime>,
     event_limit: Option<u64>,
     events_processed: u64,
-    stop_requested: bool,
     profiler: Option<Box<EngineProfiler>>,
 }
 
@@ -57,7 +54,6 @@ impl<E> Engine<E> {
             horizon: None,
             event_limit: None,
             events_processed: 0,
-            stop_requested: false,
             profiler: None,
         }
     }
@@ -95,12 +91,6 @@ impl<E> Engine<E> {
     /// queue can become due before this instant.
     pub fn peek_next_at(&self) -> Option<SimTime> {
         self.queue.peek_time()
-    }
-
-    /// Stops the run once the event whose handler is executing returns.
-    /// Remaining events stay queued.
-    pub fn stop(&mut self) {
-        self.stop_requested = true;
     }
 
     /// Sets the simulation horizon: events strictly before `horizon` execute,
@@ -167,18 +157,13 @@ impl<E> Engine<E> {
         self.queue.cancel(id)
     }
 
-    /// Runs until drained, horizon, stop request, or event budget; the
-    /// handler receives `&mut Engine` so it can schedule follow-up events and
-    /// read the clock.
+    /// Runs until drained, horizon, or event budget; the handler receives
+    /// `&mut Engine` so it can schedule follow-up events and read the clock.
     pub fn run<F>(&mut self, mut handler: F) -> RunOutcome
     where
         F: FnMut(&mut Engine<E>, E),
     {
-        self.stop_requested = false;
         loop {
-            if self.stop_requested {
-                return RunOutcome::Stopped;
-            }
             if let Some(limit) = self.event_limit {
                 if self.events_processed >= limit {
                     return RunOutcome::EventLimit;
@@ -282,24 +267,6 @@ mod tests {
         assert_eq!(fired, vec![1, 4]);
         assert_eq!(eng.pending(), 2);
         assert_eq!(eng.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn stop_request_halts_immediately() {
-        let mut eng = Engine::new();
-        for s in 0..10u64 {
-            eng.schedule(SimTime::from_secs(s), Ev::Tick(s as u32));
-        }
-        let mut fired = 0;
-        let outcome = eng.run(|eng, Ev::Tick(i)| {
-            fired += 1;
-            if i == 3 {
-                eng.stop();
-            }
-        });
-        assert_eq!(outcome, RunOutcome::Stopped);
-        assert_eq!(fired, 4);
-        assert_eq!(eng.pending(), 6);
     }
 
     #[test]

@@ -111,13 +111,6 @@ impl BatchMeans {
     pub fn ci_95(&self) -> ConfidenceInterval {
         ConfidenceInterval::from_welford_95(&self.batches)
     }
-
-    /// True once `min_batches` have closed and the 95 % interval's relative
-    /// half-width is at most `rel`. This is the run-length stopping rule used
-    /// by the harness.
-    pub fn converged(&self, min_batches: u64, rel: f64) -> bool {
-        self.completed_batches() >= min_batches && self.ci_95().relative_half_width() <= rel
-    }
 }
 
 #[cfg(test)]
@@ -167,23 +160,14 @@ mod tests {
         for _ in 0..20_000 {
             bm.push(next());
         }
+        assert!(bm.completed_batches() >= 10);
         assert!(
-            bm.converged(10, 0.05),
+            bm.ci_95().relative_half_width() <= 0.05,
             "rel hw = {}",
             bm.ci_95().relative_half_width()
         );
         assert!((bm.mean() - 0.5).abs() < 0.02);
         assert!(bm.ci_95().contains(0.5));
-    }
-
-    #[test]
-    fn not_converged_with_few_batches() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..25 {
-            bm.push(i as f64);
-        }
-        assert_eq!(bm.completed_batches(), 2);
-        assert!(!bm.converged(10, 0.5));
     }
 
     #[test]
@@ -195,6 +179,6 @@ mod tests {
         let ci = bm.ci_95();
         assert_eq!(ci.mean, 7.0);
         assert_eq!(ci.half_width, 0.0);
-        assert!(bm.converged(2, 0.0));
+        assert_eq!(ci.relative_half_width(), 0.0);
     }
 }

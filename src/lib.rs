@@ -59,7 +59,7 @@ pub mod prelude {
     pub use dup_proto::{
         run_simulation, ArrivalKind, CaptureProbe, ChurnConfig, CupScheme, InterestPolicy,
         JsonlProbe, PcxScheme, ProbeConfig, ProbeEvent, ProbeSink, ProtocolConfig, RunConfig,
-        RunConfigBuilder, RunReport, StopRule, TopologySource, TraceSample,
+        RunConfigBuilder, RunReport, TopologySource, TraceSample,
     };
     pub use dup_sim::{Probe, SimDuration, SimTime};
     pub use dup_workload::RankPlacement;

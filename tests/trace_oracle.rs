@@ -213,71 +213,6 @@ fn traced_trees_match_oracle_under_churn() {
     assert!(!trace.reached().contains(&inners[0]));
 }
 
-/// Deterministic 1-in-16 trace sampling: every *sampled* update's
-/// reconstructed tree still passes the oracle edge-for-edge, while
-/// unsampled updates allocate no spans and leave no trace at all.
-#[test]
-fn sampled_tracing_passes_the_oracle_for_every_sampled_update() {
-    use dup_p2p::proto::TraceCtx;
-
-    // Root with 3 subtrees, each an inner node with 4 leaves.
-    let mut tree = SearchTree::new_root();
-    let root = tree.root();
-    let mut leaves = Vec::new();
-    for _ in 0..3 {
-        let inner = tree.add_leaf(root);
-        for _ in 0..4 {
-            leaves.push(tree.add_leaf(inner));
-        }
-    }
-    let capture = CaptureProbe::new();
-    let mut bench = TestBench::with_probe(
-        tree,
-        DupScheme::new(),
-        2,
-        ProbeSink::attach(capture.clone()),
-    );
-    bench.node.world.trace = TraceCtx::with_sampling(16, 0x5EED);
-
-    let mut subscribed: BTreeSet<NodeId> = BTreeSet::new();
-    for &n in &[leaves[0], leaves[1], leaves[4], leaves[9]] {
-        bench.make_interested(n);
-        bench.drain();
-        subscribed.insert(n);
-    }
-
-    let (mut sampled, mut unsampled) = (0u32, 0u32);
-    for _ in 0..96 {
-        let version = bench.refresh().version.0;
-        let collector = TraceCollector::from_events(&capture.events());
-        if bench.node.world.trace.samples_update(version) {
-            sampled += 1;
-            let trace = collector
-                .propagation_tree(version)
-                .expect("sampled update must reconstruct a trace");
-            assert!(trace.is_tree(), "v{version}: delivered edges not a tree");
-            assert_eq!(trace.lost, 0, "v{version}: fault-free bench lost a push");
-            assert_eq!(trace.origin, bench.node.world.tree.root());
-            assert_eq!(
-                trace.edge_set(),
-                oracle_push_edges(&bench.node.world.tree, &subscribed),
-                "v{version}: sampled trace ≠ oracle push edges"
-            );
-        } else {
-            unsampled += 1;
-            assert!(
-                collector.propagation_tree(version).is_none(),
-                "v{version}: unsampled update leaked a trace"
-            );
-        }
-    }
-    assert!(sampled >= 2, "too few sampled updates: {sampled}/96");
-    assert!(unsampled >= 64, "sampling barely thinned: {unsampled}/96");
-    // The scheme itself never noticed the sampling.
-    let mismatches = oracle_diff(&bench.node.scheme, &bench.node.world.tree);
-    assert!(mismatches.is_empty(), "{mismatches:?}");
-}
-
 /// A dropped push that the reliability layer retransmits must land in the
 /// propagation tree of the **original** update: the retransmission reuses
 /// the first send's span, so the collector books the recovery delivery
