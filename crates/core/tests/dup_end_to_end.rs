@@ -3,9 +3,8 @@
 
 use dup_core::DupScheme;
 use dup_overlay::TopologyParams;
-use dup_proto::{
-    run_simulation, ArrivalKind, ChurnConfig, CupScheme, PcxScheme, RunConfig, TopologySource,
-};
+use dup_proto::{run_simulation, ChurnConfig, CupScheme, PcxScheme, RunConfig, TopologySource};
+use dup_workload::Arrivals;
 
 // A sparse-interest regime (only hot Zipf ranks cross the threshold), where
 // DUP's short-cuts matter; with saturated interest DUP correctly degenerates
@@ -113,7 +112,7 @@ fn dup_on_chord_derived_tree() {
 #[test]
 fn dup_under_pareto_arrivals() {
     let mut c = cfg(8);
-    c.arrivals = ArrivalKind::Pareto { alpha: 1.2 };
+    c.arrivals = Arrivals::Pareto { alpha: 1.2 };
     let pcx = run_simulation(&c, PcxScheme::new());
     let dup = run_simulation(&c, DupScheme::new());
     assert!(dup.latency_hops.mean < pcx.latency_hops.mean);

@@ -43,9 +43,10 @@ use serde::Serialize;
 use dup_core::DupScheme;
 use dup_proto::{
     perfetto_trace, CaptureProbe, ChurnConfig, FaultConfig, FaultStats, FaultWindow, NodeRange,
-    PartitionWindow, ProbeSink, Registry, RunConfig, Runner, SlowLink, TraceCollector, ZipfPhase,
+    PartitionWindow, ProbeSink, Registry, RunConfig, Runner, SlowLink, TraceCollector,
 };
 use dup_sim::stream_rng;
+use dup_workload::ZipfPhase;
 
 use crate::campaign::{
     lease_tick, maintenance_protocol, reliability, Artifact, Campaign, Case, Selection, Series,

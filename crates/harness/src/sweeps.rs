@@ -11,10 +11,9 @@
 use dup_core::DupScheme;
 use dup_overlay::TopologyParams;
 use dup_proto::{
-    run_simulation, ArrivalKind, ChurnConfig, CupScheme, InterestPolicy, RunConfig, RunReport,
-    TopologySource,
+    run_simulation, ChurnConfig, CupScheme, InterestPolicy, RunConfig, RunReport, TopologySource,
 };
-use dup_workload::RankPlacement;
+use dup_workload::{Arrivals, RankPlacement};
 use serde::Serialize;
 use serde_json::{json, Value};
 
@@ -88,7 +87,7 @@ impl Axis {
             Nodes => cfg.topology = TopologySource::RandomTree(tree(real(v) as usize, 4)),
             Degree => cfg.topology = TopologySource::RandomTree(tree(nodes, real(v) as usize)),
             Theta => cfg.zipf_theta = real(v),
-            Alpha => cfg.arrivals = ArrivalKind::Pareto { alpha: real(v) },
+            Alpha => cfg.arrivals = Arrivals::Pareto { alpha: real(v) },
             Churn => cfg.churn = (real(v) > 0.0).then(|| ChurnConfig::balanced(real(v))),
             Topology if v.raw == "chord" => {
                 let key = 0xD05E_5EED;

@@ -5,21 +5,9 @@
 //! and runs of at least 180 000 simulated seconds.
 
 use dup_overlay::{NodeId, TopologyParams};
-use dup_workload::RankPlacement;
+use dup_workload::{Arrivals, RankPlacement, ZipfPhase};
 
 use crate::interest::InterestPolicy;
-
-/// The query inter-arrival distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalKind {
-    /// Exponential inter-arrival times (Poisson arrivals) — the default.
-    Exponential,
-    /// Heavy-tailed Pareto inter-arrival times with shape `alpha`.
-    Pareto {
-        /// Shape parameter; the paper evaluates 1.05 and 1.20.
-        alpha: f64,
-    },
-}
 
 /// Where the index search tree comes from.
 #[derive(Debug, Clone)]
@@ -377,22 +365,6 @@ impl ReliabilityConfig {
     }
 }
 
-/// One segment of a piecewise-constant Zipf-θ schedule: from `start_secs`
-/// on (until the next phase, or forever), query origins are drawn with
-/// exponent `theta`. Flash-crowd scenarios spike θ mid-run, concentrating
-/// query mass onto the hottest ranks, then relax it back. The segment in
-/// effect depends only on simulated time — never on RNG state — and every
-/// segment draws exactly one uniform per origin, so an empty schedule is
-/// draw-for-draw identical to the constant-θ baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ZipfPhase {
-    /// When this segment takes effect (simulated seconds, > 0 and strictly
-    /// increasing across phases; the base `zipf_theta` covers `[0, first)`).
-    pub start_secs: f64,
-    /// The Zipf exponent in force during the segment.
-    pub theta: f64,
-}
-
 /// Observability configuration for a run.
 ///
 /// Controls only the *periodic sampling* schedule and engine
@@ -448,12 +420,16 @@ pub struct RunConfig {
     /// Network-wide mean query arrival rate λ (queries per second).
     pub lambda: f64,
     /// Inter-arrival distribution.
-    pub arrivals: ArrivalKind,
+    pub arrivals: Arrivals,
     /// Zipf exponent θ for query origins (the base segment of the
     /// schedule; see `zipf_phases`).
     pub zipf_theta: f64,
-    /// Later segments of a piecewise-constant θ schedule (flash crowds).
-    /// Empty (the default) keeps θ at `zipf_theta` for the whole run.
+    /// Later segments of a piecewise-constant θ schedule: flash-crowd
+    /// scenarios spike θ mid-run, concentrating query mass onto the
+    /// hottest ranks, then relax it back. Empty (the default) keeps θ at
+    /// `zipf_theta` for the whole run; the segment in effect depends only
+    /// on simulated time and every segment draws one uniform per origin,
+    /// so an empty schedule is draw-for-draw the constant-θ baseline.
     pub zipf_phases: Vec<ZipfPhase>,
     /// How Zipf ranks map onto nodes.
     pub rank_placement: RankPlacement,
@@ -498,7 +474,7 @@ impl RunConfig {
             seed,
             topology: TopologySource::RandomTree(TopologyParams::paper_default()),
             lambda: 1.0,
-            arrivals: ArrivalKind::Exponential,
+            arrivals: Arrivals::Exponential,
             zipf_theta: 0.8,
             zipf_phases: Vec::new(),
             rank_placement: RankPlacement::Random,
@@ -601,7 +577,7 @@ impl RunConfig {
                  (the lookahead window)"
             );
         }
-        if let ArrivalKind::Pareto { alpha } = self.arrivals {
+        if let Arrivals::Pareto { alpha } = self.arrivals {
             assert!(alpha > 1.0 && alpha < 2.0, "Pareto alpha must be in (1,2)");
         }
         if let Some(c) = &self.churn {
@@ -748,7 +724,7 @@ impl RunConfigBuilder {
     }
 
     /// Sets the inter-arrival distribution.
-    pub fn arrivals(mut self, arrivals: ArrivalKind) -> Self {
+    pub fn arrivals(mut self, arrivals: Arrivals) -> Self {
         self.cfg.arrivals = arrivals;
         self
     }
@@ -869,7 +845,7 @@ mod tests {
     #[should_panic(expected = "Pareto alpha")]
     fn bad_pareto_alpha_rejected() {
         let mut c = RunConfig::quick(0);
-        c.arrivals = ArrivalKind::Pareto { alpha: 2.5 };
+        c.arrivals = Arrivals::Pareto { alpha: 2.5 };
         c.validate();
     }
 

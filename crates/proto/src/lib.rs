@@ -62,9 +62,9 @@ pub mod trace;
 
 pub use cache::CacheStore;
 pub use config::{
-    ArrivalKind, ChurnConfig, FaultConfig, FaultWindow, NodeRange, PartitionWindow, ProbeConfig,
-    ProtocolConfig, QueueBackendConfig, QueueConfig, ReliabilityConfig, RunConfig,
-    RunConfigBuilder, SlowLink, TopologySource, ZipfPhase,
+    ChurnConfig, FaultConfig, FaultWindow, NodeRange, PartitionWindow, ProbeConfig, ProtocolConfig,
+    QueueBackendConfig, QueueConfig, ReliabilityConfig, RunConfig, RunConfigBuilder, SlowLink,
+    TopologySource,
 };
 pub use cup::{CupPushPolicy, CupScheme};
 pub use index::{AuthorityClock, IndexRecord, Version};

@@ -18,13 +18,9 @@ use dup_sim::{
     stream_rng, Engine, EventQueue, QueueBackend, RunOutcome, SenderStreams, SimDuration, SimTime,
     StreamRng,
 };
-use dup_workload::{
-    exp_variate, ArrivalProcess, Arrivals, HopLatency, RankPlacement, ZipfSchedule,
-};
+use dup_workload::{exp_variate, HopLatency, RankPlacement, ZipfSchedule};
 
-use crate::config::{
-    ArrivalKind, ChurnConfig, NodeRange, QueueBackendConfig, RunConfig, TopologySource,
-};
+use crate::config::{ChurnConfig, NodeRange, QueueBackendConfig, RunConfig, TopologySource};
 use crate::index::AuthorityClock;
 use crate::interest::InterestTracker;
 use crate::ledger::MsgClass;
@@ -132,7 +128,6 @@ pub struct Runner<S: Scheme> {
     cfg: RunConfig,
     /// World, scheme and the protocol handlers shared with every driver.
     node: NodeCore<S>,
-    arrivals: Arrivals,
     arrivals_rng: StreamRng,
     origin_rng: StreamRng,
     churn_rng: StreamRng,
@@ -246,22 +241,12 @@ impl<S: Scheme> Runner<S> {
         world.probe = probe;
         world.faults = FaultState::from_config(cfg.faults.clone(), seed);
         world.reliable = ReliableState::from_config(cfg.reliability.clone(), seed);
-        let arrivals = match cfg.arrivals {
-            ArrivalKind::Exponential => Arrivals::poisson(cfg.lambda),
-            ArrivalKind::Pareto { alpha } => Arrivals::pareto(alpha, cfg.lambda),
-        };
-        let phases: Vec<(f64, f64)> = cfg
-            .zipf_phases
-            .iter()
-            .map(|p| (p.start_secs, p.theta))
-            .collect();
-        let zipf = ZipfSchedule::new(n, cfg.zipf_theta, &phases);
+        let zipf = ZipfSchedule::new(n, cfg.zipf_theta, &cfg.zipf_phases);
         let rank_map = build_rank_map(&world.tree, cfg.rank_placement, seed);
         let live = LiveSet::from_tree(&world.tree);
         let warmup_end = SimTime::from_secs_f64(cfg.warmup_secs);
         let horizon = warmup_end + SimDuration::from_secs_f64(cfg.duration_secs);
         Runner {
-            arrivals,
             arrivals_rng: stream_rng(seed, "arrivals"),
             origin_rng: stream_rng(seed, "origins"),
             churn_rng: stream_rng(seed, "churn"),
@@ -449,7 +434,7 @@ impl<S: Scheme> Runner<S> {
         self.node.with_ctx(engine, |s, ctx| s.init(ctx));
         engine.schedule(self.warmup_end, Ev::EndWarmup);
         engine.schedule(self.node.world.authority.next_refresh_at(), Ev::Refresh);
-        let first_gap = self.arrivals.next_gap(&mut self.arrivals_rng);
+        let first_gap = self.next_query_gap();
         engine.schedule(SimTime::ZERO + first_gap, Ev::NextQuery);
         if self.cfg.churn.is_some() {
             let gap = self.next_churn_gap(SimTime::ZERO);
@@ -573,7 +558,7 @@ impl<S: Scheme> Runner<S> {
                 if owned {
                     self.node.begin_query(eng, origin);
                 }
-                let gap = self.arrivals.next_gap(&mut self.arrivals_rng);
+                let gap = self.next_query_gap();
                 eng.schedule_after(gap, Ev::NextQuery);
             }
             Ev::Deliver {
@@ -668,6 +653,11 @@ impl<S: Scheme> Runner<S> {
             in_flight_msgs: self.node.world.trace.in_flight(),
             shard: self.space.as_ref().map_or(0, |s| s.shard as u32),
         }
+    }
+
+    fn next_query_gap(&mut self) -> SimDuration {
+        let rate = self.cfg.lambda;
+        self.cfg.arrivals.next_gap(rate, &mut self.arrivals_rng)
     }
 
     fn sample_origin(&mut self, now: SimTime) -> NodeId {
@@ -969,7 +959,7 @@ mod tests {
     #[test]
     fn pareto_arrivals_run() {
         let mut cfg = tiny_cfg(4);
-        cfg.arrivals = ArrivalKind::Pareto { alpha: 1.2 };
+        cfg.arrivals = dup_workload::Arrivals::Pareto { alpha: 1.2 };
         let report = run_simulation(&cfg, PcxScheme::new());
         assert!(report.queries > 1000);
     }

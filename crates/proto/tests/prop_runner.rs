@@ -5,10 +5,9 @@ use proptest::prelude::*;
 
 use dup_overlay::TopologyParams;
 use dup_proto::{
-    run_simulation, ArrivalKind, ChurnConfig, CupScheme, InterestPolicy, PcxScheme, RunConfig,
-    TopologySource,
+    run_simulation, ChurnConfig, CupScheme, InterestPolicy, PcxScheme, RunConfig, TopologySource,
 };
-use dup_workload::RankPlacement;
+use dup_workload::{Arrivals, RankPlacement};
 
 /// A random but fast-to-run configuration.
 fn config_strategy() -> impl Strategy<Value = RunConfig> {
@@ -20,8 +19,8 @@ fn config_strategy() -> impl Strategy<Value = RunConfig> {
         0.0f64..3.0,                                            // theta
         prop_oneof![Just(None), (0.01f64..0.2).prop_map(Some)], // churn
         prop_oneof![
-            Just(ArrivalKind::Exponential),
-            (1.05f64..1.95).prop_map(|alpha| ArrivalKind::Pareto { alpha })
+            Just(Arrivals::Exponential),
+            (1.05f64..1.95).prop_map(|alpha| Arrivals::Pareto { alpha })
         ],
         prop_oneof![
             Just(InterestPolicy::Epoch),
@@ -112,7 +111,7 @@ proptest! {
         // A single heavy-tailed Pareto gap can span the whole measured
         // window (infinite variance at α near 1), so zero recorded queries
         // is legitimate there; Poisson arrivals always produce some.
-        if matches!(cfg.arrivals, ArrivalKind::Exponential) {
+        if matches!(cfg.arrivals, Arrivals::Exponential) {
             prop_assert!(r.queries > 0);
         }
         prop_assert!((0.0..=1.0).contains(&r.local_hit_fraction));

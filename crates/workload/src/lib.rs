@@ -17,13 +17,12 @@
 //!
 //! ```
 //! use dup_sim::stream_rng;
-//! use dup_workload::{ArrivalProcess, Arrivals, ZipfSelector};
+//! use dup_workload::{Arrivals, ZipfSelector};
 //!
 //! let mut rng = stream_rng(7, "docs-workload");
 //!
 //! // Poisson arrivals at λ = 2 queries/s:
-//! let mut arrivals = Arrivals::poisson(2.0);
-//! let gap = arrivals.next_gap(&mut rng);
+//! let gap = Arrivals::Exponential.next_gap(2.0, &mut rng);
 //! assert!(gap.as_secs_f64() > 0.0);
 //!
 //! // Zipf-like origins: rank 0 is the hottest node.
@@ -40,7 +39,7 @@ pub mod latency;
 pub mod variates;
 pub mod zipf;
 
-pub use arrival::{ArrivalProcess, Arrivals, ParetoArrivals, PoissonArrivals};
+pub use arrival::Arrivals;
 pub use latency::HopLatency;
 pub use variates::{exp_variate, lomax_variate};
-pub use zipf::{RankPlacement, ZipfSchedule, ZipfSelector};
+pub use zipf::{RankPlacement, ZipfPhase, ZipfSchedule, ZipfSelector};

@@ -134,6 +134,17 @@ impl ZipfSelector {
     }
 }
 
+/// One later segment of a [`ZipfSchedule`]: from `start_secs` on (until
+/// the next phase, or forever), ranks are drawn with exponent `theta`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ZipfPhase {
+    /// When this segment takes effect (simulated seconds, > 0 and strictly
+    /// increasing across phases; the base θ covers `[0, first)`).
+    pub start_secs: f64,
+    /// The Zipf exponent in force during the segment.
+    pub theta: f64,
+}
+
 /// A piecewise-constant θ schedule over simulated time: a base exponent
 /// from t = 0 plus zero or more later segments, each switching the whole
 /// selector to a new θ. Flash-crowd scenarios spike θ mid-run so query mass
@@ -161,23 +172,24 @@ impl ZipfSchedule {
     }
 
     /// Builds a schedule over `n` ranks: `base_theta` from t = 0, then one
-    /// segment per `(start_secs, theta)` phase.
+    /// segment per phase.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`, any θ is negative or non-finite (the
     /// [`ZipfSelector`] contract), or phase start times are not strictly
     /// increasing, positive, and finite.
-    pub fn new(n: usize, base_theta: f64, phases: &[(f64, f64)]) -> Self {
+    pub fn new(n: usize, base_theta: f64, phases: &[ZipfPhase]) -> Self {
         let mut starts = vec![0.0];
         let mut selectors = vec![ZipfSelector::new(n, base_theta)];
-        for &(start, theta) in phases {
+        for phase in phases {
+            let start = phase.start_secs;
             assert!(
                 start.is_finite() && start > *starts.last().expect("non-empty"),
                 "Zipf phase starts must be strictly increasing and positive, got {start}"
             );
             starts.push(start);
-            selectors.push(ZipfSelector::new(n, theta));
+            selectors.push(ZipfSelector::new(n, phase.theta));
         }
         ZipfSchedule { starts, selectors }
     }
@@ -413,9 +425,13 @@ mod tests {
         }
     }
 
+    fn phase(start_secs: f64, theta: f64) -> ZipfPhase {
+        ZipfPhase { start_secs, theta }
+    }
+
     #[test]
     fn schedule_selects_segment_by_time() {
-        let s = ZipfSchedule::new(16, 0.5, &[(100.0, 3.0), (200.0, 0.5)]);
+        let s = ZipfSchedule::new(16, 0.5, &[phase(100.0, 3.0), phase(200.0, 0.5)]);
         assert_eq!(s.segments(), 3);
         assert_eq!(s.segment_at(0.0), 0);
         assert_eq!(s.segment_at(99.999), 0);
@@ -446,7 +462,7 @@ mod tests {
     fn schedule_sample_consumes_one_draw_per_segment() {
         // Stream alignment must hold across segment switches: one uniform
         // per sample regardless of which segment is active.
-        let s = ZipfSchedule::new(32, 0.2, &[(10.0, 4.0)]);
+        let s = ZipfSchedule::new(32, 0.2, &[phase(10.0, 4.0)]);
         let mut a = stream_rng(11, "sched-draws");
         let mut b = stream_rng(11, "sched-draws");
         for i in 0..200 {
@@ -461,12 +477,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn schedule_rejects_unsorted_phases() {
-        ZipfSchedule::new(8, 0.5, &[(50.0, 1.0), (50.0, 2.0)]);
+        ZipfSchedule::new(8, 0.5, &[phase(50.0, 1.0), phase(50.0, 2.0)]);
     }
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn schedule_rejects_zero_start_phase() {
-        ZipfSchedule::new(8, 0.5, &[(0.0, 1.0)]);
+        ZipfSchedule::new(8, 0.5, &[phase(0.0, 1.0)]);
     }
 }

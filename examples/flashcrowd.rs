@@ -18,7 +18,7 @@ fn run_at(lambda: f64) -> dup_p2p::Triple {
     let cfg = RunConfig::builder(0xF1A5)
         .nodes(2048)
         .zipf_theta(2.5) // strong hot spot
-        .arrivals(ArrivalKind::Pareto { alpha: 1.05 }) // bursty, trace-like
+        .arrivals(Arrivals::Pareto { alpha: 1.05 }) // bursty, trace-like
         .lambda(lambda)
         .warmup_secs(7_200.0)
         .duration_secs(40_000.0)

@@ -57,12 +57,12 @@ pub mod prelude {
     pub use dup_core::{audit_quiescent, run_simulation_kind, DupMsg, DupScheme, SchemeKind};
     pub use dup_overlay::{ChordRing, NodeId, SearchTree, TopologyParams};
     pub use dup_proto::{
-        run_simulation, ArrivalKind, CaptureProbe, ChurnConfig, CupScheme, InterestPolicy,
-        JsonlProbe, PcxScheme, ProbeConfig, ProbeEvent, ProbeSink, ProtocolConfig, RunConfig,
-        RunConfigBuilder, RunReport, TopologySource, TraceSample,
+        run_simulation, CaptureProbe, ChurnConfig, CupScheme, InterestPolicy, JsonlProbe,
+        PcxScheme, ProbeConfig, ProbeEvent, ProbeSink, ProtocolConfig, RunConfig, RunConfigBuilder,
+        RunReport, TopologySource, TraceSample,
     };
     pub use dup_sim::{Probe, SimDuration, SimTime};
-    pub use dup_workload::RankPlacement;
+    pub use dup_workload::{Arrivals, RankPlacement};
 }
 
 #[cfg(test)]

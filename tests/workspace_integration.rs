@@ -91,7 +91,7 @@ fn pareto_and_placement_knobs_compose() {
     // interest oscillation, so no ordering is asserted here — only that the
     // configuration runs to completion and the latency CI is meaningful.
     let mut cfg = small(7);
-    cfg.arrivals = ArrivalKind::Pareto { alpha: 1.05 };
+    cfg.arrivals = Arrivals::Pareto { alpha: 1.05 };
     cfg.rank_placement = RankPlacement::ByDepthDeepFirst;
     let t = dup_p2p::compare_schemes(&cfg);
     assert!(t.dup.queries > 1000);
