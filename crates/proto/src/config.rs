@@ -1,13 +1,28 @@
-//! Simulation run configuration.
+//! Simulation run configuration: [`RunConfig`] says what one run is.
 //!
 //! Defaults follow the paper's Table I: `n = 4096`, `D = 4`, `λ = 1`/s,
 //! `θ = 0.8`, `c = 6`, TTL 60 min, push lead 1 min, hop latency Exp(0.1 s),
 //! and runs of at least 180 000 simulated seconds.
+//!
+//! This module holds the workload, the topology source, the protocol
+//! constants, churn, the measured window and the two shard counts. Every
+//! other concern keeps its knobs beside the state they configure:
+//! [`FaultConfig`] in [`crate::faults`], [`ReliabilityConfig`] in
+//! [`crate::reliable`], [`ProbeConfig`] in [`crate::probe`],
+//! [`QueueConfig`] beside the runner's queue builder in [`crate::runner`];
+//! the workload's own types ([`Arrivals`], [`ZipfPhase`],
+//! [`RankPlacement`]) are `dup-workload`'s. Every sub-struct validates
+//! itself; [`RunConfig::validate`] calls them and checks what spans more
+//! than one.
 
-use dup_overlay::{NodeId, TopologyParams};
-use dup_workload::{Arrivals, RankPlacement, ZipfPhase};
+use dup_overlay::TopologyParams;
+use dup_workload::{Arrivals, RankPlacement, ZipfPhase, ZipfSchedule};
 
+use crate::faults::FaultConfig;
 use crate::interest::InterestPolicy;
+use crate::probe::ProbeConfig;
+use crate::reliable::ReliabilityConfig;
+use crate::runner::QueueConfig;
 
 /// Where the index search tree comes from.
 #[derive(Debug, Clone)]
@@ -70,6 +85,28 @@ impl Default for ProtocolConfig {
     }
 }
 
+impl ProtocolConfig {
+    /// Validates parameter ranges (called by [`RunConfig::validate`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range parameters, with a description.
+    pub fn validate(&self) {
+        assert!(
+            self.ttl_secs > 0.0 && self.ttl_secs.is_finite(),
+            "TTL must be positive and finite"
+        );
+        assert!(
+            (0.0..self.ttl_secs).contains(&self.push_lead_secs),
+            "push lead must be below TTL and non-negative"
+        );
+        assert!(
+            (0.0..self.hop_latency_mean_secs).contains(&self.hop_latency_min_secs),
+            "hop latency floor must satisfy 0 <= min < mean"
+        );
+    }
+}
+
 /// Churn process configuration (extension experiment X1; the paper
 /// describes the mechanisms in §III-C without sweeping a rate).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,312 +139,30 @@ impl ChurnConfig {
     pub fn weight_total(&self) -> f64 {
         self.w_join_leaf + self.w_join_between + self.w_leave + self.w_fail
     }
-}
 
-/// A half-open window of simulated time `[start_secs, end_secs)` during
-/// which fault injection is active.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultWindow {
-    /// Window start (simulated seconds).
-    pub start_secs: f64,
-    /// Window end (simulated seconds, exclusive).
-    pub end_secs: f64,
-}
-
-impl FaultWindow {
-    /// True when `at_secs` falls inside the window.
-    pub fn contains(&self, at_secs: f64) -> bool {
-        at_secs >= self.start_secs && at_secs < self.end_secs
-    }
-}
-
-/// A contiguous half-open range of node indices `[lo, hi)` — the unit in
-/// which scenario faults scope themselves to a *region* of the node space.
-/// Node ids are dense indices, so a contiguous range is also how the
-/// space-parallel `ShardMap` partitions nodes, keeping regional faults
-/// meaningful under space sharding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeRange {
-    /// First node index in the range.
-    pub lo: u32,
-    /// One past the last node index in the range.
-    pub hi: u32,
-}
-
-impl NodeRange {
-    /// True when `node` falls inside the range.
-    #[inline]
-    pub fn contains(&self, node: NodeId) -> bool {
-        (self.lo..self.hi).contains(&node.0)
-    }
-
-    /// Number of indices covered.
-    pub fn len(&self) -> usize {
-        (self.hi - self.lo) as usize
-    }
-
-    /// True when the range covers nothing.
-    pub fn is_empty(&self) -> bool {
-        self.hi <= self.lo
-    }
-}
-
-/// A scripted network partition: during `window`, every message crossing
-/// the boundary of `region` — in **either** direction — is dropped. The
-/// cut is symmetric by construction (`inside(from) != inside(to)`), and
-/// purely deterministic: deciding a message's fate draws nothing from any
-/// RNG stream, so adding partitions to a config never perturbs the other
-/// seeded streams.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartitionWindow {
-    /// When the cut is in force.
-    pub window: FaultWindow,
-    /// The partitioned-off node region; traffic wholly inside or wholly
-    /// outside it is unaffected.
-    pub region: NodeRange,
-}
-
-impl PartitionWindow {
-    /// True when a message from `from` to `to` at `at_secs` crosses the
-    /// active cut. Symmetric in `from`/`to` by construction.
-    #[inline]
-    pub fn cuts(&self, from: NodeId, to: NodeId, at_secs: f64) -> bool {
-        self.window.contains(at_secs) && (self.region.contains(from) != self.region.contains(to))
-    }
-}
-
-/// A slow directed link class: hops from a node in `from` to a node in
-/// `to` stretch their exponential latency *tail* by `mult` (≥ 1). The
-/// latency floor — the space-parallel lookahead — is never scaled, so a
-/// conservative engine's causality window stays valid however slow the
-/// link. Directionality models asymmetric links: configure only one
-/// direction to slow it alone.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlowLink {
-    /// Sender-side region.
-    pub from: NodeRange,
-    /// Receiver-side region.
-    pub to: NodeRange,
-    /// Tail multiplier, at least 1.
-    pub mult: f64,
-}
-
-/// Deterministic fault-injection configuration (disabled by default).
-///
-/// When enabled, every message passing through the delivery path draws its
-/// fate from a dedicated seeded stream (`stream_rng(seed, "faults")`): it
-/// may be dropped, duplicated, or held back by an extra delay. Extra delays
-/// are applied *before* the per-channel FIFO reservation, so channels stay
-/// FIFO (as over TCP) — faults reorder traffic across channels, never
-/// within one. `churn_boost` scales the churn rate inside the windows,
-/// scripting bursts of topology change.
-///
-/// With the default configuration the fault layer draws **nothing** from
-/// any RNG stream and changes no behavior, so the determinism goldens in
-/// `tests/perf_determinism.rs` are unaffected.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultConfig {
-    /// Probability a message is silently dropped in transit.
-    pub drop_p: f64,
-    /// Probability a message is delivered twice.
-    pub duplicate_p: f64,
-    /// Probability a message is held back by an extra uniform delay.
-    pub delay_p: f64,
-    /// Upper bound of the extra delay (simulated seconds).
-    pub max_extra_delay_secs: f64,
-    /// Multiplier applied to the churn rate while a window is active
-    /// (`1.0` = no boost); scripts churn bursts.
-    pub churn_boost: f64,
-    /// Windows during which faults apply. Empty (the default) means the
-    /// whole run — but with all probabilities at zero and `churn_boost` at
-    /// one, the layer is inert either way.
-    pub windows: Vec<FaultWindow>,
-    /// Scripted partitions: windows during which messages crossing a node
-    /// region's boundary are deterministically dropped (zero RNG draws).
-    pub partitions: Vec<PartitionWindow>,
-    /// Slow/asymmetric link classes: directed region-to-region hop-latency
-    /// tail multipliers (zero RNG *extra* draws — the one latency variate
-    /// per hop is scaled, never re-drawn).
-    pub slow_links: Vec<SlowLink>,
-    /// When set, churn victim/anchor selection is confined to this node
-    /// region — correlated regional churn. The root and out-of-region
-    /// nodes are never picked. `None` (the default) keeps churn global.
-    pub churn_region: Option<NodeRange>,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            drop_p: 0.0,
-            duplicate_p: 0.0,
-            delay_p: 0.0,
-            max_extra_delay_secs: 0.0,
-            churn_boost: 1.0,
-            windows: Vec::new(),
-            partitions: Vec::new(),
-            slow_links: Vec::new(),
-            churn_region: None,
+    /// Validates parameter ranges (called by [`RunConfig::validate`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range parameters, with a description.
+    pub fn validate(&self) {
+        assert!(self.rate > 0.0, "churn rate must be positive");
+        for w in [
+            self.w_join_leaf,
+            self.w_join_between,
+            self.w_leave,
+            self.w_fail,
+        ] {
+            assert!(
+                w >= 0.0 && w.is_finite(),
+                "churn weights must be non-negative and finite"
+            );
         }
+        assert!(
+            self.weight_total() > 0.0,
+            "churn weights must not all be zero"
+        );
     }
-}
-
-impl FaultConfig {
-    /// True when this configuration can affect a run at all. The runner
-    /// skips every fault check (and every RNG draw) when false.
-    pub fn is_enabled(&self) -> bool {
-        self.has_random_faults()
-            || self.churn_boost != 1.0
-            || !self.partitions.is_empty()
-            || !self.slow_links.is_empty()
-            || self.churn_region.is_some()
-    }
-
-    /// True when any *probabilistic* fault is configured — the only paths
-    /// that draw from the fault RNG streams. Partitions, slow links, and
-    /// scoped churn are deterministic (or reuse an existing draw) and are
-    /// deliberately excluded, so a scenario built purely from them still
-    /// draws nothing from the per-sender fault streams.
-    pub fn has_random_faults(&self) -> bool {
-        self.drop_p > 0.0 || self.duplicate_p > 0.0 || self.delay_p > 0.0
-    }
-
-    /// True when faults apply at `at_secs`: inside any window, or always
-    /// when no windows are configured.
-    pub fn active_at(&self, at_secs: f64) -> bool {
-        self.windows.is_empty() || self.windows.iter().any(|w| w.contains(at_secs))
-    }
-
-    /// True when a message from `from` to `to` at `at_secs` crosses any
-    /// active partition cut. Deterministic — no RNG involved — and
-    /// symmetric in `from`/`to`.
-    #[inline]
-    pub fn partition_cuts(&self, from: NodeId, to: NodeId, at_secs: f64) -> bool {
-        self.partitions.iter().any(|p| p.cuts(from, to, at_secs))
-    }
-
-    /// The hop-latency tail multiplier for a message from `from` to `to`:
-    /// the largest matching [`SlowLink`] multiplier, or `1.0` when none
-    /// matches (the common fast path).
-    #[inline]
-    pub fn link_mult(&self, from: NodeId, to: NodeId) -> f64 {
-        let mut mult = 1.0;
-        for l in &self.slow_links {
-            if l.from.contains(from) && l.to.contains(to) && l.mult > mult {
-                mult = l.mult;
-            }
-        }
-        mult
-    }
-}
-
-/// Reliable-delivery configuration (disabled by default).
-///
-/// When enabled, every scheme message (maintenance and push traffic — the
-/// `Control` and `Push` cost classes) is sent through the reliability
-/// layer: the receiver acknowledges each sequence-numbered message and
-/// suppresses duplicate deliveries, while the sender retransmits on a
-/// deterministic exponential-backoff schedule (seeded jitter, bounded
-/// retry budget). Query requests and replies stay fire-and-forget: the
-/// query path already tolerates loss (the querier simply re-queries),
-/// whereas a lost `substitute` silently corrupts the DUP tree.
-///
-/// `lease_every_secs` additionally schedules a periodic lease tick that
-/// the scheme may use for soft-state renewal and orphan repair (see
-/// [`crate::Scheme::on_lease_tick`]); `0` disables the tick.
-///
-/// With the default configuration the layer draws **nothing** from any
-/// RNG stream and changes no message, so the determinism goldens in
-/// `tests/perf_determinism.rs` are unaffected.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReliabilityConfig {
-    /// Master switch for ack/retransmit tracking of scheme messages.
-    pub enabled: bool,
-    /// Base retransmit timeout (seconds): how long the sender waits for an
-    /// ack before the first retransmission.
-    pub ack_timeout_secs: f64,
-    /// Multiplier applied to the timeout after each retransmission
-    /// (exponential backoff; must be ≥ 1).
-    pub backoff_factor: f64,
-    /// Upper bound on the backed-off timeout (seconds), before jitter.
-    pub max_backoff_secs: f64,
-    /// Jitter fraction in `[0, 1)`: each tracked message draws one uniform
-    /// `u` and every one of its timeouts is scaled by `1 + jitter_frac·u`,
-    /// de-synchronizing retransmit bursts while keeping the per-message
-    /// schedule monotone.
-    pub jitter_frac: f64,
-    /// Retransmission budget: how many times an unacked message is resent
-    /// before the sender gives up (`0` keeps dedup/acks but never resends).
-    pub max_retries: u32,
-    /// Interval (simulated seconds) between lease ticks handed to the
-    /// scheme; `0` (the default) disables the tick.
-    pub lease_every_secs: f64,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            enabled: false,
-            ack_timeout_secs: 2.0,
-            backoff_factor: 2.0,
-            max_backoff_secs: 60.0,
-            jitter_frac: 0.1,
-            max_retries: 5,
-            lease_every_secs: 0.0,
-        }
-    }
-}
-
-impl ReliabilityConfig {
-    /// True when the layer can affect a run at all. The send path skips
-    /// every reliability check (and every RNG draw) when false.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-}
-
-/// Observability configuration for a run.
-///
-/// Controls only the *periodic sampling* schedule and engine
-/// self-profiling; whether any events are recorded at all is
-/// decided by attaching a probe at run time (see
-/// [`crate::Runner::with_probe`]), so configs stay free of non-data probe
-/// state.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ProbeConfig {
-    /// Interval (simulated seconds) between time-series samples collected
-    /// into [`crate::RunReport::samples`]; `0` (the default) disables
-    /// sampling.
-    pub sample_every_secs: f64,
-    /// Opt-in engine self-profiling: wall-clock per-phase timing, queue
-    /// depth sampling, and probe-emit accounting, harvested into
-    /// [`crate::RunReport::engine_profile`]. Wall-clock only — never feeds
-    /// back into deterministic results. Defaults off.
-    pub profile_engine: bool,
-}
-
-/// Which pending-event store the simulation engine uses. Both backends pop
-/// in identical `(time, seq)` order — selection trades constant factors
-/// only, never results (enforced by the backend-equivalence tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackendConfig {
-    /// Binary heap. Kept as the reference the wheel is compared against
-    /// (and the benchmark's `heap_ns_per_op` row); no run needs to ask
-    /// for it.
-    Heap,
-    /// Hierarchical timer wheel; the runner derives the finest slot width
-    /// from the arrival rate so near-future deliveries place in `O(1)`.
-    /// Faster than the heap in every benchmarked cell and no larger in
-    /// memory (its slots are list heads threaded through the event slab).
-    #[default]
-    TimerWheel,
-}
-
-/// Event-queue configuration for a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QueueConfig {
-    /// Backend selection (default: the timer wheel). Either backend is
-    /// pre-sized by the runner from the expected event volume.
-    pub backend: QueueBackendConfig,
 }
 
 /// Full configuration of one simulation run.
@@ -518,16 +273,12 @@ impl RunConfig {
     /// A scaled-down configuration for tests and examples: smaller
     /// network and a shorter (but still multi-TTL) window.
     pub fn quick(seed: u64) -> Self {
-        RunConfig {
-            topology: TopologySource::RandomTree(TopologyParams {
-                nodes: 512,
-                max_degree: 4,
-            }),
-            warmup_secs: 3600.0,
-            duration_secs: 20_000.0,
-            latency_batch: 100,
-            ..RunConfig::paper_default(seed)
-        }
+        RunConfig::builder(seed)
+            .nodes(512)
+            .warmup_secs(3600.0)
+            .duration_secs(20_000.0)
+            .latency_batch(100)
+            .build()
     }
 
     /// Validates parameter ranges.
@@ -536,27 +287,40 @@ impl RunConfig {
     ///
     /// Panics on out-of-range parameters, with a description.
     pub fn validate(&self) {
-        assert!(self.lambda > 0.0, "lambda must be positive");
-        assert!(self.zipf_theta >= 0.0, "theta must be non-negative");
-        assert!(self.duration_secs > 0.0, "duration must be positive");
-        assert!(self.warmup_secs >= 0.0, "warmup must be non-negative");
+        let nodes = self.topology.node_count();
+        assert!(nodes >= 1, "need at least one node");
         assert!(
-            self.protocol.push_lead_secs < self.protocol.ttl_secs,
-            "push lead must be below TTL"
+            self.lambda > 0.0 && self.lambda.is_finite(),
+            "lambda must be positive and finite"
+        );
+        if let Arrivals::Pareto { alpha } = self.arrivals {
+            assert!(alpha > 1.0 && alpha < 2.0, "Pareto alpha must be in (1,2)");
+        }
+        assert!(self.zipf_theta >= 0.0, "theta must be non-negative");
+        ZipfSchedule::validate_phases(&self.zipf_phases);
+        assert!(
+            self.duration_secs > 0.0 && self.duration_secs.is_finite(),
+            "duration must be positive and finite"
+        );
+        assert!(
+            self.warmup_secs >= 0.0 && self.warmup_secs.is_finite(),
+            "warmup must be non-negative and finite"
         );
         assert!(
             self.latency_batch > 0,
             "latency batch size must be positive"
         );
+        self.probe.validate();
+        self.protocol.validate();
+        if let Some(churn) = &self.churn {
+            churn.validate();
+        }
+        self.faults.validate(nodes);
+        self.reliability.validate();
         assert!(self.shards >= 1, "shard count must be at least 1");
         assert!(
             self.space_shards >= 1,
             "space shard count must be at least 1"
-        );
-        assert!(
-            (0.0..self.protocol.hop_latency_mean_secs)
-                .contains(&self.protocol.hop_latency_min_secs),
-            "hop latency floor must satisfy 0 <= min < mean"
         );
         if self.space_shards > 1 {
             // Space partitioning holds only for the event classes the
@@ -577,117 +341,6 @@ impl RunConfig {
                  (the lookahead window)"
             );
         }
-        if let Arrivals::Pareto { alpha } = self.arrivals {
-            assert!(alpha > 1.0 && alpha < 2.0, "Pareto alpha must be in (1,2)");
-        }
-        if let Some(c) = &self.churn {
-            assert!(c.rate > 0.0, "churn rate must be positive");
-            assert!(c.weight_total() > 0.0, "churn weights must not all be zero");
-        }
-        assert!(self.topology.node_count() >= 1, "need at least one node");
-        assert!(
-            self.probe.sample_every_secs >= 0.0,
-            "probe sample interval must be non-negative"
-        );
-        let f = &self.faults;
-        for (name, p) in [
-            ("drop", f.drop_p),
-            ("duplicate", f.duplicate_p),
-            ("delay", f.delay_p),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "fault {name} probability must be in [0,1]"
-            );
-        }
-        assert!(
-            f.drop_p + f.duplicate_p + f.delay_p <= 1.0,
-            "fault probabilities must sum to at most 1"
-        );
-        assert!(
-            f.max_extra_delay_secs >= 0.0 && f.max_extra_delay_secs.is_finite(),
-            "fault extra delay must be non-negative and finite"
-        );
-        assert!(
-            f.delay_p == 0.0 || f.max_extra_delay_secs > 0.0,
-            "fault delay probability needs a positive max extra delay"
-        );
-        assert!(
-            f.churn_boost > 0.0 && f.churn_boost.is_finite(),
-            "fault churn boost must be positive and finite"
-        );
-        for w in &f.windows {
-            assert!(
-                w.start_secs >= 0.0 && w.end_secs > w.start_secs,
-                "fault window must satisfy 0 <= start < end"
-            );
-        }
-        for p in &f.partitions {
-            assert!(
-                p.window.start_secs >= 0.0 && p.window.end_secs > p.window.start_secs,
-                "partition window must satisfy 0 <= start < end"
-            );
-            assert!(
-                !p.region.is_empty(),
-                "partition region must be a non-empty node range"
-            );
-        }
-        for l in &f.slow_links {
-            assert!(
-                !l.from.is_empty() && !l.to.is_empty(),
-                "slow-link regions must be non-empty node ranges"
-            );
-            assert!(
-                l.mult >= 1.0 && l.mult.is_finite(),
-                "slow-link multiplier must be >= 1 and finite (the latency \
-                 floor is the parallel lookahead and cannot shrink)"
-            );
-        }
-        if let Some(region) = &f.churn_region {
-            assert!(
-                !region.is_empty(),
-                "churn region must be a non-empty node range"
-            );
-            assert!(
-                (region.lo as usize) < self.topology.node_count(),
-                "churn region must overlap the initial node space"
-            );
-        }
-        let mut prev_start = 0.0;
-        for phase in &self.zipf_phases {
-            assert!(
-                phase.start_secs.is_finite() && phase.start_secs > prev_start,
-                "zipf phase starts must be strictly increasing and positive"
-            );
-            assert!(
-                phase.theta >= 0.0 && phase.theta.is_finite(),
-                "zipf phase theta must be non-negative and finite"
-            );
-            prev_start = phase.start_secs;
-        }
-        let r = &self.reliability;
-        assert!(
-            r.lease_every_secs >= 0.0 && r.lease_every_secs.is_finite(),
-            "reliability lease interval must be non-negative and finite"
-        );
-        if r.enabled {
-            assert!(
-                r.ack_timeout_secs > 0.0 && r.ack_timeout_secs.is_finite(),
-                "reliability ack timeout must be positive and finite"
-            );
-            assert!(
-                r.backoff_factor >= 1.0 && r.backoff_factor.is_finite(),
-                "reliability backoff factor must be at least 1"
-            );
-            assert!(
-                r.max_backoff_secs >= r.ack_timeout_secs,
-                "reliability backoff cap must cover the base timeout"
-            );
-            assert!(
-                (0.0..1.0).contains(&r.jitter_frac),
-                "reliability jitter fraction must be in [0,1)"
-            );
-        }
     }
 }
 
@@ -701,19 +354,13 @@ pub struct RunConfigBuilder {
 }
 
 impl RunConfigBuilder {
-    /// Resizes the network, preserving the current max degree when the
-    /// source is a random tree (other sources are replaced by a random tree
-    /// of the paper's degree).
+    /// Resizes the network, whatever its source: a random tree keeps its
+    /// max degree, a Chord ring its key.
     pub fn nodes(mut self, n: usize) -> Self {
-        self.cfg.topology = match self.cfg.topology {
-            TopologySource::RandomTree(p) => {
-                TopologySource::RandomTree(TopologyParams { nodes: n, ..p })
-            }
-            _ => TopologySource::RandomTree(TopologyParams {
-                nodes: n,
-                ..TopologyParams::paper_default()
-            }),
-        };
+        match &mut self.cfg.topology {
+            TopologySource::RandomTree(p) => p.nodes = n,
+            TopologySource::Chord { nodes, .. } => *nodes = n,
+        }
         self
     }
 
@@ -829,15 +476,46 @@ mod tests {
     }
 
     #[test]
-    fn quick_preset_is_valid() {
-        RunConfig::quick(0).validate();
+    #[should_panic(expected = "lambda must be positive and finite")]
+    fn infinite_lambda_rejected() {
+        let mut c = RunConfig::quick(0);
+        c.lambda = f64::INFINITY;
+        c.validate();
     }
 
     #[test]
-    #[should_panic(expected = "lambda")]
-    fn zero_lambda_rejected() {
+    #[should_panic(expected = "TTL must be positive")]
+    fn negative_ttl_rejected() {
         let mut c = RunConfig::quick(0);
-        c.lambda = 0.0;
+        c.protocol.ttl_secs = -5.0;
+        c.protocol.push_lead_secs = -10.0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "push lead must be below TTL and non-negative")]
+    fn negative_push_lead_rejected() {
+        let mut c = RunConfig::quick(0);
+        c.protocol.push_lead_secs = -10.0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "churn weights must be non-negative")]
+    fn negative_churn_weight_rejected() {
+        let mut c = RunConfig::quick(0);
+        c.churn = Some(ChurnConfig {
+            w_join_between: -1.0,
+            ..ChurnConfig::balanced(0.05)
+        });
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "duration must be positive and finite")]
+    fn infinite_duration_rejected() {
+        let mut c = RunConfig::quick(0);
+        c.duration_secs = f64::INFINITY;
         c.validate();
     }
 
@@ -885,248 +563,20 @@ mod tests {
     }
 
     #[test]
+    fn builder_nodes_resizes_a_chord_ring() {
+        let mut builder = RunConfig::builder(0);
+        builder.cfg.topology = TopologySource::Chord { nodes: 64, key: 7 };
+        let resized = builder.nodes(100).build().topology;
+        assert!(
+            matches!(resized, TopologySource::Chord { nodes: 100, key: 7 }),
+            "got {resized:?}"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "lambda must be positive")]
     fn builder_validates_at_build() {
         RunConfig::builder(0).lambda(0.0).build();
-    }
-
-    #[test]
-    fn probe_config_defaults_off() {
-        assert_eq!(ProbeConfig::default().sample_every_secs, 0.0);
-        assert_eq!(RunConfig::quick(1).probe, ProbeConfig::default());
-    }
-
-    #[test]
-    fn profiling_defaults_off() {
-        assert!(
-            !ProbeConfig::default().profile_engine,
-            "profiling is opt-in"
-        );
-    }
-
-    #[test]
-    fn fault_config_defaults_off() {
-        let d = FaultConfig::default();
-        assert!(!d.is_enabled());
-        assert!(!d.has_random_faults());
-        assert!(d.active_at(0.0), "no windows means always in-window");
-        assert_eq!(RunConfig::quick(1).faults, d);
-    }
-
-    #[test]
-    fn fault_windows_gate_activity() {
-        let f = FaultConfig {
-            drop_p: 0.1,
-            windows: vec![
-                FaultWindow {
-                    start_secs: 100.0,
-                    end_secs: 200.0,
-                },
-                FaultWindow {
-                    start_secs: 500.0,
-                    end_secs: 600.0,
-                },
-            ],
-            ..FaultConfig::default()
-        };
-        assert!(f.is_enabled());
-        assert!(!f.active_at(99.9));
-        assert!(f.active_at(100.0));
-        assert!(f.active_at(199.9));
-        assert!(!f.active_at(200.0), "windows are half-open");
-        assert!(f.active_at(550.0));
-        assert!(!f.active_at(1000.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "fault drop probability")]
-    fn out_of_range_fault_probability_rejected() {
-        let mut c = RunConfig::quick(0);
-        c.faults.drop_p = 1.5;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to at most 1")]
-    fn fault_probabilities_must_partition() {
-        let mut c = RunConfig::quick(0);
-        c.faults.drop_p = 0.6;
-        c.faults.duplicate_p = 0.6;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "fault window")]
-    fn inverted_fault_window_rejected() {
-        let mut c = RunConfig::quick(0);
-        c.faults.windows.push(FaultWindow {
-            start_secs: 10.0,
-            end_secs: 5.0,
-        });
-        c.validate();
-    }
-
-    #[test]
-    fn reliability_config_defaults_off() {
-        let d = ReliabilityConfig::default();
-        assert!(!d.is_enabled());
-        assert_eq!(d.lease_every_secs, 0.0);
-        assert_eq!(RunConfig::quick(1).reliability, d);
-    }
-
-    #[test]
-    fn builder_sets_reliability() {
-        let cfg = RunConfig::builder(0)
-            .reliability(ReliabilityConfig {
-                enabled: true,
-                lease_every_secs: 300.0,
-                ..ReliabilityConfig::default()
-            })
-            .build();
-        assert!(cfg.reliability.is_enabled());
-        assert_eq!(cfg.reliability.lease_every_secs, 300.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff cap must cover")]
-    fn reliability_cap_below_base_rejected() {
-        let mut c = RunConfig::quick(0);
-        c.reliability.enabled = true;
-        c.reliability.ack_timeout_secs = 10.0;
-        c.reliability.max_backoff_secs = 5.0;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "jitter fraction")]
-    fn reliability_jitter_out_of_range_rejected() {
-        let mut c = RunConfig::quick(0);
-        c.reliability.enabled = true;
-        c.reliability.jitter_frac = 1.0;
-        c.validate();
-    }
-
-    #[test]
-    fn disabled_reliability_skips_range_checks() {
-        // Out-of-range knobs on a disabled layer must not reject the run:
-        // older configs round-tripped through tools that zeroed fields
-        // still load and run unchanged.
-        let mut c = RunConfig::quick(0);
-        c.reliability.ack_timeout_secs = 0.0;
-        c.validate();
-    }
-
-    #[test]
-    fn builder_sets_faults() {
-        let cfg = RunConfig::builder(0)
-            .faults(FaultConfig {
-                drop_p: 0.05,
-                duplicate_p: 0.02,
-                delay_p: 0.1,
-                max_extra_delay_secs: 2.0,
-                churn_boost: 4.0,
-                windows: vec![FaultWindow {
-                    start_secs: 0.0,
-                    end_secs: 1000.0,
-                }],
-                ..FaultConfig::default()
-            })
-            .build();
-        assert!(cfg.faults.is_enabled());
-        assert_eq!(cfg.faults.windows.len(), 1);
-    }
-
-    #[test]
-    fn scenario_fields_default_off() {
-        let d = FaultConfig::default();
-        assert!(d.partitions.is_empty() && d.slow_links.is_empty());
-        assert_eq!(d.churn_region, None);
-        assert!(RunConfig::quick(1).zipf_phases.is_empty(), "constant θ");
-    }
-
-    #[test]
-    fn partition_cut_is_symmetric_and_windowed() {
-        let f = FaultConfig {
-            partitions: vec![PartitionWindow {
-                window: FaultWindow {
-                    start_secs: 100.0,
-                    end_secs: 200.0,
-                },
-                region: NodeRange { lo: 4, hi: 8 },
-            }],
-            ..FaultConfig::default()
-        };
-        assert!(f.is_enabled(), "partitions arm the fault layer");
-        assert!(!f.has_random_faults(), "partitions draw no RNG");
-        let inside = NodeId(5);
-        let outside = NodeId(1);
-        assert!(f.partition_cuts(inside, outside, 150.0));
-        assert!(f.partition_cuts(outside, inside, 150.0), "cut is symmetric");
-        assert!(
-            !f.partition_cuts(inside, NodeId(6), 150.0),
-            "intra-region ok"
-        );
-        assert!(
-            !f.partition_cuts(outside, NodeId(2), 150.0),
-            "extra-region ok"
-        );
-        assert!(
-            !f.partition_cuts(inside, outside, 99.9),
-            "before the window"
-        );
-        assert!(
-            !f.partition_cuts(inside, outside, 200.0),
-            "half-open window"
-        );
-    }
-
-    #[test]
-    fn link_mult_takes_the_largest_directed_match() {
-        let f = FaultConfig {
-            slow_links: vec![
-                SlowLink {
-                    from: NodeRange { lo: 0, hi: 4 },
-                    to: NodeRange { lo: 4, hi: 8 },
-                    mult: 3.0,
-                },
-                SlowLink {
-                    from: NodeRange { lo: 0, hi: 8 },
-                    to: NodeRange { lo: 4, hi: 8 },
-                    mult: 5.0,
-                },
-            ],
-            ..FaultConfig::default()
-        };
-        assert_eq!(f.link_mult(NodeId(1), NodeId(5)), 5.0, "max of matches");
-        assert_eq!(f.link_mult(NodeId(5), NodeId(1)), 1.0, "asymmetric");
-        assert_eq!(f.link_mult(NodeId(5), NodeId(6)), 5.0);
-        assert_eq!(FaultConfig::default().link_mult(NodeId(0), NodeId(1)), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "slow-link multiplier")]
-    fn sub_unity_link_mult_rejected() {
-        let mut c = RunConfig::quick(0);
-        c.faults.slow_links.push(SlowLink {
-            from: NodeRange { lo: 0, hi: 4 },
-            to: NodeRange { lo: 4, hi: 8 },
-            mult: 0.5,
-        });
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "partition region")]
-    fn empty_partition_region_rejected() {
-        let mut c = RunConfig::quick(0);
-        c.faults.partitions.push(PartitionWindow {
-            window: FaultWindow {
-                start_secs: 0.0,
-                end_secs: 10.0,
-            },
-            region: NodeRange { lo: 4, hi: 4 },
-        });
-        c.validate();
     }
 
     #[test]
@@ -1144,23 +594,6 @@ mod tests {
             },
         ];
         c.validate();
-    }
-
-    #[test]
-    fn builder_sets_zipf_phases_and_churn_region() {
-        let cfg = RunConfig::builder(0)
-            .zipf_phases(vec![ZipfPhase {
-                start_secs: 500.0,
-                theta: 3.0,
-            }])
-            .faults(FaultConfig {
-                churn_region: Some(NodeRange { lo: 8, hi: 64 }),
-                ..FaultConfig::default()
-            })
-            .build();
-        assert_eq!(cfg.zipf_phases.len(), 1);
-        assert!(cfg.faults.is_enabled(), "a churn region arms the layer");
-        assert!(!cfg.faults.has_random_faults());
     }
 
     #[test]

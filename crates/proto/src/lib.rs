@@ -18,6 +18,11 @@
 //! * [`metrics`] — query latency/cost collection with batch-means CIs.
 //! * [`scheme`] — the [`scheme::Scheme`] trait that a consistency scheme
 //!   implements, and the [`scheme::Ctx`] it acts through.
+//! * [`config`] — [`RunConfig`]: what one run is. Each layer that can be
+//!   switched on keeps its knobs, their validation and its run-time state
+//!   in its own module: [`faults`] and [`reliable`].
+//! * [`faults`] — opt-in deterministic fault injection: drops, duplicates,
+//!   delays, partitions, slow links, churn bursts (draws nothing when off).
 //! * [`reliable`] — opt-in ack/retransmit delivery for maintenance and
 //!   push traffic: backoff schedules, pending-ack tracking, duplicate
 //!   suppression (disabled by default; draws nothing when off).
@@ -45,6 +50,7 @@
 pub mod cache;
 pub mod config;
 pub mod cup;
+pub mod faults;
 pub mod index;
 pub mod interest;
 pub mod ledger;
@@ -61,12 +67,11 @@ pub mod telemetry;
 pub mod trace;
 
 pub use cache::CacheStore;
-pub use config::{
-    ChurnConfig, FaultConfig, FaultWindow, NodeRange, PartitionWindow, ProbeConfig, ProtocolConfig,
-    QueueBackendConfig, QueueConfig, ReliabilityConfig, RunConfig, RunConfigBuilder, SlowLink,
-    TopologySource,
-};
+pub use config::{ChurnConfig, ProtocolConfig, RunConfig, RunConfigBuilder, TopologySource};
 pub use cup::{CupPushPolicy, CupScheme};
+pub use faults::{
+    FaultConfig, FaultState, FaultStats, FaultWindow, NodeRange, PartitionWindow, SlowLink,
+};
 pub use index::{AuthorityClock, IndexRecord, Version};
 pub use interest::{InterestPolicy, InterestTracker};
 pub use ledger::{CostLedger, MsgClass};
@@ -75,13 +80,17 @@ pub use metrics::{Metrics, RunReport};
 pub use node::NodeCore;
 pub use pcx::PcxScheme;
 pub use probe::{
-    CaptureProbe, JsonlProbe, ProbeEvent, ProbeSink, SubscriberStats, TraceLine, TraceSample,
+    CaptureProbe, JsonlProbe, ProbeConfig, ProbeEvent, ProbeSink, SubscriberStats, TraceLine,
+    TraceSample,
 };
-pub use reliable::{backoff_delay_secs, ReliabilityStats, ReliableState, RetryAction};
-pub use runner::{build_topology, run_simulation, LiveSetError, LogRecord, Runner, SettledRun};
-pub use scheme::{
-    AppliedChurn, Ctx, Ev, EvSink, FaultState, FaultStats, FifoClocks, Msg, Scheme, World,
+pub use reliable::{
+    backoff_delay_secs, ReliabilityConfig, ReliabilityStats, ReliableState, RetryAction,
 };
+pub use runner::{
+    build_topology, run_simulation, LiveSetError, LogRecord, QueueBackendConfig, QueueConfig,
+    Runner, SettledRun,
+};
+pub use scheme::{AppliedChurn, Ctx, Ev, EvSink, FifoClocks, Msg, Scheme, World};
 pub use space::{run_simulation_space, run_simulation_space_settled, ShardMap, SpaceSettledRun};
 pub use telemetry::Registry;
 pub use trace::{

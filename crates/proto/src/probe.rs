@@ -271,6 +271,41 @@ pub struct SubscriberStats {
     pub mean_list_len: f64,
 }
 
+/// Observability configuration for a run.
+///
+/// Controls only the *periodic sampling* schedule and engine
+/// self-profiling; whether any events are recorded at all is
+/// decided by attaching a probe at run time (see
+/// [`crate::Runner::with_probe`]), so configs stay free of non-data probe
+/// state.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ProbeConfig {
+    /// Interval (simulated seconds) between time-series samples collected
+    /// into [`crate::RunReport::samples`]; `0` (the default) disables
+    /// sampling.
+    pub sample_every_secs: f64,
+    /// Opt-in engine self-profiling: wall-clock per-phase timing, queue
+    /// depth sampling, and probe-emit accounting, harvested into
+    /// [`crate::RunReport::engine_profile`]. Wall-clock only — never feeds
+    /// back into deterministic results. Defaults off.
+    pub profile_engine: bool,
+}
+
+impl ProbeConfig {
+    /// Validates parameter ranges (called by
+    /// [`crate::RunConfig::validate`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range parameters, with a description.
+    pub fn validate(&self) {
+        assert!(
+            self.sample_every_secs >= 0.0,
+            "probe sample interval must be non-negative"
+        );
+    }
+}
+
 /// Emissions between timed emissions when [`ProbeSink`] timing is enabled
 /// (power of two so the check compiles to a mask). Sampled durations are
 /// scaled by the stride, mirroring the engine profiler's strided clocking.
@@ -530,6 +565,15 @@ impl<W: Write> Probe<ProbeEvent> for JsonlProbe<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RunConfig;
+
+    #[test]
+    fn probe_config_defaults_off() {
+        let off = ProbeConfig::default();
+        assert_eq!(off.sample_every_secs, 0.0);
+        assert!(!off.profile_engine, "profiling is opt-in");
+        assert_eq!(RunConfig::quick(1).probe, off);
+    }
 
     fn sent(from: u32, to: u32, class: MsgClass) -> ProbeEvent {
         ProbeEvent::MsgSent {

@@ -23,7 +23,7 @@
 //! so the trace collector attributes recovery deliveries to the update
 //! they repair instead of opening fresh spans.
 //!
-//! Like [`crate::scheme::FaultState`], the layer owns a dedicated family
+//! Like [`crate::FaultState`], the layer owns a dedicated family
 //! of per-sender seeded streams (`stream_rng(seed, "reliable/<sender>")`)
 //! and draws **nothing** while disabled, keeping fault-free runs
 //! bit-identical to builds without it. Sequence numbers and jitter draws
@@ -39,7 +39,102 @@ use rand::Rng;
 use dup_overlay::NodeId;
 use dup_sim::{SenderStreams, TimerId};
 
-use crate::config::ReliabilityConfig;
+/// Reliable-delivery configuration (disabled by default).
+///
+/// When enabled, every scheme message (maintenance and push traffic — the
+/// `Control` and `Push` cost classes) is sent through the reliability
+/// layer: the receiver acknowledges each sequence-numbered message and
+/// suppresses duplicate deliveries, while the sender retransmits on a
+/// deterministic exponential-backoff schedule (seeded jitter, bounded
+/// retry budget). Query requests and replies stay fire-and-forget: the
+/// query path already tolerates loss (the querier simply re-queries),
+/// whereas a lost `substitute` silently corrupts the DUP tree.
+///
+/// `lease_every_secs` additionally schedules a periodic lease tick that
+/// the scheme may use for soft-state renewal and orphan repair (see
+/// [`crate::Scheme::on_lease_tick`]); `0` disables the tick.
+///
+/// With the default configuration the layer draws **nothing** from any
+/// RNG stream and changes no message, so the determinism goldens in
+/// `tests/perf_determinism.rs` are unaffected.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReliabilityConfig {
+    /// Master switch for ack/retransmit tracking of scheme messages.
+    pub enabled: bool,
+    /// Base retransmit timeout (seconds): how long the sender waits for an
+    /// ack before the first retransmission.
+    pub ack_timeout_secs: f64,
+    /// Multiplier applied to the timeout after each retransmission
+    /// (exponential backoff; must be ≥ 1).
+    pub backoff_factor: f64,
+    /// Upper bound on the backed-off timeout (seconds), before jitter.
+    pub max_backoff_secs: f64,
+    /// Jitter fraction in `[0, 1)`: each tracked message draws one uniform
+    /// `u` and every one of its timeouts is scaled by `1 + jitter_frac·u`,
+    /// de-synchronizing retransmit bursts while keeping the per-message
+    /// schedule monotone.
+    pub jitter_frac: f64,
+    /// Retransmission budget: how many times an unacked message is resent
+    /// before the sender gives up (`0` keeps dedup/acks but never resends).
+    pub max_retries: u32,
+    /// Interval (simulated seconds) between lease ticks handed to the
+    /// scheme; `0` (the default) disables the tick.
+    pub lease_every_secs: f64,
+}
+
+impl Default for ReliabilityConfig {
+    fn default() -> Self {
+        ReliabilityConfig {
+            enabled: false,
+            ack_timeout_secs: 2.0,
+            backoff_factor: 2.0,
+            max_backoff_secs: 60.0,
+            jitter_frac: 0.1,
+            max_retries: 5,
+            lease_every_secs: 0.0,
+        }
+    }
+}
+
+impl ReliabilityConfig {
+    /// True when the layer can affect a run at all. The send path skips
+    /// every reliability check (and every RNG draw) when false.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Validates parameter ranges (called by
+    /// [`crate::RunConfig::validate`]). A disabled layer is held to its
+    /// lease interval only.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range parameters, with a description.
+    pub fn validate(&self) {
+        assert!(
+            self.lease_every_secs >= 0.0 && self.lease_every_secs.is_finite(),
+            "reliability lease interval must be non-negative and finite"
+        );
+        if self.enabled {
+            assert!(
+                self.ack_timeout_secs > 0.0 && self.ack_timeout_secs.is_finite(),
+                "reliability ack timeout must be positive and finite"
+            );
+            assert!(
+                self.backoff_factor >= 1.0 && self.backoff_factor.is_finite(),
+                "reliability backoff factor must be at least 1"
+            );
+            assert!(
+                self.max_backoff_secs >= self.ack_timeout_secs,
+                "reliability backoff cap must cover the base timeout"
+            );
+            assert!(
+                (0.0..1.0).contains(&self.jitter_frac),
+                "reliability jitter fraction must be in [0,1)"
+            );
+        }
+    }
+}
 
 /// The retransmit timeout for attempt `attempt` (0-based: attempt 0 is
 /// the wait before the *first* retransmission), in seconds.
@@ -389,6 +484,7 @@ impl ReliableState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RunConfig;
 
     fn enabled_cfg() -> ReliabilityConfig {
         ReliabilityConfig {
@@ -597,5 +693,55 @@ mod tests {
             0,
             "disabled reliability layer seeded a stream"
         );
+    }
+
+    #[test]
+    fn reliability_config_defaults_off() {
+        let d = ReliabilityConfig::default();
+        assert!(!d.is_enabled());
+        assert_eq!(d.lease_every_secs, 0.0);
+        assert_eq!(RunConfig::quick(1).reliability, d);
+    }
+
+    #[test]
+    fn builder_sets_reliability() {
+        let cfg = RunConfig::builder(0)
+            .reliability(ReliabilityConfig {
+                enabled: true,
+                lease_every_secs: 300.0,
+                ..ReliabilityConfig::default()
+            })
+            .build();
+        assert!(cfg.reliability.is_enabled());
+        assert_eq!(cfg.reliability.lease_every_secs, 300.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "backoff cap must cover")]
+    fn reliability_cap_below_base_rejected() {
+        let mut c = RunConfig::quick(0);
+        c.reliability.enabled = true;
+        c.reliability.ack_timeout_secs = 10.0;
+        c.reliability.max_backoff_secs = 5.0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "jitter fraction")]
+    fn reliability_jitter_out_of_range_rejected() {
+        let mut c = RunConfig::quick(0);
+        c.reliability.enabled = true;
+        c.reliability.jitter_frac = 1.0;
+        c.validate();
+    }
+
+    #[test]
+    fn disabled_reliability_skips_range_checks() {
+        // Out-of-range knobs on a disabled layer must not reject the run:
+        // older configs round-tripped through tools that zeroed fields
+        // still load and run unchanged.
+        let mut c = RunConfig::quick(0);
+        c.reliability.ack_timeout_secs = 0.0;
+        c.validate();
     }
 }

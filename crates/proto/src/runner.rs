@@ -20,7 +20,8 @@ use dup_sim::{
 };
 use dup_workload::{exp_variate, HopLatency, RankPlacement, ZipfSchedule};
 
-use crate::config::{ChurnConfig, NodeRange, QueueBackendConfig, RunConfig, TopologySource};
+use crate::config::{ChurnConfig, RunConfig, TopologySource};
+use crate::faults::{FaultState, NodeRange};
 use crate::index::AuthorityClock;
 use crate::interest::InterestTracker;
 use crate::ledger::MsgClass;
@@ -28,7 +29,7 @@ use crate::metrics::{Metrics, RunReport};
 use crate::node::NodeCore;
 use crate::probe::{ProbeEvent, ProbeSink, TraceSample};
 use crate::reliable::ReliableState;
-use crate::scheme::{AppliedChurn, Ctx, Ev, EvSink, FaultState, Msg, Scheme, World};
+use crate::scheme::{AppliedChurn, Ctx, Ev, EvSink, Msg, Scheme, World};
 use crate::space::SpaceCtl;
 
 /// Hard deadline for each settle/heal drain in [`Runner::run_settled`],
@@ -40,6 +41,31 @@ use crate::space::SpaceCtl;
 /// generating traffic forever) hits it and fails loudly instead of
 /// draining without end.
 const SETTLE_DEADLINE_SECS: f64 = 1e7;
+
+/// Which pending-event store the simulation engine uses. Both backends pop
+/// in identical `(time, seq)` order — selection trades constant factors
+/// only, never results (enforced by the backend-equivalence tests).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum QueueBackendConfig {
+    /// Binary heap. Kept as the reference the wheel is compared against
+    /// (and the benchmark's `heap_ns_per_op` row); no run needs to ask
+    /// for it.
+    Heap,
+    /// Hierarchical timer wheel; the runner derives the finest slot width
+    /// from the arrival rate so near-future deliveries place in `O(1)`.
+    /// Faster than the heap in every benchmarked cell and no larger in
+    /// memory (its slots are list heads threaded through the event slab).
+    #[default]
+    TimerWheel,
+}
+
+/// Event-queue configuration for a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct QueueConfig {
+    /// Backend selection (default: the timer wheel). Either backend is
+    /// pre-sized by the runner from the expected event volume.
+    pub backend: QueueBackendConfig,
+}
 
 /// Runs one simulation to completion and returns its report. To observe
 /// it, build the [`Runner`] yourself: `Runner::with_probe(cfg, scheme,
@@ -1047,7 +1073,7 @@ mod tests {
 
     #[test]
     fn double_remove_during_churn_window_reports_not_panics() {
-        use crate::config::FaultWindow;
+        use crate::faults::FaultWindow;
         let mut cfg = tiny_cfg(12);
         cfg.churn = Some(ChurnConfig::balanced(0.05));
         cfg.faults.churn_boost = 4.0;
@@ -1084,7 +1110,7 @@ mod tests {
 
     #[test]
     fn faulted_runs_complete_and_are_deterministic() {
-        use crate::config::FaultConfig;
+        use crate::faults::FaultConfig;
         let mut cfg = tiny_cfg(13);
         cfg.churn = Some(ChurnConfig::balanced(0.02));
         cfg.faults = FaultConfig {
@@ -1128,7 +1154,7 @@ mod tests {
 
     #[test]
     fn run_settled_report_matches_plain_run() {
-        use crate::config::FaultConfig;
+        use crate::faults::FaultConfig;
         let mut cfg = tiny_cfg(14);
         cfg.faults = FaultConfig {
             drop_p: 0.05,
@@ -1181,7 +1207,6 @@ mod tests {
 
     #[test]
     fn timer_wheel_backend_matches_heap_backend() {
-        use crate::config::QueueBackendConfig;
         let mut wheel_cfg = tiny_cfg(11);
         wheel_cfg.churn = Some(ChurnConfig::balanced(0.02));
         assert_eq!(

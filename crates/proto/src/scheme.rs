@@ -7,14 +7,12 @@
 //! links, read/write the local cache, and send messages (each costing one
 //! overlay hop and one sampled transfer delay).
 
-use rand::Rng;
-
 use dup_overlay::{NodeId, SearchTree};
 use dup_sim::{Engine, SenderStreams, SimDuration, SimTime, TimerId};
 use dup_workload::HopLatency;
 
 use crate::cache::CacheStore;
-use crate::config::FaultConfig;
+use crate::faults::{FaultAction, FaultState};
 use crate::index::{AuthorityClock, IndexRecord};
 use crate::interest::InterestTracker;
 use crate::ledger::MsgClass;
@@ -181,163 +179,6 @@ pub struct World {
     /// attached), the current causal context, and the in-flight message
     /// counter feeding [`crate::TraceSample::in_flight_msgs`].
     pub trace: TraceCtx,
-}
-
-/// Counters of fault-layer interventions over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages dropped in transit.
-    pub dropped: u64,
-    /// Messages delivered twice.
-    pub duplicated: u64,
-    /// Messages held back by an extra delay.
-    pub delayed: u64,
-    /// Messages dropped because they crossed an active partition cut
-    /// (deterministic; not counted in `dropped`).
-    pub partitioned: u64,
-}
-
-impl FaultStats {
-    /// Total interventions.
-    pub fn total(&self) -> u64 {
-        self.dropped + self.duplicated + self.delayed + self.partitioned
-    }
-}
-
-/// What the fault layer decided for one message.
-enum FaultAction {
-    /// Deliver normally.
-    Pass,
-    /// Lose the message.
-    Drop,
-    /// Deliver a second copy.
-    Duplicate,
-    /// Add the given extra transit delay (seconds).
-    Delay(f64),
-}
-
-/// Runtime state of the deterministic fault layer carried by [`World`].
-///
-/// Built from [`FaultConfig`] with its own family of per-sender seeded
-/// streams (`stream_rng(seed, "faults/<sender>")`), so enabling faults
-/// perturbs no other stream — and when the config is disabled (the
-/// default) the layer draws nothing at all, keeping fault-free runs
-/// bit-identical to builds without the layer. Keying the streams by
-/// sender makes each node's fault fate a function of its own send order
-/// only, which is what lets a space-partitioned run reproduce the
-/// sequential run's decisions shard-locally.
-#[derive(Debug)]
-pub struct FaultState {
-    cfg: FaultConfig,
-    streams: SenderStreams,
-    armed: bool,
-    stats: FaultStats,
-}
-
-impl FaultState {
-    /// An inert fault layer (the default for tests and plain runs).
-    pub fn disabled() -> Self {
-        FaultState::from_config(FaultConfig::default(), 0)
-    }
-
-    /// Builds the layer from a run's fault configuration and the master
-    /// seed its per-sender streams derive from.
-    pub fn from_config(cfg: FaultConfig, seed: u64) -> Self {
-        let armed = cfg.is_enabled();
-        FaultState {
-            cfg,
-            streams: SenderStreams::new(seed, "faults"),
-            armed,
-            stats: FaultStats::default(),
-        }
-    }
-
-    /// True when the layer can still intervene.
-    #[inline]
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Permanently disarms the layer (used by the post-run settle phase so
-    /// healing traffic flows fault-free).
-    pub fn disarm(&mut self) {
-        self.armed = false;
-    }
-
-    /// Intervention counters so far.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
-    }
-
-    /// The factor to multiply the churn rate by at `at_secs` (scripted
-    /// churn bursts; 1.0 outside windows or when disarmed).
-    pub fn churn_rate_factor(&self, at_secs: f64) -> f64 {
-        if self.armed && self.cfg.active_at(at_secs) {
-            self.cfg.churn_boost
-        } else {
-            1.0
-        }
-    }
-
-    /// True when any probabilistic fault is configured — the only case in
-    /// which [`decide`](FaultState::decide) (and an RNG draw) happens. A
-    /// layer armed purely by partitions / slow links / scoped churn never
-    /// draws.
-    #[inline]
-    fn has_random_faults(&self) -> bool {
-        self.cfg.has_random_faults()
-    }
-
-    /// True when a message from `from` to `to` at `at_secs` crosses an
-    /// active partition cut, counting the intervention. Deterministic —
-    /// draws nothing from any stream — and symmetric in `from`/`to`.
-    #[inline]
-    fn partition_cut(&mut self, from: NodeId, to: NodeId, at_secs: f64) -> bool {
-        if self.cfg.partitions.is_empty() {
-            return false;
-        }
-        let cut = self.cfg.partition_cuts(from, to, at_secs);
-        if cut {
-            self.stats.partitioned += 1;
-        }
-        cut
-    }
-
-    /// The hop-latency tail multiplier for a `from → to` hop: the largest
-    /// matching slow-link class, or `1.0` when none matches or the layer
-    /// is disarmed. Purely a lookup — no RNG involved — and `1.0` keeps
-    /// the latency sample bit-identical to the unscaled model.
-    #[inline]
-    pub fn link_mult(&self, from: NodeId, to: NodeId) -> f64 {
-        if !self.armed || self.cfg.slow_links.is_empty() {
-            return 1.0;
-        }
-        self.cfg.link_mult(from, to)
-    }
-
-    /// Draws the fate of one message sent by `sender` at `at_secs`. Only
-    /// called while armed; draws one uniform from the sender's stream (two
-    /// for a delay).
-    fn decide(&mut self, sender: NodeId, at_secs: f64) -> FaultAction {
-        if !self.cfg.active_at(at_secs) {
-            return FaultAction::Pass;
-        }
-        let rng = self.streams.rng(sender.index());
-        let u: f64 = rng.gen();
-        if u < self.cfg.drop_p {
-            self.stats.dropped += 1;
-            FaultAction::Drop
-        } else if u < self.cfg.drop_p + self.cfg.duplicate_p {
-            self.stats.duplicated += 1;
-            FaultAction::Duplicate
-        } else if u < self.cfg.drop_p + self.cfg.duplicate_p + self.cfg.delay_p {
-            self.stats.delayed += 1;
-            let v: f64 = rng.gen();
-            FaultAction::Delay(v * self.cfg.max_extra_delay_secs)
-        } else {
-            FaultAction::Pass
-        }
-    }
 }
 
 /// Per-channel FIFO clocks: the last scheduled delivery instant of every
@@ -858,34 +699,23 @@ fn dispatch_msg<M: Clone>(
     let mut arrive = now + delay;
     let mut duplicate = false;
     if world.faults.armed() {
-        // Partition cuts come first and are purely deterministic: a message
-        // crossing an active cut is lost without touching any RNG stream,
-        // so partition-only scenarios leave every seeded stream untouched.
-        if world.faults.partition_cut(from, to, now.as_secs_f64()) {
-            world
-                .probe
-                .emit(now, || ProbeEvent::FaultDrop { from, to, class });
-            return;
-        }
-        if world.faults.has_random_faults() {
-            match world.faults.decide(from, now.as_secs_f64()) {
-                FaultAction::Pass => {}
-                FaultAction::Drop => {
-                    world
-                        .probe
-                        .emit(now, || ProbeEvent::FaultDrop { from, to, class });
-                    return;
-                }
-                FaultAction::Duplicate => duplicate = true,
-                FaultAction::Delay(extra_secs) => {
-                    world.probe.emit(now, || ProbeEvent::FaultDelay {
-                        from,
-                        to,
-                        class,
-                        extra_secs,
-                    });
-                    arrive += SimDuration::from_secs_f64(extra_secs);
-                }
+        match world.faults.intercept(from, to, now.as_secs_f64()) {
+            FaultAction::Pass => {}
+            FaultAction::Drop => {
+                world
+                    .probe
+                    .emit(now, || ProbeEvent::FaultDrop { from, to, class });
+                return;
+            }
+            FaultAction::Duplicate => duplicate = true,
+            FaultAction::Delay(extra_secs) => {
+                world.probe.emit(now, || ProbeEvent::FaultDelay {
+                    from,
+                    to,
+                    class,
+                    extra_secs,
+                });
+                arrive += SimDuration::from_secs_f64(extra_secs);
             }
         }
     }
@@ -1028,6 +858,7 @@ pub trait Scheme: Sized {
 mod tests {
     use super::*;
     use dup_overlay::regular_search_tree;
+    use rand::Rng;
 
     fn world() -> World {
         let mut w = World::new(regular_search_tree(4, 3));
@@ -1224,179 +1055,6 @@ mod tests {
         assert_eq!(clocks.reserve_slot(NodeId(101), NodeId(0), now, at), at);
     }
 
-    fn armed_faults(cfg: FaultConfig) -> FaultState {
-        FaultState::from_config(cfg, 77)
-    }
-
-    #[test]
-    fn fault_drop_loses_messages_but_charges_hops() {
-        let mut w = world();
-        w.faults = armed_faults(FaultConfig {
-            drop_p: 1.0,
-            ..FaultConfig::default()
-        });
-        let mut engine: Engine<Ev<u32>> = Engine::new();
-        for i in 0..10u32 {
-            send_msg(
-                &mut w,
-                &mut engine,
-                NodeId(1),
-                NodeId(0),
-                MsgClass::Control,
-                Msg::Scheme(i),
-            );
-        }
-        let mut delivered = 0u32;
-        engine.run(|_, _| delivered += 1);
-        assert_eq!(delivered, 0, "drop_p=1 must lose every message");
-        assert_eq!(w.faults.stats().dropped, 10);
-        assert_eq!(
-            w.metrics.ledger().hops(MsgClass::Control),
-            10,
-            "dropped sends still cost the sender a hop"
-        );
-    }
-
-    #[test]
-    fn fault_duplicate_delivers_twice_in_order() {
-        let mut w = world();
-        w.faults = armed_faults(FaultConfig {
-            duplicate_p: 1.0,
-            ..FaultConfig::default()
-        });
-        let mut engine: Engine<Ev<u32>> = Engine::new();
-        for i in 0..20u32 {
-            send_msg(
-                &mut w,
-                &mut engine,
-                NodeId(1),
-                NodeId(0),
-                MsgClass::Push,
-                Msg::Scheme(i),
-            );
-        }
-        let mut received = Vec::new();
-        engine.run(|_, ev| {
-            if let Ev::Deliver {
-                msg: Msg::Scheme(i),
-                ..
-            } = ev
-            {
-                received.push(i);
-            }
-        });
-        let expected: Vec<u32> = (0..20).flat_map(|i| [i, i]).collect();
-        assert_eq!(received, expected, "each copy follows its original, FIFO");
-        assert_eq!(w.faults.stats().duplicated, 20);
-    }
-
-    #[test]
-    fn fault_delay_keeps_channels_fifo() {
-        let mut w = world();
-        w.faults = armed_faults(FaultConfig {
-            delay_p: 0.5,
-            max_extra_delay_secs: 50.0,
-            ..FaultConfig::default()
-        });
-        let mut engine: Engine<Ev<u32>> = Engine::new();
-        for i in 0..100u32 {
-            send_msg(
-                &mut w,
-                &mut engine,
-                NodeId(1),
-                NodeId(0),
-                MsgClass::Control,
-                Msg::Scheme(i),
-            );
-        }
-        let mut received = Vec::new();
-        engine.run(|_, ev| {
-            if let Ev::Deliver {
-                msg: Msg::Scheme(i),
-                ..
-            } = ev
-            {
-                received.push(i);
-            }
-        });
-        assert_eq!(
-            received,
-            (0..100).collect::<Vec<_>>(),
-            "extra delays must not reorder a single channel"
-        );
-        assert!(w.faults.stats().delayed > 0);
-    }
-
-    #[test]
-    fn fault_windows_scope_interventions() {
-        let mut w = world();
-        w.faults = armed_faults(FaultConfig {
-            drop_p: 1.0,
-            windows: vec![crate::config::FaultWindow {
-                start_secs: 10.0,
-                end_secs: 20.0,
-            }],
-            ..FaultConfig::default()
-        });
-        let mut engine: Engine<Ev<u32>> = Engine::new();
-        // At t=0 (outside the window) the message passes.
-        send_msg(
-            &mut w,
-            &mut engine,
-            NodeId(1),
-            NodeId(0),
-            MsgClass::Control,
-            Msg::Scheme(0),
-        );
-        let mut delivered = 0u32;
-        engine.run(|_, _| delivered += 1);
-        assert_eq!(delivered, 1);
-        assert_eq!(w.faults.stats().dropped, 0);
-        // Inside the window the same config drops.
-        engine.schedule(SimTime::from_secs(15), Ev::NextQuery);
-        let mut sent_in_window = false;
-        engine.run(|eng, ev| {
-            if matches!(ev, Ev::NextQuery) && !sent_in_window {
-                sent_in_window = true;
-                send_msg(
-                    &mut w,
-                    eng,
-                    NodeId(1),
-                    NodeId(0),
-                    MsgClass::Control,
-                    Msg::Scheme(1),
-                );
-            } else {
-                delivered += 1;
-            }
-        });
-        assert_eq!(delivered, 1, "in-window message must be dropped");
-        assert_eq!(w.faults.stats().dropped, 1);
-    }
-
-    #[test]
-    fn disarmed_faults_draw_nothing() {
-        // The disabled layer must consume zero RNG draws: none of its
-        // per-sender streams is ever seeded, protecting every determinism
-        // golden.
-        let mut w = world();
-        let mut engine: Engine<Ev<u32>> = Engine::new();
-        send_msg(
-            &mut w,
-            &mut engine,
-            NodeId(1),
-            NodeId(0),
-            MsgClass::Control,
-            Msg::Scheme(0),
-        );
-        assert_eq!(
-            w.faults.streams.initialized(),
-            0,
-            "disabled fault layer seeded a stream"
-        );
-        assert_eq!(w.faults.stats(), FaultStats::default());
-    }
-
     #[test]
     fn disabled_reliability_sends_plain_scheme_messages() {
         let mut w = world();
@@ -1426,7 +1084,7 @@ mod tests {
 
     #[test]
     fn armed_reliability_wraps_and_arms_a_retry_timer() {
-        use crate::config::ReliabilityConfig;
+        use crate::reliable::ReliabilityConfig;
         let mut w = world();
         w.reliable = ReliableState::from_config(
             ReliabilityConfig {
@@ -1469,7 +1127,7 @@ mod tests {
 
     #[test]
     fn query_traffic_and_acks_stay_untracked() {
-        use crate::config::ReliabilityConfig;
+        use crate::reliable::ReliabilityConfig;
         let mut w = world();
         w.reliable = ReliableState::from_config(
             ReliabilityConfig {

@@ -474,10 +474,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{QueueBackendConfig, TopologySource};
+    use crate::config::TopologySource;
     use crate::cup::CupScheme;
     use crate::pcx::PcxScheme;
     use crate::runner::run_simulation;
+    use crate::runner::QueueBackendConfig;
     use dup_overlay::TopologyParams;
 
     /// One space run with no probe and the delivery log captured.

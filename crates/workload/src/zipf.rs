@@ -171,24 +171,42 @@ impl ZipfSchedule {
         ZipfSchedule::new(n, theta, &[])
     }
 
+    /// Checks a list of phases: starts strictly increasing, positive and
+    /// finite, every θ non-negative and finite. A run configuration calls
+    /// this when it is built, [`ZipfSchedule::new`] when the run starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first phase out of range, with a description.
+    pub fn validate_phases(phases: &[ZipfPhase]) {
+        let mut prev_start = 0.0;
+        for phase in phases {
+            assert!(
+                phase.start_secs.is_finite() && phase.start_secs > prev_start,
+                "zipf phase starts must be strictly increasing and positive"
+            );
+            assert!(
+                phase.theta >= 0.0 && phase.theta.is_finite(),
+                "zipf phase theta must be non-negative and finite"
+            );
+            prev_start = phase.start_secs;
+        }
+    }
+
     /// Builds a schedule over `n` ranks: `base_theta` from t = 0, then one
     /// segment per phase.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, any θ is negative or non-finite (the
-    /// [`ZipfSelector`] contract), or phase start times are not strictly
-    /// increasing, positive, and finite.
+    /// Panics if `n == 0`, `base_theta` is negative or non-finite (the
+    /// [`ZipfSelector`] contract), or [`ZipfSchedule::validate_phases`]
+    /// rejects `phases`.
     pub fn new(n: usize, base_theta: f64, phases: &[ZipfPhase]) -> Self {
+        ZipfSchedule::validate_phases(phases);
         let mut starts = vec![0.0];
         let mut selectors = vec![ZipfSelector::new(n, base_theta)];
         for phase in phases {
-            let start = phase.start_secs;
-            assert!(
-                start.is_finite() && start > *starts.last().expect("non-empty"),
-                "Zipf phase starts must be strictly increasing and positive, got {start}"
-            );
-            starts.push(start);
+            starts.push(phase.start_secs);
             selectors.push(ZipfSelector::new(n, phase.theta));
         }
         ZipfSchedule { starts, selectors }
