@@ -91,7 +91,7 @@ impl ProtocolConfig {
     /// # Panics
     ///
     /// Panics on out-of-range parameters, with a description.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.ttl_secs > 0.0 && self.ttl_secs.is_finite(),
             "TTL must be positive and finite"
@@ -145,7 +145,7 @@ impl ChurnConfig {
     /// # Panics
     ///
     /// Panics on out-of-range parameters, with a description.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.rate > 0.0, "churn rate must be positive");
         for w in [
             self.w_join_leaf,

@@ -215,7 +215,7 @@ impl FaultConfig {
     /// # Panics
     ///
     /// Panics on out-of-range parameters, with a description.
-    pub fn validate(&self, nodes: usize) {
+    pub(crate) fn validate(&self, nodes: usize) {
         for (name, p) in [
             ("drop", self.drop_p),
             ("duplicate", self.duplicate_p),

@@ -298,7 +298,7 @@ impl ProbeConfig {
     /// # Panics
     ///
     /// Panics on out-of-range parameters, with a description.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.sample_every_secs >= 0.0,
             "probe sample interval must be non-negative"

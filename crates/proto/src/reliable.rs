@@ -110,7 +110,7 @@ impl ReliabilityConfig {
     /// # Panics
     ///
     /// Panics on out-of-range parameters, with a description.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.lease_every_secs >= 0.0 && self.lease_every_secs.is_finite(),
             "reliability lease interval must be non-negative and finite"
