@@ -19,6 +19,11 @@
 //!   ([`dup_sim::Engine::cancel`]), so the disabled path and the
 //!   quiesced steady state carry no timer load.
 //!
+//! The layer's knobs live here too: [`ReliabilityConfig`] is the type of
+//! `RunConfig::reliability` (and what a live host builds from its
+//! `LiveConfig`), its range checks are `ReliabilityConfig::validate`, and
+//! [`ReliableState`] is the run-time state built from it.
+//!
 //! Retransmissions reuse the original message's causal [`crate::SpanInfo`],
 //! so the trace collector attributes recovery deliveries to the update
 //! they repair instead of opening fresh spans.

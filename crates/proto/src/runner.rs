@@ -460,7 +460,10 @@ impl<S: Scheme> Runner<S> {
         self.node.with_ctx(engine, |s, ctx| s.init(ctx));
         engine.schedule(self.warmup_end, Ev::EndWarmup);
         engine.schedule(self.node.world.authority.next_refresh_at(), Ev::Refresh);
-        let first_gap = self.next_query_gap();
+        let first_gap = self
+            .cfg
+            .arrivals
+            .next_gap(self.cfg.lambda, &mut self.arrivals_rng);
         engine.schedule(SimTime::ZERO + first_gap, Ev::NextQuery);
         if self.cfg.churn.is_some() {
             let gap = self.next_churn_gap(SimTime::ZERO);
@@ -584,7 +587,10 @@ impl<S: Scheme> Runner<S> {
                 if owned {
                     self.node.begin_query(eng, origin);
                 }
-                let gap = self.next_query_gap();
+                let gap = self
+                    .cfg
+                    .arrivals
+                    .next_gap(self.cfg.lambda, &mut self.arrivals_rng);
                 eng.schedule_after(gap, Ev::NextQuery);
             }
             Ev::Deliver {
@@ -679,11 +685,6 @@ impl<S: Scheme> Runner<S> {
             in_flight_msgs: self.node.world.trace.in_flight(),
             shard: self.space.as_ref().map_or(0, |s| s.shard as u32),
         }
-    }
-
-    fn next_query_gap(&mut self) -> SimDuration {
-        let rate = self.cfg.lambda;
-        self.cfg.arrivals.next_gap(rate, &mut self.arrivals_rng)
     }
 
     fn sample_origin(&mut self, now: SimTime) -> NodeId {

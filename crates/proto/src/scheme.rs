@@ -578,7 +578,7 @@ impl<M> Ctx<'_, M> {
 /// the runner (requests/replies) and [`Ctx::send`] (scheme messages).
 ///
 /// This is the single choke point all message traffic passes through, so
-/// the fault layer lives here: an armed [`FaultState`] may drop the
+/// the fault layer is consulted here: an armed [`FaultState`] may drop the
 /// message, deliver it twice, or hold it back by an extra delay. The extra
 /// delay is added *before* the FIFO reservation, so each ordered channel
 /// stays FIFO (as over TCP) — faults reorder traffic across channels,
