@@ -1,6 +1,6 @@
 //! The DUP scheme implementation.
 
-use dup_overlay::{NodeId, SearchTree};
+use dup_overlay::{NodeId, NodeLists, SearchTree};
 use dup_proto::scheme::{AppliedChurn, Ctx, Scheme};
 use dup_proto::{IndexRecord, MsgClass, ProbeEvent, SubscriberStats};
 
@@ -49,96 +49,14 @@ pub struct RepairStats {
     pub lease_fallbacks: u64,
 }
 
-/// Per-node `(offset, len, capacity)` window into the subscriber-list arena.
-#[derive(Debug, Clone, Copy, Default)]
-struct Span {
-    off: u32,
-    len: u32,
-    cap: u32,
-}
-
-/// Subscriber-list storage as a struct-of-arrays arena.
-///
-/// Invariants on the lists themselves (checked by [`crate::audit`]): entries
-/// are unique; every entry is the node itself or a live strict descendant; at
-/// most one entry per downstream branch.
-///
-/// Layout: every list lives in one shared `Vec<NodeId>`, addressed by a
-/// per-node [`Span`]. The push/deliver hot path only ever *reads* lists
-/// ([`DupScheme::push_to_entries`], [`DupScheme::push_set`],
-/// [`DupScheme::covering_entry`]), so dense 4-byte runs in a single
-/// allocation replace the per-node pointer chase of a `Vec<Vec<NodeId>>`
-/// layout. Mutations are control-plane-rare and go through a reusable
-/// scratch buffer; a list that outgrows its span relocates to the arena tail
-/// with doubled capacity (the abandoned run leaks, which is fine at list
-/// sizes of a handful of entries).
-#[derive(Debug, Clone, Default)]
-struct NodeLists {
-    spans: Vec<Span>,
-    arena: Vec<NodeId>,
-    /// Reusable edit buffer for [`NodeLists::edit`].
-    scratch: Vec<NodeId>,
-}
-
-impl NodeLists {
-    /// Grows the span table to cover `node`.
-    fn ensure(&mut self, node: NodeId) {
-        if node.index() >= self.spans.len() {
-            self.spans.resize(node.index() + 1, Span::default());
-        }
-    }
-
-    /// Number of nodes the span table covers.
-    fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// The list of `node` (empty when never touched).
-    fn get(&self, node: NodeId) -> &[NodeId] {
-        match self.spans.get(node.index()) {
-            Some(s) => &self.arena[s.off as usize..(s.off + s.len) as usize],
-            None => &[],
-        }
-    }
-
-    /// Overwrites `node`'s list with `items`, relocating to the arena tail
-    /// when the span's capacity is exceeded.
-    fn set(&mut self, node: NodeId, items: &[NodeId]) {
-        self.ensure(node);
-        let span = &mut self.spans[node.index()];
-        if items.len() as u32 > span.cap {
-            span.cap = (items.len() as u32).next_power_of_two();
-            span.off = self.arena.len() as u32;
-            self.arena
-                .resize(self.arena.len() + span.cap as usize, NodeId::from_index(0));
-        }
-        span.len = items.len() as u32;
-        self.arena[span.off as usize..span.off as usize + items.len()].copy_from_slice(items);
-    }
-
-    /// Applies `mutate` to a scratch copy of `node`'s list and writes the
-    /// result back.
-    fn edit(&mut self, node: NodeId, mutate: impl FnOnce(&mut Vec<NodeId>)) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend_from_slice(self.get(node));
-        mutate(&mut scratch);
-        self.set(node, &scratch);
-        self.scratch = scratch;
-    }
-
-    /// Removes and returns `node`'s list.
-    fn take(&mut self, node: NodeId) -> Vec<NodeId> {
-        self.ensure(node);
-        let out = self.get(node).to_vec();
-        self.spans[node.index()].len = 0;
-        out
-    }
-}
-
 /// The DUP scheme state across all nodes.
 #[derive(Debug, Clone, Default)]
 pub struct DupScheme {
+    /// Subscriber lists. Invariants (checked by [`crate::audit`]): entries
+    /// are unique; every entry is the node itself or a live strict
+    /// descendant; at most one entry per downstream branch. The push path
+    /// only reads them ([`DupScheme::push_to_entries`],
+    /// [`DupScheme::push_set`], [`DupScheme::covering_entry`]).
     lists: NodeLists,
     /// When `Some`, a lease epoch is open: every subscriber-list entry
     /// confirmed by keep-alive traffic is recorded here as `(owner, entry)`,

@@ -465,6 +465,97 @@ mod tests {
         decode_both_ways::<DupMsg>(twice.as_bytes());
     }
 
+    /// A host adopts a bootstrap tree as it arrives, so decoding admits
+    /// only a tree `SearchTree` could have built: one case per way a
+    /// peer's tree can be broken, each `InvalidData` from `read_frame`.
+    #[test]
+    fn malformed_trees_are_refused() {
+        let slot = |alive, parent: &str, children: &str, depth: u32| {
+            format!(
+                r#"{{"alive":{alive},"parent":{parent},"children":[{children}],"depth":{depth}}}"#
+            )
+        };
+        let hello_ack = |slots: [String; 3], alive: usize| {
+            framed(&format!(
+                r#"{{"HelloAck":{{"node":0,"incarnation":1,"tree":{{"root":0,"nodes":[{}],"alive":{alive}}}}}}}"#,
+                slots.join(",")
+            ))
+        };
+        // N0 → N1 → N2.
+        let chain = || {
+            [
+                slot(true, "null", "1", 0),
+                slot(true, "0", "2", 1),
+                slot(true, "1", "", 2),
+            ]
+        };
+        let intact: Frame<DupMsg> = read_frame(&mut &hello_ack(chain(), 3)[..]).unwrap();
+        assert!(matches!(intact, Frame::HelloAck { tree, .. } if tree.depth(NodeId(2)) == 2));
+        let broken = |n: usize, replacement: String| {
+            let mut slots = chain();
+            slots[n] = replacement;
+            slots
+        };
+        let cases = [
+            (broken(2, slot(true, "200", "", 2)), 3, "N2 names N200"),
+            (broken(1, slot(true, "0", "9", 1)), 3, "N1 names N9"),
+            (
+                [
+                    slot(true, "null", "1", 0),
+                    slot(true, "0", "", 1),
+                    slot(true, "0", "", 1),
+                ],
+                3,
+                "N2 missing from parent N0",
+            ),
+            (
+                broken(0, slot(true, "null", "1,2", 0)),
+                3,
+                "child N2 does not point back",
+            ),
+            (
+                broken(0, slot(true, "null", "1,1", 0)),
+                3,
+                "3 child entries for 3 live nodes",
+            ),
+            (
+                [
+                    slot(true, "null", "", 0),
+                    slot(true, "2", "2", 1),
+                    slot(true, "1", "1", 2),
+                ],
+                3,
+                "depth of N1",
+            ),
+            (broken(2, slot(true, "1", "", 5)), 3, "depth of N2"),
+            (chain(), 2, "alive count drifted"),
+            (
+                broken(2, slot(false, "1", "", 2)),
+                2,
+                "dead node N2 keeps a parent",
+            ),
+            (
+                [
+                    slot(true, "null", "", 0),
+                    slot(false, "null", "2", 1),
+                    slot(false, "null", "", 2),
+                ],
+                1,
+                "dead node N1 keeps children",
+            ),
+            (
+                broken(0, slot(false, "null", "1", 0)),
+                2,
+                "root must be alive",
+            ),
+        ];
+        for (slots, alive, why) in cases {
+            let err = read_frame::<_, DupMsg>(&mut &hello_ack(slots, alive)[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(why), "wanted {why}, got {err}");
+        }
+    }
+
     /// Nesting is the one input whose cost is stack, not heap: 100 000 `[`
     /// are far below `MAX_FRAME_BYTES` and must come back as an error, not
     /// overflow the reader's stack — as the whole body, and as the value of
@@ -494,7 +585,7 @@ mod tests {
     /// `u32`, `$` for a `u64`, `@` for one of the scheme's messages.
     const BODIES: [&str; 11] = [
         r#"{"Hello":{"node":#,"incarnation":$}}"#,
-        r#"{"HelloAck":{"node":#,"incarnation":$,"tree":{"root":0,"nodes":[{"alive":true,"parent":null,"children":[1],"depth":0},{"alive":false,"parent":0,"children":[],"depth":#}],"alive":1}}}"#,
+        r#"{"HelloAck":{"node":#,"incarnation":$,"tree":{"root":0,"nodes":[{"alive":true,"parent":null,"children":[1],"depth":0},{"alive":true,"parent":0,"children":[],"depth":1},{"alive":false,"parent":null,"children":[],"depth":7}],"alive":2}}}"#,
         r#"{"Heartbeat":{"node":#,"incarnation":$}}"#,
         r#"{"SnapshotReq":{"reply_to":"127.0.0.1:#"}}"#,
         r#"{"Snapshot":{"node":#,"incarnation":$,"tree":{"root":0,"nodes":[{"alive":true,"parent":null,"children":[],"depth":0}],"alive":1},"s_list":[#,#],"subscribed":false,"cache_version":$,"authority_version":$,"queries_issued":$}}"#,

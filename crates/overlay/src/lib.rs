@@ -16,6 +16,8 @@
 //!   instead of the paper's synthetic topology.
 //! * [`churn`] — join/leave/fail event descriptions shared with the
 //!   protocol layer.
+//! * [`NodeLists`] — per-node id lists in one arena: the tree's children
+//!   and DUP's subscriber lists.
 //!
 //! # Example
 //!
@@ -44,11 +46,13 @@
 pub mod chord;
 pub mod churn;
 pub mod id;
+pub mod lists;
 pub mod topology;
 pub mod tree;
 
 pub use chord::ChordRing;
 pub use churn::ChurnOp;
 pub use id::NodeId;
+pub use lists::NodeLists;
 pub use topology::{random_search_tree, regular_search_tree, TopologyParams};
 pub use tree::SearchTree;
