@@ -276,8 +276,8 @@ fn deep_tree_reports_are_pinned() {
 /// delays and churn-driven re-subscription all pass through the channel
 /// clocks here, so any change to what they grant moves this report — and
 /// a channel keeps its slot only while a message is in flight on it, so the
-/// same run ends with no sender holding more than 32 (18, the root in a
-/// lease-tick burst).
+/// same run ends with a clock table within eight slots per event queued at
+/// the busiest instant.
 #[test]
 fn long_churn_report_is_pinned() {
     let cfg = RunConfig::builder(42)
@@ -301,8 +301,9 @@ fn long_churn_report_is_pinned() {
     // The report is final before the settle drain: it is `run`'s.
     let settled = Runner::new(cfg, DupScheme::new()).run_settled(0, |_, _, _| {});
     assert_pinned("long_churn_dup", &settled.report);
-    let most_channels = settled.world.fifo.slots_per_sender().max();
-    assert!(most_channels <= Some(32), "{most_channels:?} channels held");
+    let slots = settled.world.fifo.capacity();
+    let bound = 16.max(8 * settled.report.peak_queue_depth as usize);
+    assert!(slots <= bound, "{slots} FIFO slots, over {bound}");
 }
 
 /// Parallel ensemble mode: for a fixed shard count, the merged report must
