@@ -6,7 +6,8 @@
 //! state after each settles. A second suite stresses the *concurrent*
 //! regime — operations applied while maintenance messages are still in
 //! flight — and checks that one keep-alive round restores full push
-//! coverage.
+//! coverage. CUP's registration tree gets the same exact-delivery check as
+//! DUP's push tree.
 
 use proptest::prelude::*;
 
@@ -14,6 +15,7 @@ use dup_core::testkit::TestBench;
 use dup_core::{audit_quiescent, DupScheme};
 use dup_overlay::{random_search_tree, NodeId, SearchTree, TopologyParams};
 use dup_proto::scheme::Scheme;
+use dup_proto::CupScheme;
 use dup_sim::stream_rng;
 
 /// A protocol operation, with node choices as raw indices resolved against
@@ -65,7 +67,16 @@ fn pick_live_non_root(tree: &SearchTree, raw: usize) -> Option<NodeId> {
     }
 }
 
-fn apply_op(bench: &mut TestBench<DupScheme>, op: &Op) {
+/// Interest gains and losses only: the history CUP's registration tree is
+/// driven by.
+fn interest_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        3 => (0usize..1024).prop_map(Op::Subscribe),
+        2 => (0usize..1024).prop_map(Op::Unsubscribe),
+    ]
+}
+
+fn apply_op<S: Scheme>(bench: &mut TestBench<S>, op: &Op) {
     match *op {
         Op::Subscribe(raw) => {
             let node = pick_live(&bench.node.world.tree, raw);
@@ -117,8 +128,19 @@ proptest! {
         for op in &ops {
             apply_op(&mut bench, op);
             bench.drain();
-            let audit = audit_quiescent(&bench.node.scheme, &bench.node.world.tree);
+            let tree = &bench.node.world.tree;
+            let audit = audit_quiescent(&bench.node.scheme, tree);
             prop_assert!(audit.is_ok(), "op {:?} broke invariants: {:?}", op, audit.unwrap_err());
+            // §III-B: a node keeps at most one entry per direct child, plus
+            // its own enrollment.
+            for node in tree.live_nodes() {
+                let entries = bench.node.scheme.s_list(node).len();
+                prop_assert!(
+                    entries <= tree.children(node).len() + 1,
+                    "op {:?}: {} entries at {} with {} children",
+                    op, entries, node, tree.children(node).len()
+                );
+            }
         }
     }
 
@@ -151,6 +173,35 @@ proptest! {
                 reach.contains(&node),
                 "push receipt at {} disagrees with push_reach", node
             );
+        }
+    }
+
+    /// CUP's twin of the property above: after an arbitrary quiescent
+    /// history of interest gains and losses, a push installs the new version
+    /// at every registered node and never outside the registration tree.
+    #[test]
+    fn cup_pushes_reach_exactly_the_registered_nodes(
+        seed in 0u64..1000,
+        nodes in 8usize..40,
+        ops in prop::collection::vec(interest_op_strategy(), 1..30),
+    ) {
+        let tree = build_tree(nodes, 4, seed);
+        let mut bench = TestBench::new(tree, CupScheme::new(), 2);
+        for op in &ops {
+            apply_op(&mut bench, op);
+            bench.drain();
+        }
+        let record = bench.refresh();
+        let reach = bench.node.scheme.push_reach(&bench.node.world.tree).expect("CUP pushes");
+        for node in bench.node.world.tree.live_nodes() {
+            if node == bench.node.world.tree.root() {
+                continue;
+            }
+            let got = bench.node.world.cache.raw(node).map(|r| r.version) == Some(record.version);
+            if bench.node.scheme.is_registered(node) {
+                prop_assert!(got, "registered {node} missed the push");
+            }
+            prop_assert!(!got || reach.contains(&node), "{node} outside push_reach got the push");
         }
     }
 
