@@ -7,9 +7,9 @@
 //! protocol API.
 
 use dup_overlay::{NodeId, SearchTree};
-use dup_proto::scheme::{AppliedChurn, Ctx, Ev, Msg, Scheme, World};
+use dup_proto::scheme::{AppliedChurn, Ctx, Ev, Scheme, World};
 use dup_proto::{IndexRecord, InterestTracker, NodeCore, ProbeSink};
-use dup_sim::{Engine, SenderStreams, SimTime};
+use dup_sim::{Engine, SenderStreams};
 
 /// A self-contained harness around one scheme instance.
 pub struct TestBench<S: Scheme> {
@@ -83,12 +83,6 @@ impl<S: Scheme> TestBench<S> {
 
     /// Delivers every in-flight message (and any cascades) to quiescence.
     pub fn drain(&mut self) {
-        self.drain_inspect(|_, _, _| {});
-    }
-
-    /// [`TestBench::drain`], reporting every arrival at a live node to
-    /// `inspect` as `(recipient, message, arrival time)`.
-    pub fn drain_inspect(&mut self, mut inspect: impl FnMut(NodeId, &Msg<S::Msg>, SimTime)) {
         let node = &mut self.node;
         self.engine.run(|eng, ev| match ev {
             Ev::Deliver {
@@ -98,9 +92,6 @@ impl<S: Scheme> TestBench<S> {
                 cause,
                 msg,
             } => {
-                if node.world.tree.is_alive(to) {
-                    inspect(to, &msg, eng.now());
-                }
                 node.deliver(eng, from, to, class, cause, msg);
             }
             Ev::Refresh => {

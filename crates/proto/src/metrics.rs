@@ -89,7 +89,7 @@ impl Metrics {
     }
 
     /// Charges one message transfer of `class` over one overlay hop.
-    pub fn charge_hop(&mut self, class: MsgClass) {
+    pub(crate) fn charge_hop(&mut self, class: MsgClass) {
         if self.recording {
             self.ledger.charge(class, 1);
             if class == MsgClass::Push {

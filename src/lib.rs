@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub use dup_core as core;
-pub use dup_dissem as dissem;
 pub use dup_harness as harness;
 pub use dup_overlay as overlay;
 pub use dup_proto as proto;

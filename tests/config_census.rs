@@ -20,7 +20,6 @@ const STRUCTS: &[(&str, &str)] = &[
 const CALLERS: &[&str] = &[
     "crates/harness/src",
     "crates/live/src",
-    "crates/dissem/src",
     "crates/core/src",
     "perfbench/src",
 ];
