@@ -80,7 +80,7 @@ pub struct InvariantReport {
 
 impl InvariantReport {
     /// True when nothing was found wrong.
-    pub fn is_clean(&self) -> bool {
+    fn is_clean(&self) -> bool {
         self.audit_errors.is_empty() && self.oracle_mismatches.is_empty()
     }
 }
@@ -131,7 +131,7 @@ pub fn expected_lists(tree: &SearchTree, subscribed: &BTreeSet<NodeId>) -> Vec<V
 }
 
 /// The nearest common ancestor of two live nodes.
-pub fn nca(tree: &SearchTree, a: NodeId, b: NodeId) -> NodeId {
+fn nca(tree: &SearchTree, a: NodeId, b: NodeId) -> NodeId {
     let (mut a, mut b) = (a, b);
     while tree.depth(a) > tree.depth(b) {
         a = tree.parent(a).expect("non-root node has a parent");

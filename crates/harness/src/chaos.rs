@@ -10,7 +10,7 @@
 //! the shared campaign (`crate::campaign`): the reliable [`chaos_config`]
 //! generator, the protocol's own `on_lease_tick` as heal driver, the
 //! `dup_chaos_*` series of `CHAOS_metrics.prom`, and the space-parallel
-//! cell at the specified loss bound ([`chaos_space_config`]).
+//! cell at the specified loss bound (`chaos_space_config`).
 
 use rand::Rng;
 
@@ -114,7 +114,7 @@ pub fn chaos_config(seed: u64) -> RunConfig {
 /// the reliability layer's specified loss bound (`drop_p = 0.2`) held
 /// fixed, duplicates and delays seeded, and the space-mode preconditions
 /// met — no churn, fixed-duration stop, positive hop-latency floor.
-pub fn chaos_space_config(seed: u64) -> RunConfig {
+fn chaos_space_config(seed: u64) -> RunConfig {
     let mut rng = stream_rng(seed, "chaos-space-scenario");
     let nodes = rng.gen_range(48..=128usize);
     let warmup = 400.0;

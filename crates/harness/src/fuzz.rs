@@ -5,7 +5,7 @@
 //! churn, and a [`FaultConfig`] with drop/duplicate/delay probabilities and
 //! scripted churn-boost windows — from one `u64` seed, with the
 //! reliability layer **off**. What `fuzz` adds to the shared campaign
-//! (`crate::campaign`): after the horizon, [`dup_heal`] runs three
+//! (`crate::campaign`): after the horizon, `dup_heal` runs three
 //! keep-alive *lease epochs* by hand (every subscriber re-asserts; entries
 //! nobody renewed expire), and the settled state must then satisfy the
 //! structural audits of `dup_core::audit` *and* the brute-force
@@ -37,7 +37,7 @@ pub static FUZZ: Campaign = Campaign {
     traced: None,
 };
 
-/// The fuzz case of `seed`: [`scenario_config`] healed by [`dup_heal`].
+/// The fuzz case of `seed`: [`scenario_config`] healed by `dup_heal`.
 pub fn case(seed: u64) -> Case {
     Case {
         family: None,
@@ -112,7 +112,7 @@ pub(crate) fn faulted_config(
 /// The keep-alive heal `run_settled` drives for DUP: even
 /// phases open a lease epoch and have every live subscriber re-assert its
 /// virtual path; odd phases expire every lease the cascades did not renew.
-pub fn dup_heal(scheme: &mut DupScheme, ctx: &mut Ctx<'_, DupMsg>, phase: usize) {
+fn dup_heal(scheme: &mut DupScheme, ctx: &mut Ctx<'_, DupMsg>, phase: usize) {
     if phase.is_multiple_of(2) {
         scheme.begin_lease_epoch();
         let subscribed: Vec<NodeId> = ctx

@@ -29,7 +29,7 @@
 //!   peers and lease ticks expire whatever state they corrupted.
 //!
 //! What `scenarios` adds to the shared campaign (`crate::campaign`): the
-//! per-family [`scenario_suite_config`] generators, the family's
+//! per-family `scenario_suite_config` generators, the family's
 //! reconvergence bound as the heal-phase budget, the self-check predicate
 //! (did the family's mechanism fire?), the `dup_scenario_*` series, the
 //! flash-crowd space cell ([`flash_space_config`]) and one traced
@@ -177,7 +177,7 @@ fn cases(selection: &Selection) -> Vec<Case> {
         .collect()
 }
 
-/// The case of `family` at `seed`: [`scenario_suite_config`] healed by
+/// The case of `family` at `seed`: `scenario_suite_config` healed by
 /// lease ticks within the family's bound, self-checked — partition
 /// families script deterministic cuts and must have dropped something at
 /// one; the others must have drawn a probabilistic fault.
@@ -205,7 +205,7 @@ const SUITE_RETRIES: std::ops::RangeInclusive<u32> = 3..=4;
 /// windows are long enough to exhaust it, so some maintenance traffic is
 /// *permanently* lost and recovery must come from the lease layer — the
 /// path the broken-lease-expiry mutation sabotages.
-pub fn scenario_suite_config(family: ScenarioFamily, seed: u64) -> RunConfig {
+fn scenario_suite_config(family: ScenarioFamily, seed: u64) -> RunConfig {
     let mut rng = stream_rng(seed, &format!("scenario-{}", family.name()));
     let nodes = rng.gen_range(48..=96usize);
     let warmup = 400.0;

@@ -173,7 +173,7 @@ impl<P> ProgressProbe<P> {
     }
 
     /// Live wall-clock throughput since construction, events per second.
-    pub fn events_per_sec(&self) -> f64 {
+    fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.started.elapsed().as_secs_f64().max(1e-9)
     }
 
@@ -181,7 +181,7 @@ impl<P> ProgressProbe<P> {
     /// horizon, extrapolating elapsed wall time over the fraction of
     /// simulated time already covered. `None` until the run has covered
     /// enough of the horizon to extrapolate from (1%).
-    pub fn eta_secs(&self, at: SimTime) -> Option<f64> {
+    fn eta_secs(&self, at: SimTime) -> Option<f64> {
         if self.horizon_secs <= 0.0 {
             return None;
         }

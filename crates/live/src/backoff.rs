@@ -48,7 +48,7 @@ impl ReconnectBackoff {
     }
 
     /// The delay imposed after `failures` consecutive failures.
-    pub fn delay_after(&self, failures: u32) -> SimDuration {
+    fn delay_after(&self, failures: u32) -> SimDuration {
         let scaled = self.base.as_secs_f64() * self.factor.powi(failures.min(63) as i32);
         SimDuration::from_secs_f64(scaled.min(self.cap.as_secs_f64()))
     }

@@ -58,7 +58,7 @@ impl<M> LoopbackNet<M> {
     /// Removes and returns every frame due at or before `now`, in send
     /// order: the due frames are a prefix of the queue, and the frames
     /// behind them are not touched.
-    pub fn take_due(&mut self, now: SimTime) -> Vec<(NodeId, Frame<M>)> {
+    fn take_due(&mut self, now: SimTime) -> Vec<(NodeId, Frame<M>)> {
         self.now = now;
         let due = self.queue.partition_point(|&(at, ..)| at <= now);
         self.queue

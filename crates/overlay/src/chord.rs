@@ -116,7 +116,7 @@ impl ChordRing {
     /// The next hop from `from` toward `key`: the closest preceding finger,
     /// or the authority itself when `from` immediately precedes it. `None`
     /// when `from` is already the authority.
-    pub fn next_hop(&self, from: NodeId, key: u64) -> Option<NodeId> {
+    fn next_hop(&self, from: NodeId, key: u64) -> Option<NodeId> {
         let fi = self.member_index(from).expect("next_hop from non-member");
         let auth = self.successor_index(key);
         if fi == auth {

@@ -183,7 +183,7 @@ impl FaultConfig {
 
     /// True when faults apply at `at_secs`: inside any window, or always
     /// when no windows are configured.
-    pub fn active_at(&self, at_secs: f64) -> bool {
+    fn active_at(&self, at_secs: f64) -> bool {
         self.windows.is_empty() || self.windows.iter().any(|w| w.contains(at_secs))
     }
 

@@ -80,11 +80,6 @@ impl CostLedger {
         self.hops.iter().sum()
     }
 
-    /// Total messages across all classes.
-    pub fn total_messages(&self) -> u64 {
-        self.messages.iter().sum()
-    }
-
     /// Adds another ledger's counters into this one.
     pub fn merge(&mut self, other: &CostLedger) {
         for i in 0..4 {
@@ -109,7 +104,6 @@ mod tests {
         assert_eq!(l.hops(MsgClass::Request), 2);
         assert_eq!(l.messages(MsgClass::Request), 2);
         assert_eq!(l.total_hops(), 5);
-        assert_eq!(l.total_messages(), 5);
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl LoadTracker {
     /// weighted offer per node that gained load. Runs automatically on the
     /// amortization stride and from [`LoadTracker::publish`]; call it
     /// directly before reading [`LoadTracker::sketch`] mid-stream.
-    pub fn sync_sketch(&mut self) {
+    fn sync_sketch(&mut self) {
         self.offered.resize(self.nodes.len(), 0);
         self.until_sync = self.sync_stride();
         for (i, n) in self.nodes.iter().enumerate() {
@@ -239,7 +239,7 @@ impl LoadTracker {
 
     /// The bounded-memory heavy-hitter sketch (keys are node ids). Sketch
     /// maintenance is amortized: counts land in the sketch at the next
-    /// [`LoadTracker::sync_sketch`], not per event.
+    /// `LoadTracker::sync_sketch`, not per event.
     pub fn sketch(&self) -> &SpaceSaving {
         &self.sketch
     }

@@ -466,8 +466,8 @@ impl Probe<ProbeEvent> for CaptureProbe {
 /// ctrl-C after the current event — still leaves a valid JSONL file whose
 /// every line parses.
 pub struct JsonlProbe<W: Write> {
-    /// `None` only after [`JsonlProbe::into_inner`] detaches the writer.
-    out: Option<W>,
+    /// The inner writer.
+    out: W,
     /// Whole serialized lines awaiting a buffered write.
     buf: Vec<u8>,
     /// First write error, if any (reported once, then silent — a broken
@@ -482,7 +482,7 @@ impl<W: Write> JsonlProbe<W> {
     /// Wraps a writer.
     pub fn new(out: W) -> Self {
         JsonlProbe {
-            out: Some(out),
+            out,
             buf: Vec::new(),
             error: None,
         }
@@ -498,27 +498,17 @@ impl<W: Write> JsonlProbe<W> {
         if self.buf.is_empty() || self.error.is_some() {
             return;
         }
-        if let Some(out) = self.out.as_mut() {
-            if let Err(e) = out.write_all(&self.buf) {
-                self.error = Some(e);
-            }
-            self.buf.clear();
+        if let Err(e) = self.out.write_all(&self.buf) {
+            self.error = Some(e);
         }
-    }
-
-    /// Flushes buffered lines and unwraps the inner writer.
-    pub fn into_inner(mut self) -> W {
-        self.flush_buf();
-        self.out.take().expect("writer already detached")
+        self.buf.clear();
     }
 }
 
 impl<W: Write> Drop for JsonlProbe<W> {
     fn drop(&mut self) {
         self.flush_buf();
-        if let Some(out) = self.out.as_mut() {
-            let _ = out.flush();
-        }
+        let _ = self.out.flush();
     }
 }
 
@@ -556,9 +546,7 @@ impl<W: Write> Probe<ProbeEvent> for JsonlProbe<W> {
 
     fn flush(&mut self) {
         self.flush_buf();
-        if let Some(out) = self.out.as_mut() {
-            let _ = out.flush();
-        }
+        let _ = self.out.flush();
     }
 }
 
@@ -625,14 +613,16 @@ mod tests {
 
     #[test]
     fn jsonl_probe_writes_one_line_per_event() {
-        let mut probe = JsonlProbe::new(Vec::new());
+        let mut out = Vec::new();
+        let mut probe = JsonlProbe::new(&mut out);
         probe.record(SimTime::from_secs(3), &sent(2, 5, MsgClass::Push));
         probe.record(
             SimTime::from_secs(4),
             &ProbeEvent::QueryIssued { origin: NodeId(9) },
         );
         assert!(probe.error().is_none());
-        let text = String::from_utf8(probe.into_inner()).unwrap();
+        drop(probe);
+        let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         let first: TraceLine = serde_json::from_str(lines[0]).unwrap();

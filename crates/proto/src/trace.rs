@@ -235,7 +235,7 @@ pub struct PropEdge {
 impl PropEdge {
     /// Time the message spent held beyond its sampled transit: FIFO channel
     /// queueing plus any fault-injected delay.
-    pub fn hold_secs(&self) -> f64 {
+    fn hold_secs(&self) -> f64 {
         (self.delivered_secs - self.sent_secs - self.transit_secs).max(0.0)
     }
 }
@@ -344,7 +344,6 @@ struct UpdateAcc {
 pub struct TraceCollector {
     spans: BTreeMap<u64, SpanRec>,
     updates: BTreeMap<u64, UpdateAcc>,
-    untraced_sends: u64,
 }
 
 impl TraceCollector {
@@ -378,7 +377,6 @@ impl TraceCollector {
                 tree_edge,
             } => {
                 if *span == 0 {
-                    self.untraced_sends += 1;
                     return;
                 }
                 self.spans.insert(
@@ -423,12 +421,6 @@ impl TraceCollector {
     /// Versions with an observed publish, ascending.
     pub fn update_versions(&self) -> Vec<u64> {
         self.updates.keys().copied().collect()
-    }
-
-    /// Sends carrying no span (emitted while identity was off); nonzero
-    /// only for streams mixing probed and unprobed phases.
-    pub fn untraced_sends(&self) -> u64 {
-        self.untraced_sends
     }
 
     /// Message lifetimes observed, across all traces.
@@ -484,7 +476,7 @@ impl TraceCollector {
     }
 
     /// Every reconstructable update trace, ascending by version.
-    pub fn update_traces(&self) -> Vec<UpdateTrace> {
+    fn update_traces(&self) -> Vec<UpdateTrace> {
         self.update_versions()
             .into_iter()
             .filter_map(|v| self.propagation_tree(v))

@@ -122,12 +122,6 @@ impl SimDuration {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// Scales the duration by an integer factor, saturating.
-    #[inline]
-    pub fn saturating_mul(self, factor: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(factor))
-    }
-
     /// True if this is the zero duration.
     #[inline]
     pub const fn is_zero(self) -> bool {

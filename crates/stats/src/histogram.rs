@@ -101,7 +101,7 @@ impl Histogram {
     /// [`Histogram::quantile`], which snaps to bucket upper edges — the
     /// difference matters when many shards merge into wide buckets. Returns
     /// `None` when empty or when the quantile lands in the overflow bucket.
-    pub fn quantile_interpolated(&self, q: f64) -> Option<f64> {
+    fn quantile_interpolated(&self, q: f64) -> Option<f64> {
         if self.total == 0 {
             return None;
         }
@@ -122,7 +122,7 @@ impl Histogram {
         None
     }
 
-    /// Interpolated median ([`Histogram::quantile_interpolated`] at 0.5).
+    /// Interpolated median (`quantile_interpolated` at 0.5).
     pub fn p50(&self) -> Option<f64> {
         self.quantile_interpolated(0.5)
     }

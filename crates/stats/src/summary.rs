@@ -80,15 +80,6 @@ impl Summary {
             ci95_half_width: ci.half_width,
         }
     }
-
-    /// The interval as a [`ConfidenceInterval`].
-    pub fn ci95(&self) -> ConfidenceInterval {
-        ConfidenceInterval {
-            mean: self.mean,
-            half_width: self.ci95_half_width,
-            count: self.count,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +98,6 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 3.0);
         assert!(s.ci95_half_width.is_finite());
-        assert_eq!(s.ci95().mean, 2.0);
     }
 
     #[test]

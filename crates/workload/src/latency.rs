@@ -73,16 +73,6 @@ impl HopLatency {
         HopLatency::new(Self::PAPER_DEFAULT_MEAN_SECS)
     }
 
-    /// Mean transfer time in seconds.
-    pub fn mean_secs(&self) -> f64 {
-        self.mean_secs
-    }
-
-    /// The latency floor in seconds (0 for the unshifted model).
-    pub fn min_secs(&self) -> f64 {
-        self.min_secs
-    }
-
     /// The floor as an exact integer-nanosecond duration — the lookahead a
     /// conservative parallel engine may run with. Every [`sample`] is
     /// computed as this duration *plus* a non-negative tail, so `sample ≥
@@ -199,15 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn accessors() {
-        assert_eq!(HopLatency::new(0.25).mean_secs(), 0.25);
-        assert_eq!(HopLatency::new(0.25).min_secs(), 0.0);
-        assert_eq!(HopLatency::with_min(0.25, 0.05).min_secs(), 0.05);
-        assert_eq!(
-            HopLatency::paper_default().mean_secs(),
-            HopLatency::PAPER_DEFAULT_MEAN_SECS
-        );
+    fn lookahead_is_the_floor() {
         assert_eq!(HopLatency::new(0.25).lookahead(), SimDuration::ZERO);
+        assert_eq!(
+            HopLatency::with_min(0.25, 0.05).lookahead(),
+            SimDuration::from_secs_f64(0.05)
+        );
     }
 
     #[test]
