@@ -102,9 +102,8 @@ impl AuthorityClock {
 
     /// Publishes a new version at an arbitrary instant — "the authority node
     /// needs to update the index whenever it receives update messages"
-    /// (§II-A). The simulation's default workload publishes at every
-    /// [`AuthorityClock::next_refresh_at`]; event-driven publishers (the
-    /// dissemination platform) publish whenever they have an event.
+    /// (§II-A). Every driver publishes through `NodeCore::publish` at
+    /// [`AuthorityClock::next_refresh_at`].
     pub fn publish(&mut self, now: SimTime) -> IndexRecord {
         self.current = IndexRecord {
             version: Version(self.current.version.0 + 1),

@@ -13,8 +13,7 @@
 //! they call and when: the simulation [`crate::Runner`] samples origins,
 //! rolls the interest epoch before each refresh and applies churn; the
 //! live host (`dup-live`) gates on its own node id and feeds frames in;
-//! the test bench (and the topic host built on it) drains an engine to
-//! quiescence.
+//! the test bench drains an engine to quiescence.
 
 use dup_overlay::NodeId;
 use dup_sim::{SimDuration, SimTime};
