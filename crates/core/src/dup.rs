@@ -926,6 +926,11 @@ mod tests {
         assert_eq!(b.node.scheme.s_list(N1), &[N6]);
         assert_eq!(b.node.scheme.s_list(N6), &[N6]);
         audit_quiescent(&b.node.scheme, &b.node.world.tree).unwrap();
+        // A subscribed node that sees more interest sends nothing.
+        let control = b.control_hops();
+        b.make_interested(N6);
+        b.drain();
+        assert_eq!(b.control_hops(), control);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!   `O(log n)` lookups) from which per-key search trees are derived, so the
 //!   schemes can also be exercised on a "real" structured-overlay substrate
 //!   instead of the paper's synthetic topology.
-//! * [`churn`] — join/leave/fail event descriptions shared with the
-//!   protocol layer.
 //! * [`NodeLists`] — per-node id lists in one arena: the tree's children
 //!   and DUP's subscriber lists.
 //!
@@ -44,14 +42,12 @@
 #![warn(missing_docs)]
 
 pub mod chord;
-pub mod churn;
 pub mod id;
 pub mod lists;
 pub mod topology;
 pub mod tree;
 
 pub use chord::ChordRing;
-pub use churn::ChurnOp;
 pub use id::NodeId;
 pub use lists::NodeLists;
 pub use topology::{random_search_tree, regular_search_tree, TopologyParams};
