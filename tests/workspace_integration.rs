@@ -112,8 +112,8 @@ fn staleness_ordering() {
 #[test]
 fn reports_serialize() {
     let t = dup_p2p::compare_schemes(&small(9));
-    let json = serde_json::to_string(&t.dup).unwrap();
-    let back: RunReport = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.scheme, "DUP");
-    assert_eq!(back.queries, t.dup.queries);
+    let json: serde_json::Value =
+        serde_json::from_str(&serde_json::to_string(&t.dup).unwrap()).unwrap();
+    assert_eq!(json["scheme"].as_str(), Some("DUP"));
+    assert_eq!(json["queries"].as_u64(), Some(t.dup.queries));
 }
