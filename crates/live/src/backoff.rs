@@ -76,16 +76,6 @@ impl ReconnectBackoff {
     pub fn failures(&self, peer: NodeId) -> u32 {
         self.slots.get(peer.index()).map_or(0, |s| s.failures)
     }
-
-    /// The earliest pending attempt instant across peers currently backed
-    /// off beyond `now` (`None` when every peer may be dialed immediately).
-    pub fn next_deadline(&self, now: SimTime) -> Option<SimTime> {
-        self.slots
-            .iter()
-            .map(|s| s.next_attempt)
-            .filter(|&at| at > now)
-            .min()
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +114,6 @@ mod tests {
         assert!(!b.may_attempt(p, t(0.25)));
         assert!(b.may_attempt(p, t(0.3)));
         assert_eq!(b.failures(p), 2);
-        assert_eq!(b.next_deadline(t(0.25)), Some(t(0.3)));
         b.note_success(p);
         assert_eq!(b.failures(p), 0);
         assert!(b.may_attempt(p, t(0.3)));

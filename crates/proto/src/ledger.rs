@@ -43,7 +43,7 @@ impl MsgClass {
 }
 
 /// Hop and message counters per class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostLedger {
     hops: [u64; 4],
     messages: [u64; 4],

@@ -19,7 +19,7 @@
 use dup_overlay::{NodeId, SearchTree};
 use dup_sim::SimTime;
 use dup_stats::SpaceSaving;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ledger::MsgClass;
 use crate::probe::ProbeEvent;
@@ -33,7 +33,7 @@ use crate::telemetry::Registry;
 /// thousand-node table stays inside L1d — the accounting shares the cache
 /// with the simulation it measures. 4 billion charges per node per class
 /// is orders of magnitude beyond any configured run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeLoad {
     /// Request/reply hops sent (the query path).
     pub query_sends: u32,
@@ -68,7 +68,7 @@ impl NodeLoad {
 }
 
 /// Skew statistics of the per-node load distribution.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct LoadSkew {
     /// Nodes in the distribution (all slots, loaded or not).
     pub nodes: usize,
@@ -88,7 +88,7 @@ pub struct LoadSkew {
 }
 
 /// Load aggregated over one search-tree depth level.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct DepthLoad {
     /// Distance from the root (root = 0).
     pub depth: u32,
@@ -131,7 +131,7 @@ impl LoadTracker {
     /// # Panics
     ///
     /// Panics when `sketch_k` is zero (the sketch needs a counter).
-    pub fn new(capacity: usize, sketch_k: usize) -> Self {
+    fn new(capacity: usize, sketch_k: usize) -> Self {
         let mut t = LoadTracker {
             nodes: vec![NodeLoad::default(); capacity],
             offered: vec![0; capacity],
@@ -428,7 +428,12 @@ pub struct LoadProbe {
 }
 
 impl LoadProbe {
-    /// A probe feeding a fresh tracker (see [`LoadTracker::new`]).
+    /// A probe feeding a fresh tracker over `capacity` node slots with a
+    /// `sketch_k`-counter heavy-hitter sketch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sketch_k` is zero (the sketch needs a counter).
     pub fn new(capacity: usize, sketch_k: usize) -> Self {
         let local = LoadTracker::new(capacity, sketch_k);
         let shared = std::sync::Arc::new(std::sync::Mutex::new(local.clone()));

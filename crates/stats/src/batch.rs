@@ -7,8 +7,6 @@
 //! interval over the batch means — the standard textbook approach and the
 //! one implied by the paper's "run until the 95 % CI is obtained" rule.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ci::ConfidenceInterval;
 use crate::welford::Welford;
 
@@ -19,7 +17,7 @@ use crate::welford::Welford;
 /// observation); the Welford recurrence — whose per-push division buys
 /// numerical stability the variance needs — runs only over the batch
 /// means, once every `batch_size` observations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchMeans {
     batch_size: u64,
     current_count: u64,

@@ -1,11 +1,9 @@
 //! Student-t confidence intervals.
 
-use serde::{Deserialize, Serialize};
-
 use crate::welford::Welford;
 
 /// A two-sided confidence interval around a sample mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate (sample mean).
     pub mean: f64,
@@ -70,7 +68,7 @@ impl ConfidenceInterval {
 /// most from the normal), then a standard monotone interpolation in `1/df`
 /// toward the normal quantile 1.959964. Accuracy is better than 2e-3
 /// everywhere, far below the statistical noise of any simulation run.
-pub fn student_t_975(df: u64) -> f64 {
+fn student_t_975(df: u64) -> f64 {
     const TABLE: [f64; 30] = [
         12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060, 2.2622, 2.2281, 2.2010,
         2.1788, 2.1604, 2.1448, 2.1314, 2.1199, 2.1098, 2.1009, 2.0930, 2.0860, 2.0796, 2.0739,

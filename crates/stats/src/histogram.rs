@@ -3,14 +3,12 @@
 //! Used for hop-count and latency distributions (e.g. the latency tail that
 //! distinguishes PCX from the push schemes when TTLs expire).
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over `[0, bucket_width * buckets)` with an overflow bucket.
 ///
 /// Query latencies in the simulation are small non-negative numbers (hops or
 /// seconds), so fixed-width buckets with an explicit overflow bin are both
 /// simple and adequate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     bucket_width: f64,
     counts: Vec<u64>,

@@ -6,7 +6,7 @@
 //! machinery for that:
 //!
 //! * [`Welford`] — numerically stable streaming mean/variance.
-//! * [`ConfidenceInterval`] / [`student_t_975`] — Student-t intervals.
+//! * [`ConfidenceInterval`] — Student-t intervals.
 //! * [`BatchMeans`] — steady-state output analysis that turns one long,
 //!   autocorrelated sample stream into approximately independent batch means.
 //! * [`Histogram`] — fixed-width histogram with percentile queries.
@@ -49,7 +49,7 @@ pub mod welford;
 pub mod window;
 
 pub use batch::BatchMeans;
-pub use ci::{student_t_975, ConfidenceInterval};
+pub use ci::ConfidenceInterval;
 pub use histogram::Histogram;
 pub use spacesaving::{SketchEntry, SpaceSaving};
 pub use summary::{nullable_f64, Summary};

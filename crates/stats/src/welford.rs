@@ -1,13 +1,11 @@
 //! Welford's online algorithm for streaming mean and variance.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable streaming estimator of count, mean, variance, min, max.
 ///
 /// Welford's update avoids the catastrophic cancellation of the naive
 /// sum-of-squares method, which matters when accumulating millions of
 /// near-equal latency samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,
