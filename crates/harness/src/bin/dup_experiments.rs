@@ -220,8 +220,8 @@ fn main() -> ExitCode {
                 _ => return usage("--space-shards needs a positive integer"),
             },
             "--help" | "-h" => return usage(""),
-            // The uniform seed-set/scheme family (and its hidden legacy
-            // aliases) parses through the shared struct.
+            // The uniform seed-set/scheme family parses through the
+            // shared struct.
             other if other.starts_with('-') => match cli.scenario.try_consume(other, &mut args) {
                 Ok(true) => {}
                 Ok(false) => return usage(&format!("unknown option {other}")),
