@@ -68,7 +68,8 @@ pub struct NodeSnapshot {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Frame<M> {
     /// Announces a (re)started process. Receivers repair their tree for a
-    /// newer incarnation and answer with [`Frame::HelloAck`].
+    /// newer incarnation; a restart (incarnation above 1) is answered with
+    /// [`Frame::HelloAck`].
     Hello {
         /// The announcing node.
         node: NodeId,
@@ -85,12 +86,24 @@ pub enum Frame<M> {
         /// The responder's current search-tree view.
         tree: SearchTree,
     },
-    /// Periodic liveness beacon feeding the failure detector.
+    /// Periodic liveness beacon feeding the failure detector of a
+    /// search-tree neighbour.
     Heartbeat {
         /// The beaconing node.
         node: NodeId,
         /// Its process incarnation.
         incarnation: u64,
+    },
+    /// A membership verdict, flooded over the search tree: `node` at
+    /// `incarnation` is alive (admitted) or dead (spliced out). Hosts order
+    /// verdicts on a node by incarnation, dead above alive at the same one.
+    Verdict {
+        /// The node the verdict is about.
+        node: NodeId,
+        /// The incarnation it names.
+        incarnation: u64,
+        /// Alive, or dead.
+        alive: bool,
     },
     /// One protocol message, exactly as the in-sim substrate would have
     /// scheduled it.
@@ -197,6 +210,11 @@ mod tests {
             Frame::Heartbeat {
                 node: NodeId(0),
                 incarnation: u64::MAX,
+            },
+            Frame::Verdict {
+                node: NodeId(5),
+                incarnation: 3,
+                alive: false,
             },
             Frame::SnapshotReq {
                 reply_to: "127.0.0.1:9\"\\\u{e9}".into(),
@@ -353,6 +371,14 @@ mod tests {
         let mut buf = (body.len() as u32).to_be_bytes().to_vec();
         buf.extend_from_slice(body.as_bytes());
         buf
+    }
+
+    /// Every frame, a heartbeat included, is as large as the largest
+    /// variant, and the live loop moves frames by value: a variant that
+    /// outgrows the boxed bootstrap tree shows here first.
+    #[test]
+    fn a_frame_stays_112_bytes() {
+        assert_eq!(std::mem::size_of::<Frame<DupMsg>>(), 112);
     }
 
     #[test]
@@ -583,10 +609,11 @@ mod tests {
     /// The JSON body of every `Frame` variant and, inside `Deliver`, every
     /// `Msg` variant, in the codec's own spelling. `#` is a slot for a
     /// `u32`, `$` for a `u64`, `@` for one of the scheme's messages.
-    const BODIES: [&str; 11] = [
+    const BODIES: [&str; 12] = [
         r#"{"Hello":{"node":#,"incarnation":$}}"#,
         r#"{"HelloAck":{"node":#,"incarnation":$,"tree":{"root":0,"nodes":[{"alive":true,"parent":null,"children":[1],"depth":0},{"alive":true,"parent":0,"children":[],"depth":1},{"alive":false,"parent":null,"children":[],"depth":7}],"alive":2}}}"#,
         r#"{"Heartbeat":{"node":#,"incarnation":$}}"#,
+        r#"{"Verdict":{"node":#,"incarnation":$,"alive":true}}"#,
         r#"{"SnapshotReq":{"reply_to":"127.0.0.1:#"}}"#,
         r#"{"Snapshot":{"node":#,"incarnation":$,"tree":{"root":0,"nodes":[{"alive":true,"parent":null,"children":[],"depth":0}],"alive":1},"s_list":[#,#],"subscribed":false,"cache_version":$,"authority_version":$,"queries_issued":$}}"#,
         r#""Shutdown""#,
@@ -626,7 +653,8 @@ mod tests {
 
     /// Replaces one variant tag in `body` by another.
     fn swap_tag(body: &str, pick: usize) -> String {
-        const TAGS: &str = "Hello HelloAck Heartbeat Deliver SnapshotReq Snapshot Shutdown \
+        const TAGS: &str =
+            "Hello HelloAck Heartbeat Verdict Deliver SnapshotReq Snapshot Shutdown \
             Request Reply Scheme Tracked Ack Subscribe Register Push";
         let quoted = |tag: &str| format!("\"{tag}\"");
         let tags: Vec<&str> = TAGS.split_whitespace().collect();

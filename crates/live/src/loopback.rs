@@ -27,6 +27,8 @@ pub struct LoopbackNet<M> {
     cut: HashSet<(NodeId, NodeId)>,
     /// Frames handed to the net so far (including dropped ones).
     pub sent: u64,
+    /// Of those, `Heartbeat` frames.
+    pub heartbeats: u64,
     /// Frames dropped on severed links.
     pub dropped: u64,
     now: SimTime,
@@ -40,6 +42,7 @@ impl<M> LoopbackNet<M> {
             queue: VecDeque::new(),
             cut: HashSet::new(),
             sent: 0,
+            heartbeats: 0,
             dropped: 0,
             now: SimTime::ZERO,
         }
@@ -76,6 +79,7 @@ impl<M> LoopbackNet<M> {
 impl<M> FrameNet<M> for LoopbackNet<M> {
     fn send(&mut self, from: NodeId, to: NodeId, frame: Frame<M>) -> bool {
         self.sent += 1;
+        self.heartbeats += u64::from(matches!(frame, Frame::Heartbeat { .. }));
         if self.cut.contains(&(from, to)) {
             self.dropped += 1;
             return false;
