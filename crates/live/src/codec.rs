@@ -4,17 +4,34 @@
 //! encoded as a 4-byte big-endian length followed by that many bytes of
 //! JSON. The JSON is whatever `#[derive(Serialize, Deserialize)]` makes
 //! of the [`Frame`], [`dup_proto::Msg`] and scheme-message declarations;
-//! this module adds only the length prefix and its cap. Both directions
-//! stream: [`write_frame`] renders the frame into the buffer that holds
-//! the prefix and writes the two at once, [`read_frame`] reads the body
-//! into a buffer that grows with what arrives and decodes the frame
-//! straight from it, and neither builds a tree of JSON values on the way.
+//! this module adds only the length prefix and its cap. [`write_frame`]
+//! has `serde_json` render the body, puts the prefix in front of it in
+//! the same buffer and writes the two at once; [`read_frame`] reads the
+//! body into a buffer that grows with what arrives and has `serde_json`
+//! decode the frame from it. Neither builds a tree of JSON values.
+//!
+//! Which path runs: the derive writes each declaration's canonical
+//! compact JSON as straight-line code, and `serde_json` tries it first.
+//! Every frame but `HelloAck` and `Snapshot` is written and read that
+//! way; those two carry a [`SearchTree`], whose impls are written by
+//! hand, so they are rendered by the general JSON writer and read by the
+//! general parser. So is any body that is not byte for byte what
+//! [`write_frame`] writes (whitespace, reordered keys, damage) or that
+//! holds an escaped string, which only the parser unescapes: the
+//! straight-line reader gives up at the first byte that differs and the
+//! parser reads the whole body again, accepting or refusing it as it
+//! always did.
+//!
 //! What bounds an untrusted body, and where: its length here, before
-//! allocating; UTF-8, nesting depth (128) and trailing bytes in
-//! `serde_json`; integer ranges, variant names and missing fields in the
-//! derived impls — and a body that fails any of them is
-//! `io::ErrorKind::InvalidData`, with the stream still aligned on the
-//! next prefix. The protocol
+//! allocating; UTF-8 over the whole body in `serde_json`, before either
+//! path; nesting depth (128) on both paths, by the parser's container
+//! walker and by the straight-line reader's level count; integer ranges
+//! by checked digits on the straight-line path and by the derived impls
+//! on the parser's; variant names and missing fields in the derived
+//! code on both; trailing bytes at the parser's entry point, to which
+//! the straight-line path hands any body with bytes left over — and a
+//! body that fails any of them is `io::ErrorKind::InvalidData`, with the
+//! stream still aligned on the next prefix. The protocol
 //! payload travels inside [`Frame::Deliver`] untouched — the same `Msg`
 //! values the simulator schedules are what the sockets carry, so the
 //! scheme logic cannot diverge between the two substrates, and any
@@ -134,17 +151,16 @@ pub enum Frame<M> {
 const BODY_RESERVE: usize = 64 * 1024;
 
 /// Writes one length-delimited frame: prefix and body are built in one
-/// buffer and handed to `w` in one `write_all`, so a frame is one
-/// `write` syscall and one segment on a `TCP_NODELAY` socket.
+/// buffer (the body rendered, then the prefix moved in front of it) and
+/// handed to `w` in one `write_all`, so a frame is one `write` syscall
+/// and one segment on a `TCP_NODELAY` socket.
 pub fn write_frame<W: Write, M: Serialize>(w: &mut W, frame: &Frame<M>) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(128);
-    buf.extend_from_slice(&[0; 4]);
-    serde_json::to_writer(&mut buf, frame).map_err(io::Error::other)?;
-    let len = u32::try_from(buf.len() - 4).map_err(|_| io::Error::other("frame too large"))?;
+    let mut buf = serde_json::to_vec(frame).map_err(io::Error::other)?;
+    let len = u32::try_from(buf.len()).map_err(|_| io::Error::other("frame too large"))?;
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::other("frame exceeds MAX_FRAME_BYTES"));
     }
-    buf[..4].copy_from_slice(&len.to_be_bytes());
+    buf.splice(..0, len.to_be_bytes());
     w.write_all(&buf)?;
     w.flush()
 }
@@ -296,9 +312,10 @@ mod tests {
         buf
     }
 
-    /// Decodes `body` as `read_frame` does, text → type, and through the
-    /// tree, text → `Value` → type: the two must agree on what the frame is
-    /// (by `Debug`) or that it is none.
+    /// Decodes `body` as `read_frame` does, text → type (straight-line
+    /// when the body is canonical, by the parser when not), and through
+    /// the tree, text → `Value` → type: the two must agree on what the
+    /// frame is (by `Debug`) or that it is none.
     fn decode_both_ways<M: DeserializeOwned + Debug>(body: &[u8]) -> Option<String> {
         let shown = |frame: Frame<M>| format!("{frame:?}");
         let streamed = serde_json::from_slice(body).ok().map(shown);

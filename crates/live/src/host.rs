@@ -266,6 +266,11 @@ struct HostCore<S: LiveScheme> {
     started: bool,
     next_heartbeat_at: SimTime,
     next_keepalive_at: SimTime,
+    /// One nanosecond past the last `advance`: where the timer queue's
+    /// clock parks after every advance that runs it. An arriving delivery
+    /// is never scheduled before it, whether or not the last advance
+    /// returned early.
+    horizon: SimTime,
     queries_issued: u64,
     /// Frames dropped because they named a node outside the cluster or
     /// carried a bootstrap tree without this node in it.
@@ -337,6 +342,7 @@ impl<S: LiveScheme> NodeHost<S> {
                 started: false,
                 next_heartbeat_at: now,
                 next_keepalive_at: now,
+                horizon: SimTime::ZERO,
                 queries_issued: 0,
                 rejected_frames: 0,
             },
@@ -452,7 +458,7 @@ impl<S: LiveScheme> NodeHost<S> {
                 class,
                 msg,
             } => {
-                let at = now.max(self.engine.now());
+                let at = now.max(self.core.horizon);
                 self.engine.schedule(
                     at,
                     Ev::Deliver {
@@ -493,12 +499,16 @@ impl<S: LiveScheme> NodeHost<S> {
     /// Advances host time to `now`: runs the failure detector, emits due
     /// heartbeats (each followed by the verdicts still being re-sent) and
     /// keep-alives, executes due timer-queue events, and flushes the
-    /// outbox through `net`. Called at the end of every
-    /// `on_frame`, so what it costs when nothing is due is what a frame
-    /// costs the host beside the codec: an O(1) detector poll (see
-    /// [`FailureDetector::poll`]), two cadence compares, and parking the
-    /// engine clock.
+    /// outbox through `net`. Called at the end of every `on_frame`. When
+    /// nothing is due — `now` before [`Self::next_deadline`], which bounds
+    /// the detector, both cadences and the timer queue, and the outbox
+    /// empty — it notes the new horizon and returns after that one
+    /// comparison.
     pub fn advance<N: FrameNet<S::Msg>>(&mut self, now: SimTime, net: &mut N) {
+        self.core.horizon = now + SimDuration::from_nanos(1);
+        if now < self.next_deadline() && self.core.outbox.is_empty() {
+            return;
+        }
         // A neighbour that died becomes this host's dead verdict.
         for tr in self.core.detector.poll(now) {
             if let Transition::Died(peer) = tr {
@@ -549,7 +559,7 @@ impl<S: LiveScheme> NodeHost<S> {
         // Execute every timer-queue event due at or before `now`; the
         // sentinel guarantees the engine parks exactly at the horizon.
         let NodeHost { engine, core } = self;
-        engine.set_horizon(now + SimDuration::from_nanos(1));
+        engine.set_horizon(core.horizon);
         engine.run(|eng, ev| core.dispatch(eng, ev));
         if keepalive_due {
             let mut sink = HostSink {
@@ -856,6 +866,53 @@ mod tests {
             };
             host.on_frame(SimTime::ZERO, frame, &mut NullNet);
         }
+    }
+
+    /// Every frame sent, with its addressee.
+    struct Recorded<M>(Vec<(NodeId, Frame<M>)>);
+
+    impl<M> FrameNet<M> for Recorded<M> {
+        fn send(&mut self, _: NodeId, to: NodeId, frame: Frame<M>) -> bool {
+            self.0.push((to, frame));
+            true
+        }
+    }
+
+    /// An advance with nothing due returns early and still moves the
+    /// horizon, as a full one parks the timer queue's clock there: a
+    /// delivery arriving later in the same instant waits for the next
+    /// advance either way, so returning early changes no frame's timing.
+    #[test]
+    fn an_idle_advance_moves_the_horizon_like_a_full_one() {
+        let mut host = root_host();
+        let idle = SimTime::from_nanos(host.next_deadline().as_nanos() - 1);
+        let mut net = Recorded(Vec::new());
+        host.advance(idle, &mut net);
+        let request = Frame::Deliver {
+            from: NodeId(1),
+            to: NodeId(0),
+            class: MsgClass::Request,
+            msg: Msg::Request {
+                origin: NodeId(1),
+                visited: vec![NodeId(1)],
+                issued_at: idle,
+                riders: Vec::new(),
+            },
+        };
+        host.on_frame(idle, request, &mut net);
+        assert!(net.0.is_empty(), "sent at the idle instant: {:?}", net.0);
+        host.advance(idle + SimDuration::from_nanos(1), &mut net);
+        let replied = net.0.iter().any(|(to, frame)| {
+            *to == NodeId(1)
+                && matches!(
+                    frame,
+                    Frame::Deliver {
+                        class: MsgClass::Reply,
+                        ..
+                    }
+                )
+        });
+        assert!(replied, "no reply after the next advance: {:?}", net.0);
     }
 
     /// Each live node with its parent and depth.
