@@ -38,12 +38,11 @@
 //!               (2 shards, timer-wheel backend) and assert its merged
 //!               event log is bit-identical to the sequential run; exits
 //!               nonzero on divergence (the CI cell for the space kernel)
-//!               or `load-report`: sweep Zipf θ ∈ [0.5, 1.2] with full
-//!               per-node load accounting (streaming probe + SpaceSaving
-//!               hot-node sketch), print the skew table, and write
+//!               or `load-report`: sweep Zipf θ ∈ [0.5, 1.2] with exact
+//!               per-node load accounting (streaming probe), print the
+//!               skew table with each point's hottest node, and write
 //!               LOAD_report.json + LOAD_metrics.prom to --out DIR or the
-//!               current directory; exits nonzero when the sketch
-//!               disagrees with the exact accounting
+//!               current directory
 //!               or `live-smoke`: boot an 8-node DUP cluster as real
 //!               localhost processes (one per node, length-delimited TCP),
 //!               SIGKILL a mid-tree node, restart it with a bumped
@@ -342,9 +341,7 @@ fn run_campaign(cli: &Cli, campaign: &Campaign, mutation: Mutation) -> Result<bo
 }
 
 /// Sweeps Zipf θ with full per-node load accounting, prints the skew
-/// table, and writes `LOAD_report.json` + `LOAD_metrics.prom`. Returns
-/// `Ok(true)` when the sketch agreed with the exact accounting at every
-/// point.
+/// table, and writes `LOAD_report.json` + `LOAD_metrics.prom`.
 fn run_load_report(cli: &Cli) -> Result<bool, String> {
     let out = dup_harness::load_report(&cli.opts);
     print!("{}", dup_harness::render_load_report(&out));
@@ -352,7 +349,7 @@ fn run_load_report(cli: &Cli) -> Result<bool, String> {
     let doc = serde_json::to_string_pretty(&out.report).expect("load report serializes");
     write_artifact(dir, "LOAD_report.json", &(doc + "\n"))?;
     write_artifact(dir, "LOAD_metrics.prom", &out.prometheus)?;
-    Ok(out.report.points.iter().all(|p| p.sketch_agrees))
+    Ok(true)
 }
 
 /// Runs one fully traced simulation, prints the propagation-tree summary,

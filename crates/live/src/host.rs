@@ -116,18 +116,23 @@ pub struct LiveConfig {
     pub lease_every: SimDuration,
     /// Local query cadence.
     pub query_every: SimDuration,
-    /// Index TTL (authority refresh period ~= ttl - push_lead).
-    pub index_ttl: SimDuration,
-    /// How long before expiry the authority publishes the next version.
-    pub push_lead: SimDuration,
-    /// Ack timeout for the reliability layer.
-    pub ack_timeout: SimDuration,
-    /// Maximum retransmit attempts.
-    pub max_retries: u32,
-    /// Interest threshold (a node subscribes after more than this many
-    /// queries in an epoch).
-    pub interest_threshold: u32,
 }
+
+/// Index TTL (authority refresh period ~= ttl - push lead).
+const INDEX_TTL: SimDuration = SimDuration::from_secs(10);
+
+/// How long before expiry the authority publishes the next version.
+const PUSH_LEAD: SimDuration = SimDuration::from_secs(1);
+
+/// Ack timeout for the reliability layer, in seconds.
+const ACK_TIMEOUT_SECS: f64 = 0.25;
+
+/// Maximum retransmit attempts.
+const MAX_RETRIES: u32 = 5;
+
+/// Interest threshold: a node subscribes after more than this many queries
+/// in an epoch.
+const INTEREST_THRESHOLD: u32 = 0;
 
 impl LiveConfig {
     /// Smoke-test scale: sub-second failure detection and lease periods so
@@ -140,11 +145,6 @@ impl LiveConfig {
             dead_after: SimDuration::from_secs_f64(1.0),
             lease_every: SimDuration::from_secs_f64(0.5),
             query_every: SimDuration::from_secs_f64(0.15),
-            index_ttl: SimDuration::from_secs_f64(10.0),
-            push_lead: SimDuration::from_secs_f64(1.0),
-            ack_timeout: SimDuration::from_secs_f64(0.25),
-            max_retries: 5,
-            interest_threshold: 0,
         }
     }
 
@@ -162,17 +162,18 @@ impl LiveConfig {
     fn keepalive_every(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.lease_every.as_secs_f64() / 2.0)
     }
+}
 
-    fn reliability(&self) -> ReliabilityConfig {
-        ReliabilityConfig {
-            enabled: true,
-            ack_timeout_secs: self.ack_timeout.as_secs_f64(),
-            max_retries: self.max_retries,
-            // Lease ticks are scheduled by the host, not the runner, so the
-            // runner-facing knob stays off.
-            lease_every_secs: 0.0,
-            ..ReliabilityConfig::default()
-        }
+/// The reliability layer every live host runs.
+fn reliability() -> ReliabilityConfig {
+    ReliabilityConfig {
+        enabled: true,
+        ack_timeout_secs: ACK_TIMEOUT_SECS,
+        max_retries: MAX_RETRIES,
+        // Lease ticks are scheduled by the host, not the runner, so the
+        // runner-facing knob stays off.
+        lease_every_secs: 0.0,
+        ..ReliabilityConfig::default()
     }
 }
 
@@ -315,11 +316,11 @@ impl<S: LiveScheme> NodeHost<S> {
             cfg.dead_after
         );
         let mut world = World::new(SearchTree::from_parents(&cfg.parents));
-        world.authority = AuthorityClock::new(now, cfg.index_ttl, cfg.push_lead);
-        world.interest = InterestTracker::new(cfg.index_ttl, cfg.interest_threshold, n);
+        world.authority = AuthorityClock::new(now, INDEX_TTL, PUSH_LEAD);
+        world.interest = InterestTracker::new(INDEX_TTL, INTEREST_THRESHOLD, n);
         world.metrics.start_recording();
         world.latency_rng = SenderStreams::new(u64::from(me.0), "live");
-        world.reliable = ReliableState::from_config(cfg.reliability(), u64::from(me.0));
+        world.reliable = ReliableState::from_config(reliability(), u64::from(me.0));
         let detector = FailureDetector::new(cfg.suspect_after, cfg.dead_after);
         let mut engine = Engine::new();
         // Keep one far-future sentinel queued so `run` always parks the

@@ -273,8 +273,8 @@ pub struct ProbeConfig {
     /// into [`crate::RunReport::samples`]; `0` (the default) disables
     /// sampling.
     pub sample_every_secs: f64,
-    /// Opt-in engine self-profiling: wall-clock per-phase timing, queue
-    /// depth sampling, and probe-emit accounting, harvested into
+    /// Opt-in engine self-profiling: wall-clock per-phase timing and
+    /// probe-emit accounting, harvested into
     /// [`crate::RunReport::engine_profile`]. Wall-clock only — never feeds
     /// back into deterministic results. Defaults off.
     pub profile_engine: bool,

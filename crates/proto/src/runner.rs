@@ -1184,11 +1184,6 @@ mod tests {
             .expect("profiler enabled but no profile harvested");
         assert_eq!(prof.events, profiled.events, "every pop accounted");
         assert!(prof.dispatch_secs > 0.0, "handlers took nonzero time");
-        assert!(
-            !prof.queue_depth.is_empty(),
-            "depth series sampled over a {}-event run",
-            profiled.events
-        );
         // Profiling is wall-clock only: every deterministic field agrees
         // bit-for-bit with the unprofiled run.
         let mut stripped = profiled.clone();

@@ -27,7 +27,7 @@ use dup_sim::SimTime;
 use dup_stats::Histogram;
 
 use crate::ledger::MsgClass;
-use crate::probe::ProbeEvent;
+use crate::probe::{ProbeEvent, TraceSample};
 
 /// High bit marking a query-rooted trace id (versions stay far below it).
 pub const QUERY_TRACE_BIT: u64 = 1 << 63;
@@ -658,25 +658,21 @@ pub fn perfetto_trace(collector: &TraceCollector) -> serde_json::Value {
     serde_json::json!({ "traceEvents": events })
 }
 
-/// Renders a profiling time series as Chrome trace-event *counter* rows
-/// (`ph: "C"`), suitable for appending to a [`perfetto_trace`] document's
-/// `traceEvents`: ui.perfetto.dev draws one counter track named `name`.
-/// Sample times are interpreted as seconds on the same axis as the trace
-/// slices (i.e. simulation time for engine queue-depth series).
-pub fn perfetto_counter_events(
-    series: &dup_stats::WindowedSeries,
-    name: &str,
-    pid: u32,
-) -> Vec<serde_json::Value> {
-    series
+/// Renders a run's periodic samples ([`crate::RunReport::samples`]) as
+/// Chrome trace-event *counter* rows (`ph: "C"`), suitable for appending to
+/// a [`perfetto_trace`] document's `traceEvents`: ui.perfetto.dev draws one
+/// `queue depth` track. Sample times are simulated seconds, the axis the
+/// trace slices use.
+pub fn perfetto_counter_events(samples: &[TraceSample]) -> Vec<serde_json::Value> {
+    samples
         .iter()
         .map(|s| {
-            let args = serde_json::json!({ "value": s.value });
+            let args = serde_json::json!({ "value": s.queue_depth });
             serde_json::json!({
-                "name": name,
+                "name": "queue depth",
                 "ph": "C",
                 "ts": (s.at_secs * 1e6).round() as u64,
-                "pid": pid,
+                "pid": 0u32,
                 "args": args,
             })
         })
@@ -740,10 +736,18 @@ mod tests {
 
     #[test]
     fn counter_events_render_a_track() {
-        let mut series = dup_stats::WindowedSeries::new(8);
-        series.push(1.0, 10.0);
-        series.push(2.0, 4.0);
-        let rows = perfetto_counter_events(&series, "queue depth", 1);
+        let sample = |at_secs: f64, queue_depth: usize| TraceSample {
+            at_secs,
+            live_nodes: 0,
+            interested_nodes: 0,
+            cache_valid: 0,
+            tree_size: 0,
+            mean_list_len: 0.0,
+            queue_depth,
+            in_flight_msgs: 0,
+            shard: 0,
+        };
+        let rows = perfetto_counter_events(&[sample(1.0, 10), sample(2.0, 4)]);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].get("ph").unwrap().as_str(), Some("C"));
         assert_eq!(rows[0].get("ts").unwrap().as_u64(), Some(1_000_000));
@@ -751,8 +755,8 @@ mod tests {
             rows[1]
                 .get("args")
                 .and_then(|a| a.get("value"))
-                .and_then(|v| v.as_f64()),
-            Some(4.0)
+                .and_then(|v| v.as_u64()),
+            Some(4)
         );
     }
 

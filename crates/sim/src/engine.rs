@@ -1,7 +1,7 @@
 //! The event loop: pops events in `(time, seq)` order and hands them to a
 //! handler that may schedule further events.
 
-use crate::profiler::{EngineProfiler, DEPTH_SAMPLE_EVERY, TIME_SAMPLE_EVERY};
+use crate::profiler::{EngineProfiler, TIME_SAMPLE_EVERY};
 use crate::queue::{EventQueue, Popped, QueueBackend, TimerId};
 use crate::time::{SimDuration, SimTime};
 use std::time::Instant;
@@ -107,11 +107,11 @@ impl<E> Engine<E> {
     }
 
     /// Enables self-profiling: subsequent [`Engine::run`] calls time queue
-    /// pops and handler dispatch and sample queue depth. Profiling is
-    /// wall-clock only — it never affects event order or model state.
+    /// pops and handler dispatch. Profiling is wall-clock only — it never
+    /// affects event order or model state.
     pub fn enable_profiler(&mut self) {
         if self.profiler.is_none() {
-            self.profiler = Some(Box::new(EngineProfiler::new()));
+            self.profiler = Some(Box::default());
         }
     }
 
@@ -194,12 +194,8 @@ impl<E> Engine<E> {
             debug_assert!(at >= self.now, "event queue violated time order");
             self.now = at;
             self.events_processed += 1;
-            let depth = self.queue.len();
             if let Some(prof) = self.profiler.as_mut() {
                 prof.events += 1;
-                if prof.events.is_multiple_of(DEPTH_SAMPLE_EVERY) {
-                    prof.queue_depth.push(at.as_secs_f64(), depth as f64);
-                }
             }
             if let Some(t0) = pop_started {
                 let dispatch_started = Instant::now();

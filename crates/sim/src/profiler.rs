@@ -10,36 +10,25 @@
 //! `dispatch_secs` are unbiased estimates of the totals. On hosts with a
 //! slow monotonic-clock source (hundreds of ns per read) this keeps the
 //! enabled-profiler overhead to a fraction of a percent instead of
-//! multiplying per-event cost. Queue depth is sampled into a bounded
-//! [`WindowedSeries`], so even a multi-hour run produces a fixed-size
-//! profile.
+//! multiplying per-event cost.
 //!
 //! All times here are **wall-clock** seconds, not simulated time — a
 //! profile is inherently nondeterministic and must never feed back into
 //! model state or deterministic reports.
 
-use dup_stats::WindowedSeries;
 use serde::Serialize;
-
-/// How many events between queue-depth samples (power of two so the check
-/// compiles to a mask).
-pub const DEPTH_SAMPLE_EVERY: u64 = 1024;
 
 /// How many events between timed events (power of two so the check
 /// compiles to a mask). Measured durations are scaled by this stride, so
 /// the accumulated phase totals estimate the full run.
 pub const TIME_SAMPLE_EVERY: u64 = 256;
 
-/// Retained queue-depth samples; at [`DEPTH_SAMPLE_EVERY`] spacing this
-/// window covers the most recent ~4M events.
-pub const DEPTH_WINDOW: usize = 4096;
-
 /// Wall-clock phase breakdown of a sequential [`crate::Engine`] run.
 ///
 /// Accumulated by the engine when profiling is enabled; harvest with
 /// [`crate::Engine::take_profiler`]. Serializable so harness reports can
 /// embed it (as optional, non-deterministic data).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct EngineProfiler {
     /// Events dispatched while profiling was active.
     pub events: u64,
@@ -56,43 +45,6 @@ pub struct EngineProfiler {
     /// caller routes probes through a timing wrapper (0 otherwise; the
     /// engine itself cannot see probe calls).
     pub probe_secs: f64,
-    /// Queue depth sampled every [`DEPTH_SAMPLE_EVERY`] events, keyed by
-    /// simulation time in seconds.
-    pub queue_depth: WindowedSeries,
-}
-
-impl Default for EngineProfiler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EngineProfiler {
-    /// Creates an empty profiler with the default depth-sampling window.
-    pub fn new() -> Self {
-        EngineProfiler {
-            events: 0,
-            timed_events: 0,
-            pop_secs: 0.0,
-            dispatch_secs: 0.0,
-            probe_secs: 0.0,
-            queue_depth: WindowedSeries::new(DEPTH_WINDOW),
-        }
-    }
-
-    /// Total attributed wall-clock seconds (pop + dispatch).
-    pub fn total_secs(&self) -> f64 {
-        self.pop_secs + self.dispatch_secs
-    }
-
-    /// Mean handler dispatch cost in microseconds, `None` before any event.
-    pub fn mean_dispatch_us(&self) -> Option<f64> {
-        if self.events == 0 {
-            None
-        } else {
-            Some(self.dispatch_secs * 1e6 / self.events as f64)
-        }
-    }
 }
 
 /// Wall-clock profile of a [`crate::ShardedEngine`] run.
@@ -158,17 +110,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn profiler_means() {
-        let mut p = EngineProfiler::new();
-        assert_eq!(p.mean_dispatch_us(), None);
-        p.events = 4;
-        p.dispatch_secs = 8e-6;
-        p.pop_secs = 2e-6;
-        assert_eq!(p.mean_dispatch_us(), Some(2.0));
-        assert!((p.total_secs() - 1e-5).abs() < 1e-18);
-    }
-
-    #[test]
     fn shard_profile_window_accounting() {
         let mut p = ShardProfile::new(3);
         p.record_window(&[1.0, 3.0, 2.0]);
@@ -183,22 +124,5 @@ mod tests {
     fn empty_shard_profile_has_no_skew() {
         assert_eq!(ShardProfile::new(0).busy_skew(), None);
         assert_eq!(ShardProfile::new(2).busy_skew(), None);
-    }
-
-    #[test]
-    fn profiler_serializes() {
-        let mut p = EngineProfiler::new();
-        p.queue_depth.push(1.0, 42.0);
-        p.queue_depth.push(2.0, 43.0);
-        let json = serde_json::to_value(&p).unwrap();
-        let depth = &json["queue_depth"];
-        let values: Vec<f64> = depth["samples"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| s["value"].as_f64().unwrap())
-            .collect();
-        assert_eq!(values, [42.0, 43.0]);
-        assert_eq!(depth["evicted"].as_u64(), Some(0));
     }
 }

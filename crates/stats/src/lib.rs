@@ -11,8 +11,6 @@
 //!   autocorrelated sample stream into approximately independent batch means.
 //! * [`Histogram`] — fixed-width histogram with percentile queries.
 //! * [`Summary`] — a compact serializable digest used by the harness.
-//! * [`SpaceSaving`] — bounded-memory heavy-hitter sketch for hot-node sets.
-//! * [`WindowedSeries`] — bounded `(time, value)` ring for profiling traces.
 //!
 //! # Example
 //!
@@ -43,15 +41,11 @@
 pub mod batch;
 pub mod ci;
 pub mod histogram;
-pub mod spacesaving;
 pub mod summary;
 pub mod welford;
-pub mod window;
 
 pub use batch::BatchMeans;
 pub use ci::ConfidenceInterval;
 pub use histogram::Histogram;
-pub use spacesaving::{SketchEntry, SpaceSaving};
 pub use summary::{nullable_f64, Summary};
 pub use welford::Welford;
-pub use window::{Sample, WindowedSeries};

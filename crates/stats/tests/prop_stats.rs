@@ -1,87 +1,12 @@
 //! Property tests for the statistics substrate.
 
-use std::collections::HashMap;
-
 use proptest::prelude::*;
 
-use dup_stats::{BatchMeans, ConfidenceInterval, Histogram, SpaceSaving, Welford};
+use dup_stats::{BatchMeans, ConfidenceInterval, Histogram, Welford};
 
 fn finite_f64() -> impl Strategy<Value = f64> {
     // Bounded magnitudes keep floating-point comparisons meaningful.
     -1.0e6..1.0e6
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Deterministic Zipf(θ) stream over keys `0..n` via inverse-CDF sampling.
-fn zipf_stream(seed: u64, n: usize, theta: f64, len: usize) -> Vec<u64> {
-    let weights: Vec<f64> = (1..=n).map(|r| (r as f64).powf(-theta)).collect();
-    let total: f64 = weights.iter().sum();
-    (0..len)
-        .map(|i| {
-            let u = splitmix64(seed ^ (i as u64).wrapping_mul(0x1234_5678_9abc_def1)) as f64
-                / u64::MAX as f64;
-            let mut acc = 0.0;
-            for (k, &w) in weights.iter().enumerate() {
-                acc += w / total;
-                if u <= acc {
-                    return k as u64;
-                }
-            }
-            (n - 1) as u64
-        })
-        .collect()
-}
-
-/// The two SpaceSaving guarantees against an exact reference count:
-/// every key with true count above `N/k` is monitored, and each monitored
-/// key's estimate brackets its true count within the per-entry error, which
-/// itself never exceeds `N/k`.
-fn check_sketch_guarantees(stream: &[u64], capacity: usize) -> Result<(), TestCaseError> {
-    let mut sketch = SpaceSaving::new(capacity);
-    let mut exact: HashMap<u64, u64> = HashMap::new();
-    for &k in stream {
-        sketch.offer(k);
-        *exact.entry(k).or_insert(0) += 1;
-    }
-    prop_assert_eq!(sketch.total(), stream.len() as u64);
-    let bound = sketch.guarantee_threshold();
-    for (&k, &true_count) in &exact {
-        if true_count > bound {
-            let est = sketch.estimate(k);
-            prop_assert!(
-                est.is_some(),
-                "heavy hitter {} (count {} > {}) not monitored",
-                k,
-                true_count,
-                bound
-            );
-        }
-    }
-    for e in sketch.entries_sorted() {
-        let true_count = exact.get(&e.key).copied().unwrap_or(0);
-        prop_assert!(e.count >= true_count, "sketch undercounts {}", e.key);
-        prop_assert!(
-            e.count - true_count <= e.error,
-            "key {}: overcount {} exceeds recorded error {}",
-            e.key,
-            e.count - true_count,
-            e.error
-        );
-        prop_assert!(
-            e.error <= bound,
-            "key {}: error {} exceeds N/k = {}",
-            e.key,
-            e.error,
-            bound
-        );
-    }
-    Ok(())
 }
 
 proptest! {
@@ -186,30 +111,6 @@ proptest! {
                 prev = v;
             }
         }
-    }
-
-    /// SpaceSaving on adversarial streams: arbitrary key sequences from a
-    /// small universe (maximizing eviction churn) never break the
-    /// heavy-hitter or error-bound guarantees.
-    #[test]
-    fn spacesaving_adversarial_guarantees(
-        keys in prop::collection::vec(0u64..40, 1..600),
-        capacity in 1usize..24,
-    ) {
-        check_sketch_guarantees(&keys, capacity)?;
-    }
-
-    /// SpaceSaving on Zipf streams (the workload shape the load tracker
-    /// actually sees): guarantees hold across the θ range the paper sweeps,
-    /// and the sketch's top key is a true heavy hitter.
-    #[test]
-    fn spacesaving_zipf_guarantees(
-        seed in 0u64..1u64 << 48,
-        theta_milli in 500u64..1200,
-        capacity in 4usize..32,
-    ) {
-        let stream = zipf_stream(seed, 100, theta_milli as f64 / 1000.0, 800);
-        check_sketch_guarantees(&stream, capacity)?;
     }
 
     /// Merging two histograms equals recording both streams into one.
