@@ -9,30 +9,47 @@
 use dup_overlay::NodeId;
 use dup_sim::SimTime;
 
-use crate::index::IndexRecord;
+use crate::index::{IndexRecord, Version};
 
 /// The cache slots of all nodes, indexed densely by [`NodeId`].
 ///
-/// One 32-byte `Option<IndexRecord>` per node, two to a cache line. The
-/// table is read at a random node per hop, and past a few thousand nodes
-/// it does not fit the CPU caches, so what a lookup or an install costs is
-/// the number of lines it touches: one here, where parallel arrays of
-/// flags, versions, creation and expiry instants touched up to four. The
+/// One 24-byte [`IndexRecord`] per node, with [`EMPTY`] marking a slot
+/// that holds no copy. The table is read at a random node per hop, and
+/// past a few thousand nodes it does not fit the CPU caches, so what a
+/// lookup or an install costs is the number of lines it touches: one
+/// here (two for a quarter of the slots), where parallel arrays of flags,
+/// versions, creation and expiry instants touched up to four. The
 /// [`CacheStore::valid_count`] sweep runs once per probe sample and reads
 /// the whole table either way.
 #[derive(Debug, Clone, Default)]
 pub struct CacheStore {
-    slots: Vec<Option<IndexRecord>>,
+    slots: Vec<IndexRecord>,
 }
 
-// A field added to the record must not silently double the table.
-const _: () = assert!(std::mem::size_of::<Option<IndexRecord>>() == 32);
+/// An empty slot. No installable record carries it: the authority stamps
+/// `created` with the current instant, which never reaches
+/// [`SimTime::MAX`]. Its expiry lies at time zero, so it is valid at no
+/// instant.
+const EMPTY: IndexRecord = IndexRecord {
+    version: Version(0),
+    created: SimTime::MAX,
+    expires: SimTime::ZERO,
+};
+
+// A field added to the record must not silently grow the table.
+const _: () = assert!(std::mem::size_of::<IndexRecord>() == 24);
+
+/// The copy a slot holds, if any.
+#[inline]
+fn held(slot: &IndexRecord) -> Option<IndexRecord> {
+    (slot.created != SimTime::MAX).then_some(*slot)
+}
 
 impl CacheStore {
     /// Creates a store with `capacity` empty slots.
     pub fn new(capacity: usize) -> Self {
         CacheStore {
-            slots: vec![None; capacity],
+            slots: vec![EMPTY; capacity],
         }
     }
 
@@ -40,7 +57,7 @@ impl CacheStore {
     /// node ids mid-run).
     pub(crate) fn ensure_slot(&mut self, node: NodeId) {
         if node.index() >= self.slots.len() {
-            self.slots.resize(node.index() + 1, None);
+            self.slots.resize(node.index() + 1, EMPTY);
         }
     }
 
@@ -48,31 +65,34 @@ impl CacheStore {
     /// already cached (a delayed push must not clobber a fresher copy).
     /// Returns true when the slot changed.
     pub fn install(&mut self, node: NodeId, record: IndexRecord) -> bool {
+        debug_assert!(record.created != SimTime::MAX, "record reads as empty");
         self.ensure_slot(node);
         let slot = &mut self.slots[node.index()];
-        if slot.is_some_and(|held| held.version >= record.version) {
+        if held(slot).is_some_and(|held| held.version >= record.version) {
             return false;
         }
-        *slot = Some(record);
+        *slot = record;
         true
     }
 
-    /// The valid cached copy at `node`, if any.
+    /// The valid cached copy at `node`, if any. An empty slot is valid at
+    /// no instant, so this tests expiry alone.
     pub fn valid_at(&self, node: NodeId, now: SimTime) -> Option<IndexRecord> {
-        self.raw(node).filter(|held| held.is_valid_at(now))
+        let slot = self.slots.get(node.index())?;
+        slot.is_valid_at(now).then_some(*slot)
     }
 
     /// The raw slot contents regardless of validity (for inspection/tests).
     /// An occupied-but-expired slot is still returned — only
     /// [`CacheStore::evict`] empties a slot.
     pub fn raw(&self, node: NodeId) -> Option<IndexRecord> {
-        *self.slots.get(node.index())?
+        held(self.slots.get(node.index())?)
     }
 
     /// Clears a node's slot (used when a node departs).
     pub(crate) fn evict(&mut self, node: NodeId) {
         if let Some(slot) = self.slots.get_mut(node.index()) {
-            *slot = None;
+            *slot = EMPTY;
         }
     }
 
@@ -80,8 +100,7 @@ impl CacheStore {
     pub fn valid_count(&self, now: SimTime) -> usize {
         self.slots
             .iter()
-            .flatten()
-            .filter(|held| held.is_valid_at(now))
+            .filter(|slot| slot.is_valid_at(now))
             .count()
     }
 }
@@ -89,7 +108,6 @@ impl CacheStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::Version;
 
     fn record(version: u64, expires_sec: u64) -> IndexRecord {
         IndexRecord {

@@ -206,80 +206,75 @@ pub const DEFAULT_DEDUP_WINDOW: u64 = 4096;
 
 /// Receiver-side anti-replay window for one sender: a bitmap over the
 /// `window` most recent sequence numbers, anchored at the highest
-/// sequence admitted so far. Memory is `window / 8` bytes per observed
-/// sender, independent of run length — this is what bounds the dedup
-/// state that previously grew for the run's lifetime.
+/// sequence admitted so far. The bitmap holds the words up to the highest
+/// slot ever set, so it grows with the sequence span its sender has used,
+/// up to `window / 8` bytes whatever the run length; words past its end
+/// read as zero. An empty bitmap means no delivery from this sender yet.
+/// [`ReliableState`] holds the width once and passes it to
+/// [`DedupWindow::admit`].
 #[derive(Debug, Clone, Default)]
 struct DedupWindow {
-    /// False until the first delivery from this sender.
-    primed: bool,
     /// Highest sequence number admitted so far.
     hi: u64,
-    /// `window` bits; the bit for sequence `s` lives at `s % window`.
+    /// A prefix of the `window` bits; the bit for sequence `s` lives at
+    /// `s % window`.
     bits: Vec<u64>,
 }
 
 impl DedupWindow {
-    fn new(window: u64) -> Self {
-        DedupWindow {
-            primed: false,
-            hi: 0,
-            bits: vec![0; (window / 64) as usize],
+    #[inline]
+    fn test(&self, at: u64) -> bool {
+        self.bits
+            .get((at / 64) as usize)
+            .is_some_and(|w| w & (1 << (at % 64)) != 0)
+    }
+
+    /// Sets bit `at`, growing the bitmap to exactly the word it needs.
+    #[inline]
+    fn set(&mut self, at: u64) {
+        let word = (at / 64) as usize;
+        if word >= self.bits.len() {
+            self.bits.reserve_exact(word + 1 - self.bits.len());
+            self.bits.resize(word + 1, 0);
+        }
+        self.bits[word] |= 1 << (at % 64);
+    }
+
+    #[inline]
+    fn clear(&mut self, at: u64) {
+        if let Some(w) = self.bits.get_mut((at / 64) as usize) {
+            *w &= !(1 << (at % 64));
         }
     }
 
-    #[inline]
-    fn window(&self) -> u64 {
-        self.bits.len() as u64 * 64
-    }
-
-    #[inline]
-    fn test(&self, seq: u64) -> bool {
-        let at = seq % self.window();
-        self.bits[(at / 64) as usize] & (1 << (at % 64)) != 0
-    }
-
-    #[inline]
-    fn set(&mut self, seq: u64) {
-        let at = seq % self.window();
-        self.bits[(at / 64) as usize] |= 1 << (at % 64);
-    }
-
-    #[inline]
-    fn clear(&mut self, seq: u64) {
-        let at = seq % self.window();
-        self.bits[(at / 64) as usize] &= !(1 << (at % 64));
-    }
-
-    /// Classifies one arrival of `seq`. `Fresh`: first copy, dispatch.
-    /// `Duplicate`: already seen within the window, suppress. `Evicted`:
-    /// older than the window — its record is gone, so a duplicate is
-    /// indistinguishable from a first copy and must be readmitted.
-    fn admit(&mut self, seq: u64) -> Admit {
-        let window = self.window();
-        if !self.primed {
-            self.primed = true;
+    /// Classifies one arrival of `seq` in a window `window` sequences wide.
+    /// `Fresh`: first copy, dispatch. `Duplicate`: already seen within the
+    /// window, suppress. `Evicted`: older than the window — its record is
+    /// gone, so a duplicate is indistinguishable from a first copy and must
+    /// be readmitted.
+    fn admit(&mut self, seq: u64, window: u64) -> Admit {
+        if self.bits.is_empty() {
             self.hi = seq;
-            self.set(seq);
+            self.set(seq % window);
             return Admit::Fresh;
         }
         if seq > self.hi {
             // Slide forward: every slot entering the window is cleared of
             // its stale bit from `window` sequences ago.
             for s in self.hi + 1..=self.hi + (seq - self.hi).min(window) {
-                self.clear(s);
+                self.clear(s % window);
             }
             self.hi = seq;
-            self.set(seq);
+            self.set(seq % window);
             return Admit::Fresh;
         }
         if self.hi - seq >= window {
             return Admit::Evicted;
         }
-        if self.test(seq) {
+        if self.test(seq % window) {
             Admit::Duplicate
         } else {
-            self.set(seq);
+            self.set(seq % window);
             Admit::Fresh
         }
     }
@@ -306,12 +301,13 @@ pub struct ReliableState {
     cfg: ReliabilityConfig,
     streams: SenderStreams,
     armed: bool,
-    next_seq: Vec<u64>,
+    /// Per-sender counter of tracked sends, indexed by sender id.
+    next_seq: Vec<u32>,
     pending: HashMap<u64, Pending>,
-    /// Per-sender dedup windows, indexed by sender id; allocated lazily
-    /// on the first tracked delivery from that sender.
-    seen: Vec<Option<DedupWindow>>,
-    /// Width of newly created dedup windows, in sequence numbers.
+    /// Per-sender dedup windows, indexed by sender id; a window's bitmap
+    /// is empty until the first tracked delivery from that sender.
+    seen: Vec<DedupWindow>,
+    /// Width of every dedup window, in sequence numbers.
     dedup_window: u64,
     stats: ReliabilityStats,
 }
@@ -339,10 +335,18 @@ impl ReliableState {
     }
 
     /// Sets the width of the receiver-side dedup window, in sequence
-    /// numbers (rounded up to a multiple of 64, minimum 64). Affects
-    /// windows created after the call, so set it before any deliveries —
-    /// property tests shrink it to make eviction reachable.
+    /// numbers (rounded up to a multiple of 64, minimum 64) — property
+    /// tests shrink it to make eviction reachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics once a tracked delivery has created a window: every window
+    /// shares the one width.
     pub fn set_dedup_window(&mut self, window: u64) {
+        assert!(
+            self.seen.is_empty(),
+            "the dedup window is set before the first tracked delivery"
+        );
         self.dedup_window = window.max(64).next_multiple_of(64);
     }
 
@@ -374,9 +378,8 @@ impl ReliableState {
             self.next_seq.resize(i + 1, 0);
         }
         let counter = self.next_seq[i];
-        self.next_seq[i] += 1;
-        debug_assert!(counter < u64::from(u32::MAX), "per-sender seq overflow");
-        let seq = (i as u64) << 32 | counter;
+        self.next_seq[i] = counter.checked_add(1).expect("per-sender seq overflow");
+        let seq = (i as u64) << 32 | u64::from(counter);
         self.stats.tracked += 1;
         let jitter: f64 = self.streams.rng(i).gen();
         (seq, jitter)
@@ -446,7 +449,8 @@ impl ReliableState {
     /// Dedup state per sender is a sliding window over the
     /// [`dedup window`](ReliableState::set_dedup_window) most recent
     /// sequence numbers rather than the full run history, so memory is
-    /// bounded. The tradeoff is honest at-least-once delivery: a
+    /// bounded: it grows with the sequence span the sender has used, up to
+    /// `window / 8` bytes. The tradeoff is honest at-least-once delivery: a
     /// duplicate arriving after its record aged out of the window is
     /// readmitted (dispatched again) and counted in
     /// [`ReliabilityStats::duplicates_readmitted`]; every scheme handler
@@ -455,10 +459,9 @@ impl ReliableState {
     pub fn on_tracked_delivery(&mut self, sender: NodeId, seq: u64) -> bool {
         let i = sender.index();
         if i >= self.seen.len() {
-            self.seen.resize(i + 1, None);
+            self.seen.resize_with(i + 1, DedupWindow::default);
         }
-        let window = self.seen[i].get_or_insert_with(|| DedupWindow::new(self.dedup_window));
-        match window.admit(seq) {
+        match self.seen[i].admit(seq, self.dedup_window) {
             Admit::Fresh => true,
             Admit::Duplicate => {
                 self.stats.duplicates_suppressed += 1;
@@ -661,6 +664,42 @@ mod tests {
         assert!(!r.on_tracked_delivery(s, 150), "in-window duplicate");
         assert_eq!(r.stats().duplicates_suppressed, 2);
         assert_eq!(r.stats().duplicates_readmitted, 1);
+    }
+
+    #[test]
+    fn a_window_holds_only_the_words_its_span_needs() {
+        let mut r = armed();
+        let s = NodeId(1);
+        let base = u64::from(s.0) << 32;
+        assert!(r.on_tracked_delivery(s, base));
+        assert_eq!(r.seen[1].bits.len(), 1, "one delivery, one word");
+        assert!(r.seen[0].bits.is_empty(), "a sender never heard from");
+        assert!(r.on_tracked_delivery(s, base + 200));
+        assert_eq!(r.seen[1].bits.len(), 4, "bit 200 lives in word 3");
+        assert!(r.on_tracked_delivery(s, base + 10 * DEFAULT_DEDUP_WINDOW + 5));
+        assert_eq!(r.seen[1].bits.len(), 4, "the jump wrapped to word 0");
+        for seq in 1..3 * DEFAULT_DEDUP_WINDOW {
+            r.on_tracked_delivery(s, base + 10 * DEFAULT_DEDUP_WINDOW + seq);
+        }
+        let full = (DEFAULT_DEDUP_WINDOW / 64) as usize;
+        assert_eq!(r.seen[1].bits.len(), full, "capped at the full window");
+        assert_eq!(r.seen[1].bits.capacity(), full);
+    }
+
+    #[test]
+    #[should_panic(expected = "before the first tracked delivery")]
+    fn the_window_width_is_fixed_once_a_window_exists() {
+        let mut r = armed();
+        r.on_tracked_delivery(NodeId(2), 7);
+        r.set_dedup_window(64);
+    }
+
+    #[test]
+    #[should_panic(expected = "per-sender seq overflow")]
+    fn a_sender_cannot_wrap_its_sequence_counter() {
+        let mut r = armed();
+        r.next_seq = vec![u32::MAX];
+        r.begin_tracking(NodeId(0));
     }
 
     #[test]

@@ -161,6 +161,7 @@ pub struct Runner<S: Scheme> {
     /// Zipf rank → node; entries are redirected to the takeover node when
     /// their node departs.
     rank_map: Vec<NodeId>,
+    /// The live nodes churn samples from; empty in a run without churn.
     live: LiveSet,
     warmup_end: SimTime,
     horizon: SimTime,
@@ -269,7 +270,11 @@ impl<S: Scheme> Runner<S> {
         world.reliable = ReliableState::from_config(cfg.reliability.clone(), seed);
         let zipf = ZipfSchedule::new(n, cfg.zipf_theta, &cfg.zipf_phases);
         let rank_map = build_rank_map(&world.tree, cfg.rank_placement, seed);
-        let live = LiveSet::from_tree(&world.tree);
+        // Only churn samples live nodes; a run without it keeps no set.
+        let live = match cfg.churn {
+            Some(_) => LiveSet::from_tree(&world.tree),
+            None => LiveSet::default(),
+        };
         let warmup_end = SimTime::from_secs_f64(cfg.warmup_secs);
         let horizon = warmup_end + SimDuration::from_secs_f64(cfg.duration_secs);
         Runner {
@@ -676,7 +681,7 @@ impl<S: Scheme> Runner<S> {
         let stats = self.node.scheme.subscriber_stats(&self.node.world.tree);
         TraceSample {
             at_secs: now.as_secs_f64(),
-            live_nodes: self.live.len(),
+            live_nodes: self.node.world.tree.len(),
             interested_nodes: interested,
             cache_valid: self.node.world.cache.valid_count(now),
             tree_size: stats.map_or(0, |s| s.tree_size),
@@ -1012,6 +1017,35 @@ mod tests {
         assert!(report.queries > 1000);
         // The tree stayed near its original size (balanced churn).
         assert!(report.final_live_nodes > 16 && report.final_live_nodes < 256);
+    }
+
+    #[test]
+    fn a_churny_runs_samples_count_the_trees_live_nodes() {
+        let mut cfg = tiny_cfg(6);
+        cfg.churn = Some(ChurnConfig::balanced(0.05));
+        cfg.probe.sample_every_secs = 100.0;
+        let mut runner = Runner::new(cfg, PcxScheme::new());
+        let mut engine = Engine::with_queue(runner.build_queue());
+        engine.set_horizon(runner.horizon);
+        runner.schedule_drivers(&mut engine);
+        let mut sizes = std::collections::BTreeSet::new();
+        engine.run(|eng, ev| {
+            let sample = matches!(ev, Ev::Sample);
+            runner.handle(eng, ev);
+            if sample {
+                let live = runner.node.world.tree.live_nodes().count();
+                let taken = runner.samples.last().expect("a sample was taken");
+                assert_eq!(taken.live_nodes, live, "at {} s", taken.at_secs);
+                assert_eq!(runner.live.len(), live, "the churn set drifted");
+                sizes.insert(live);
+            }
+        });
+        assert_eq!(
+            runner.samples.len(),
+            109,
+            "one per 100 s before the horizon"
+        );
+        assert!(sizes.len() > 4, "churn never moved the size: {sizes:?}");
     }
 
     #[test]

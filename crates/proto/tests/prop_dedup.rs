@@ -113,3 +113,129 @@ fn window_eviction_is_per_sender() {
         "in-window duplicate"
     );
 }
+
+/// The dedup window as it was before it grew lazily: the whole `window`
+/// bits allocated at the first delivery. The reference for
+/// [`lazy_windows_answer_like_full_bitmaps`].
+struct FullWindow {
+    primed: bool,
+    hi: u64,
+    bits: Vec<u64>,
+}
+
+/// What one arrival did: dispatched or not, and which counter moved.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Fresh,
+    Duplicate,
+    Evicted,
+}
+
+impl FullWindow {
+    fn new(window: u64) -> Self {
+        FullWindow {
+            primed: false,
+            hi: 0,
+            bits: vec![0; (window / 64) as usize],
+        }
+    }
+
+    fn admit(&mut self, seq: u64) -> Answer {
+        let window = self.bits.len() as u64 * 64;
+        let word = |s: u64| (s % window / 64) as usize;
+        let bit = |s: u64| 1u64 << (s % window % 64);
+        if !self.primed {
+            self.primed = true;
+            self.hi = seq;
+            self.bits[word(seq)] |= bit(seq);
+            return Answer::Fresh;
+        }
+        if seq > self.hi {
+            for s in self.hi + 1..=self.hi + (seq - self.hi).min(window) {
+                self.bits[word(s)] &= !bit(s);
+            }
+            self.hi = seq;
+            self.bits[word(seq)] |= bit(seq);
+            return Answer::Fresh;
+        }
+        if self.hi - seq >= window {
+            return Answer::Evicted;
+        }
+        if self.bits[word(seq)] & bit(seq) != 0 {
+            Answer::Duplicate
+        } else {
+            self.bits[word(seq)] |= bit(seq);
+            Answer::Fresh
+        }
+    }
+}
+
+/// The receiver's answer to one arrival, read off its return value and
+/// which of its two duplicate counters moved.
+fn answer(r: &mut ReliableState, sender: NodeId, seq: u64) -> Answer {
+    let before = r.stats();
+    let dispatched = r.on_tracked_delivery(sender, seq);
+    let after = r.stats();
+    let suppressed = after.duplicates_suppressed - before.duplicates_suppressed;
+    let readmitted = after.duplicates_readmitted - before.duplicates_readmitted;
+    match (dispatched, suppressed, readmitted) {
+        (true, 0, 0) => Answer::Fresh,
+        (false, 1, 0) => Answer::Duplicate,
+        (true, 0, 1) => Answer::Evicted,
+        other => panic!("no answer reads {other:?}"),
+    }
+}
+
+/// A window that grows only to the words its sender's sequences need
+/// answers every arrival exactly as a full bitmap does. Arrivals are in
+/// order, out of order, duplicated, far late, and jump ahead by one or
+/// more windows, so the slot index wraps many times; sequences carry the
+/// sender id in the high word as real ones do, which offsets the slots of
+/// a window that is no power of two.
+#[test]
+fn lazy_windows_answer_like_full_bitmaps() {
+    for case in 0..300u64 {
+        let mut pattern = stream_rng(case, "prop/dedup-lazy");
+        let window = match case % 4 {
+            0 => 64,
+            1 => 64 * pattern.gen_range(2..=5u64),
+            2 => 4096,
+            _ => 64 * pattern.gen_range(1..=64u64),
+        };
+        let mut r = ReliableState::from_config(
+            ReliabilityConfig {
+                enabled: true,
+                ..ReliabilityConfig::default()
+            },
+            case,
+        );
+        r.set_dedup_window(window);
+        let mut senders: Vec<u32> = (0..pattern.gen_range(1..=3))
+            .map(|_| pattern.gen_range(0..1_000))
+            .collect();
+        senders.sort_unstable();
+        senders.dedup();
+        let mut full: Vec<FullWindow> = senders.iter().map(|_| FullWindow::new(window)).collect();
+        let mut hi: Vec<Option<u64>> = vec![None; senders.len()];
+        for step in 0..pattern.gen_range(100..=1_500) {
+            let k = pattern.gen_range(0..senders.len());
+            let base = u64::from(senders[k]) << 32;
+            let top = hi[k].unwrap_or(pattern.gen_range(0..4 * window));
+            let counter = match pattern.gen_range(0..10) {
+                0..=3 => top + 1,
+                4 => top + pattern.gen_range(window..=3 * window),
+                5 => top + pattern.gen_range(2..window),
+                6 | 7 => top.saturating_sub(pattern.gen_range(0..window)),
+                _ => top.saturating_sub(pattern.gen_range(0..=3 * window)),
+            };
+            let seq = base | counter;
+            hi[k] = Some(top.max(counter));
+            assert_eq!(
+                answer(&mut r, NodeId(senders[k]), seq),
+                full[k].admit(seq),
+                "case {case} step {step}: sender {} counter {counter}, window {window}",
+                senders[k]
+            );
+        }
+    }
+}

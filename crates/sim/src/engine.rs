@@ -115,11 +115,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// The accumulated profile, if profiling is enabled.
-    pub fn profiler(&self) -> Option<&EngineProfiler> {
-        self.profiler.as_deref()
-    }
-
     /// Detaches and returns the accumulated profile, disabling profiling.
     pub fn take_profiler(&mut self) -> Option<EngineProfiler> {
         self.profiler.take().map(|p| *p)

@@ -63,13 +63,18 @@ pub fn stream_rng(master_seed: u64, label: &str) -> StreamRng {
 /// Streams materialize on first use, so a run only pays for the senders
 /// that actually send, and seeding one allocates nothing: the label is
 /// hashed once, and each stream continues that hash over `/` and its
-/// index's decimal digits.
+/// index's decimal digits. A slot is a bare 32-byte [`StreamRng`]; which
+/// slots hold a seeded stream is one bit per slot beside them.
 #[derive(Debug, Clone)]
 pub struct SenderStreams {
     seed: u64,
     /// FNV-1a state after `"label/"`.
     prefix_hash: u64,
-    streams: Vec<Option<StreamRng>>,
+    /// Stream `i` at index `i`. A slot whose bit in `seeded` is clear
+    /// holds a placeholder that is never drawn from.
+    streams: Vec<StreamRng>,
+    /// Bit `i % 64` of word `i / 64` is set once stream `i` is seeded.
+    seeded: Vec<u64>,
 }
 
 impl SenderStreams {
@@ -80,36 +85,49 @@ impl SenderStreams {
             seed,
             prefix_hash: fnv1a(label, b"/"),
             streams: Vec::new(),
+            seeded: Vec::new(),
         }
     }
 
     /// The stream for sender index `idx`, seeding it on first access.
+    #[inline]
     pub fn rng(&mut self, idx: usize) -> &mut StreamRng {
-        if idx >= self.streams.len() {
-            self.streams.resize_with(idx + 1, || None);
+        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+        if self.seeded.get(word).is_none_or(|w| w & bit == 0) {
+            self.seed(idx);
         }
-        let (seed, prefix_hash) = (self.seed, self.prefix_hash);
-        self.streams[idx].get_or_insert_with(|| {
-            // `idx` in decimal, most significant digit first.
-            let mut digits = [0u8; 20];
-            let mut at = digits.len();
-            let mut rest = idx;
-            loop {
-                at -= 1;
-                digits[at] = b'0' + (rest % 10) as u8;
-                rest /= 10;
-                if rest == 0 {
-                    break;
-                }
+        &mut self.streams[idx]
+    }
+
+    /// Seeds slot `idx` with `stream_rng(seed, "label/idx")`, growing both
+    /// vectors to hold it.
+    #[cold]
+    fn seed(&mut self, idx: usize) {
+        if idx >= self.streams.len() {
+            self.streams.resize(idx + 1, StreamRng::seed_from_u64(0));
+            self.seeded.resize(idx / 64 + 1, 0);
+        }
+        self.seeded[idx / 64] |= 1 << (idx % 64);
+        // `idx` in decimal, most significant digit first.
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = idx;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
             }
-            StreamRng::seed_from_u64(mix(seed, fnv1a(prefix_hash, &digits[at..])))
-        })
+        }
+        let hash = fnv1a(self.prefix_hash, &digits[at..]);
+        self.streams[idx] = StreamRng::seed_from_u64(mix(self.seed, hash));
     }
 
     /// Number of streams that have been seeded so far (diagnostics; also
     /// how tests assert that a disabled layer drew nothing).
     pub fn initialized(&self) -> usize {
-        self.streams.iter().filter(|s| s.is_some()).count()
+        self.seeded.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -173,13 +191,29 @@ mod tests {
         }
         // Only the touched stream materialized, despite the resize to 6.
         assert_eq!(fam.initialized(), 1);
+        // A resize past the seeded slot moves it, and it carries on where
+        // it stopped.
+        let mut far = stream_rng(42, "hop-latency/200");
+        assert_eq!(fam.rng(200).gen::<u64>(), far.gen::<u64>());
+        for _ in 0..4 {
+            assert_eq!(fam.rng(5).gen::<u64>(), flat.gen::<u64>());
+        }
+        assert_eq!(fam.initialized(), 2);
         // One to seven digits, on both sides of where a digit is added.
-        for idx in [0, 9, 10, 65_535, 1_048_575] {
+        let touched = [0, 9, 10, 63, 64, 65_535, 1_048_575];
+        for idx in touched {
             let mut flat = stream_rng(42, &format!("hop-latency/{idx}"));
             for _ in 0..4 {
                 assert_eq!(fam.rng(idx).gen::<u64>(), flat.gen::<u64>(), "stream {idx}");
             }
         }
+        assert_eq!(fam.initialized(), 2 + touched.len());
+        assert_eq!(fam.rng(200).gen::<u64>(), far.gen::<u64>());
+        assert_eq!(
+            fam.initialized(),
+            2 + touched.len(),
+            "a second touch counted"
+        );
     }
 
     #[test]

@@ -30,12 +30,13 @@ pub enum RankPlacement {
 /// so other seeded streams are unperturbed.
 #[derive(Debug, Clone)]
 pub struct ZipfSelector {
-    /// Exact per-rank probabilities (the paper's formula).
-    probs: Vec<f64>,
     /// Alias table: a draw landing in column `i` yields rank `i` when its
-    /// fractional part is below `cut[i]`, else rank `alias[i]`.
+    /// fractional part is below `cut[i]`, else rank `alias[i]`. One column
+    /// per rank.
     cut: Vec<f64>,
     alias: Vec<u32>,
+    /// `Σ_{k=1..n} k^-θ`, the normaliser of the paper's formula.
+    total: f64,
     theta: f64,
 }
 
@@ -55,30 +56,31 @@ impl ZipfSelector {
             n <= u32::MAX as usize,
             "rank count exceeds alias-table range"
         );
-        let mut probs: Vec<f64> = (1..=n).map(|i| (i as f64).powf(-theta)).collect();
-        let total: f64 = probs.iter().sum();
-        for p in &mut probs {
-            *p /= total;
+        let mut cut: Vec<f64> = (1..=n).map(|i| weight(i, theta)).collect();
+        let total: f64 = cut.iter().sum();
+        for c in &mut cut {
+            *c = *c / total * n as f64;
         }
         // Vose's alias construction: pair each under-full column (scaled
-        // probability < 1) with an over-full one donating its excess.
-        let mut cut = vec![0.0; n];
+        // probability < 1) with an over-full one donating its excess. A
+        // column's scaled mass is final once it is popped as under-full,
+        // so `cut` holds the scaled masses and is cut down in place.
         let mut alias: Vec<u32> = (0..n as u32).collect();
-        let mut scaled: Vec<f64> = probs.iter().map(|p| p * n as f64).collect();
         let mut small: Vec<u32> = Vec::with_capacity(n);
         let mut large: Vec<u32> = Vec::with_capacity(n);
-        for (i, &s) in scaled.iter().enumerate() {
+        for (i, &s) in cut.iter().enumerate() {
             if s < 1.0 {
                 small.push(i as u32);
             } else {
                 large.push(i as u32);
             }
         }
-        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-            cut[s as usize] = scaled[s as usize];
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            large.pop();
             alias[s as usize] = l;
-            scaled[l as usize] -= 1.0 - scaled[s as usize];
-            if scaled[l as usize] < 1.0 {
+            cut[l as usize] -= 1.0 - cut[s as usize];
+            if cut[l as usize] < 1.0 {
                 small.push(l);
             } else {
                 large.push(l);
@@ -90,16 +92,16 @@ impl ZipfSelector {
             cut[i as usize] = 1.0;
         }
         ZipfSelector {
-            probs,
             cut,
             alias,
+            total,
             theta,
         }
     }
 
     /// Number of ranks.
     pub fn len(&self) -> usize {
-        self.probs.len()
+        self.cut.len()
     }
 
     /// Always false: construction requires at least one rank. Present so
@@ -113,9 +115,14 @@ impl ZipfSelector {
         self.theta
     }
 
-    /// Probability of rank `i` (0-based).
+    /// Probability of rank `i` (0-based), the paper's formula.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a rank.
     pub fn probability(&self, i: usize) -> f64 {
-        self.probs[i]
+        assert!(i < self.len(), "rank {i} out of range");
+        weight(i + 1, self.theta) / self.total
     }
 
     /// Draws a 0-based rank.
@@ -124,14 +131,20 @@ impl ZipfSelector {
         let u: f64 = rng.gen();
         // One uniform drives both choices: the integer part picks the
         // column, the fractional part decides column-vs-alias.
-        let x = u * self.probs.len() as f64;
-        let col = (x as usize).min(self.probs.len() - 1);
+        let x = u * self.cut.len() as f64;
+        let col = (x as usize).min(self.cut.len() - 1);
         if x - (col as f64) < self.cut[col] {
             col
         } else {
             self.alias[col] as usize
         }
     }
+}
+
+/// The unnormalised weight `i^-θ` of 1-based rank `i`.
+#[inline]
+fn weight(i: usize, theta: f64) -> f64 {
+    (i as f64).powf(-theta)
 }
 
 /// One later segment of a [`ZipfSchedule`]: from `start_secs` on (until
@@ -356,6 +369,71 @@ mod tests {
                     "θ={theta} rank {i}: {mass} vs {}",
                     z.probability(i)
                 );
+            }
+        }
+    }
+
+    /// The selector as built before it dropped its pmf copy: the
+    /// normalised vector, and the alias table cut from a separate scaled
+    /// copy of it. Its loop popped both stacks before testing them, so it
+    /// dropped one index on exit, which kept cut 0 and itself as alias.
+    fn stored_pmf_and_table(n: usize, theta: f64) -> (Vec<f64>, Vec<f64>, Vec<u32>) {
+        let mut probs: Vec<f64> = (1..=n).map(|i| (i as f64).powf(-theta)).collect();
+        let total: f64 = probs.iter().sum();
+        for p in &mut probs {
+            *p /= total;
+        }
+        let mut cut = vec![0.0; n];
+        let mut alias: Vec<u32> = (0..n as u32).collect();
+        let mut scaled: Vec<f64> = probs.iter().map(|p| p * n as f64).collect();
+        let (mut small, mut large) = (Vec::new(), Vec::new());
+        for (i, &s) in scaled.iter().enumerate() {
+            if s < 1.0 {
+                small.push(i as u32);
+            } else {
+                large.push(i as u32);
+            }
+        }
+        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
+            cut[s as usize] = scaled[s as usize];
+            alias[s as usize] = l;
+            scaled[l as usize] -= 1.0 - scaled[s as usize];
+            if scaled[l as usize] < 1.0 {
+                small.push(l);
+            } else {
+                large.push(l);
+            }
+        }
+        for i in small.into_iter().chain(large) {
+            cut[i as usize] = 1.0;
+        }
+        (probs, cut, alias)
+    }
+
+    #[test]
+    fn recomputed_probabilities_match_the_stored_pmf_bit_for_bit() {
+        for n in [1, 7, 4096] {
+            for theta in [0.0, 0.8, 1.2] {
+                let z = ZipfSelector::new(n, theta);
+                let (probs, cut, alias) = stored_pmf_and_table(n, theta);
+                assert_eq!(z.len(), n);
+                for (i, p) in probs.iter().enumerate() {
+                    assert_eq!(
+                        z.probability(i).to_bits(),
+                        p.to_bits(),
+                        "n={n} θ={theta} rank {i}"
+                    );
+                }
+                assert_eq!(z.alias, alias, "n={n} θ={theta}: alias");
+                // A column that is its own alias yields its rank whatever
+                // its cut; every other column's cut is the same number.
+                for i in (0..n).filter(|&i| alias[i] as usize != i) {
+                    assert_eq!(
+                        z.cut[i].to_bits(),
+                        cut[i].to_bits(),
+                        "n={n} θ={theta} column {i}"
+                    );
+                }
             }
         }
     }

@@ -9,7 +9,9 @@
 //! passes the budget. It prints what each per-node table held, which is
 //! the table DESIGN.md §6 quotes. Requested is not resident: a `Vec` that
 //! doubled counts its whole capacity here and only its touched pages in
-//! `peak_rss_mib`.
+//! `peak_rss_mib`. A second phase runs the benchmark's `sim_lossy` shape
+//! and bounds what the reliability layer holds per sender id a churny run
+//! ever created.
 //!
 //! One test only: the counters are process-wide, and a second test on
 //! another thread would be counted into this one.
@@ -18,7 +20,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use dup_p2p::core::DupScheme;
-use dup_p2p::proto::{RunConfig, Runner, SettledRun, World};
+use dup_p2p::proto::{
+    ChurnConfig, FaultConfig, ReliabilityConfig, RunConfig, Runner, SettledRun, World,
+};
+use dup_p2p::sim::StreamRng;
 use dup_p2p::workload::ZipfSchedule;
 
 /// The system allocator, counting the bytes callers asked for.
@@ -80,12 +85,21 @@ fn held_by<T>(value: T) -> usize {
 const NODES: usize = 65_536;
 
 /// Heap bytes per node the world and the scheme may hold after the run:
-/// 10 % above the 154.0 measured when the FIFO clocks became a table of
-/// the channels in flight (64.0 → 0.1) and the search tree an 8-byte
-/// record per node beside a child arena (46.4 → 24.0). With one 64-byte
-/// FIFO record per node it read 240.3; before cache, interest and FIFO
-/// state were fixed-size records, 289.7 and growing with the window.
-const BUDGET_BYTES_PER_NODE: f64 = 169.0;
+/// 10 % above the 131.1 measured when the cache slot lost its `Option`
+/// tag (32.0 → 24.0), the latency streams theirs (75.3 → 60.5) and the
+/// Zipf selector its pmf copy (20.0 → 12.0). It read 154.0 once the FIFO
+/// clocks became a table of the channels in flight and the search tree
+/// an 8-byte record per node beside a child arena, 240.3 with one 64-byte
+/// FIFO record per node, and 289.7, growing with the window, before
+/// cache, interest and FIFO state were fixed-size records.
+const BUDGET_BYTES_PER_NODE: f64 = 144.0;
+
+/// Reliability-layer bytes per sender id after the `sim_lossy` phase:
+/// 10 % above the 140.3 measured once a dedup window grew with its
+/// sender's sequence span, a jitter stream lost its `Option` tag and a
+/// sequence counter became a `u32`. With a 512-byte bitmap from each
+/// sender's first delivery it read 493.1.
+const RELIABLE_BYTES_PER_SENDER: f64 = 154.0;
 
 #[test]
 fn a_deep_dup_run_stays_inside_its_bytes_per_node_budget() {
@@ -123,31 +137,83 @@ fn a_deep_dup_run_stays_inside_its_bytes_per_node_budget() {
     let per_node = |bytes: usize| bytes as f64 / NODES as f64;
     let zipf = ZipfSchedule::new(NODES, theta, &[]);
     let (fifo, tree) = (per_node(held_by(fifo)), per_node(held_by(tree)));
+    let (cache, zipf) = (per_node(held_by(cache)), per_node(held_by(zipf)));
     println!("heap bytes per node, {NODES} nodes, DUP, 200 000 simulated seconds:");
     for (table, bytes) in [
-        ("cache", per_node(held_by(cache))),
+        ("cache", cache),
         ("interest", per_node(held_by(interest))),
         ("FIFO clocks", fifo),
         ("latency streams", per_node(held_by(latency_rng))),
         ("search tree", tree),
         ("scheme lists", per_node(held_by(scheme))),
-        ("Zipf selector", per_node(held_by(zipf))),
+        ("Zipf selector", zipf),
         ("runner as built", per_node(built)),
         ("world and scheme after the run", per_node(held)),
     ] {
         println!("  {table:<31} {bytes:>6.1}");
     }
-    // Neither table may grow back with the node count: the clocks go with
-    // the channels in flight, and the tree holds an 8-byte record, a
-    // 12-byte span and one arena entry per node (plus a boxed header).
+    // No table may grow back: the clocks go with the channels in flight,
+    // the tree holds an 8-byte record, a 12-byte span and one arena entry
+    // per node (plus a boxed header), a cache slot is a bare 24-byte
+    // record, the Zipf selector an 8-byte cut and a 4-byte alias per rank,
+    // and a latency stream a 32-byte state beside one seeded bit.
     assert!(fifo <= 1.0, "FIFO clocks hold {fifo:.1} bytes per node");
     assert!(
         tree < 24.05,
         "the search tree holds {tree:.1} bytes per node"
     );
+    assert!(cache <= 24.05, "the cache holds {cache:.1} bytes per node");
+    assert!(
+        zipf <= 12.05,
+        "the Zipf selector holds {zipf:.1} bytes per node"
+    );
+    assert_eq!(std::mem::size_of::<StreamRng>(), 32);
     assert!(
         per_node(held) <= BUDGET_BYTES_PER_NODE,
         "{:.1} heap bytes per node after the run, over the budget of {BUDGET_BYTES_PER_NODE}",
         per_node(held)
+    );
+    lossy_reliability_state_stays_inside_its_bytes_per_sender_budget();
+}
+
+/// The benchmark's `sim_lossy` shape for 100 000 simulated seconds:
+/// 1 024 nodes, churn at 0.02/s, 10 % loss, reliability with 150 s
+/// leases. Every sender id churn creates can own a dedup window, a
+/// sequence counter and a jitter stream.
+fn lossy_reliability_state_stays_inside_its_bytes_per_sender_budget() {
+    let cfg = RunConfig::builder(42)
+        .nodes(1024)
+        .lambda(4.0)
+        .duration_secs(100_000.0)
+        .reliability(ReliabilityConfig {
+            enabled: true,
+            lease_every_secs: 150.0,
+            ..ReliabilityConfig::default()
+        })
+        .faults(FaultConfig {
+            drop_p: 0.10,
+            duplicate_p: 0.05,
+            delay_p: 0.05,
+            max_extra_delay_secs: 10.0,
+            ..FaultConfig::default()
+        })
+        .churn(Some(ChurnConfig::balanced(0.02)))
+        .build();
+    let SettledRun { report, world, .. } =
+        Runner::new(cfg, DupScheme::new()).run_settled(0, |_, _, _| {});
+    assert!(report.queries > 300_000, "the run did not run");
+    let senders = world.tree.capacity();
+    let stats = world.reliable.stats();
+    let per_sender = held_by(world.reliable) as f64 / senders as f64;
+    println!(
+        "reliability layer, sim_lossy shape, 100 000 simulated seconds: \
+         {per_sender:.1} bytes per sender id ({senders} ids, {} tracked)",
+        stats.tracked
+    );
+    assert!(senders > 1024, "churn created no sender id");
+    assert!(
+        per_sender <= RELIABLE_BYTES_PER_SENDER,
+        "{per_sender:.1} reliability bytes per sender id, over the budget of \
+         {RELIABLE_BYTES_PER_SENDER}"
     );
 }

@@ -84,12 +84,17 @@ fn non_test_lines(text: &str) -> Vec<&str> {
     out
 }
 
-/// True when `text` contains `name` as a whole word.
+/// True when `text` names `name` as a whole word that is no module: a
+/// word followed by `::` is a path segment, and one after `mod ` declares
+/// a module, so neither calls a function of that name.
 fn names_word(text: &str, name: &str) -> bool {
     let word = |c: char| c.is_alphanumeric() || c == '_';
     text.match_indices(name).any(|(at, _)| {
-        !text[..at].chars().next_back().is_some_and(word)
-            && !text[at + name.len()..].starts_with(word)
+        let (before, after) = (&text[..at], &text[at + name.len()..]);
+        !before.chars().next_back().is_some_and(word)
+            && !after.starts_with(word)
+            && !after.starts_with("::")
+            && !before.ends_with("mod ")
     })
 }
 
@@ -165,6 +170,18 @@ fn pub_fn_matcher_wants_a_pub_fn_and_whole_word_names() {
     assert!(names_word("use x::{top_exact};", "top_exact"));
     assert!(!names_word("tracker.top_exactly(8)", "top_exact"));
     assert!(!names_word("my_top_exact", "top_exact"));
+}
+
+#[test]
+fn a_module_path_is_no_call_of_its_namesake() {
+    let definer = "pub mod profiler;\npub fn profiler(&self) {}\npub fn run() {}\n";
+    let caller = "use crate::profiler::EngineProfiler;\nmod profiler;\nrun();\n";
+    let uncalled: Vec<&str> = non_test_lines(definer)
+        .into_iter()
+        .filter_map(pub_fn_name)
+        .filter(|name| !names_word(caller, name))
+        .collect();
+    assert_eq!(uncalled, ["profiler"]);
 }
 
 #[test]
