@@ -69,7 +69,10 @@ pub trait FrameNet<M> {
 pub trait LiveScheme: Scheme {
     /// Mid-lease-period keep-alive for this host's own node (called at
     /// half the lease period, so every remote lease epoch observes at
-    /// least one renewal regardless of phase drift between hosts).
+    /// least one renewal regardless of phase drift between hosts). DUP
+    /// opens a fresh keep-alive window first, so this assertion always
+    /// goes out and each later repeat of an upward assertion until the
+    /// next keep-alive is absorbed.
     fn on_keepalive(&mut self, _ctx: &mut Ctx<'_, Self::Msg>, _me: NodeId) {}
 
     /// This node's own subscriber list (the only list a live host owns).
@@ -85,6 +88,7 @@ pub trait LiveScheme: Scheme {
 
 impl LiveScheme for dup_core::DupScheme {
     fn on_keepalive(&mut self, ctx: &mut Ctx<'_, Self::Msg>, me: NodeId) {
+        self.open_keepalive_window();
         self.reassert(ctx, me);
     }
 

@@ -212,23 +212,29 @@ fn mesh64() -> LiveConfig {
     }
 }
 
-/// Live golden at the benchmark's shape: 64 hosts on the complete 4-ary
-/// tree at `live_mesh`'s cadences, N2 killed at 5 s and restarted at 8 s,
-/// 16 virtual seconds. Beside the per-host state it pins the net's
-/// traffic counters (heartbeats apart) and every host's rejected-frame
-/// count, so a change to
-/// the host loop, the detector or the loopback queue that moves a single
-/// frame shows. It records behaviour as it is, ROADMAP item 4's rejoin
-/// defect included — which is why it does not consult `oracle_check`.
-/// Re-record as above.
-#[test]
-fn golden_mesh64_kill_restart_script_is_pinned() {
+/// The benchmark's shape as a script: 64 hosts on the complete 4-ary tree
+/// at `live_mesh`'s cadences, N2 killed at 5 s and restarted at 8 s, 16
+/// virtual seconds in all.
+const MESH64_SECS: f64 = 16.0;
+
+fn mesh64_script() -> LoopbackCluster<DupScheme> {
     let mut cluster = LoopbackCluster::new(mesh64(), DupScheme::new);
     cluster.run_for(secs(5.0));
     cluster.kill(NodeId(2));
     cluster.run_for(secs(3.0));
     cluster.restart(NodeId(2));
-    cluster.run_for(secs(8.0));
+    cluster.run_for(secs(MESH64_SECS - 8.0));
+    cluster
+}
+
+/// Live golden at the benchmark's shape ([`mesh64_script`]). Beside the
+/// per-host state it pins the net's traffic counters (heartbeats apart)
+/// and every host's rejected-frame count, so a change to the host loop,
+/// the detector or the loopback queue that moves a single frame shows.
+/// The cluster it leaves must pass the oracle. Re-record as above.
+#[test]
+fn golden_mesh64_kill_restart_script_is_pinned() {
+    let mut cluster = mesh64_script();
     let mut actual = render_cluster(&cluster);
     let net = cluster.net_mut();
     actual.push_str(&format!(
@@ -240,6 +246,35 @@ fn golden_mesh64_kill_restart_script_is_pinned() {
         .collect();
     actual.push_str(&format!("rejected={rejected:?}\n"));
     assert_golden("loopback_mesh64.txt", &actual);
+    oracle_check(&cluster.snapshots()).expect("mesh64 script ends off the oracle");
+}
+
+/// Maintenance is bounded by tree degree: within one keep-alive window a
+/// host sends each upward assertion once, and it receives at most one
+/// from each child, so over the mesh64 script every host's `Control` hops
+/// (its assertions and the acks it returns for its children's) stay
+/// within 2 × windows × (1 + its children in the configured tree),
+/// however deep its subtree.
+#[test]
+fn maintenance_is_bounded_by_tree_degree() {
+    let cfg = mesh64();
+    let cluster = mesh64_script();
+    let windows = (MESH64_SECS / (cfg.lease_every.as_secs_f64() / 2.0)).ceil() as u64;
+    for snap in cluster.snapshots() {
+        let children = cfg
+            .parents
+            .iter()
+            .filter(|&&p| p == Some(snap.node))
+            .count() as u64;
+        let bound = 2 * windows * (1 + children);
+        let host = cluster.host(snap.node).expect("snapshotted host is live");
+        let control = host.world().metrics.ledger().hops(MsgClass::Control);
+        assert!(
+            control <= bound,
+            "node {} charged {control} control hops, above {bound} for {children} children",
+            snap.node
+        );
+    }
 }
 
 /// Hostile frames: ids far outside the cluster (which used to size peer
