@@ -106,7 +106,7 @@ fn case(seed: u64) -> Case {
 /// layer enabled: tracked maintenance/push sends, a 4–6 deep retransmit
 /// budget over exponential backoff, and a lease period that fits several
 /// times into the TTL.
-pub fn chaos_config(seed: u64) -> RunConfig {
+fn chaos_config(seed: u64) -> RunConfig {
     faulted_config(seed, "chaos-scenario", (0.08, 0.12), Some(4..=6))
 }
 

@@ -37,7 +37,7 @@ pub static FUZZ: Campaign = Campaign {
     traced: None,
 };
 
-/// The fuzz case of `seed`: [`scenario_config`] healed by `dup_heal`.
+/// The fuzz case of `seed`: `scenario_config` healed by `dup_heal`.
 pub fn case(seed: u64) -> Case {
     Case {
         family: None,
@@ -55,7 +55,7 @@ pub fn case(seed: u64) -> Case {
 /// interest threshold, churn with boost windows — so subscribe, unsubscribe,
 /// and substitute cascades fire constantly and the fault layer has protocol
 /// traffic to corrupt.
-pub fn scenario_config(seed: u64) -> RunConfig {
+fn scenario_config(seed: u64) -> RunConfig {
     faulted_config(seed, "fuzz-scenario", (0.02, 0.10), None)
 }
 

@@ -81,7 +81,7 @@ impl PartitionWindow {
     /// True when a message from `from` to `to` at `at_secs` crosses the
     /// active cut. Symmetric in `from`/`to` by construction.
     #[inline]
-    pub fn cuts(&self, from: NodeId, to: NodeId, at_secs: f64) -> bool {
+    fn cuts(&self, from: NodeId, to: NodeId, at_secs: f64) -> bool {
         self.window.contains(at_secs) && (self.region.contains(from) != self.region.contains(to))
     }
 }

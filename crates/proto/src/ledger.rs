@@ -70,7 +70,8 @@ impl CostLedger {
     }
 
     /// Number of messages of `class`.
-    pub fn messages(&self, class: MsgClass) -> u64 {
+    #[cfg(test)]
+    fn messages(&self, class: MsgClass) -> u64 {
         self.messages[class.idx()]
     }
 

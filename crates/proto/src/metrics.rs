@@ -58,11 +58,6 @@ impl Metrics {
         self.recording = true;
     }
 
-    /// True when past warm-up.
-    pub fn recording(&self) -> bool {
-        self.recording
-    }
-
     /// Records a query served after traveling `hops` request hops; `stale`
     /// marks a superseded version being returned.
     pub(crate) fn record_query_served(&mut self, hops: u32, stale: bool) {

@@ -473,7 +473,8 @@ impl<W: Write> JsonlProbe<W> {
     }
 
     /// The first write error encountered, if any.
-    pub fn error(&self) -> Option<&std::io::Error> {
+    #[cfg(test)]
+    fn error(&self) -> Option<&std::io::Error> {
         self.error.as_ref()
     }
 

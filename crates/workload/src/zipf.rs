@@ -180,7 +180,8 @@ pub struct ZipfSchedule {
 impl ZipfSchedule {
     /// A schedule with a single segment: θ constant for the whole run.
     /// Equivalent to `ZipfSchedule::new(n, theta, &[])`.
-    pub fn constant(n: usize, theta: f64) -> Self {
+    #[cfg(test)]
+    fn constant(n: usize, theta: f64) -> Self {
         ZipfSchedule::new(n, theta, &[])
     }
 

@@ -1,8 +1,9 @@
 //! Keeps the public surface honest: every `pub fn` under `crates/*/src` is
-//! named by some other file — another module, a test, an example or the
-//! benchmark — or is listed below with the reason it stays. A function only
-//! its own file calls should not be `pub`; it fails here instead of waiting
-//! for a hand count.
+//! named by the code of some other file — another module, a test, an
+//! example or the benchmark — or is listed below with the reason it stays.
+//! A name in a comment or a string literal is no use. A function only its
+//! own file calls should not be `pub`; it fails here instead of waiting for
+//! a hand count.
 
 use std::path::{Path, PathBuf};
 
@@ -84,6 +85,86 @@ fn non_test_lines(text: &str) -> Vec<&str> {
     out
 }
 
+/// `text` with every comment and every string, byte-string and char
+/// literal blanked to spaces (line breaks kept), so that prose, a message
+/// or a doc link naming a function is no use of it. Lifetimes and labels
+/// stay.
+fn code_only(text: &str) -> String {
+    let src: Vec<char> = text.chars().collect();
+    let mut out = String::with_capacity(text.len());
+    let blank = |out: &mut String, c: char| out.push(if c == '\n' { c } else { ' ' });
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut i = 0;
+    while i < src.len() {
+        let c = src[i];
+        let next = src.get(i + 1).copied();
+        // The end (exclusive) of a comment or literal starting at `i`.
+        let end = match c {
+            '/' if next == Some('/') => (i..src.len())
+                .find(|&j| src[j] == '\n')
+                .unwrap_or(src.len()),
+            '/' if next == Some('*') => {
+                let (mut depth, mut j) = (0, i);
+                while j < src.len() {
+                    match (src[j], src.get(j + 1)) {
+                        ('/', Some('*')) => (depth, j) = (depth + 1, j + 2),
+                        ('*', Some('/')) => {
+                            (depth, j) = (depth - 1, j + 2);
+                            if depth == 0 {
+                                break;
+                            }
+                        }
+                        _ => j += 1,
+                    }
+                }
+                j.min(src.len())
+            }
+            '"' => {
+                let mut j = i + 1;
+                while j < src.len() && src[j] != '"' {
+                    j += if src[j] == '\\' { 2 } else { 1 };
+                }
+                (j + 1).min(src.len())
+            }
+            // A raw string: `r` (or `br`) starting a token, hashes, a
+            // quote, and the same hashes after the closing quote.
+            'r' if {
+                let before = |k: usize| i >= k && word(src[i - k]);
+                !before(1) || (src[i - 1] == 'b' && !before(2))
+            } =>
+            {
+                let hashes = src[i + 1..].iter().take_while(|&&h| h == '#').count();
+                let close: Vec<char> = std::iter::once('"')
+                    .chain(std::iter::repeat_n('#', hashes))
+                    .collect();
+                match src.get(i + 1 + hashes) {
+                    Some('"') => (i + 2 + hashes..src.len())
+                        .find(|&j| src[j..].starts_with(&close))
+                        .map_or(src.len(), |j| j + close.len()),
+                    _ => i,
+                }
+            }
+            // A char literal (`'x'`, `'\''`, `'\u{..}'`); otherwise a
+            // lifetime or a label, which is code.
+            '\'' if next == Some('\\') => (i + 3..src.len())
+                .find(|&j| src[j] == '\'')
+                .map_or(src.len(), |j| j + 1),
+            '\'' if src.get(i + 2) == Some(&'\'') => i + 3,
+            _ => i,
+        };
+        if end == i {
+            out.push(c);
+            i += 1;
+        } else {
+            for &c in &src[i..end] {
+                blank(&mut out, c);
+            }
+            i = end;
+        }
+    }
+    out
+}
+
 /// True when `text` names `name` as a whole word that is no module: a
 /// word followed by `::` is a path segment, and one after `mod ` declares
 /// a module, so neither calls a function of that name.
@@ -106,18 +187,19 @@ fn every_pub_fn_has_a_caller_elsewhere_or_is_listed_with_a_reason() {
     }
     // This file names its allow-list, which is no call.
     let me = repo().join(file!());
-    let texts: Vec<(PathBuf, String)> = files
+    let texts: Vec<(PathBuf, String, String)> = files
         .into_iter()
         .filter(|f| *f != me)
         .map(|f| {
             let text = std::fs::read_to_string(&f).expect("a readable source file");
-            (f, text)
+            let code = code_only(&text);
+            (f, text, code)
         })
         .collect();
     let crates = repo().join("crates");
     let mut uncalled = Vec::new();
     let mut kept_seen = Vec::new();
-    for (file, text) in &texts {
+    for (file, text, _) in &texts {
         // Only `crates/<name>/src/**` defines the surface.
         let Ok(rel) = file.strip_prefix(&crates) else {
             continue;
@@ -128,7 +210,7 @@ fn every_pub_fn_has_a_caller_elsewhere_or_is_listed_with_a_reason() {
         for name in non_test_lines(text).into_iter().filter_map(pub_fn_name) {
             let called = texts
                 .iter()
-                .any(|(other, t)| other != file && names_word(t, name));
+                .any(|(other, _, code)| other != file && names_word(code, name));
             if called {
                 continue;
             }
@@ -225,4 +307,26 @@ mod tests {
     assert_eq!(names, ["before", "push", "len", "after_use"]);
     assert!(kept.contains(&"            live: 1,"));
     assert!(!kept.iter().any(|l| l.contains("scans")));
+}
+
+#[test]
+fn a_name_in_a_comment_or_a_literal_is_no_use() {
+    let caller = r##"
+// profiler() in a line comment
+/* profiler() in a /* nested */ block */
+let s = "profiler() in a string, \" still in it";
+let r = r#"profiler "quoted" in a raw string"#;
+let b = (b"profiler", br"profiler");
+let c = ['"', '\'', '\u{70}'];
+fn run<'profile>(x: &'profile str) -> &'profile str { x }
+run("");
+"##;
+    let code = code_only(caller);
+    assert_eq!(code.lines().count(), caller.lines().count());
+    assert!(!names_word(&code, "profiler"), "{code}");
+    assert!(
+        names_word(&code, "run"),
+        "a char literal ends where it should"
+    );
+    assert!(names_word(&code, "profile"), "a lifetime is code: {code}");
 }
