@@ -43,6 +43,16 @@
 //!   heartbeat for `dead_after`, so one lost to a short outage still
 //!   arrives. A dead verdict about a live node is not refuted, and a
 //!   `Deliver` is not taken as a sign of life.
+//! * Every half lease period a joined host re-asserts its subscription
+//!   upward ([`LiveScheme::on_keepalive`]). DUP opens a keep-alive window
+//!   first: until the next one, each upward assertion goes out once and
+//!   untracked, so it draws no ack and arms no retry. The next keep-alive
+//!   is its retransmission, and a lease epoch spans two windows, so one
+//!   lost keep-alive expires nothing; after two, the entry expires and
+//!   the next keep-alive re-adds it. Resyncs and pushes keep the
+//!   reliability layer's acks and retries. The simulator opens no window:
+//!   its one re-assert per lease epoch has no later keep-alive to cover a
+//!   loss.
 
 use dup_overlay::{NodeId, SearchTree};
 use dup_proto::scheme::Scheme;
@@ -57,8 +67,9 @@ use crate::codec::{Frame, NodeSnapshot};
 use crate::detector::{FailureDetector, Transition};
 
 /// How a live host sends frames. Returns false when the link is down (the
-/// frame is dropped; the reliability layer's retransmits re-cover it once
-/// the link heals).
+/// frame is dropped; the reliability layer's retransmits, or for an
+/// untracked keep-alive the next keep-alive, re-cover it once the link
+/// heals).
 pub trait FrameNet<M> {
     /// Sends one frame from `from` to `to`.
     fn send(&mut self, from: NodeId, to: NodeId, frame: Frame<M>) -> bool;
@@ -72,7 +83,9 @@ pub trait LiveScheme: Scheme {
     /// least one renewal regardless of phase drift between hosts). DUP
     /// opens a fresh keep-alive window first, so this assertion always
     /// goes out and each later repeat of an upward assertion until the
-    /// next keep-alive is absorbed.
+    /// next keep-alive is absorbed. Inside the window assertions are sent
+    /// untracked: the next keep-alive re-covers a lost one, and resyncs
+    /// stay tracked.
     fn on_keepalive(&mut self, _ctx: &mut Ctx<'_, Self::Msg>, _me: NodeId) {}
 
     /// This node's own subscriber list (the only list a live host owns).
