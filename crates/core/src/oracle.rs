@@ -228,6 +228,7 @@ mod tests {
     use super::*;
     use crate::testkit::{paper_example_tree, TestBench};
     use crate::DupScheme;
+    use dup_proto::scheme::Scheme;
 
     const N1: NodeId = NodeId(0);
     const N2: NodeId = NodeId(1);
@@ -315,16 +316,12 @@ mod tests {
         // Lose N4's unsubscribe entirely: upstream still fans out at N3.
         b.node.scheme.test_clear_list(N4);
         assert!(check_tree_invariants(&b.node.scheme, &b.node.world.tree).is_err());
-        // One keep-alive round: every live subscriber re-asserts, then the
-        // unrenewed leases expire.
-        b.node.scheme.begin_lease_epoch();
-        let live: Vec<NodeId> = b.node.world.tree.live_nodes().collect();
-        for n in live {
-            b.with_ctx(|s, ctx| s.reassert(ctx, n));
+        // Two lease ticks: in the first epoch every live subscriber
+        // re-asserts; the second tick expires the leases nobody renewed.
+        for _ in 0..2 {
+            b.with_ctx(|s, ctx| s.on_lease_tick(ctx));
+            b.drain();
         }
-        b.drain();
-        b.with_ctx(|s, ctx| s.end_lease_epoch(ctx));
-        b.drain();
         // The stale N4 lease expired; N6's path survives intact.
         check_tree_invariants(&b.node.scheme, &b.node.world.tree).unwrap();
         assert_eq!(b.node.scheme.s_list(N1), &[N6]);

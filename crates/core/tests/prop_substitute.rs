@@ -15,6 +15,7 @@ use proptest::prelude::*;
 use dup_core::testkit::{paper_example_tree, TestBench};
 use dup_core::{check_tree_invariants, DupScheme};
 use dup_overlay::{random_search_tree, NodeId, SearchTree, TopologyParams};
+use dup_proto::scheme::Scheme;
 use dup_sim::stream_rng;
 
 fn build_tree(nodes: usize, degree: usize, seed: u64) -> SearchTree {
@@ -32,25 +33,13 @@ fn pick_live(tree: &SearchTree, raw: usize) -> NodeId {
     live[raw % live.len()]
 }
 
-/// Runs `rounds` keep-alive lease epochs: every subscribed node re-asserts,
-/// the cascades settle, then unrenewed leases expire and those cascades
-/// settle too. This is the soft-state repair the fuzz harness uses after a
-/// faulted run.
-fn heal(bench: &mut TestBench<DupScheme>, rounds: usize) {
-    for _ in 0..rounds {
-        bench.node.scheme.begin_lease_epoch();
-        let subscribed: Vec<NodeId> = bench
-            .node
-            .world
-            .tree
-            .live_nodes()
-            .filter(|&n| bench.node.scheme.is_subscribed(n))
-            .collect();
-        for node in subscribed {
-            bench.with_ctx(|s, ctx| s.reassert(ctx, node));
-        }
-        bench.drain();
-        bench.with_ctx(|s, ctx| s.end_lease_epoch(ctx));
+/// Runs `ticks` lease ticks, each drained to quiescence: the first opens
+/// an epoch in which every subscribed node re-asserts; each later one
+/// first expires the entries the previous epoch left unrenewed. This is
+/// the soft-state repair every campaign heals with.
+fn heal(bench: &mut TestBench<DupScheme>, ticks: usize) {
+    for _ in 0..ticks {
+        bench.with_ctx(|s, ctx| s.on_lease_tick(ctx));
         bench.drain();
     }
 }
@@ -128,7 +117,7 @@ proptest! {
             .live_nodes()
             .filter(|&n| bench.node.scheme.is_subscribed(n))
             .collect();
-        heal(&mut bench, 3);
+        heal(&mut bench, 4); // three expiry sweeps
         for &node in &subscribed_before {
             prop_assert!(
                 bench.node.scheme.is_subscribed(node),
@@ -178,7 +167,7 @@ proptest! {
             r(&mut bench);
         }
         bench.drain();
-        heal(&mut bench, 3);
+        heal(&mut bench, 4); // three expiry sweeps
         let verdict = check_tree_invariants(&bench.node.scheme, &bench.node.world.tree);
         prop_assert!(
             verdict.is_ok(),

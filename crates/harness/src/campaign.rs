@@ -8,8 +8,10 @@
 //! definitions of that shape:
 //!
 //! * [`Case`] — one seed's configuration plus what its campaign decides
-//!   (phase budget, heal driver, self-check); [`Case::run`] is the
-//!   settle-and-judge and yields one [`CaseResult`] row.
+//!   (phase budget, self-check); [`Case::run`] is the settle-and-judge
+//!   and yields one [`CaseResult`] row. Every heal phase is one
+//!   [`lease_tick`]: the protocol's own soft-state round is the only heal
+//!   driver.
 //! * [`Campaign`] — a static description of a subcommand: how a
 //!   [`Selection`] of seeds becomes cases, which Prometheus series its
 //!   rows feed ([`SeriesTable`]), whether a space-parallel cell and traced
@@ -77,13 +79,10 @@ impl Mutation {
 /// A seed→config generator.
 pub type Generator = fn(u64) -> RunConfig;
 
-/// A heal driver: what [`Runner::run_settled`] runs at the start of every
-/// heal phase, on a quiescent state.
-pub type Heal = fn(&mut DupScheme, &mut Ctx<'_, DupMsg>, usize);
-
-/// The protocol's own heal: one [`Scheme::on_lease_tick`] per phase —
-/// expire unrenewed leases, re-assert every live subscription, repair
-/// orphans. Each phase is then one lease period.
+/// The heal every campaign runs at the start of each heal phase, on a
+/// quiescent state: one [`Scheme::on_lease_tick`] — expire unrenewed
+/// leases, re-assert every live subscription, repair orphans. Each phase
+/// is then one lease period.
 pub(crate) fn lease_tick(scheme: &mut DupScheme, ctx: &mut Ctx<'_, DupMsg>, _phase: usize) {
     scheme.on_lease_tick(ctx);
 }
@@ -125,11 +124,9 @@ pub struct Case {
     /// The faulted run configuration; `cfg.seed` is the case seed it was
     /// expanded from and replays the case exactly.
     pub cfg: RunConfig,
-    /// Heal phases granted after the faulted horizon — the bound within
-    /// which the settled DUP state must match the oracle.
+    /// Heal phases (lease ticks) granted after the faulted horizon — the
+    /// bound within which the settled DUP state must match the oracle.
     pub heal_phases: usize,
-    /// What runs at the start of each heal phase.
-    pub heal: Heal,
     /// When set, the case is self-checked: the predicate says whether the
     /// adversarial mechanism the case scripts actually fired, and the
     /// lease sweep must have expired at least one entry. A config drift
@@ -229,7 +226,7 @@ impl Case {
                 if first_converged.is_none() && check_tree_invariants(scheme, ctx.tree()).is_ok() {
                     first_converged = Some(phase);
                 }
-                (self.heal)(scheme, ctx, phase);
+                lease_tick(scheme, ctx, phase);
             });
         let faults = settled.world.faults.stats();
         let rel = settled.world.reliable.stats();

@@ -1,25 +1,23 @@
 //! `dup-experiments chaos`: fault→heal→drain convergence of the reliable
 //! maintenance layer.
 //!
-//! Where `fuzz` drives repair by hand, `chaos` asks the question the
-//! reliability layer exists to answer: with ack/retransmit, neighbor
-//! leases and orphan repair **enabled**, does DUP re-converge on its own
-//! within [`CHAOS_HEAL_PHASES`] lease periods after a faulted window —
-//! drops of up to 20% on maintenance and push traffic, duplicate
-//! injection, reordering delays, and churn bursts? What `chaos` adds to
-//! the shared campaign (`crate::campaign`): the reliable [`chaos_config`]
-//! generator, the protocol's own `on_lease_tick` as heal driver, the
-//! `dup_chaos_*` series of `CHAOS_metrics.prom`, and the space-parallel
-//! cell at the specified loss bound (`chaos_space_config`).
+//! Where `fuzz` runs with no reliability layer and leaves repair to the
+//! heal phases, `chaos` asks the question the reliability layer exists
+//! to answer: with ack/retransmit, neighbor leases and orphan repair
+//! **enabled**, does DUP re-converge on its own within
+//! [`CHAOS_HEAL_PHASES`] lease periods after a faulted window — drops of
+//! up to 20% on maintenance and push traffic, duplicate injection,
+//! reordering delays, and churn bursts? What `chaos` adds to the shared
+//! campaign (`crate::campaign`): the reliable [`chaos_config`] generator,
+//! the `dup_chaos_*` series of `CHAOS_metrics.prom`, and the
+//! space-parallel cell at the specified loss bound (`chaos_space_config`).
 
 use rand::Rng;
 
 use dup_proto::{FaultConfig, FaultWindow, RunConfig};
 use dup_sim::stream_rng;
 
-use crate::campaign::{
-    lease_tick, maintenance_protocol, reliability, Campaign, Case, Series, SeriesTable,
-};
+use crate::campaign::{maintenance_protocol, reliability, Campaign, Case, Series, SeriesTable};
 use crate::fuzz::faulted_config;
 
 /// Lease periods the heal phase grants a case to re-converge. Each phase
@@ -93,7 +91,6 @@ fn case(seed: u64) -> Case {
         family: None,
         cfg: chaos_config(seed),
         heal_phases: CHAOS_HEAL_PHASES,
-        heal: lease_tick,
         exercised: None,
     }
 }

@@ -1,29 +1,28 @@
-//! `dup-experiments fuzz`: seeded fault-injection cases with the harness
-//! driving repair by hand.
+//! `dup-experiments fuzz`: seeded fault-injection cases with no
+//! reliability layer, repaired by lease ticks alone.
 //!
 //! Each case derives a full [`RunConfig`] — topology size, workload,
 //! churn, and a [`FaultConfig`] with drop/duplicate/delay probabilities and
 //! scripted churn-boost windows — from one `u64` seed, with the
-//! reliability layer **off**. What `fuzz` adds to the shared campaign
-//! (`crate::campaign`): after the horizon, `dup_heal` runs three
-//! keep-alive *lease epochs* by hand (every subscriber re-asserts; entries
-//! nobody renewed expire), and the settled state must then satisfy the
-//! structural audits of `dup_core::audit` *and* the brute-force
-//! differential oracle of `dup_core::oracle`.
+//! reliability layer **off**, so no ack, retry or lease tick runs before
+//! the horizon. What `fuzz` adds to the shared campaign
+//! (`crate::campaign`) is that generator and its budget: after the
+//! horizon, [`HEAL_PHASES`] lease ticks (every subscriber re-asserts;
+//! entries nobody renewed expire), and the settled state must then
+//! satisfy the structural audits of `dup_core::audit` *and* the
+//! brute-force differential oracle of `dup_core::oracle`.
 
 use std::ops::RangeInclusive;
 
 use rand::Rng;
 
-use dup_core::{DupMsg, DupScheme};
-use dup_overlay::NodeId;
-use dup_proto::{ChurnConfig, Ctx, FaultConfig, FaultWindow, ReliabilityConfig, RunConfig};
+use dup_proto::{ChurnConfig, FaultConfig, FaultWindow, ReliabilityConfig, RunConfig};
 use dup_sim::stream_rng;
 
 use crate::campaign::{maintenance_protocol, reliability, Campaign, Case};
 
-/// How many lease-epoch phases a fuzz case gives DUP after the faulted
-/// window: three full begin/reassert → expire rounds.
+/// How many heal phases a fuzz case gives DUP after the faulted window:
+/// six lease ticks, each one `on_lease_tick` plus a drain to quiescence.
 pub const HEAL_PHASES: usize = 6;
 
 /// The `fuzz` subcommand: no metrics artifact, no space cell.
@@ -37,13 +36,12 @@ pub static FUZZ: Campaign = Campaign {
     traced: None,
 };
 
-/// The fuzz case of `seed`: `scenario_config` healed by `dup_heal`.
+/// The fuzz case of `seed`: `scenario_config` healed by lease ticks.
 pub fn case(seed: u64) -> Case {
     Case {
         family: None,
         cfg: scenario_config(seed),
         heal_phases: HEAL_PHASES,
-        heal: dup_heal,
         exercised: None,
     }
 }
@@ -107,25 +105,6 @@ pub(crate) fn faulted_config(
         .faults(faults)
         .reliability(reliability)
         .build()
-}
-
-/// The keep-alive heal `run_settled` drives for DUP: even
-/// phases open a lease epoch and have every live subscriber re-assert its
-/// virtual path; odd phases expire every lease the cascades did not renew.
-fn dup_heal(scheme: &mut DupScheme, ctx: &mut Ctx<'_, DupMsg>, phase: usize) {
-    if phase.is_multiple_of(2) {
-        scheme.begin_lease_epoch();
-        let subscribed: Vec<NodeId> = ctx
-            .tree()
-            .live_nodes()
-            .filter(|&n| scheme.is_subscribed(n))
-            .collect();
-        for node in subscribed {
-            scheme.reassert(ctx, node);
-        }
-    } else {
-        scheme.end_lease_epoch(ctx);
-    }
 }
 
 #[cfg(test)]

@@ -190,7 +190,6 @@ pub fn case(family: ScenarioFamily, seed: u64) -> Case {
         family: Some(family.name()),
         cfg: scenario_suite_config(family, seed),
         heal_phases: family.reconvergence_bound(),
-        heal: lease_tick,
         exercised: Some(exercised),
     }
 }
@@ -411,7 +410,7 @@ fn trace_artifacts(selection: &Selection) -> Vec<Artifact> {
         let capture = CaptureProbe::new();
         let probe = ProbeSink::attach(capture.clone());
         let settled = Runner::with_probe(case.cfg, DupScheme::new(), probe)
-            .run_settled(case.heal_phases, case.heal);
+            .run_settled(case.heal_phases, lease_tick);
         let collector = TraceCollector::from_events(&capture.events());
         let mut registry = Registry::new();
         registry.record_run(&settled.report);

@@ -85,6 +85,15 @@ impl NodeLists {
         self.spans.is_empty()
     }
 
+    /// The nodes whose list is non-empty, in id order.
+    pub fn owners(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.spans
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.len > 0)
+            .map(|(i, _)| NodeId::from_index(i))
+    }
+
     /// The list of `node` (empty when never touched).
     #[inline]
     pub fn get(&self, node: NodeId) -> &[NodeId] {
@@ -157,6 +166,7 @@ mod tests {
         assert_eq!(lists.get(n(2)), &[n(5), n(3)]);
         assert_eq!(lists.arena.len(), pairs.len(), "no slack");
         assert_eq!(lists.get(n(9)), &[], "beyond the table");
+        assert_eq!(lists.owners().collect::<Vec<_>>(), vec![n(0), n(2)]);
     }
 
     #[test]
@@ -169,8 +179,10 @@ mod tests {
         lists.swap(n(0), n(5));
         assert_eq!(lists.get(n(0)), &[]);
         assert_eq!(lists.get(n(5)), &[n(1), n(9), n(8)]);
+        assert_eq!(lists.owners().collect::<Vec<_>>(), vec![n(5)]);
         assert_eq!(lists.take(n(5)), vec![n(1), n(9), n(8)]);
         assert_eq!(lists.get(n(5)), &[]);
+        assert_eq!(lists.owners().count(), 0);
         assert_eq!(lists.len(), 6);
     }
 }
