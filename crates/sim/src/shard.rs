@@ -213,11 +213,6 @@ impl<M: ShardModel> ShardedEngine<M> {
         }
     }
 
-    /// The accumulated profile, if profiling is enabled.
-    pub fn profile(&self) -> Option<&ShardProfile> {
-        self.profile.as_deref()
-    }
-
     /// Detaches and returns the accumulated profile, disabling profiling.
     pub fn take_profile(&mut self) -> Option<ShardProfile> {
         self.profile.take().map(|p| *p)
