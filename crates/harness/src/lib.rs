@@ -40,7 +40,7 @@
 //!
 //! | Subcommand | Module |
 //! |------------|--------|
-//! | `fuzz`, `chaos`, `scenarios` | [`campaign`] — the one settle-and-judge, report and space cell — with [`fuzz`], [`chaos`], [`scenarios`] supplying generators, heal drivers, budgets and series tables |
+//! | `fuzz`, `chaos`, `scenarios` | [`campaign`] — the one settle-and-judge, report and space cell — with [`fuzz`], [`chaos`], [`scenarios`] supplying generators, heal budgets and series tables |
 //! | `space-smoke` | [`spacesmoke`] |
 //! | `trace-report` | [`tracereport`] |
 //! | `load-report` | [`loadreport`] |
