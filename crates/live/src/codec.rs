@@ -398,6 +398,16 @@ mod tests {
         assert_eq!(std::mem::size_of::<Frame<DupMsg>>(), 112);
     }
 
+    /// A node id is 4 bytes, and the simulator's event and message carry
+    /// several: an id that grew a field would grow every queued event.
+    #[test]
+    fn ids_events_and_messages_keep_their_size() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<NodeId>(), 4);
+        assert_eq!(size_of::<dup_proto::Ev<DupMsg>>(), 104);
+        assert_eq!(size_of::<Msg<DupMsg>>(), 64);
+    }
+
     #[test]
     fn oversized_length_prefix_is_refused() {
         let mut buf = Vec::new();
