@@ -11,8 +11,10 @@
 
 use proptest::prelude::*;
 
+use std::collections::BTreeSet;
+
 use dup_core::testkit::TestBench;
-use dup_core::{audit_quiescent, DupScheme};
+use dup_core::{audit_quiescent, check_tree_invariants, DupScheme};
 use dup_overlay::{random_search_tree, NodeId, SearchTree, TopologyParams};
 use dup_proto::scheme::Scheme;
 use dup_proto::CupScheme;
@@ -65,6 +67,19 @@ fn pick_live_non_root(tree: &SearchTree, raw: usize) -> Option<NodeId> {
     } else {
         Some(live[raw % live.len()])
     }
+}
+
+/// Churn-heavy histories: most operations join or remove a node, so
+/// departed slots are reclaimed and reused again and again.
+fn churn_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        3 => (0usize..1024).prop_map(Op::Subscribe),
+        1 => (0usize..1024).prop_map(Op::Unsubscribe),
+        2 => (0usize..1024).prop_map(Op::JoinLeaf),
+        2 => (0usize..1024).prop_map(Op::JoinBetween),
+        2 => (0usize..1024).prop_map(Op::Leave),
+        2 => (0usize..1024).prop_map(Op::Fail),
+    ]
 }
 
 /// Interest gains and losses only: the history CUP's registration tree is
@@ -272,5 +287,40 @@ proptest! {
                 "leaked entries at {}: {:?}", node, bench.node.scheme.s_list(node)
             );
         }
+    }
+
+    /// Every departed slot is reclaimed and the next joins reuse them, yet
+    /// no id is held by two lives: an id that leaves the live set never
+    /// comes back, though its slot does. Operations race in-flight
+    /// maintenance; once they settle, two lease ticks bring every list to
+    /// the oracle's.
+    #[test]
+    fn reused_slots_never_revive_an_id_and_settle_to_the_oracle(
+        seed in 0u64..1000,
+        nodes in 8usize..30,
+        ops in prop::collection::vec(churn_op_strategy(), 1..80),
+    ) {
+        let tree = build_tree(nodes, 4, seed);
+        let mut bench = TestBench::new(tree, DupScheme::new(), 2);
+        let mut live: BTreeSet<NodeId> = bench.node.world.tree.live_nodes().collect();
+        let mut departed = BTreeSet::new();
+        for op in &ops {
+            apply_op(&mut bench, op); // no drain: ops race in-flight messages
+            let now: BTreeSet<NodeId> = bench.node.world.tree.live_nodes().collect();
+            if let Some(id) = now.intersection(&departed).next() {
+                prop_assert!(false, "op {:?} revived {}", op, id);
+            }
+            departed.extend(live.difference(&now));
+            live = now;
+        }
+        let tree = &bench.node.world.tree;
+        prop_assert_eq!(tree.capacity(), tree.peak_len(), "a free slot was passed over");
+        bench.drain();
+        for _ in 0..2 {
+            bench.with_ctx(|s, ctx| s.on_lease_tick(ctx));
+            bench.drain();
+        }
+        let settled = check_tree_invariants(&bench.node.scheme, &bench.node.world.tree);
+        prop_assert!(settled.is_ok(), "{}", settled.unwrap_err());
     }
 }

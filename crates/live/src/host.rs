@@ -492,10 +492,11 @@ impl<S: LiveScheme> NodeHost<S> {
     /// for a bootstrap tree this host would adopt, whether that tree is
     /// the cluster's size and contains this host. Peer tables, the tree
     /// and the per-sender streams are all indexed by these ids, so a
-    /// frame that fails here must not reach them.
+    /// frame that fails here must not reach them. A cluster's ids are all
+    /// first lives: no host reclaims a slot.
     fn well_formed(&self, frame: &Frame<S::Msg>) -> bool {
         let n = self.core.cfg.n();
-        let known = |id: &NodeId| id.index() < n;
+        let known = |id: &NodeId| id.generation() == 0 && id.index() < n;
         match frame {
             Frame::Heartbeat { node, .. }
             | Frame::Hello { node, .. }

@@ -282,10 +282,12 @@ impl Scheme for CupScheme {
 
     fn on_churn(&mut self, ctx: &mut Ctx<'_, CupMsg>, change: &AppliedChurn) {
         if let Some(joined) = change.joined {
+            // A newcomer starts with no registrations, also in a slot a
+            // departed node left.
+            *self.slot(joined) = CupNode::default();
             // Edge-splitting join: the newcomer sits between `replacement
             // parent` and `join_below`; it inherits the branch registration
             // locally (state moves with the key-space handoff).
-            self.slot(joined);
             if let Some(below) = change.join_below {
                 let parent = ctx
                     .tree()

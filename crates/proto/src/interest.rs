@@ -121,15 +121,16 @@ impl InterestTracker {
     }
 
     /// Epoch policy only: closes the current epoch (called at authority
-    /// refresh instants) and returns the nodes whose interest lapsed because
-    /// their closing count was at most `c`. Counts reset for the new epoch.
-    pub(crate) fn roll_epoch(&mut self) -> Vec<NodeId> {
+    /// refresh instants) and returns the slot indices whose interest lapsed
+    /// because their closing count was at most `c`. Counts reset for the
+    /// new epoch.
+    pub(crate) fn roll_epoch(&mut self) -> Vec<usize> {
         debug_assert_eq!(self.policy, InterestPolicy::Epoch);
         let mut lapsed = Vec::new();
         for (i, slot) in self.slots.iter_mut().enumerate() {
             if slot.interested && slot.epoch_count <= self.threshold {
                 slot.interested = false;
-                lapsed.push(NodeId::from_index(i));
+                lapsed.push(i);
             }
             slot.epoch_count = 0;
         }
@@ -301,14 +302,14 @@ mod tests {
         t.observe(n, SimTime::from_secs(2));
         assert!(t.is_interested(n));
         // Busy epoch: stays interested.
-        assert_eq!(t.roll_epoch(), vec![] as Vec<NodeId>);
+        assert_eq!(t.roll_epoch(), Vec::<usize>::new());
         assert!(t.is_interested(n));
         // Quiet epoch (one query ≤ c=1): lapses.
         t.observe(n, SimTime::from_secs(150));
-        assert_eq!(t.roll_epoch(), vec![n]);
+        assert_eq!(t.roll_epoch(), vec![n.index()]);
         assert!(!t.is_interested(n));
         // Entirely idle epoch on an uninterested node: no lapse reported.
-        assert_eq!(t.roll_epoch(), vec![] as Vec<NodeId>);
+        assert_eq!(t.roll_epoch(), Vec::<usize>::new());
     }
 
     #[test]
@@ -469,7 +470,7 @@ mod tests {
                     for (&n, (count, interested)) in model.iter_mut() {
                         if *interested && *count <= C {
                             *interested = false;
-                            lapsed.push(n);
+                            lapsed.push(n.index());
                         }
                         *count = 0;
                     }

@@ -367,8 +367,8 @@ impl<S: Scheme> NodeCore<S> {
         // Lapse traffic forms its own maintenance trace, not part of the
         // update about to publish.
         self.world.begin_maintenance();
-        for node in self.world.interest.roll_epoch() {
-            if self.world.tree.is_alive(node) {
+        for slot in self.world.interest.roll_epoch() {
+            if let Some(node) = self.world.tree.live_id(slot) {
                 self.with_ctx(eng, |s, ctx| s.on_interest_lost(ctx, node));
             }
         }

@@ -419,7 +419,7 @@ impl<S: Scheme> Runner<S> {
         // number's high word). Traffic outside the reliability layer shows
         // up in the queued-event count alone.
         let seqs = self.node.world.reliable.pending_seqs();
-        let mut unconverged: Vec<u64> = seqs.iter().map(|s| s >> 32).collect();
+        let mut unconverged: Vec<NodeId> = seqs.iter().map(|s| NodeId((s >> 32) as u32)).collect();
         unconverged.dedup();
         panic!(
             "run_settled: {stage} did not quiesce within {SETTLE_DEADLINE_SECS:.0} simulated \

@@ -368,10 +368,20 @@ impl World {
         }
     }
 
-    /// Sizes the per-node tables for a freshly joined node.
+    /// Sizes the per-node tables for a freshly joined node. A node that
+    /// reuses a departed node's slot starts as a restarted host does:
+    /// nothing of the old life's cache, interest, sequence counter or
+    /// streams carries over.
     fn admit(&mut self, node: NodeId) {
         self.cache.ensure_slot(node);
         self.interest.ensure_slot(node);
+        if node.generation() > 0 {
+            self.cache.evict(node);
+            self.interest.clear(node);
+            self.latency_rng.restart(node.index(), u64::from(node.0));
+            self.reliable.renew(node);
+            self.faults.renew(node);
+        }
     }
 
     /// Describes a join of `joined`, below which `join_below` now hangs.
@@ -403,8 +413,8 @@ impl World {
 
     /// Applies a graceful leave or silent failure of `victim`: its parent
     /// adopts its children — or, when the authority itself departs, a
-    /// fresh node takes over its role — and its cache and interest state
-    /// are dropped.
+    /// fresh node takes over its role — its cache and interest state are
+    /// dropped, and its slot is reclaimed for a later join to reuse.
     pub fn remove_node(&mut self, victim: NodeId, graceful: bool) -> AppliedChurn {
         let root_changed = victim == self.tree.root();
         let adopted_children = self.tree.children(victim).to_vec();
@@ -417,6 +427,7 @@ impl World {
         };
         self.cache.evict(victim);
         self.interest.clear(victim);
+        self.tree.reclaim(victim);
         AppliedChurn {
             removed: Some(victim),
             graceful,

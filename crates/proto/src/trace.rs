@@ -599,7 +599,7 @@ pub fn perfetto_trace(collector: &TraceCollector) -> serde_json::Value {
                 "ts": us(rec.sent_secs),
                 "dur": us(delivered - rec.sent_secs).max(1),
                 "pid": 1u32,
-                "tid": rec.to.index(),
+                "tid": rec.to.0,
                 "args": args,
             })),
             None => events.push(serde_json::json!({
@@ -609,7 +609,7 @@ pub fn perfetto_trace(collector: &TraceCollector) -> serde_json::Value {
                 "s": "t",
                 "ts": us(rec.sent_secs),
                 "pid": 1u32,
-                "tid": rec.from.index(),
+                "tid": rec.from.0,
                 "args": args,
             })),
         }
@@ -625,7 +625,7 @@ pub fn perfetto_trace(collector: &TraceCollector) -> serde_json::Value {
                 "s": "t",
                 "ts": us(acc.published_secs),
                 "pid": 1u32,
-                "tid": origin.index(),
+                "tid": origin.0,
                 "args": args,
             }));
         }
@@ -643,15 +643,15 @@ pub fn perfetto_trace(collector: &TraceCollector) -> serde_json::Value {
             "name": "thread_name",
             "ph": "M",
             "pid": 1u32,
-            "tid": node.index(),
+            "tid": node.0,
             "args": name_args,
         }));
-        let sort_args = serde_json::json!({ "sort_index": node.index() });
+        let sort_args = serde_json::json!({ "sort_index": node.0 });
         events.push(serde_json::json!({
             "name": "thread_sort_index",
             "ph": "M",
             "pid": 1u32,
-            "tid": node.index(),
+            "tid": node.0,
             "args": sort_args,
         }));
     }

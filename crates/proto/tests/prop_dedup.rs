@@ -114,6 +114,66 @@ fn window_eviction_is_per_sender() {
     );
 }
 
+/// One sender slot lived in again and again: each life numbers its
+/// sequences from 0 under its own full id, as `begin_tracking` does after
+/// a slot is reused, and its traffic interleaves at random with late and
+/// repeated arrivals of every earlier life. Every first copy a life sends
+/// is dispatched, from its sequence 0 on. Once a newer life has been heard
+/// from, no arrival of an older one is dispatched, and each such arrival
+/// is counted as a stale life.
+#[test]
+fn every_new_life_is_admitted_from_zero_and_no_older_life_after_it() {
+    for case in 0..200u64 {
+        let mut pattern = stream_rng(case, "prop/dedup-lives");
+        let mut r = ReliableState::from_config(
+            ReliabilityConfig {
+                enabled: true,
+                ..ReliabilityConfig::default()
+            },
+            case,
+        );
+        r.set_dedup_window(64 * pattern.gen_range(1..=4u64));
+        let slot = pattern.gen_range(0..1024usize);
+        let lives = pattern.gen_range(2..=6usize);
+        let life = |g: usize| NodeId::with_generation(slot, g as u8);
+        let seq = |g: usize, counter: u64| u64::from(life(g).0) << 32 | counter;
+        // Sequences each life has sent, the life now sending, and the
+        // newest life the receiver has heard from.
+        let mut sent = vec![0u64; lives];
+        let (mut current, mut heard) = (0usize, None);
+        let mut stale = 0u64;
+        for _ in 0..pattern.gen_range(50..=400usize) {
+            match pattern.gen_range(0..10) {
+                0 if current + 1 < lives => current += 1,
+                0..=5 => {
+                    let s = seq(current, sent[current]);
+                    assert!(
+                        r.on_tracked_delivery(life(current), s),
+                        "case {case}: first copy {} of {} suppressed",
+                        sent[current],
+                        life(current)
+                    );
+                    sent[current] += 1;
+                    heard = heard.max(Some(current));
+                }
+                _ => {
+                    let g = pattern.gen_range(0..=current);
+                    if sent[g] == 0 {
+                        continue;
+                    }
+                    let s = seq(g, pattern.gen_range(0..sent[g]));
+                    let dispatched = r.on_tracked_delivery(life(g), s);
+                    if heard.is_some_and(|h| g < h) {
+                        assert!(!dispatched, "case {case}: stale {} dispatched", life(g));
+                        stale += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(r.stats().stale_lives, stale, "case {case}");
+    }
+}
+
 /// The dedup window as it was before it grew lazily: the whole `window`
 /// bits allocated at the first delivery. The reference for
 /// [`lazy_windows_answer_like_full_bitmaps`].

@@ -99,19 +99,25 @@ impl SenderStreams {
         &mut self.streams[idx]
     }
 
-    /// Seeds slot `idx` with `stream_rng(seed, "label/idx")`, growing both
-    /// vectors to hold it.
+    /// Seeds slot `idx` with `stream_rng(seed, "label/idx")`.
     #[cold]
     fn seed(&mut self, idx: usize) {
+        self.restart(idx, idx as u64);
+    }
+
+    /// Seeds slot `idx` with `stream_rng(seed, "label/name")` now, growing
+    /// both vectors to hold it: a sender that reuses a slot gets a stream
+    /// of its own. Slot `idx` is stream `"label/idx"` until restarted.
+    pub fn restart(&mut self, idx: usize, name: u64) {
         if idx >= self.streams.len() {
             self.streams.resize(idx + 1, StreamRng::seed_from_u64(0));
             self.seeded.resize(idx / 64 + 1, 0);
         }
         self.seeded[idx / 64] |= 1 << (idx % 64);
-        // `idx` in decimal, most significant digit first.
+        // `name` in decimal, most significant digit first.
         let mut digits = [0u8; 20];
         let mut at = digits.len();
-        let mut rest = idx;
+        let mut rest = name;
         loop {
             at -= 1;
             digits[at] = b'0' + (rest % 10) as u8;
