@@ -3,7 +3,7 @@
 //!
 //! Each campaign is forced to fail by `Mutation::BrokenSubstituteMerge` at
 //! a pinned case seed where the sabotage is known to bite (fuzz index 2
-//! and chaos index 56 at master seed 42; partition index 10 is the cell
+//! and chaos index 0 at master seed 42; partition index 10 is the cell
 //! `scenario_suite.rs` pins). Re-derive by scanning derived seeds if a
 //! generator change shifts the seed streams.
 
@@ -11,7 +11,7 @@ use dup_harness::{Campaign, Mutation, SchemeKind, Selection, CHAOS, FUZZ, SCENAR
 
 const PINNED_FAILING: [(&Campaign, Option<&str>, u64); 3] = [
     (&FUZZ, None, 6540509962812796806),
-    (&CHAOS, None, 7335066911151425894),
+    (&CHAOS, None, 18385671906983252704),
     (&SCENARIOS, Some("partition"), 1518876853595082434),
 ];
 

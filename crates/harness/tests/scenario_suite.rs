@@ -106,11 +106,7 @@ fn clean_suite_is_non_vacuous_per_family() {
 /// config change shifts the seed streams.
 const PINNED_FAILING: [(ScenarioFamily, usize, Mutation); 6] = [
     (ScenarioFamily::FlashCrowd, 0, Mutation::BrokenLeaseExpiry),
-    (
-        ScenarioFamily::FlashCrowd,
-        35,
-        Mutation::BrokenSubstituteMerge,
-    ),
+    (ScenarioFamily::AsymLink, 4, Mutation::BrokenSubstituteMerge),
     (ScenarioFamily::Partition, 2, Mutation::BrokenLeaseExpiry),
     (
         ScenarioFamily::Partition,
