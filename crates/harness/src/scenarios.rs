@@ -334,8 +334,9 @@ fn scenario_suite_config(family: ScenarioFamily, seed: u64) -> RunConfig {
             // it with fail-heavy weights — infiltrated peers silently die
             // and are swapped for fresh identities (the EcProtocol-style
             // peer lifecycle: eviction plus dynamic peer swapping is the
-            // countermeasure). Replacement joins allocate fresh node ids
-            // *outside* the region, so the region monotonically drains as
+            // countermeasure). Replacement joins are fresh identities
+            // *outside* the region (a region names first lives, also where
+            // a join reuses one of its slots), so the region drains as
             // peers are swapped out — the waves and cuts are therefore
             // scheduled early and the churn rate kept gentle, so the
             // escalating cuts still overlap a populated region: the first
