@@ -76,19 +76,14 @@ impl FromStr for SchemeKind {
 /// benches, and the examples; pass [`ProbeSink::disabled`] when no trace
 /// is wanted.
 ///
-/// With `cfg.shards > 1` the run executes in **parallel ensemble mode**
-/// (see [`run_simulation_sharded`]); the external `probe` is not attached
-/// in that mode — time-series samples still come back in the merged
-/// report, tagged with their shard.
+/// A [`Runner`] runs one replication, so `cfg.shards` must be 1: the
+/// replications of an ensemble are [`run_simulation_sharded`]'s.
 ///
 /// With `cfg.space_shards > 1` the run executes in **space-parallel mode**
 /// (see [`dup_proto::run_simulation_space`]): one simulation, its node space
 /// partitioned across shards. The probe attaches to shard 0, which also
 /// finalizes the merged report.
 pub fn run_simulation_kind(cfg: &RunConfig, kind: SchemeKind, probe: ProbeSink) -> RunReport {
-    if cfg.shards > 1 {
-        return run_simulation_sharded(cfg, kind, true);
-    }
     if cfg.space_shards > 1 {
         return match kind {
             SchemeKind::Pcx => run_simulation_space(cfg, PcxScheme::new, probe, false).0,
@@ -104,22 +99,20 @@ pub fn run_simulation_kind(cfg: &RunConfig, kind: SchemeKind, probe: ProbeSink) 
     }
 }
 
-/// Runs `cfg` as `cfg.shards` independent sub-simulations — one worker
-/// thread and one event queue per shard when `threaded` — and merges the
-/// per-shard [`RunReport`]s deterministically.
+/// Runs `cfg` as `cfg.shards` independent replications on the worker pool
+/// ([`dup_sim::run_parallel`]: one worker per replication when `threaded`,
+/// inline otherwise) and merges their [`RunReport`]s deterministically.
 ///
-/// Shard `i` runs the same configuration with the derived master seed
-/// `stream_seed(cfg.seed, "shard/i")`, so the ensemble is a set of
-/// independent replications (cross-shard lookahead is infinite: no
-/// messages ever cross, which makes the conservative window protocol of
-/// [`dup_sim::ShardedEngine`] trivially satisfied by running each shard to
-/// completion). The merge is [`RunReport::aggregate`] over the shard
-/// reports in shard order, with samples and queue-depth gauges tagged per
-/// shard — so for a fixed shard count the merged report is **bit-identical**
-/// whether the shards ran on worker threads or sequentially on one.
+/// Replication `i` runs the same configuration with the derived master
+/// seed `stream_seed(cfg.seed, "shard/i")`. The merge is
+/// [`RunReport::aggregate`] over the reports in replication order, with
+/// samples and queue-depth gauges tagged per replication — so for a fixed
+/// count the merged report is **bit-identical** whether the replications
+/// ran on worker threads or one after another.
 pub fn run_simulation_sharded(cfg: &RunConfig, kind: SchemeKind, threaded: bool) -> RunReport {
     let shards = cfg.shards.max(1);
-    let mut reports = dup_sim::run_shards(shards, threaded, |i| {
+    let workers = if threaded { shards } else { 1 };
+    let mut reports = dup_sim::run_parallel(workers, shards, |i| {
         let mut shard_cfg = cfg.clone();
         shard_cfg.seed = dup_sim::stream_seed(cfg.seed, &format!("shard/{i}"));
         shard_cfg.shards = 1;

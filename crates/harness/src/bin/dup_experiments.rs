@@ -57,21 +57,16 @@
 //!   --full           paper-scale runs (n=4096, 180000 s windows)
 //!   --bench-scale    minimal runs (every experiment in well under a second)
 //!   --seed <u64>     master seed (default 42)
-//!   --jobs <n>       worker threads (default: all cores)
-//!   --reps <n>       independent replications per sweep point (default 1;
-//!                    latency CIs then come from replication means)
+//!   --jobs <n>       worker threads of the pool every experiment's runs
+//!                    share (default: all cores; results do not depend on it)
+//!   --reps <n>       independent replications per sweep point, each an
+//!                    item on the worker pool (default 1; latency CIs then
+//!                    come from replication means)
 //!   --out <dir>      also write <dir>/<experiment>.json
 //!   --trace <file>   run one probed simulation and dump a JSONL event
 //!                    trace to <file> (then exit unless experiments are
 //!                    explicitly listed)
 //!   --trace-sample <secs>          time-series sample interval (default 600)
-//!   --shards <n>     parallel shard count for experiment runs (ensemble
-//!                    mode: one worker thread and one event queue per
-//!                    shard; default 1 = classic single-queue)
-//!   --space-shards <n>   partition each run's node space across <n>
-//!                    engine shards (one simulation, one worker thread per
-//!                    shard; default 1 = classic single-queue; mutually
-//!                    exclusive with --shards)
 //!   --seeds <n>      cases per scheme for `fuzz`/`chaos` (default 16) and
 //!                    per family for `scenarios` (default 2); case seeds
 //!                    derive from --seed
@@ -169,8 +164,6 @@ fn main() -> ExitCode {
         fuzz_mutate: false,
     };
     let mut trace_out: Option<PathBuf> = None;
-    let mut shards = 1usize;
-    let mut space_shards = 1usize;
     let mut selected: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -211,14 +204,12 @@ fn main() -> ExitCode {
                     )
                 }
             },
-            "--shards" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => return usage("--shards needs a positive integer"),
-            },
-            "--space-shards" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => space_shards = n,
-                _ => return usage("--space-shards needs a positive integer"),
-            },
+            "--shards" | "--space-shards" => {
+                return usage(&format!(
+                    "{arg} is gone: --reps N runs a point's replications on the worker \
+                     pool, and space-smoke runs the space-parallel engine"
+                ))
+            }
             "--help" | "-h" => return usage(""),
             // The uniform seed-set/scheme family parses through the
             // shared struct.
@@ -230,12 +221,6 @@ fn main() -> ExitCode {
             name => selected.push(name.to_string()),
         }
     }
-
-    if shards > 1 && space_shards > 1 {
-        return usage("--shards and --space-shards are mutually exclusive");
-    }
-    cli.opts.shards = shards;
-    cli.opts.space_shards = space_shards;
 
     // `--trace` and every named subcommand run first, in table order; they
     // stand alone unless experiments were also requested.
@@ -432,7 +417,7 @@ fn usage(err: &str) -> ExitCode {
     }
     eprintln!(
         "usage: dup-experiments [--full|--bench-scale] [--seed N] [--jobs N] [--reps N] \
-         [--shards N] [--space-shards N] [--out DIR] [--trace FILE] [--trace-sample SECS] \
+         [--out DIR] [--trace FILE] [--trace-sample SECS] \
          [--seeds N] [--replay SEED] [--scheme pcx|cup|dup] \
          [--family flash-crowd|partition|asym-link|infiltration] [--fuzz-mutate] \
          [table2|fig4|table3|fig5|fig6|fig7|fig8|ext-...|all|fuzz|chaos|\

@@ -1,11 +1,11 @@
 //! Shared experiment infrastructure: scaling presets, scheme dispatch, and
-//! a parallel sweep runner.
+//! the replicated runs of a sweep's points on the worker pool.
 
 use serde::Serialize;
 
 use dup_overlay::TopologyParams;
 use dup_proto::{RunConfig, RunReport, TopologySource};
-use dup_sim::stream_seed;
+use dup_sim::{run_parallel, stream_seed};
 
 pub use dup_core::SchemeKind;
 
@@ -99,20 +99,13 @@ pub struct HarnessOpts {
     pub scale: Scale,
     /// Master seed; per-point seeds derive from it.
     pub seed: u64,
-    /// Worker threads for sweep points (0 = all cores).
+    /// Worker threads for a sweep's runs (0 = all cores).
     pub jobs: usize,
-    /// Independent replications per sweep point (≥ 1). With more than one,
-    /// latency CIs come from the Student-t interval over replication means
-    /// instead of within-run batch means.
+    /// Independent replications per sweep point (≥ 1), run side by side
+    /// on the worker pool. With more than one, latency CIs come from the
+    /// Student-t interval over replication means instead of within-run
+    /// batch means.
     pub reps: usize,
-    /// Parallel shard count applied to each run's `RunConfig` (ensemble
-    /// mode; 1 = classic single-queue simulation).
-    pub shards: usize,
-    /// Space-parallel shard count applied to each run's `RunConfig`: one
-    /// simulation, its node space partitioned across this many engine
-    /// shards (1 = classic single-queue simulation). Mutually exclusive
-    /// with `shards > 1`.
-    pub space_shards: usize,
 }
 
 impl Default for HarnessOpts {
@@ -122,8 +115,6 @@ impl Default for HarnessOpts {
             seed: 42,
             jobs: 0,
             reps: 1,
-            shards: 1,
-            space_shards: 1,
         }
     }
 }
@@ -133,15 +124,6 @@ impl HarnessOpts {
     /// point label, so sweep points are independent of execution order.
     pub fn point_seed(&self, experiment: &str, point: &str) -> u64 {
         stream_seed(self.seed, &format!("{experiment}/{point}"))
-    }
-
-    /// Base configuration at this options set's scale, with the shard
-    /// counts applied.
-    pub fn base_config(&self, seed: u64) -> RunConfig {
-        let mut cfg = self.scale.base_config(seed);
-        cfg.shards = self.shards;
-        cfg.space_shards = self.space_shards;
-        cfg
     }
 
     fn worker_count(&self) -> usize {
@@ -189,75 +171,47 @@ pub fn run_triple(cfg: &RunConfig) -> Triple {
 }
 
 /// Runs `run` — the simulations one sweep point needs, one report per
-/// scheme — on `opts.reps` independent replications of `cfg` (each with a
-/// seed derived from the configuration seed and the replication index) and
-/// aggregates them scheme by scheme. With `reps == 1` this is `run(cfg)`.
+/// scheme — on `opts.reps` independent replications of each of `cfgs` and
+/// returns each point's reports, aggregated scheme by scheme.
+///
+/// Every `(point, replication)` pair is one item on the worker pool
+/// (`opts.jobs` workers). Replication `i` of a point runs with the seed
+/// `stream_seed(cfg.seed, "rep/i")` and the aggregate takes them in
+/// replication order, so the result does not depend on the worker count.
+/// With `reps == 1` a point runs once on its own seed.
 pub fn run_replicated(
     opts: &HarnessOpts,
-    cfg: &RunConfig,
-    run: impl Fn(&RunConfig) -> Vec<RunReport>,
-) -> Vec<RunReport> {
-    if opts.reps <= 1 {
-        return run(cfg);
-    }
-    let mut per_scheme: Vec<Vec<RunReport>> = Vec::new();
-    for rep in 0..opts.reps {
+    cfgs: &[RunConfig],
+    run: impl Fn(&RunConfig) -> Vec<RunReport> + Sync,
+) -> Vec<Vec<RunReport>> {
+    let reps = opts.reps.max(1);
+    let runs = run_parallel(opts.worker_count(), cfgs.len() * reps, |i| {
+        let cfg = &cfgs[i / reps];
+        if reps == 1 {
+            return run(cfg);
+        }
         let mut rep_cfg = cfg.clone();
-        rep_cfg.seed = stream_seed(cfg.seed, &format!("rep/{rep}"));
-        let reports = run(&rep_cfg);
-        per_scheme.resize_with(reports.len(), Vec::new);
-        for (slot, report) in per_scheme.iter_mut().zip(reports) {
-            slot.push(report);
-        }
-    }
-    per_scheme
-        .iter()
-        .map(|reps| RunReport::aggregate(reps))
-        .collect()
-}
-
-/// Runs `work` over `points` on a worker pool, preserving point order in the
-/// result. Each simulation is single-threaded and deterministic; points are
-/// independent, so order of execution cannot affect results.
-///
-/// Work is claimed through a single atomic counter and every worker keeps
-/// its results in a thread-local vector, merged into ordered slots after the
-/// pool joins — no lock is held while points run.
-pub fn run_parallel<P, R, F>(opts: &HarnessOpts, points: Vec<P>, work: F) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P) -> R + Sync,
-{
-    let n = points.len();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = opts.worker_count().min(n.max(1));
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, work(&points[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("experiment worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
+        rep_cfg.seed = stream_seed(cfg.seed, &format!("rep/{}", i % reps));
+        run(&rep_cfg)
     });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every point produced a result"))
+    let mut runs = runs.into_iter();
+    cfgs.iter()
+        .map(|_| {
+            if reps == 1 {
+                return runs.next().expect("one run per point");
+            }
+            let mut per_scheme: Vec<Vec<RunReport>> = Vec::new();
+            for reports in runs.by_ref().take(reps) {
+                per_scheme.resize_with(reports.len(), Vec::new);
+                for (slot, report) in per_scheme.iter_mut().zip(reports) {
+                    slot.push(report);
+                }
+            }
+            per_scheme
+                .iter()
+                .map(|reps| RunReport::aggregate(reps))
+                .collect()
+        })
         .collect()
 }
 
@@ -300,28 +254,6 @@ mod tests {
         let c = opts.point_seed("fig4", "lambda=2");
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn run_parallel_preserves_order() {
-        let opts = HarnessOpts {
-            jobs: 4,
-            ..HarnessOpts::default()
-        };
-        let out = run_parallel(&opts, (0..50).collect(), |&x| x * 2);
-        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_parallel_covers_every_point_with_more_workers_than_points() {
-        let opts = HarnessOpts {
-            jobs: 16,
-            ..HarnessOpts::default()
-        };
-        let out = run_parallel(&opts, (0..3).collect(), |&x| x + 1);
-        assert_eq!(out, vec![1, 2, 3]);
-        let empty: Vec<i32> = run_parallel(&opts, Vec::<i32>::new(), |&x| x);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! without a part shares seeds along it, a sweep with none runs on
 //! `shared`). A column comes from one vocabulary of measures and yields
 //! both its JSON entries and its table cells. [`Sweep::run`] is the only
-//! driver: [`run_parallel`] over the points, [`run_replicated`] at each,
-//! one row per point.
+//! driver: [`run_replicated`] runs every point's replications on the
+//! worker pool, then one row is made per point.
 //!
 //! | Experiment | Axes | Runs | Columns written | Layout |
 //! |------------|------|------|-----------------|--------|
@@ -67,8 +67,7 @@ pub use campaign::{
 pub use chaos::CHAOS;
 pub use cli::ScenarioArgs;
 pub use experiment::{
-    run_parallel, run_replicated, run_triple, ExperimentOutput, HarnessOpts, Scale, SchemeKind,
-    Triple,
+    run_replicated, run_triple, ExperimentOutput, HarnessOpts, Scale, SchemeKind, Triple,
 };
 pub use fuzz::FUZZ;
 pub use livesmoke::{

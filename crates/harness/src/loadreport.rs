@@ -77,7 +77,7 @@ pub fn load_report(opts: &HarnessOpts) -> LoadReportOutput {
     let mut registry = Registry::new();
     let mut points = Vec::new();
     for &theta in &THETA_SWEEP {
-        let mut cfg = opts.base_config(opts.seed);
+        let mut cfg = opts.scale.base_config(opts.seed);
         cfg.zipf_theta = theta;
         let tree = build_topology(&cfg);
         let probe = LoadProbe::new(tree.capacity(), TOP_K);

@@ -5,8 +5,9 @@
 //! [`Scale`], the field it sets and its part of the seed label), the `runs`
 //! a point needs, the `columns` (`Measure`s) written to a JSON row and
 //! printed under their keys (`text_only` ones are printed only) and the
-//! `layout`. [`Sweep::run`] is the only driver: [`run_parallel`] over the
-//! points, [`run_replicated`] at each, one row per point or CUP variant.
+//! `layout`. [`Sweep::run`] is the only driver: [`run_replicated`] runs
+//! every point's replications on the worker pool, then one row is made per
+//! point or CUP variant.
 
 use dup_core::DupScheme;
 use dup_overlay::TopologyParams;
@@ -17,9 +18,7 @@ use dup_workload::{Arrivals, RankPlacement};
 use serde::Serialize;
 use serde_json::{json, Value};
 
-use crate::experiment::{
-    run_parallel, run_replicated, ExperimentOutput, HarnessOpts, Scale, SchemeKind,
-};
+use crate::experiment::{run_replicated, ExperimentOutput, HarnessOpts, Scale, SchemeKind};
 use crate::report::{fmt_f, JsonObject, TextTable};
 
 use self::{Axis::*, Get::*, Measure::*, Scope::*};
@@ -116,7 +115,6 @@ enum Runs {
     /// Constructed CUP variants beside one DUP baseline: the configuration
     /// runs once per variant and once for DUP; each variant becomes a row
     /// (its coordinate under the key) pairing it with that baseline.
-    /// Constructed schemes are not kinds: `--shards` does not reach them.
     CupVariants(&'static str, fn() -> Vec<(Coord, CupScheme)>),
 }
 
@@ -277,27 +275,35 @@ impl Sweep {
             });
             points = extended.collect();
         }
-        let rows = run_parallel(opts, points, |point| {
-            // A sweep none of whose axes is tagged runs on the `shared` seed.
-            let tags = axes.iter().zip(point);
-            let tags = tags.filter_map(|((_, tag, _), v)| Some(format!("{}{}", (*tag)?, v.raw)));
-            let label = match tags.collect::<Vec<_>>() {
-                tags if tags.is_empty() => "shared".to_string(),
-                tags => tags.join("/"),
-            };
-            let mut cfg = opts.base_config(opts.point_seed(self.name, &label));
-            for (axis, v) in self.over.iter().zip(point) {
-                axis.set(&mut cfg, v);
-            }
-            let reports = run_replicated(opts, &cfg, |cfg| match self.runs {
-                Runs::Kinds(kinds) => kinds.iter().map(|kind| kind.run(cfg)).collect(),
-                Runs::CupVariants(_, variants) => {
-                    let cups = variants().into_iter();
-                    let cups = cups.map(|(_, cup)| run_simulation(cfg, cup));
-                    cups.chain([run_simulation(cfg, DupScheme::new())])
-                        .collect()
+        let cfgs: Vec<RunConfig> = points
+            .iter()
+            .map(|point| {
+                // A sweep none of whose axes is tagged runs on the `shared` seed.
+                let tags = axes.iter().zip(point);
+                let tags =
+                    tags.filter_map(|((_, tag, _), v)| Some(format!("{}{}", (*tag)?, v.raw)));
+                let label = match tags.collect::<Vec<_>>() {
+                    tags if tags.is_empty() => "shared".to_string(),
+                    tags => tags.join("/"),
+                };
+                let mut cfg = opts.scale.base_config(opts.point_seed(self.name, &label));
+                for (axis, v) in self.over.iter().zip(point) {
+                    axis.set(&mut cfg, v);
                 }
-            });
+                cfg
+            })
+            .collect();
+        let reports = run_replicated(opts, &cfgs, |cfg| match self.runs {
+            Runs::Kinds(kinds) => kinds.iter().map(|kind| kind.run(cfg)).collect(),
+            Runs::CupVariants(_, variants) => {
+                let cups = variants().into_iter();
+                let cups = cups.map(|(_, cup)| run_simulation(cfg, cup));
+                cups.chain([run_simulation(cfg, DupScheme::new())])
+                    .collect()
+            }
+        });
+        let mut rows: Vec<Row> = Vec::new();
+        for (point, reports) in points.iter().zip(&reports) {
             let coords: Vec<_> = axes
                 .iter()
                 .map(|a| a.0)
@@ -306,20 +312,18 @@ impl Sweep {
             match self.runs {
                 Runs::Kinds(kinds) => {
                     let names = kinds.iter().map(|kind| kind.name());
-                    vec![self.row(coords, &names.zip(&reports).collect::<Vec<_>>())]
+                    rows.push(self.row(coords, &names.zip(reports).collect::<Vec<_>>()));
                 }
                 Runs::CupVariants(key, variants) => {
                     let dup = &reports[reports.len() - 1];
-                    let paired = variants().into_iter().zip(&reports);
-                    let rows = paired.map(|((variant, _), cup)| {
+                    let paired = variants().into_iter().zip(reports);
+                    rows.extend(paired.map(|((variant, _), cup)| {
                         let coords = [coords.as_slice(), &[(key, variant)]].concat();
                         self.row(coords, &[("CUP", cup), ("DUP", dup)])
-                    });
-                    rows.collect()
+                    }));
                 }
             }
-        });
-        let rows: Vec<Row> = rows.into_iter().flatten().collect();
+        }
         let objects: Vec<&JsonObject> = rows.iter().map(|row| &row.json).collect();
         let (key, results) = match self.layout {
             Layout::Points => ("points", json!(objects)),

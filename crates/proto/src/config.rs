@@ -206,11 +206,10 @@ pub struct RunConfig {
     pub faults: FaultConfig,
     /// Reliable delivery of scheme messages (defaults to disabled).
     pub reliability: ReliabilityConfig,
-    /// Number of parallel shards (ensemble mode): `1` (the default) runs
-    /// the classic single-queue simulation; `S > 1` fans the run out into `S`
-    /// independent sub-simulations with per-shard derived seeds and its
-    /// own event queue each, executed on one worker thread per shard and
-    /// merged deterministically — see `dup_core::run_simulation_kind`.
+    /// Replications of an ensemble: `1` (the default) for every run a
+    /// `Runner` makes, which refuses more. `S > 1` is read only by
+    /// `dup_core::run_simulation_sharded`, which runs `S` replications with
+    /// derived seeds on the worker pool and merges their reports.
     pub shards: usize,
     /// Number of *space* shards: `1` (the default) runs the classic
     /// single-queue simulation; `S > 1` partitions **one** run's node space

@@ -246,6 +246,12 @@ impl<S: Scheme> Runner<S> {
     /// Builds the world from `cfg` with `probe` receiving every event.
     pub fn with_probe(cfg: RunConfig, scheme: S, probe: ProbeSink) -> Self {
         cfg.validate();
+        assert!(
+            cfg.shards == 1,
+            "a Runner runs one replication, not an ensemble of {}: \
+             dup_core::run_simulation_sharded runs those",
+            cfg.shards
+        );
         let seed = cfg.seed;
         let tree = build_topology(&cfg);
         let n = tree.len();
@@ -907,6 +913,14 @@ mod tests {
         // Requests and replies travel the same edges.
         assert_eq!(report.request_hops, report.reply_hops);
         assert_eq!(report.final_live_nodes, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "a Runner runs one replication, not an ensemble of 2")]
+    fn a_runner_refuses_an_ensemble() {
+        let mut cfg = tiny_cfg(1);
+        cfg.shards = 2;
+        Runner::new(cfg, PcxScheme::new());
     }
 
     #[test]

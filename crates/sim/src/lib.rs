@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod pool;
 pub mod probe;
 pub mod profiler;
 pub mod queue;
@@ -45,9 +46,10 @@ pub mod shard;
 pub mod time;
 
 pub use engine::{Engine, RunOutcome};
+pub use pool::run_parallel;
 pub use probe::Probe;
 pub use profiler::{EngineProfiler, ShardProfile};
 pub use queue::{EventQueue, QueueBackend, TimerId};
 pub use rng::{stream_rng, stream_seed, SenderStreams, StreamRng};
-pub use shard::{run_shards, ShardCtx, ShardModel, ShardRunReport, ShardedEngine};
+pub use shard::{ShardCtx, ShardModel, ShardRunReport, ShardedEngine};
 pub use time::{SimDuration, SimTime};

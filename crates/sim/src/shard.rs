@@ -21,10 +21,6 @@
 //! The window start fast-forwards over idle gaps (to the earliest pending
 //! event across all shards) — a function of simulation state only, so the
 //! schedule of barriers is itself deterministic.
-//!
-//! The module also exposes [`run_shards`], the minimal fan-out primitive
-//! for *ensemble* sharding (independent sub-simulations, no cross-shard
-//! traffic) used by the protocol layer's `RunConfig::shards` mode.
 
 use crate::profiler::ShardProfile;
 use crate::queue::{EventQueue, Popped, TimerId};
@@ -496,29 +492,6 @@ impl<M: ShardModel> ShardedEngine<M> {
     }
 }
 
-/// Runs `f(shard)` for `shard` in `0..n`, one scoped worker thread per
-/// shard when `threaded` (inline otherwise), returning results in shard
-/// order. The fan-out primitive for ensemble sharding: each worker runs an
-/// independent sub-simulation, so determinism reduces to each `f` being
-/// deterministic in its argument.
-pub fn run_shards<T, F>(n: usize, threaded: bool, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if !threaded || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n).map(|i| scope.spawn(move || f(i))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,13 +735,5 @@ mod tests {
         let profile = eng.take_profile().unwrap();
         assert_eq!(profile.fast_forward_windows, 2);
         assert!(profile.fast_forward_sim_secs > 3500.0);
-    }
-
-    #[test]
-    fn run_shards_returns_results_in_shard_order() {
-        let seq = run_shards(8, false, |i| i * i);
-        let par = run_shards(8, true, |i| i * i);
-        assert_eq!(seq, par);
-        assert_eq!(seq, (0..8).map(|i| i * i).collect::<Vec<_>>());
     }
 }
