@@ -190,7 +190,6 @@ fn reliability() -> ReliabilityConfig {
         // Lease ticks are scheduled by the host, not the runner, so the
         // runner-facing knob stays off.
         lease_every_secs: 0.0,
-        ..ReliabilityConfig::default()
     }
 }
 

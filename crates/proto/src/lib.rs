@@ -85,6 +85,7 @@ pub use probe::{
 };
 pub use reliable::{
     backoff_delay_secs, ReliabilityConfig, ReliabilityStats, ReliableState, RetryAction,
+    BACKOFF_FACTOR, JITTER_FRAC, MAX_BACKOFF_SECS,
 };
 pub use runner::{
     build_topology, run_simulation, LiveSetError, LogRecord, QueueBackendConfig, QueueConfig,

@@ -6,25 +6,27 @@
 use rand::Rng;
 
 use dup_overlay::NodeId;
-use dup_proto::{backoff_delay_secs, ReliabilityConfig, ReliableState, RetryAction};
+use dup_proto::{
+    backoff_delay_secs, ReliabilityConfig, ReliableState, RetryAction, BACKOFF_FACTOR, JITTER_FRAC,
+    MAX_BACKOFF_SECS,
+};
 use dup_sim::{stream_rng, TimerId};
 
-/// A randomized but valid reliability configuration.
+/// A randomized but valid reliability configuration: the base timeout and
+/// the retry budget are what a configuration can vary.
 fn arb_config(seed: u64) -> ReliabilityConfig {
     let mut rng = stream_rng(seed, "prop/config");
     ReliabilityConfig {
         enabled: true,
         ack_timeout_secs: 0.1 + rng.gen::<f64>() * 10.0,
-        backoff_factor: 1.0 + rng.gen::<f64>() * 3.0,
-        max_backoff_secs: 5.0 + rng.gen::<f64>() * 300.0,
-        jitter_frac: rng.gen::<f64>() * 0.5,
         max_retries: rng.gen_range(0..=8),
         lease_every_secs: 0.0,
     }
 }
 
-/// The schedule is monotone non-decreasing in the attempt number and never
-/// exceeds `max_backoff_secs · (1 + jitter_frac)`, for any config, any
+/// The schedule is monotone non-decreasing in the attempt number, never
+/// exceeds `MAX_BACKOFF_SECS · (1 + JITTER_FRAC)`, and grows by
+/// `BACKOFF_FACTOR` per attempt below the cap, for any base timeout, any
 /// jitter draw, and attempts far past the cap (including the saturating
 /// `powi` regime).
 #[test]
@@ -32,7 +34,7 @@ fn backoff_is_monotone_and_capped_for_arbitrary_configs() {
     for case in 0..200u64 {
         let cfg = arb_config(case);
         let jitter: f64 = stream_rng(case, "prop/jitter").gen();
-        let cap = cfg.max_backoff_secs * (1.0 + cfg.jitter_frac);
+        let cap = MAX_BACKOFF_SECS * (1.0 + JITTER_FRAC);
         let mut prev = 0.0;
         for attempt in [0, 1, 2, 3, 5, 8, 13, 21, 100, 999, 1000, 5000, u32::MAX] {
             let d = backoff_delay_secs(&cfg, attempt, jitter);
@@ -49,6 +51,20 @@ fn backoff_is_monotone_and_capped_for_arbitrary_configs() {
         }
         // The first wait is at least the base timeout: jitter only extends.
         assert!(backoff_delay_secs(&cfg, 0, jitter) >= cfg.ack_timeout_secs);
+        // Below the cap, each wait is the previous one times the factor.
+        for attempt in 0..12 {
+            let (d, next) = (
+                backoff_delay_secs(&cfg, attempt, jitter),
+                backoff_delay_secs(&cfg, attempt + 1, jitter),
+            );
+            if next < MAX_BACKOFF_SECS {
+                let grown = d * BACKOFF_FACTOR;
+                assert!(
+                    (next - grown).abs() <= 1e-9 * grown,
+                    "case {case}: attempt {attempt} grew {d} -> {next}"
+                );
+            }
+        }
     }
 }
 

@@ -243,9 +243,6 @@ fn retransmitted_pushes_are_attributed_to_the_original_update() {
     cfg.reliability = ReliabilityConfig {
         enabled: true,
         ack_timeout_secs: 3.0,
-        backoff_factor: 2.0,
-        max_backoff_secs: 60.0,
-        jitter_frac: 0.1,
         max_retries: 5,
         lease_every_secs: 0.0,
     };
