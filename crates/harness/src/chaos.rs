@@ -57,6 +57,16 @@ pub static CHAOS: Campaign = Campaign {
                 value: |c| c.exhausted,
             },
             Series {
+                name: "dup_chaos_duplicates_readmitted_total",
+                help: "Duplicates dispatched again after leaving the dedup window",
+                value: |c| c.duplicates_readmitted,
+            },
+            Series {
+                name: "dup_chaos_stale_lives_total",
+                help: "Tracked arrivals from an earlier life of their sender, never dispatched",
+                value: |c| c.stale_lives,
+            },
+            Series {
                 name: "dup_chaos_lease_expirations_total",
                 help: "Subscriber-list entries expired for want of lease renewal",
                 value: |c| c.lease_expirations,

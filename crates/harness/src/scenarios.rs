@@ -150,6 +150,16 @@ pub static SCENARIOS: Campaign = Campaign {
                 help: "Reliability-layer retransmissions, by family",
                 value: |c| c.retransmits,
             },
+            Series {
+                name: "dup_scenario_duplicates_readmitted_total",
+                help: "Duplicates dispatched again after leaving the dedup window, by family",
+                value: |c| c.duplicates_readmitted,
+            },
+            Series {
+                name: "dup_scenario_stale_lives_total",
+                help: "Tracked arrivals from an earlier life of their sender, by family",
+                value: |c| c.stale_lives,
+            },
         ],
         retransmits: None,
         reconvergence: (
