@@ -1,8 +1,11 @@
 //! The DUP scheme implementation.
 
+use std::collections::HashSet;
+
 use dup_overlay::{NodeId, NodeLists, SearchTree};
 use dup_proto::scheme::{AppliedChurn, Ctx, Scheme};
 use dup_proto::{IndexRecord, MsgClass, ProbeEvent, SubscriberStats};
+use dup_sim::FastHash;
 
 /// DUP's wire messages (§III-B), plus the direct index push.
 #[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
@@ -56,10 +59,13 @@ pub struct DupScheme {
     /// only reads them ([`DupScheme::push_to_entries`],
     /// [`DupScheme::push_set`], [`DupScheme::covering_entry`]).
     lists: NodeLists,
-    /// When `Some`, a lease epoch is open: every subscriber-list entry
-    /// confirmed by keep-alive traffic is recorded here as `(owner, entry)`,
-    /// and [`DupScheme::end_lease_epoch`] sweeps the rest.
-    lease: Option<std::collections::HashSet<(NodeId, NodeId)>>,
+    /// True while a lease epoch is open: every subscriber-list entry
+    /// confirmed by keep-alive traffic is then recorded in `lease` as
+    /// `(owner, entry)`, and [`DupScheme::end_lease_epoch`] sweeps the rest.
+    lease_open: bool,
+    /// The entries renewed in the open epoch. Kept between epochs, so an
+    /// epoch clears it instead of allocating a new one.
+    lease: HashSet<(NodeId, NodeId), FastHash>,
     /// Fault-injection mutation switch (see
     /// [`DupScheme::set_break_substitute_merge`]).
     break_substitute_merge: bool,
@@ -115,7 +121,8 @@ impl DupScheme {
     /// that must be renewed, so upstream state orphaned by lost
     /// `unsubscribe`/`substitute` messages eventually expires.
     fn begin_lease_epoch(&mut self) {
-        self.lease = Some(std::collections::HashSet::new());
+        self.lease.clear();
+        self.lease_open = true;
     }
 
     /// Closes the lease epoch opened by [`DupScheme::begin_lease_epoch`]:
@@ -123,10 +130,12 @@ impl DupScheme {
     /// expired, with the usual resync cascade informing upstream nodes. A
     /// no-op when no epoch is open.
     fn end_lease_epoch(&mut self, ctx: &mut Ctx<'_, DupMsg>) {
-        let touched = match self.lease.take() {
-            Some(t) => t,
-            None => return,
-        };
+        if !std::mem::take(&mut self.lease_open) {
+            return;
+        }
+        // Out of `self` while the resync cascades run, which renew nothing
+        // now that the epoch is closed.
+        let touched = std::mem::take(&mut self.lease);
         for node in self.listed_live(ctx.tree()) {
             let expired: Vec<NodeId> = self
                 .s_list(node)
@@ -148,6 +157,7 @@ impl DupScheme {
                 list.retain(|e| !expired.contains(e));
             });
         }
+        self.lease = touched;
     }
 
     /// The live nodes holding a non-empty subscriber list, in slot order:
@@ -162,8 +172,8 @@ impl DupScheme {
 
     /// Records `(node, entry)` as renewed within the open lease epoch.
     fn mark_lease(&mut self, node: NodeId, entry: NodeId) {
-        if let Some(touched) = self.lease.as_mut() {
-            touched.insert((node, entry));
+        if self.lease_open {
+            self.lease.insert((node, entry));
         }
     }
 
