@@ -2,16 +2,16 @@
 //! right subcommand, seed, scheme and — for `scenarios` — family.
 //!
 //! Each campaign is forced to fail by `Mutation::BrokenSubstituteMerge` at
-//! a pinned case seed where the sabotage is known to bite (fuzz index 2
-//! and chaos index 0 at master seed 42; partition index 10 is the cell
+//! a pinned case seed where the sabotage is known to bite (fuzz index 8
+//! and chaos index 87 at master seed 42; partition index 10 is the cell
 //! `scenario_suite.rs` pins). Re-derive by scanning derived seeds if a
 //! generator change shifts the seed streams.
 
 use dup_harness::{Campaign, Mutation, SchemeKind, Selection, CHAOS, FUZZ, SCENARIOS};
 
 const PINNED_FAILING: [(&Campaign, Option<&str>, u64); 3] = [
-    (&FUZZ, None, 6540509962812796806),
-    (&CHAOS, None, 18385671906983252704),
+    (&FUZZ, None, 5245076502418721752),
+    (&CHAOS, None, 14387334266915312430),
     (&SCENARIOS, Some("partition"), 1518876853595082434),
 ];
 

@@ -107,7 +107,8 @@ pub struct SlowLink {
 /// Deterministic fault-injection configuration (disabled by default).
 ///
 /// When enabled, every message passing through the delivery path draws its
-/// fate from a dedicated seeded stream (`stream_rng(seed, "faults")`): it
+/// fate from its sender's stream of a dedicated family
+/// (`SenderStreams::new(seed, "faults")`): it
 /// may be dropped, duplicated, or held back by an extra delay. Extra delays
 /// are applied *before* the per-channel FIFO reservation, so channels stay
 /// FIFO (as over TCP) — faults reorder traffic across channels, never
@@ -320,8 +321,8 @@ pub(crate) enum FaultAction {
 /// Runtime state of the deterministic fault layer carried by
 /// [`crate::World`].
 ///
-/// Built from [`FaultConfig`] with its own family of per-sender seeded
-/// streams (`stream_rng(seed, "faults/<sender>")`), so enabling faults
+/// Built from [`FaultConfig`] with its own family of per-sender streams
+/// (`SenderStreams::new(seed, "faults")`), so enabling faults
 /// perturbs no other stream — and when the config is disabled (the
 /// default) the layer draws nothing at all, keeping fault-free runs
 /// bit-identical to builds without the layer. Keying the streams by
@@ -372,12 +373,10 @@ impl FaultState {
     }
 
     /// Starts the fault stream of `node`, a new life of a reused slot,
-    /// afresh, so its fate depends on its own sends only. Draws nothing,
-    /// and seeds nothing for a layer that never draws.
+    /// afresh (its draw counter back to zero, under its own id), so its
+    /// fate depends on its own sends only. Draws nothing.
     pub(crate) fn renew(&mut self, node: NodeId) {
-        if self.armed && self.cfg.has_random_faults() {
-            self.streams.restart(node.index(), u64::from(node.0));
-        }
+        self.streams.restart(node.index());
     }
 
     /// The factor to multiply the churn rate by at `at_secs` (scripted
@@ -418,7 +417,7 @@ impl FaultState {
         if !self.cfg.has_random_faults() || !self.cfg.active_at(at_secs) {
             return FaultAction::Pass;
         }
-        let rng = self.streams.rng(from.index());
+        let mut rng = self.streams.rng_of(from.index(), u64::from(from.0));
         let u: f64 = rng.gen();
         if u < self.cfg.drop_p {
             self.stats.dropped += 1;
@@ -798,7 +797,7 @@ mod tests {
     #[test]
     fn disarmed_faults_draw_nothing() {
         // The disabled layer must consume zero RNG draws: none of its
-        // per-sender streams is ever seeded, protecting every determinism
+        // per-sender streams ever advances, protecting every determinism
         // golden.
         let mut w = world();
         let mut engine: Engine<Ev<u32>> = Engine::new();
@@ -810,10 +809,11 @@ mod tests {
             MsgClass::Control,
             Msg::Scheme(0),
         );
+        assert!(w.latency_rng.draws() > 0, "the send drew no latency");
         assert_eq!(
-            w.faults.streams.initialized(),
+            w.faults.streams.draws(),
             0,
-            "disabled fault layer seeded a stream"
+            "disabled fault layer drew from a stream"
         );
         assert_eq!(w.faults.stats(), FaultStats::default());
     }

@@ -18,8 +18,9 @@
 //!   [`ShardCtx::send`]; same-shard traffic stays on the local queue.
 //!   Timers (retransmits, interest checks) always stay shard-local.
 //! * **Per-node state is organically owner-local.** Latency, fault, and
-//!   reliability draws are keyed per *sender* ([`dup_sim::SenderStreams`]),
-//!   and a node only ever sends from its owner shard, so each node's draw
+//!   reliability draws are keyed per *sender* ([`dup_sim::SenderStreams`],
+//!   and a retransmit's jitter by its sender-numbered sequence), and a
+//!   node only ever sends from its owner shard, so each node's draw
 //!   sequence is a function of its own send order — exactly the sequential
 //!   run's sequence restricted to that node. Caches, interest windows, and
 //!   scheme subscriptions are only ever touched by deliveries, which

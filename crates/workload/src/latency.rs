@@ -14,7 +14,8 @@
 //! without risking a causality violation. With `min_secs = 0` the model
 //! degenerates to the paper's plain exponential (and admits no lookahead).
 
-use dup_sim::{SimDuration, StreamRng};
+use dup_sim::SimDuration;
+use rand::Rng;
 
 use crate::variates::exp_variate;
 
@@ -86,7 +87,7 @@ impl HopLatency {
 
     /// Draws one hop's transfer delay.
     #[inline]
-    pub fn sample(&self, rng: &mut StreamRng) -> SimDuration {
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
         let tail = exp_variate(rng, 1.0 / (self.mean_secs - self.min_secs));
         // Summing the two *durations* (not the two f64 seconds) guarantees
         // the result is >= the floor in exact integer nanoseconds.
@@ -107,7 +108,7 @@ impl HopLatency {
     ///
     /// [`sample`]: HopLatency::sample
     #[inline]
-    pub fn sample_scaled(&self, rng: &mut StreamRng, mult: f64) -> SimDuration {
+    pub fn sample_scaled<R: Rng + ?Sized>(&self, rng: &mut R, mult: f64) -> SimDuration {
         debug_assert!(
             mult >= 1.0 && mult.is_finite(),
             "link multiplier must be >= 1.0 and finite, got {mult}"

@@ -24,7 +24,7 @@ use dup_p2p::core::DupScheme;
 use dup_p2p::proto::{
     ChurnConfig, FaultConfig, ReliabilityConfig, RunConfig, Runner, SettledRun, World,
 };
-use dup_p2p::sim::StreamRng;
+use dup_p2p::sim::StreamSlot;
 use dup_p2p::workload::ZipfSchedule;
 
 /// The system allocator, counting the bytes callers asked for.
@@ -86,25 +86,28 @@ fn held_by<T>(value: T) -> usize {
 const NODES: usize = 65_536;
 
 /// Heap bytes per node the world and the scheme may hold after the run:
-/// 10 % above the 131.1 measured when the cache slot lost its `Option`
-/// tag (32.0 → 24.0), the latency streams theirs (75.3 → 60.5) and the
-/// Zipf selector its pmf copy (20.0 → 12.0). It read 154.0 once the FIFO
+/// 10 % above the 74.6 measured once a latency stream became a 4-byte
+/// draw counter (60.5 → 4.0). It read 131.1 when the cache slot lost its
+/// `Option` tag (32.0 → 24.0), the latency streams theirs (75.3 → 60.5)
+/// and the Zipf selector its pmf copy (20.0 → 12.0), and 154.0 once the FIFO
 /// clocks became a table of the channels in flight and the search tree
 /// an 8-byte record per node beside a child arena, 240.3 with one 64-byte
 /// FIFO record per node, and 289.7, growing with the window, before
 /// cache, interest and FIFO state were fixed-size records.
-const BUDGET_BYTES_PER_NODE: f64 = 144.0;
+const BUDGET_BYTES_PER_NODE: f64 = 82.0;
 
 /// Reliability-layer bytes per sender slot after the `sim_lossy` phase:
-/// 10 % above the 177.0 measured once departed nodes' slots were reused
-/// (1 039 slots, 184 KB). Per slot it is more than the 140.3 per id read
+/// 10 % above the 133.0 measured once a message's jitter became the keyed
+/// draw of its sequence number and the layer lost its stream table (168.1
+/// before, 1 039 slots). It read 177.0 once departed nodes' slots were
+/// reused (1 039 slots, 184 KB), more per slot than the 140.3 per id read
 /// before, when each of 2 062 ids held a slot (289 KB): the long-lived
 /// nodes' wide dedup windows are no longer averaged with the departed
 /// ids' narrow ones. That figure was measured once a dedup window grew
 /// with its sender's sequence span, a jitter stream lost its `Option` tag
 /// and a sequence counter became a `u32`; with a 512-byte bitmap from each
 /// sender's first delivery it read 493.1.
-const RELIABLE_BYTES_PER_SLOT: f64 = 195.0;
+const RELIABLE_BYTES_PER_SLOT: f64 = 146.0;
 
 #[test]
 fn a_deep_dup_run_stays_inside_its_bytes_per_node_budget() {
@@ -143,12 +146,13 @@ fn a_deep_dup_run_stays_inside_its_bytes_per_node_budget() {
     let zipf = ZipfSchedule::new(NODES, theta, &[]);
     let (fifo, tree) = (per_node(held_by(fifo)), per_node(held_by(tree)));
     let (cache, zipf) = (per_node(held_by(cache)), per_node(held_by(zipf)));
+    let streams = per_node(held_by(latency_rng));
     println!("heap bytes per node, {NODES} nodes, DUP, 200 000 simulated seconds:");
     for (table, bytes) in [
         ("cache", cache),
         ("interest", per_node(held_by(interest))),
         ("FIFO clocks", fifo),
-        ("latency streams", per_node(held_by(latency_rng))),
+        ("latency streams", streams),
         ("search tree", tree),
         ("scheme lists", per_node(held_by(scheme))),
         ("Zipf selector", zipf),
@@ -161,7 +165,7 @@ fn a_deep_dup_run_stays_inside_its_bytes_per_node_budget() {
     // the tree holds an 8-byte record, a 12-byte span and one arena entry
     // per node (plus a boxed header), a cache slot is a bare 24-byte
     // record, the Zipf selector an 8-byte cut and a 4-byte alias per rank,
-    // and a latency stream a 32-byte state beside one seeded bit.
+    // and a latency stream a 4-byte draw counter.
     assert!(fifo <= 1.0, "FIFO clocks hold {fifo:.1} bytes per node");
     assert!(
         tree < 24.05,
@@ -172,7 +176,11 @@ fn a_deep_dup_run_stays_inside_its_bytes_per_node_budget() {
         zipf <= 12.05,
         "the Zipf selector holds {zipf:.1} bytes per node"
     );
-    assert_eq!(std::mem::size_of::<StreamRng>(), 32);
+    assert_eq!(std::mem::size_of::<StreamSlot>(), 4);
+    assert!(
+        streams <= 4.05,
+        "the latency streams hold {streams:.1} bytes per node"
+    );
     assert!(
         per_node(held) <= BUDGET_BYTES_PER_NODE,
         "{:.1} heap bytes per node after the run, over the budget of {BUDGET_BYTES_PER_NODE}",
@@ -183,8 +191,8 @@ fn a_deep_dup_run_stays_inside_its_bytes_per_node_budget() {
 
 /// The benchmark's `sim_lossy` shape for 100 000 simulated seconds:
 /// 1 024 nodes, churn at 0.02/s, 10 % loss, reliability with 150 s
-/// leases. Every sender slot can own a dedup window, a sequence counter
-/// and a jitter stream, and every per-node table has one entry per slot.
+/// leases. Every sender slot can own a dedup window and a sequence
+/// counter, and every per-node table has one entry per slot.
 fn lossy_reliability_state_stays_inside_its_bytes_per_slot_budget() {
     let cfg = RunConfig::builder(42)
         .nodes(1024)

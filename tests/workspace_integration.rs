@@ -26,13 +26,48 @@ fn paper_headline_holds_end_to_end() {
     assert!(t.dup.avg_query_cost < t.cup.avg_query_cost);
 }
 
+/// Records who issued each query, and when.
+struct Issued(std::sync::Arc<std::sync::Mutex<Vec<(SimTime, NodeId)>>>);
+
+impl Probe<ProbeEvent> for Issued {
+    fn record(&mut self, at: SimTime, event: &ProbeEvent) {
+        if let ProbeEvent::QueryIssued { origin } = event {
+            self.0.lock().unwrap().push((at, *origin));
+        }
+    }
+}
+
 #[test]
 fn same_seed_same_workload_across_schemes() {
-    // All three schemes see the identical topology and query stream: the
-    // recorded query count must agree exactly.
-    let t = dup_p2p::compare_schemes(&small(2));
-    assert_eq!(t.pcx.queries, t.cup.queries);
-    assert_eq!(t.cup.queries, t.dup.queries);
+    // All three schemes see the identical topology and query stream: every
+    // query is issued by the same node at the same instant. The reports'
+    // served counts need not agree, since a query issued just before the
+    // horizon is counted only by a scheme that serves it in time: at this
+    // seed one query, issued 0.11 s before the horizon, is served after one
+    // hop under CUP and DUP and is still travelling up the tree under PCX.
+    let cfg = small(2);
+    let stream = |kind| {
+        let issued = std::sync::Arc::default();
+        run_simulation_kind(
+            &cfg,
+            kind,
+            ProbeSink::attach(Issued(std::sync::Arc::clone(&issued))),
+        );
+        std::sync::Arc::try_unwrap(issued)
+            .unwrap()
+            .into_inner()
+            .unwrap()
+    };
+    let pcx = stream(SchemeKind::Pcx);
+    assert!(pcx.len() > 40_000, "{} queries issued", pcx.len());
+    assert!(
+        pcx == stream(SchemeKind::Cup),
+        "CUP saw another query stream"
+    );
+    assert!(
+        pcx == stream(SchemeKind::Dup),
+        "DUP saw another query stream"
+    );
 }
 
 #[test]
